@@ -132,11 +132,15 @@ class Grid:
                 fh.write(",".join(str(int(v)) for v in row) + "\n")
 
 
-def grid_from_bbox(bbox, delta: float, cap: int = MAX_CELLS) -> Grid:
-    """Empty grid covering bbox = (lo, hi) with uniform spacing delta."""
+def grid_from_bbox(bbox, delta: float, cap: int | None = None) -> Grid:
+    """Empty grid covering bbox = (lo, hi) with uniform spacing delta.
+
+    Refuses grids of more than cap cells (MAX_CELLS when cap is None).
+    """
     lo = np.atleast_1d(np.asarray(bbox[0], dtype=float))
     hi = np.atleast_1d(np.asarray(bbox[1], dtype=float))
     n = np.maximum(1, np.round((hi - lo) / delta).astype(int))
+    cap = MAX_CELLS if cap is None else cap
     if int(np.prod(n)) > cap:
         raise ResolutionError(
             f"grid of {int(np.prod(n))} cells exceeds the cap of {cap}"
@@ -259,7 +263,7 @@ class GridRegion(Region):
         return lo, hi
 
 
-def rasterize(region: Region, bbox, delta: float, cap: int = MAX_CELLS) -> Grid:
+def rasterize(region: Region, bbox, delta: float, cap: int | None = None) -> Grid:
     """Center-in-region raster of an open set on the given bbox."""
     g = grid_from_bbox(bbox, delta, cap)
     if g.dim == 1:

@@ -30,12 +30,9 @@ class Similarity:
     def __post_init__(self):
         q = np.atleast_2d(np.asarray(self.orthogonal_part, dtype=float))
         t = np.atleast_1d(np.asarray(self.translation, dtype=float))
-        if not (0.0 < self.ratio < 1.0):
-            raise ConfigError(f"similarity ratio must lie in (0,1), got {self.ratio}")
         if q.shape[0] != q.shape[1] or q.shape[0] != t.shape[0]:
             raise ConfigError("orthogonal part and translation dimensions differ")
-        if not np.allclose(q.T @ q, np.eye(q.shape[0]), atol=ORTHO_TOL, rtol=0.0):
-            raise ConfigError("orthogonal part is not orthogonal within 1e-12")
+        check_similarity_parts(np.array([self.ratio]), q[None])
         object.__setattr__(self, "orthogonal_part", q)
         object.__setattr__(self, "translation", t)
 
@@ -65,6 +62,17 @@ class Similarity:
     def fixed_point(self) -> np.ndarray:
         a = np.eye(self.dim) - self.ratio * self.orthogonal_part
         return np.linalg.solve(a, self.translation)
+
+
+def check_similarity_parts(ratios: np.ndarray, orthogonal_parts: np.ndarray) -> None:
+    """Refuse stacked similarity parts unless every ratio lies in (0, 1) and
+    every orthogonal part Q (shape (m, d, d)) has Q^T Q = I within ORTHO_TOL."""
+    bad = ~((0.0 < ratios) & (ratios < 1.0))
+    if bad.any():
+        raise ConfigError(f"similarity ratio must lie in (0,1), got {ratios[bad][0]}")
+    gram = np.swapaxes(orthogonal_parts, 1, 2) @ orthogonal_parts
+    if not np.all(np.abs(gram - np.eye(gram.shape[-1])) <= ORTHO_TOL):
+        raise ConfigError("orthogonal part is not orthogonal within 1e-12")
 
 
 @dataclass(frozen=True)
@@ -303,11 +311,14 @@ def words_up_to_ratio(
     With truncate=True, words at max_len become leaves instead of raising;
     use that for explicit depth caps.
     """
+    # each node carries its ratio, multiplied in letter order as Word.ratio
+    # does; children at or below r_min are never built
+    ratios = [m.ratio for m in ifs.maps]
     out = []
-    stack = [Word()]
+    stack = [(Word(), 1.0)]
     while stack:
-        w = stack.pop()
-        if w.ratio(ifs) <= r_min:
+        w, r = stack.pop()
+        if r <= r_min:
             continue
         out.append(w)
         if len(w) >= max_len:
@@ -315,7 +326,9 @@ def words_up_to_ratio(
                 continue
             raise FtlError("word tree exceeded max length")
         for a in range(ifs.n):
-            stack.append(w.extend(a))
+            child = r * ratios[a]
+            if child > r_min:
+                stack.append((w.extend(a), child))
     return out
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import conditions, contents, curvature, volumes
 from .errors import ConfigError, PreconditionError
-from .grids import DistanceField, Grid, distance_transform, inner_distance, inradius
+from .grids import DistanceField, Grid, distance_transform, grid_from_bbox, inner_distance, inradius
 from .ifs import DimensionData, dimension_data
 from .levelsets import LevelSetExtractor
 from .presets import Preset, Scene, get_preset
@@ -98,14 +98,13 @@ class SceneBundle:
                 o.origin + np.array(o.extents) * self.delta,
                 f.origin + np.array(f.extents) * self.delta,
             ) + pad_cells * self.delta
-            n = np.round((hi - lo) / self.delta).astype(int)
-            occ = np.zeros(tuple(n), dtype=bool)
+            grid = grid_from_bbox((lo, hi), self.delta)
             off = np.round((f.origin - lo) / self.delta).astype(int)
             sel = tuple(
                 slice(off[ax], off[ax] + f.extents[ax]) for ax in range(self.d)
             )
-            occ[sel] = f.occupancy
-            return distance_transform(Grid(lo, self.delta, occ))
+            grid.occupancy[sel] = f.occupancy
+            return distance_transform(grid)
 
         return self._memo(("F_field", pad_cells), build)
 

@@ -6,6 +6,11 @@ over all finite words. Rasters resolve tiles down to a few cells and merge
 everything smaller into a residual mask (those tiles are entirely within
 any sampled eps of their own boundary, so cell counting stays exact for
 eps at or above the resolution floor).
+
+Tiles are built one word length at a time (rasterize_tiles): the composed
+maps S_sigma of all words of one length are stacked arrays, each made from
+its parent's map with one composition, and all tiles of that length are
+inverse-sampled inside their image boxes with one batch of lookups.
 """
 
 from __future__ import annotations
@@ -17,14 +22,13 @@ from scipy import ndimage
 
 from .errors import ConfigError, FtlError, ResolutionError
 from .grids import DistanceField, Grid, Region, distance_transform, grid_from_bbox, inradius, rasterize
-from .ifs import IFS, Similarity, Word, words_up_to_ratio
+from .ifs import IFS, Similarity, Word, check_similarity_parts, words_up_to_ratio
 
 
 @dataclass
 class TilingData:
     ifs: IFS
     O: Grid
-    K_closure: Grid
     G: Grid
     Gamma: Grid
     g: float
@@ -53,66 +57,134 @@ class TilingData:
         }
 
 
-def _map_cells(sim: Similarity, source: Grid, target: Grid, dilate: bool = False) -> np.ndarray:
-    """Occupancy of S(source-region) on the target grid, by inverse sampling.
+CHUNK_CELLS = 1 << 20  # target cells inverse-sampled per Grid.lookup call
 
-    A target cell is marked iff S^{-1}(center) lies in an occupied source
-    cell. With dilate=True the result grows by one cell (closure emulation,
-    one-sided bias into the subtracted set).
+
+def _stack(maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ratios (m,), orthogonal parts (m, d, d) and translations (m, d) of maps."""
+    return (
+        np.array([m.ratio for m in maps]),
+        np.stack([m.orthogonal_part for m in maps]),
+        np.stack([m.translation for m in maps]),
+    )
+
+
+def _stamp_images(
+    occ: np.ndarray, ratio: np.ndarray, Q: np.ndarray, t: np.ndarray, source: Grid, target: Grid
+) -> None:
+    """Mark in occ (target's shape) the cells of S_k(source-region) for stacked maps S_k.
+
+    A target cell is marked iff S_k^{-1}(center) lies in an occupied source
+    cell. Only cells in the image of source's box under S_k, grown by one
+    cell, are sampled: every other cell maps outside the source grid. The
+    inverse maps and the sampled points use the float operations of
+    Similarity.inverse and AffineMap.__call__ on one map at a time (in 2-d,
+    one matrix product per distinct linear part), so the result is
+    bit-identical to sampling each map on its own. Cells are looked up at
+    most CHUNK_CELLS at a time.
     """
-    inv = sim.inverse()
-    if target.dim == 1:
-        pts = target.centers(0)
-        occ = source.lookup(inv(pts))
-    else:
-        X, Y = np.meshgrid(target.centers(0), target.centers(1), indexing="ij")
-        pts = np.column_stack([X.ravel(), Y.ravel()])
-        occ = source.lookup(inv(pts)).reshape(target.extents)
-    occ = occ.reshape(target.extents)
-    if dilate:
-        occ = ndimage.binary_dilation(occ, structure=np.ones((3,) * target.dim, bool))
+    d = target.dim
+    qinv = np.swapaxes(Q, 1, 2)
+    A = qinv / ratio[:, None, None]
+    b = -(qinv @ t[:, :, None])[:, :, 0] / ratio[:, None]
+
+    lo = source.origin
+    corners = _box_corners(lo, lo + np.array(source.extents) * source.spacing)
+    img = ratio[:, None, None] * (corners @ qinv) + t[:, None, :]
+    lo_i = np.floor((img.min(axis=1) - target.origin) / target.spacing).astype(np.int64) - 1
+    hi_i = np.ceil((img.max(axis=1) - target.origin) / target.spacing).astype(np.int64) + 1
+    lo_i = np.maximum(lo_i, 0)
+    shape = np.maximum(np.minimum(hi_i, target.extents) - lo_i, 0)
+    if d == 2:
+        # maps sharing a linear part become neighbours, so that their cells
+        # form one run and take one matrix product
+        group = np.unique(A.reshape(len(A), -1), axis=0, return_inverse=True)[1].reshape(-1)
+        order = np.argsort(group, kind="stable")
+        A, b, lo_i, shape, group = A[order], b[order], lo_i[order], shape[order], group[order]
+    counts = shape.prod(axis=1)
+    starts = np.cumsum(counts) - counts
+
+    total = int(counts.sum())
+    for c0 in range(0, total, CHUNK_CELLS):
+        pos = np.arange(c0, min(c0 + CHUNK_CELLS, total))
+        k = np.searchsorted(starts, pos, side="right") - 1
+        local = pos - starts[k]
+        if d == 1:
+            idx = (lo_i[k, 0] + local)[:, None]
+        else:
+            w = shape[k, 1]
+            idx = np.column_stack([lo_i[k, 0] + local // w, lo_i[k, 1] + local % w])
+        pts = target.origin + (idx + 0.5) * target.spacing
+        if d == 1:
+            pre = A[k, 0, 0] * pts[:, 0] + b[k, 0]
+        else:
+            g = group[k]
+            cuts = np.flatnonzero(g[1:] != g[:-1]) + 1
+            pre = np.empty_like(pts)
+            for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, len(g)]):
+                # a one-row product would go to BLAS gemv, whose sum order
+                # differs from gemm's; take such a row as a pair instead
+                rows = pts[r0:r1] if r1 - r0 > 1 else pts[[r0, r0]]
+                pre[r0:r1] = (rows @ A[k[r0]].T)[: r1 - r0]
+            pre += b[k]
+        hit = source.lookup(pre)
+        occ[tuple(idx[hit].T)] = True
+
+
+def _map_cells(sim: Similarity, source: Grid, target: Grid) -> np.ndarray:
+    """Occupancy of S(source-region) on the target grid, by inverse sampling."""
+    occ = np.zeros(target.extents, dtype=bool)
+    _stamp_images(occ, *_stack([sim]), source, target)
     return occ
 
 
-def set_map_raster(ifs: IFS, O: Grid, dilate: bool = False) -> np.ndarray:
+def set_map_raster(ifs: IFS, O: Grid) -> np.ndarray:
     """Raster of Phi(O) = union of S_i(O) on O's own grid."""
     out = np.zeros(O.extents, dtype=bool)
-    for m in ifs.maps:
-        out |= _map_cells(m, O, O, dilate=dilate)
+    _stamp_images(out, *_stack(ifs.maps), O, O)
     return out
 
 
-def _rasterize_tile(word: Word, ifs: IFS, G: Grid, target_occ: np.ndarray, target: Grid) -> None:
-    """Mark the cells of S_sigma(G) inside target_occ (in place); word nonempty."""
-    sim = word.map(ifs)
-    inv = sim.inverse()
-    # local bbox: image of G's bbox corners under the similarity
-    lo = G.origin
-    hi = G.origin + np.array(G.extents) * G.spacing
-    if target.dim == 1:
-        corners = np.array([lo[0], hi[0]])
-        img = np.sort(np.atleast_1d(sim(corners)))
-        i0 = max(0, int(np.floor((img[0] - target.origin[0]) / target.spacing)) - 1)
-        i1 = min(target.extents[0], int(np.ceil((img[-1] - target.origin[0]) / target.spacing)) + 1)
-        if i1 <= i0:
-            return
-        pts = target.origin[0] + (np.arange(i0, i1) + 0.5) * target.spacing
-        target_occ[i0:i1] |= G.lookup(inv(pts))
-        return
-    corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
-    img = sim(corners)
-    lo_i = np.floor((img.min(axis=0) - target.origin) / target.spacing).astype(int) - 1
-    hi_i = np.ceil((img.max(axis=0) - target.origin) / target.spacing).astype(int) + 1
-    lo_i = np.maximum(lo_i, 0)
-    hi_i = np.minimum(hi_i, target.extents)
-    if np.any(hi_i <= lo_i):
-        return
-    xs = target.origin[0] + (np.arange(lo_i[0], hi_i[0]) + 0.5) * target.spacing
-    ys = target.origin[1] + (np.arange(lo_i[1], hi_i[1]) + 0.5) * target.spacing
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    hit = G.lookup(inv(pts)).reshape(X.shape)
-    target_occ[lo_i[0]:hi_i[0], lo_i[1]:hi_i[1]] |= hit
+def rasterize_tiles(ifs: IFS, words: list[Word], G: Grid, target: Grid) -> np.ndarray:
+    """Occupancy of the union of the tiles S_sigma(G), sigma in words, on target's grid.
+
+    words must be prefix-closed, as words_up_to_ratio returns them; the
+    empty word contributes G itself, which must lie on target's grid. The
+    word tree is walked one length at a time. The composed maps of one
+    length are stacked arrays, each built from its parent's with the float
+    operations of parent.compose(S_a), so every map is bit-identical to
+    Word.map. Each length is checked like Similarity checks one map and
+    rasterized in one pass of _stamp_images.
+    """
+    occ = np.zeros(target.extents, dtype=bool)
+    levels: dict[int, list[tuple[int, ...]]] = {}
+    for w in words:
+        levels.setdefault(len(w), []).append(w.letters)
+    if 0 in levels:
+        occ |= G.occupancy
+    r1, Q1, t1 = _stack(ifs.maps)
+    index: dict[tuple[int, ...], int] = {}
+    for length in range(1, max(levels, default=0) + 1):
+        letters = levels.get(length, [])
+        last = np.array([w[-1] for w in letters], dtype=np.int64)
+        if length == 1:
+            ratio, Q, t = r1[last], Q1[last], t1[last]
+        else:
+            try:
+                parent = np.array([index[w[:-1]] for w in letters], dtype=np.int64)
+            except KeyError:
+                raise ConfigError("tile words must be prefix-closed") from None
+            pr, pQ, pt = ratio[parent], Q[parent], t[parent]
+            ratio = pr * r1[last]
+            Q = pQ @ Q1[last]
+            if ifs.ambient_dim == 1:
+                t = (pr * pQ[:, 0, 0] * t1[last, 0] + pt[:, 0])[:, None]
+            else:
+                t = pr[:, None] * (t1[last][:, None, :] @ np.swapaxes(pQ, 1, 2))[:, 0] + pt
+            check_similarity_parts(ratio, Q)
+        index = {w: i for i, w in enumerate(letters)}
+        _stamp_images(occ, ratio, Q, t, G, target)
+    return occ
 
 
 def build_tiling(
@@ -128,7 +200,9 @@ def build_tiling(
     Tiles are resolved for every word with r_sigma * diam(O) > resolve_cells
     * delta; deeper (sub-cell) tiles land in the residual mask. An empty
     generator raster signals a full-dimensional attractor, for which no
-    tiling exists.
+    tiling exists. tile_words lists the resolved words depth-first; the tile
+    union is rasterized one word length at a time by rasterize_tiles, which
+    composes each tile map once from its parent's.
     """
     if isinstance(O_region, Grid):
         O = O_region
@@ -141,7 +215,7 @@ def build_tiling(
     if not O.occupancy.any():
         raise ConfigError("feasible set rasterized to nothing; check the region/bbox")
 
-    phi_open = set_map_raster(ifs, O, dilate=False)
+    phi_open = set_map_raster(ifs, O)
     phi_closed = ndimage.binary_dilation(phi_open, structure=np.ones((3,) * O.dim, bool))
     G = O.with_occupancy(O.occupancy & ~phi_closed)
     Gamma = O.with_occupancy(O.occupancy & ~phi_open)
@@ -150,9 +224,6 @@ def build_tiling(
             "empty generator: the attractor is full-dimensional (sum r_i^d = 1), "
             "no tiling exists"
         )
-    K_closure = O.with_occupancy(
-        ndimage.binary_dilation(O.occupancy, structure=np.ones((3,) * O.dim, bool))
-    )
 
     lo, hi = O.origin, O.origin + np.array(O.extents) * O.spacing
     diam_O = float(np.linalg.norm(hi - lo))
@@ -162,20 +233,13 @@ def build_tiling(
         r_min = resolve_cells * delta / diam_O
         words = words_up_to_ratio(ifs, r_min)
 
-    tile_occ = np.zeros(O.extents, dtype=bool)
-    for w in words:
-        if len(w) == 0:
-            tile_occ |= G.occupancy
-        else:
-            _rasterize_tile(w, ifs, G, tile_occ, O)
-    tile_occ &= O.occupancy
+    tile_occ = rasterize_tiles(ifs, words, G, O) & O.occupancy
     tile_union = O.with_occupancy(tile_occ)
     residual = O.with_occupancy(O.occupancy & ~tile_occ)
 
     return TilingData(
         ifs=ifs,
         O=O,
-        K_closure=K_closure,
         G=G,
         Gamma=Gamma,
         g=inradius(G),

@@ -31,7 +31,7 @@ from fractal_tiling_lab.grids import (
 from fractal_tiling_lab.ifs import words_up_to_ratio
 from fractal_tiling_lab.levelsets import euler_and_turning
 from fractal_tiling_lab.presets import CANTOR_CONTENT_CLOSED_FORM, D_KOCH, carpet_ifs
-from fractal_tiling_lab.tiling import _rasterize_tile, attractor_raster
+from fractal_tiling_lab.tiling import attractor_raster, rasterize_tiles
 from fractal_tiling_lab.volumes import make_eps_grid, sample_inner_volume
 from fractal_tiling_lab.conditions import check_strong
 
@@ -248,12 +248,7 @@ def test_criterion_09_condition_checks(carpet_bundle):
     delta = 2.0**-10
     ifs = carpet_ifs()
     Gp = rasterize(axis_square(1 / 9, 2 / 9), ([0.0, 0.0], [1.0, 1.0]), delta)
-    occ = np.zeros(Gp.extents, bool)
-    for w in words_up_to_ratio(ifs, 4 * delta / math.sqrt(2)):
-        if len(w) == 0:
-            occ |= Gp.occupancy
-        else:
-            _rasterize_tile(w, ifs, Gp, occ, Gp)
+    occ = rasterize_tiles(ifs, words_up_to_ratio(ifs, 4 * delta / math.sqrt(2)), Gp, Gp)
     Oprime = Gp.with_occupancy(occ)
     F = attractor_raster(ifs, ([0.0, 0.0], [1.0, 1.0]), delta)
     strong_fail = check_strong(Oprime, distance_transform(F)).verdict == "fail"

@@ -21,7 +21,7 @@ from fractal_tiling_lab.grids import (
 )
 from fractal_tiling_lab.ifs import words_up_to_ratio
 from fractal_tiling_lab.presets import cantor_ifs, carpet_ifs, unit_square
-from fractal_tiling_lab.tiling import _rasterize_tile, attractor_raster, relative_inradius
+from fractal_tiling_lab.tiling import attractor_raster, rasterize_tiles, relative_inradius
 
 
 def axis_square(lo, hi):
@@ -90,12 +90,7 @@ class TestStrong:
         delta, field = carpet_field
         ifs = carpet_ifs()
         Gp = rasterize(axis_square(1 / 9, 2 / 9), ([0.0, 0.0], [1.0, 1.0]), delta)
-        occ = np.zeros(Gp.extents, bool)
-        for w in words_up_to_ratio(ifs, 4 * delta / math.sqrt(2)):
-            if len(w) == 0:
-                occ |= Gp.occupancy
-            else:
-                _rasterize_tile(w, ifs, Gp, occ, Gp)
+        occ = rasterize_tiles(ifs, words_up_to_ratio(ifs, 4 * delta / math.sqrt(2)), Gp, Gp)
         Oprime = Gp.with_occupancy(occ)
         rep = check_strong(Oprime, field)
         assert rep.verdict == "fail"

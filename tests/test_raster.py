@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from fractal_tiling_lab import grids
 from fractal_tiling_lab.errors import ConfigError, ResolutionError
 from fractal_tiling_lab.grids import (
     ConvexPolygon,
@@ -18,6 +20,8 @@ from fractal_tiling_lab.grids import (
     parallel_volume,
     rasterize,
 )
+from fractal_tiling_lab.pipeline import SceneBundle
+from fractal_tiling_lab.presets import get_preset
 
 
 def square(lo=0.0, hi=1.0):
@@ -52,6 +56,18 @@ class TestRasterize:
     def test_cell_cap(self):
         with pytest.raises(ResolutionError):
             grid_from_bbox(([0.0, 0.0], [1.0, 1.0]), 1e-6, cap=10**6)
+
+    def test_attractor_field_respects_cell_cap(self, monkeypatch):
+        # the padded field grid is larger than O and the attractor raster;
+        # a cap between them must refuse the field before it is allocated
+        scene = replace(get_preset("cantor").scene, delta=2.0**-10)
+        bundle = SceneBundle(scene)
+        small = max(bundle.O.occupancy.size, bundle.F_tight.occupancy.size)
+        monkeypatch.setattr(grids, "MAX_CELLS", small)
+        with pytest.raises(ResolutionError):
+            bundle.field_small
+        monkeypatch.undo()
+        assert bundle.field_small.values.size > small
 
 
 class TestDistanceTransform:

@@ -1,0 +1,284 @@
+"""Level-wise tile rasterization against the per-word algorithm it replaced.
+
+`rasterize_tiles` composes each tile map once per word length and samples
+all tiles of one length together; `_map_cells` samples only the image box.
+Both must reproduce, bit for bit, what composing every word from the root
+(`Word.map`) and inverse-sampling its image one tile at a time gives.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fractal_tiling_lab import tiling
+from fractal_tiling_lab.errors import ConfigError
+from fractal_tiling_lab.grids import Grid, grid_from_bbox
+from fractal_tiling_lab.ifs import IFS, Similarity, Word, check_similarity_parts, rotation, words_up_to_ratio
+from fractal_tiling_lab.presets import get_preset
+from fractal_tiling_lab.tiling import _map_cells, build_tiling, rasterize_tiles, set_map_raster
+
+COARSE_DELTA = {
+    "cantor": 2.0**-12,
+    "cantor_pair": 2.0**-12,
+    "carpet": 2.0**-8,
+    "koch": 2.0**-9,
+    "gasket": 2.0**-8,
+}
+
+# SHA-256 of O, G, Gamma, tile_union, residual (grid_digest) and of the
+# manifest JSON at COARSE_DELTA, as the per-word tile loop produced them
+TILING_SHA256 = {
+    "cantor": {
+        "O": "f5498a76ac88f421948ce9c22cc8b33ddfd81acbe4e70cf6a5410e9d4c28f6bd",
+        "G": "f9372b60d0e95dad364244e86b113f2f05de41c7ba0a843411607c1fae9a1fe9",
+        "Gamma": "dbf8b8eab3de082190a52b01ac6f6a67e3200428d7287a23d310f5d989d2256b",
+        "tile_union": "c93cd9989ac1686689e8cece9c0ac9682bfa82d1b78b27bef32d275922dbfd25",
+        "residual": "b4d80b38baa5dc47e365de25499d4e14be203d80a9936d32ec4d85046f750c60",
+        "manifest": "e448a9bfd26e9acffbf893574a4a908ea4b2f0e0cb446ad75d1c2acf604ff079",
+    },
+    "cantor_pair": {
+        "O": "f5498a76ac88f421948ce9c22cc8b33ddfd81acbe4e70cf6a5410e9d4c28f6bd",
+        "G": "739b6b77d5eae9159aa1fe38f041d5003eec510d6a007be2a50832f0198aceb9",
+        "Gamma": "5837d3c94526f18df689bb75d74bd8601e2be2752d0bfae70c65f8f9275d1e97",
+        "tile_union": "611aa8931ac3a0f06c3d490893fc92977e9413cd9c8914259f20f7099c5d20b2",
+        "residual": "253db5ddd4ad66601504cf6585d6c622573acee4778bedd1e4ee120c5e4766f6",
+        "manifest": "e5bb1077045fe9a8d76b987d0e0be88b9898359b345566bb74cb4fb9bb3d7808",
+    },
+    "carpet": {
+        "O": "a89a7cebf453170fda806fba1388561878760abbc619a01961b052a36e5c5883",
+        "G": "28f0a1832a9b292efcaaed7ed558fdd74c86ca5b30ea44fb90606f6de210ea77",
+        "Gamma": "7824594fad1d02decd4c6e8be3c0ae29029e3ee2a34a9100bb8ac883fa0b3085",
+        "tile_union": "fa79602d3e498ce87bfd9402b9ad2711315e1479d47767b2d4c866c6b43e3b26",
+        "residual": "78156361fd75e674d55eceb06c4a63b7b447af85a1709c828b74c436cd0a072d",
+        "manifest": "c40e8bc2bf2afd70970e02b2dc6c757c505c099d50167bcf6ad99d9c9a816e30",
+    },
+    "koch": {
+        "O": "8d928cb998dd8c7018f626980cb91a0a152d330545685a948cc68ed7513dbd1a",
+        "G": "ea52f49cfafab18fb3cb68662c1ad9f542215f16cd7203cd08a42d8acc221b28",
+        "Gamma": "9f5477007a2e94879b872dd98196efc1b889d7e1c3d151149e0cecb393c1f4c6",
+        "tile_union": "7b872edd1600b82444bf3e5f025159056096e9b4e4234ed7f0ce6e19231add9b",
+        "residual": "d3aefe83795218cf9fc274f706ce2f290983a7cac58c95bc9714887df4731c7c",
+        "manifest": "a48d43ed9b55f86c4806397659ef0a51453f024d0b2f4236398ad7088223a1eb",
+    },
+    "gasket": {
+        "O": "34b7a71b44694d412ff82ed8a7bc6ec21eeb0e171d6496d3e8e695205dc2e676",
+        "G": "d66595da0af03fd35a60c8c9b820afe6f2ae6a5cb491f9708b375a9e0c3a10c4",
+        "Gamma": "c00d48016156be26ba1a04b67909d9375a4311adc6307bb5dd7ab9870140e1be",
+        "tile_union": "49bc7d071094ef62c4ec5b4dff47a5cba1dfef28d1799f2a3cf7121a25f171c2",
+        "residual": "20d8b355595e9bc2b34f16822dee41ef6d6371ed62720ac2b3caf6af4ee3d782",
+        "manifest": "d88c08adb20602bee1ccddbbb4fb78a0e34ebdc1f1d73df3a8f8761efa58d8b7",
+    },
+}
+
+
+def grid_digest(g: Grid) -> str:
+    h = hashlib.sha256()
+    h.update(np.asarray(g.origin, dtype=float).tobytes())
+    h.update(np.float64(g.spacing).tobytes())
+    h.update(str(g.occupancy.shape).encode())
+    h.update(np.ascontiguousarray(g.occupancy).tobytes())
+    return h.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# the per-word reference: compose every word from the root, sample one tile
+
+
+def _reference_tile(sim: Similarity, G: Grid, occ: np.ndarray, target: Grid) -> None:
+    inv = sim.inverse()
+    lo = G.origin
+    hi = G.origin + np.array(G.extents) * G.spacing
+    if target.dim == 1:
+        img = np.sort(np.atleast_1d(sim(np.array([lo[0], hi[0]]))))
+        i0 = max(0, int(np.floor((img[0] - target.origin[0]) / target.spacing)) - 1)
+        i1 = min(target.extents[0], int(np.ceil((img[-1] - target.origin[0]) / target.spacing)) + 1)
+        if i1 > i0:
+            pts = target.origin[0] + (np.arange(i0, i1) + 0.5) * target.spacing
+            occ[i0:i1] |= G.lookup(inv(pts))
+        return
+    corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
+    img = sim(corners)
+    lo_i = np.maximum(np.floor((img.min(axis=0) - target.origin) / target.spacing).astype(int) - 1, 0)
+    hi_i = np.minimum(np.ceil((img.max(axis=0) - target.origin) / target.spacing).astype(int) + 1,
+                      target.extents)
+    if np.any(hi_i <= lo_i):
+        return
+    xs = target.origin[0] + (np.arange(lo_i[0], hi_i[0]) + 0.5) * target.spacing
+    ys = target.origin[1] + (np.arange(lo_i[1], hi_i[1]) + 0.5) * target.spacing
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    occ[lo_i[0]:hi_i[0], lo_i[1]:hi_i[1]] |= G.lookup(inv(pts)).reshape(X.shape)
+
+
+def reference_tiles(ifs: IFS, words, G: Grid, target: Grid) -> np.ndarray:
+    occ = np.zeros(target.extents, dtype=bool)
+    for w in words:
+        if len(w) == 0:
+            occ |= G.occupancy
+        else:
+            _reference_tile(w.map(ifs), G, occ, target)
+    return occ
+
+
+def reference_map_cells(sim: Similarity, source: Grid, target: Grid) -> np.ndarray:
+    """Inverse sampling of every target cell (no image box)."""
+    inv = sim.inverse()
+    if target.dim == 1:
+        return source.lookup(inv(target.centers(0))).reshape(target.extents)
+    X, Y = np.meshgrid(target.centers(0), target.centers(1), indexing="ij")
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    return source.lookup(inv(pts)).reshape(target.extents)
+
+
+# ---------------------------------------------------------------------------
+# presets
+
+
+@pytest.fixture(scope="module", params=sorted(COARSE_DELTA))
+def coarse_tiling(request):
+    p = get_preset(request.param)
+    return request.param, build_tiling(p.scene.ifs, p.scene.region, COARSE_DELTA[request.param])
+
+
+def test_presets_match_per_word_reference(coarse_tiling):
+    _, t = coarse_tiling
+    ref = reference_tiles(t.ifs, t.tile_words, t.G, t.O)
+    assert np.array_equal(rasterize_tiles(t.ifs, t.tile_words, t.G, t.O), ref)
+    assert np.array_equal(t.tile_union.occupancy, ref & t.O.occupancy)
+
+
+def test_presets_image_rasters_match_full_sampling(coarse_tiling):
+    _, t = coarse_tiling
+    union = np.zeros(t.O.extents, dtype=bool)
+    for m in t.ifs.maps:
+        ref = reference_map_cells(m, t.O, t.O)
+        assert np.array_equal(_map_cells(m, t.O, t.O), ref)
+        union |= ref
+    assert np.array_equal(set_map_raster(t.ifs, t.O), union)
+
+
+def test_presets_tiling_digests(coarse_tiling):
+    name, t = coarse_tiling
+    got = {k: grid_digest(getattr(t, k)) for k in ("O", "G", "Gamma", "tile_union", "residual")}
+    got["manifest"] = hashlib.sha256(json.dumps(t.manifest(), sort_keys=True).encode()).hexdigest()
+    assert got == TILING_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
+# random IFSs
+
+
+def _random_grid(seed: int, bbox, delta: float, fill: float) -> Grid:
+    lo = np.atleast_1d(np.asarray(bbox[0], dtype=float))
+    hi = np.atleast_1d(np.asarray(bbox[1], dtype=float))
+    n = tuple(np.round((hi - lo) / delta).astype(int))
+    occ = np.random.default_rng(seed).random(n) < fill
+    return Grid(lo, delta, occ)
+
+
+# "nice" values put sampled points exactly on cell edges, where the last
+# bit of every product decides the lookup
+RATIOS = st.one_of(st.sampled_from([0.5, 0.25, 1 / 3, 0.375]), st.floats(0.15, 0.55))
+OFFSETS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 2 / 3]), st.floats(0.0, 0.75))
+CHUNKS = st.sampled_from([7, 64, tiling.CHUNK_CELLS])
+
+
+@st.composite
+def ifs_1d(draw):
+    n = draw(st.integers(2, 4))
+    maps = [
+        Similarity(draw(RATIOS), np.array([[draw(st.sampled_from([1.0, -1.0]))]]), np.array([draw(OFFSETS)]))
+        for _ in range(n)
+    ]
+    return IFS(tuple(maps), 1)
+
+
+@st.composite
+def ifs_2d(draw):
+    n = draw(st.integers(2, 3))
+    maps = []
+    for _ in range(n):
+        angle = draw(st.one_of(st.sampled_from([0.0, 90.0, 180.0, -90.0, 60.0]), st.floats(-180.0, 180.0)))
+        q = rotation(angle)
+        if draw(st.booleans()):
+            q = q @ np.diag([1.0, -1.0])
+        maps.append(Similarity(draw(RATIOS), q, np.array([draw(OFFSETS), draw(OFFSETS)])))
+    return IFS(tuple(maps), 2)
+
+
+def _check_against_reference(ifs, words, G, target, chunk):
+    ref = reference_tiles(ifs, words, G, target)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tiling, "CHUNK_CELLS", chunk)
+        got = rasterize_tiles(ifs, words, G, target)
+        maps_got = [_map_cells(m, G, target) for m in ifs.maps]
+    assert np.array_equal(got, ref)
+    for m, img in zip(ifs.maps, maps_got):
+        assert np.array_equal(img, reference_map_cells(m, G, target))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ifs=ifs_1d(), seed=st.integers(0, 2**32 - 1), chunk=CHUNKS)
+def test_random_1d_ifs_matches_reference(ifs, seed, chunk):
+    G = _random_grid(seed, ([-0.125], [1.125]), 2.0**-9, 0.3)
+    _check_against_reference(ifs, words_up_to_ratio(ifs, 0.03), G, G, chunk)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ifs=ifs_2d(), seed=st.integers(0, 2**32 - 1), chunk=CHUNKS)
+def test_random_2d_rotated_ifs_matches_reference(ifs, seed, chunk):
+    G = _random_grid(seed, ([-0.25, -0.25], [1.25, 1.25]), 2.0**-6, 0.3)
+    target = grid_from_bbox(([-1.0, -0.5], [1.5, 1.5]), 2.0**-6)
+    # the empty word needs G on target's grid; its descendants do not
+    words = words_up_to_ratio(ifs, 0.04)[1:]
+    _check_against_reference(ifs, words, G, target, chunk)
+
+
+@pytest.mark.parametrize("chunk", [1, tiling.CHUNK_CELLS])
+def test_cell_edge_follows_the_matrix_product(chunk):
+    """A tile point that lands on an edge of G's cells.
+
+    Which cell it falls in is decided by the last bit of the product that
+    AffineMap takes through BLAS (a fused multiply-add on many hosts), which
+    an unfused elementwise sum can miss. Chunks of one cell take every row
+    on its own.
+    """
+    sim = Similarity(0.5, rotation(2.0), np.array([0.25, 0.25]))
+    ifs = IFS((sim, Similarity(0.5, np.eye(2), np.zeros(2))), 2)
+    delta = 2.0**-6
+    target = Grid(np.zeros(2), delta, np.zeros((64, 64), dtype=bool))
+    centers = (np.array([[31, 39], [0, 0]]) + 0.5) * delta
+    edge = sim.inverse()(centers)[0, 0]
+    occ = np.zeros((32, 256), dtype=bool)
+    occ[16] = True
+    G = Grid(np.array([edge - 16 * delta, -2.0]), delta, occ)
+    words = [Word((0,))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tiling, "CHUNK_CELLS", chunk)
+        got = rasterize_tiles(ifs, words, G, target)
+        img = _map_cells(sim, G, target)
+    assert np.array_equal(got, reference_tiles(ifs, words, G, target))
+    assert np.array_equal(img, reference_map_cells(sim, G, target))
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+
+def test_words_must_be_prefix_closed():
+    p = get_preset("cantor")
+    t = build_tiling(p.scene.ifs, p.scene.region, 2.0**-8)
+    with pytest.raises(ConfigError):
+        rasterize_tiles(t.ifs, [Word(), Word((0, 1))], t.G, t.O)
+
+
+def test_stacked_similarity_checks():
+    q = np.stack([np.eye(2), rotation(30.0)])
+    check_similarity_parts(np.array([0.5, 0.25]), q)
+    with pytest.raises(ConfigError):
+        check_similarity_parts(np.array([0.5, 1.0]), q)
+    with pytest.raises(ConfigError):
+        check_similarity_parts(np.array([0.5, 0.25]), q * (1 + 1e-9))
