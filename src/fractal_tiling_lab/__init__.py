@@ -17,7 +17,6 @@ from .grids import (
     ConvexPolygon,
     DistanceField,
     Grid,
-    HalfspaceIntersection,
     IntervalUnion,
     PolygonUnion,
     distance_transform,

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import curvature as curvmod
 from .errors import ConfigError, FtlError, PreconditionError
-from .grids import ConvexPolygon, HalfspaceIntersection, IntervalUnion, PolygonUnion, Region
+from .grids import ConvexPolygon, Grid, IntervalUnion, PolygonUnion, Region
 from .ifs import load_ifs
 from .pipeline import CONTENT_METHODS, SceneBundle, get_bundle
 from .presets import PRESETS, Preset, Scene, get_preset
@@ -31,8 +32,6 @@ def _region_from_json(doc) -> Region | str:
         return ConvexPolygon(np.asarray(doc["vertices"], dtype=float))
     if kind == "polygons":
         return PolygonUnion(tuple(ConvexPolygon(np.asarray(v, float)) for v in doc["vertices"]))
-    if kind == "halfspaces":
-        return HalfspaceIntersection(np.asarray(doc["normals"], float), np.asarray(doc["offsets"], float))
     raise ConfigError(f"unknown region type {kind!r}")
 
 
@@ -121,7 +120,7 @@ def _print_csv(doc: dict) -> None:
 
 def cmd_dim(args) -> int:
     name, scene = load_scene(args)
-    bundle = get_bundle_for(name, scene, args)
+    bundle = get_bundle(Preset(name, scene))
     dd = bundle.dim_data
     doc = {
         "command": "dim",
@@ -138,22 +137,13 @@ def cmd_dim(args) -> int:
     return 0
 
 
-def get_bundle_for(name: str, scene: Scene, args) -> SceneBundle:
-    return get_bundle(Preset(name, scene), delta=scene.delta)
-
-
 def cmd_content(args) -> int:
     name, scene = load_scene(args)
-    bundle = get_bundle_for(name, scene, args)
+    bundle = get_bundle(Preset(name, scene))
     methods = args.methods.split(",") if args.methods else list(CONTENT_METHODS)
-    rows = {}
-    refusals = 0
-    for m in methods:
-        try:
-            rows[m] = bundle.content(m).to_dict()
-        except PreconditionError as exc:
-            rows[m] = {"refused": str(exc)}
-            refusals += 1
+    table = bundle.content_table(methods)
+    rows = {m: r if isinstance(r, dict) else r.to_dict() for m, r in table.items()}
+    all_refused = all("refused" in r for r in rows.values())
     tiling_only = set()
     if not bundle.checks()["compatible"].passed:
         # the tiling's own content is well defined but does not estimate the
@@ -183,14 +173,12 @@ def cmd_content(args) -> int:
         "pairwise_relative_difference": agreement,
     }
     _emit(doc, args)
-    return 2 if refusals and refusals == len(methods) else 0
+    return 2 if all_refused else 0
 
 
 def cmd_curvature(args) -> int:
     name, scene = load_scene(args)
-    bundle = get_bundle_for(name, scene, args)
-    from . import curvature as curvmod
-
+    bundle = get_bundle(Preset(name, scene))
     dd = bundle.dim_data
     k = args.k
     rows = {}
@@ -231,7 +219,7 @@ def cmd_curvature(args) -> int:
 
 def cmd_check(args) -> int:
     name, scene = load_scene(args)
-    bundle = get_bundle_for(name, scene, args)
+    bundle = get_bundle(Preset(name, scene))
     reports = bundle.checks()
     doc = {
         "command": "check",
@@ -245,7 +233,7 @@ def cmd_check(args) -> int:
 
 def cmd_render(args) -> int:
     name, scene = load_scene(args)
-    bundle = get_bundle_for(name, scene, args)
+    bundle = get_bundle(Preset(name, scene))
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     t = bundle.tiling
@@ -261,11 +249,8 @@ def cmd_render(args) -> int:
     eps_list = [8 * scene.delta, bundle.g_tilde / 2, bundle.g_tilde]
     made = []
     for i, eps in enumerate(eps_list):
-        occ = field.values <= eps
-        g = t.O.with_occupancy(occ) if occ.shape == t.O.extents else None
-        from .grids import Grid
-
-        Grid(field.origin, field.spacing, occ).to_pgm(outdir / f"{name}_Feps{i}.pgm")
+        layer = Grid(field.origin, field.spacing, field.values <= eps)
+        layer.to_pgm(outdir / f"{name}_Feps{i}.pgm")
         made.append(f"{name}_Feps{i}.pgm")
     if bundle.d == 2:
         _render_svg(bundle, eps_list[1], outdir / f"{name}_contour.svg")

@@ -63,10 +63,6 @@ def _erode(occ: np.ndarray, iterations: int = 1) -> np.ndarray:
     )
 
 
-def _cell_point(grid: Grid, idx) -> list[float]:
-    return [float(grid.origin[ax] + (idx[ax] + 0.5) * grid.spacing) for ax in range(grid.dim)]
-
-
 def check_osc(ifs: IFS, O: Grid) -> CheckReport:
     """Open set condition: S_i O inside O, images pairwise disjoint.
 
@@ -80,11 +76,10 @@ def check_osc(ifs: IFS, O: Grid) -> CheckReport:
         outside = img & ~O.occupancy
         if outside.any():
             hard = outside & ~_dilate_edge(O.occupancy)
-            idx = np.argwhere(hard if hard.any() else outside)[0]
             if hard.any():
                 return CheckReport(
                     "osc", "fail", delta,
-                    {"map": i, "cell": _cell_point(O, idx), "reason": "S_i O leaves O"},
+                    {"map": i, "cell": O.cell_points(hard)[0].tolist(), "reason": "S_i O leaves O"},
                 )
     seam_only = False
     for i in range(len(images)):
@@ -94,10 +89,9 @@ def check_osc(ifs: IFS, O: Grid) -> CheckReport:
                 continue
             hard = _erode(images[i]) & _erode(images[j])
             if hard.any():
-                idx = np.argwhere(hard)[0]
                 return CheckReport(
                     "osc", "fail", delta,
-                    {"maps": [i, j], "cell": _cell_point(O, idx),
+                    {"maps": [i, j], "cell": O.cell_points(hard)[0].tolist(),
                      "overlap_cells": int(overlap.sum()), "reason": "interior overlap"},
                 )
             seam_only = True
@@ -125,7 +119,7 @@ def check_strong(O: Grid, F_field: DistanceField, interior_cells: int = 4) -> Ch
             "strong", "fail", delta,
             {"reason": "no interior cells at this resolution"},
         )
-    pts = _cell_points(O, interior)
+    pts = O.cell_points(interior)
     dists = F_field.sample_at(pts)
     best = int(np.argmin(dists))
     if dists[best] <= delta:
@@ -141,16 +135,6 @@ def check_strong(O: Grid, F_field: DistanceField, interior_cells: int = 4) -> Ch
     )
 
 
-def _cell_points(grid: Grid, occ: np.ndarray) -> np.ndarray:
-    if grid.dim == 1:
-        return grid.centers(0)[occ].reshape(-1, 1)
-    ii, jj = np.nonzero(occ)
-    return np.column_stack([
-        grid.origin[0] + (ii + 0.5) * grid.spacing,
-        grid.origin[1] + (jj + 0.5) * grid.spacing,
-    ])
-
-
 def check_compatibility(G: Grid, F_field: DistanceField, tol_cells: int = 2) -> CheckReport:
     """Compatibility: the generator boundary lies on the attractor."""
     delta = G.spacing
@@ -158,7 +142,7 @@ def check_compatibility(G: Grid, F_field: DistanceField, tol_cells: int = 2) -> 
     if not boundary.any():
         return CheckReport("compatible", "inconclusive", delta, None,
                            {"note": "generator has no boundary cells"})
-    pts = _cell_points(G, boundary)
+    pts = G.cell_points(boundary)
     dists = F_field.sample_at(pts)
     worst = int(np.argmax(dists))
     if dists[worst] <= tol_cells * delta:
@@ -191,7 +175,7 @@ def check_projection(
         img = _map_cells(m, O, O)
         if not img.any():
             continue
-        pts = _cell_points(O, img)
+        pts = O.cell_points(img)
         d_F = F_field.sample_at(pts)
         d_SiF = m.ratio * F_field.sample_at(m.inverse()(pts))
         top = m.ratio * g_tilde

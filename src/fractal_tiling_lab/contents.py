@@ -170,6 +170,15 @@ def _head_integral(eps0: float, a: float, b: float, p: float) -> float:
     return a * eps0**q / q
 
 
+def require_checks(checks) -> None:
+    """Refuse, naming the check, when any structural check report failed."""
+    for rep in checks:
+        if getattr(rep, "verdict", "pass") == "fail":
+            raise PreconditionError(
+                f"structural check {rep.name!r} failed: {rep.witness}", report=rep
+            )
+
+
 def _restrict(samples: VolumeSamples, top: float, lo: float = 0.0):
     sel = (samples.eps <= top * (1.0 + 1e-12)) & (samples.eps >= lo)
     if sel.sum() < 8:
@@ -349,11 +358,7 @@ def relative_generator_content(
                 + lambda(Gamma) g~^(D-d) / (d-D) ].
     Refuses when D = d or when a provided structural check failed.
     """
-    for rep in checks:
-        if getattr(rep, "verdict", "pass") == "fail":
-            raise PreconditionError(
-                f"structural check {rep.name!r} failed: {rep.witness}", report=rep
-            )
+    require_checks(checks)
     if D >= d:
         raise PreconditionError(
             "the restricted generator formula provably fails for full-dimensional sets"
@@ -381,11 +386,7 @@ def s_content(
 
     (1/((d-D) eta)) * integral_0^g~ eps^(D-d) H^{d-1}(bd F_eps ^ G) d(eps).
     """
-    for rep in checks:
-        if getattr(rep, "verdict", "pass") == "fail":
-            raise PreconditionError(
-                f"structural check {rep.name!r} failed: {rep.witness}", report=rep
-            )
+    require_checks(checks)
     if D >= d:
         raise PreconditionError("surface formula needs D < d")
     eps, vals, tol, _ = _restrict(boundary_samples, g_tilde)

@@ -13,8 +13,6 @@ inradius. Quadratures run over the finite interval only; no tail terms.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +22,7 @@ from .grids import DistanceField, Grid, inner_distance
 from .ifs import IFS
 from .levelsets import LevelSetExtractor
 from .volumes import EpsGrid
-from .contents import ContentResult, log_trapezoid, power_fit, _head_integral
+from .contents import ContentResult, log_trapezoid, power_fit, require_checks, _head_integral
 
 
 @dataclass
@@ -54,13 +52,6 @@ class CurvatureSamples:
                 fh.write(f"{e!r},{v!r},{w!r},{self.k},{self.region_tag}\n")
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("FTL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def measure_profiles(
     field: DistanceField,
     eps: np.ndarray,
@@ -69,19 +60,9 @@ def measure_profiles(
 ):
     """(length, signed turning, |turning|) of {field = eps} per threshold."""
     ex = extractor or LevelSetExtractor(field)
-    n = eps.size
-    out = np.zeros((n, 3))
-
-    def one(i):
+    out = np.zeros((eps.size, 3))
+    for i in range(eps.size):
         out[i] = ex.measure(float(eps[i]), mask)
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(n)))
-    else:
-        for i in range(n):
-            one(i)
     return out[:, 0], out[:, 1], out[:, 2]
 
 
@@ -226,11 +207,7 @@ def relative_generator_curvature(
     projection condition and a curvature-null boundary of O; both arrive as
     CheckReports and any failure refuses the computation by name.
     """
-    for rep in checks:
-        if getattr(rep, "verdict", "pass") == "fail":
-            raise PreconditionError(
-                f"structural check {rep.name!r} failed: {rep.witness}", report=rep
-            )
+    require_checks(checks)
     b = _variation_exponent_gate(FG_samples, D, k, gamma_min)
     res = _curvature_quadrature(
         FG_samples, D, eta, k, d, g_tilde, "relative_generator", lattice_note

@@ -25,11 +25,72 @@ MAX_CELLS = 1 << 27  # ~134M cells; rasterize refuses beyond this
 
 
 @dataclass(frozen=True)
-class Grid:
-    """Uniform binary raster. Axis order is (x,) in 1d and (x, y) in 2d."""
+class Raster:
+    """Uniform cell lattice: cell i covers origin + [i, i + 1) * spacing per axis.
+
+    Base of Grid and DistanceField, which add the per-cell array (occupancy,
+    values) that fixes dim and extents. Axis order is (x,) in 1d and (x, y)
+    in 2d.
+    """
 
     origin: np.ndarray
     spacing: float
+
+    @property
+    def _cells(self) -> np.ndarray:
+        raise NotImplementedError
+
+    @property
+    def dim(self) -> int:
+        return self._cells.ndim
+
+    @property
+    def extents(self) -> tuple[int, ...]:
+        return self._cells.shape
+
+    def centers(self, axis: int) -> np.ndarray:
+        n = self.extents[axis]
+        return self.origin[axis] + (np.arange(n) + 0.5) * self.spacing
+
+    def cell_points(self, mask: np.ndarray | None = None) -> np.ndarray:
+        """Centers origin + (idx + 0.5) * spacing of the mask's cells (all cells
+        when mask is None), in C order, shape (n, dim)."""
+        if mask is None:
+            idx, shape = np.indices(self.extents, sparse=True), self.extents
+        else:
+            idx = np.nonzero(mask)
+            shape = idx[0].shape
+        pts = np.empty(shape + (self.dim,))
+        for ax in range(self.dim):
+            pts[..., ax] = self.origin[ax] + (idx[ax] + 0.5) * self.spacing
+        return pts.reshape(-1, self.dim)
+
+    def indices_of(self, points: np.ndarray) -> np.ndarray:
+        """Index floor((p - origin) / spacing) of the cell holding each point,
+        shape (n, dim); 1d points may come as a flat array."""
+        p = np.asarray(points, dtype=float)
+        if self.dim == 1 and p.ndim == 1:
+            p = p[:, None]
+        return np.floor((p - self.origin) / self.spacing).astype(np.int64)
+
+    def values_at(self, cells: np.ndarray, points: np.ndarray, outside, dtype) -> np.ndarray:
+        """Entries of a per-cell array (shaped like this raster) at the cells
+        holding the points; outside for points that leave the raster."""
+        idx = self.indices_of(points)
+        ok = np.ones(idx.shape[0], dtype=bool)
+        for ax in range(self.dim):
+            ok &= (idx[:, ax] >= 0) & (idx[:, ax] < self.extents[ax])
+        out = np.full(idx.shape[0], outside, dtype=dtype)
+        if ok.any():
+            sel = tuple(idx[ok, ax] for ax in range(self.dim))
+            out[ok] = cells[sel]
+        return out
+
+
+@dataclass(frozen=True)
+class Grid(Raster):
+    """Uniform binary raster."""
+
     occupancy: np.ndarray
 
     def __post_init__(self):
@@ -43,12 +104,8 @@ class Grid:
         object.__setattr__(self, "occupancy", occ)
 
     @property
-    def dim(self) -> int:
-        return self.occupancy.ndim
-
-    @property
-    def extents(self) -> tuple[int, ...]:
-        return self.occupancy.shape
+    def _cells(self) -> np.ndarray:
+        return self.occupancy
 
     @property
     def cell_volume(self) -> float:
@@ -61,27 +118,9 @@ class Grid:
         """Lebesgue estimate of the occupied region."""
         return self.count() * self.cell_volume
 
-    def centers(self, axis: int) -> np.ndarray:
-        n = self.extents[axis]
-        return self.origin[axis] + (np.arange(n) + 0.5) * self.spacing
-
-    def indices_of(self, points: np.ndarray) -> np.ndarray:
-        p = np.asarray(points, dtype=float)
-        if self.dim == 1 and p.ndim == 1:
-            p = p[:, None]
-        return np.floor((p - self.origin) / self.spacing).astype(np.int64)
-
     def lookup(self, points: np.ndarray, default: bool = False) -> np.ndarray:
         """Occupancy at the cells containing the given points (default outside)."""
-        idx = self.indices_of(points)
-        ok = np.ones(idx.shape[0], dtype=bool)
-        for ax in range(self.dim):
-            ok &= (idx[:, ax] >= 0) & (idx[:, ax] < self.extents[ax])
-        out = np.full(idx.shape[0], default, dtype=bool)
-        if ok.any():
-            sel = tuple(idx[ok, ax] for ax in range(self.dim))
-            out[ok] = self.occupancy[sel]
-        return out
+        return self.values_at(self.occupancy, points, default, bool)
 
     def with_occupancy(self, occ: np.ndarray) -> "Grid":
         return Grid(self.origin, self.spacing, occ)
@@ -146,14 +185,6 @@ def grid_from_bbox(bbox, delta: float, cap: int | None = None) -> Grid:
             f"grid of {int(np.prod(n))} cells exceeds the cap of {cap}"
         )
     return Grid(lo, delta, np.zeros(tuple(n), dtype=bool))
-
-
-def aligned(a: Grid, b: Grid) -> bool:
-    return (
-        a.spacing == b.spacing
-        and a.extents == b.extents
-        and np.allclose(a.origin, b.origin)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -233,47 +264,10 @@ class PolygonUnion(Region):
         return np.min(los, axis=0), np.max(his, axis=0)
 
 
-@dataclass(frozen=True)
-class HalfspaceIntersection(Region):
-    """Open set {x : A x < b}."""
-
-    normals: np.ndarray
-    offsets: np.ndarray
-
-    def contains(self, points):
-        p = np.asarray(points, dtype=float)
-        if p.ndim == 1:
-            p = p[:, None]
-        return np.all(p @ np.asarray(self.normals, float).T < np.asarray(self.offsets, float), axis=1)
-
-    def bbox(self):
-        raise ConfigError("half-space intersections need an explicit raster bbox")
-
-
-@dataclass(frozen=True)
-class GridRegion(Region):
-    grid: Grid
-
-    def contains(self, points):
-        return self.grid.lookup(points)
-
-    def bbox(self):
-        lo = self.grid.origin
-        hi = lo + np.array(self.grid.extents) * self.grid.spacing
-        return lo, hi
-
-
 def rasterize(region: Region, bbox, delta: float, cap: int | None = None) -> Grid:
     """Center-in-region raster of an open set on the given bbox."""
     g = grid_from_bbox(bbox, delta, cap)
-    if g.dim == 1:
-        pts = g.centers(0)
-        occ = region.contains(pts)
-    else:
-        X, Y = np.meshgrid(g.centers(0), g.centers(1), indexing="ij")
-        pts = np.column_stack([X.ravel(), Y.ravel()])
-        occ = region.contains(pts).reshape(g.extents)
-    return g.with_occupancy(occ.reshape(g.extents))
+    return g.with_occupancy(region.contains(g.cell_points()).reshape(g.extents))
 
 
 # ---------------------------------------------------------------------------
@@ -281,43 +275,18 @@ def rasterize(region: Region, bbox, delta: float, cap: int | None = None) -> Gri
 
 
 @dataclass(frozen=True)
-class DistanceField:
+class DistanceField(Raster):
     """Per-cell Euclidean distance to the nearest occupied cell center."""
 
-    origin: np.ndarray
-    spacing: float
     values: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return self.values.ndim
-
-    @property
-    def extents(self) -> tuple[int, ...]:
-        return self.values.shape
-
-    def centers(self, axis: int) -> np.ndarray:
-        n = self.extents[axis]
-        return self.origin[axis] + (np.arange(n) + 0.5) * self.spacing
+    def _cells(self) -> np.ndarray:
+        return self.values
 
     def sample_at(self, points: np.ndarray, outside=np.inf) -> np.ndarray:
         """Nearest-cell lookup of the field at arbitrary points."""
-        p = np.asarray(points, dtype=float)
-        if self.dim == 1 and p.ndim == 1:
-            p = p[:, None]
-        idx = np.floor((p - self.origin) / self.spacing).astype(np.int64)
-        ok = np.ones(idx.shape[0], dtype=bool)
-        for ax in range(self.dim):
-            ok &= (idx[:, ax] >= 0) & (idx[:, ax] < self.extents[ax])
-        out = np.full(idx.shape[0], outside, dtype=float)
-        if ok.any():
-            sel = tuple(idx[ok, ax] for ax in range(self.dim))
-            out[ok] = self.values[sel]
-        return out
-
-    def sorted_values(self, mask: np.ndarray | None = None) -> np.ndarray:
-        vals = self.values if mask is None else self.values[mask]
-        return np.sort(vals, axis=None)
+        return self.values_at(self.values, points, outside, float)
 
     def to_raw(self, path) -> None:
         """float32 raw dump next to a JSON header describing the geometry."""

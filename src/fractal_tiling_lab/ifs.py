@@ -112,10 +112,6 @@ class IFS:
     def ratios(self) -> np.ndarray:
         return np.array([m.ratio for m in self.maps])
 
-    def set_map(self, points: np.ndarray) -> np.ndarray:
-        """Apply Phi(A) = union of S_i(A) to a point cloud, stacking images."""
-        return np.concatenate([np.atleast_1d(m(points)) for m in self.maps], axis=0)
-
 
 @dataclass(frozen=True)
 class Word:

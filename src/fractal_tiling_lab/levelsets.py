@@ -217,13 +217,7 @@ def _as_mask(mask, field) -> np.ndarray | None:
 def _mask_at(mask_arr: np.ndarray, field: DistanceField, points: np.ndarray) -> np.ndarray:
     if mask_arr.shape != field.values.shape:
         raise ResolutionError("mask must live on the field's grid (embed it first)")
-    idx = np.floor((points - field.origin) / field.spacing).astype(np.int64)
-    nx, ny = mask_arr.shape
-    ok = (idx[:, 0] >= 0) & (idx[:, 0] < nx) & (idx[:, 1] >= 0) & (idx[:, 1] < ny)
-    out = np.zeros(points.shape[0], dtype=bool)
-    if ok.any():
-        out[ok] = mask_arr[idx[ok, 0], idx[ok, 1]]
-    return out
+    return field.values_at(mask_arr, points, False, bool)
 
 
 def euler_characteristic(occ: np.ndarray) -> int:

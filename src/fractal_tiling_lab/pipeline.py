@@ -3,18 +3,20 @@
 A SceneBundle memoizes every expensive product (attractor raster, distance
 fields, sorted-value samplers, tilings, condition checks) so the CLI and
 the test suite can ask for results in any order without recomputation.
-Bundles are cached per (preset, delta); everything inside is immutable
+get_bundle caches bundles by scene content (maps, region, f_bbox, delta and
+both eps-grid densities), never by name; everything inside is immutable
 after construction, so sharing is safe.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numpy as np
 
 from . import conditions, contents, curvature, volumes
 from .errors import ConfigError, PreconditionError
-from .grids import DistanceField, Grid, distance_transform, grid_from_bbox, inner_distance, inradius
+from .grids import DistanceField, Grid, distance_transform, grid_from_bbox, inner_distance
 from .ifs import DimensionData, dimension_data
 from .levelsets import LevelSetExtractor
 from .presets import Preset, Scene, get_preset
@@ -45,6 +47,15 @@ class SceneBundle:
         if key not in self._cache:
             self._cache[key] = builder()
         return self._cache[key]
+
+    @property
+    def key(self) -> tuple:
+        """Canonical scene content: every input the bundle's products depend on."""
+        s = self.scene
+        return (
+            _canonical(s.ifs), _canonical(s.region), _canonical(s.f_bbox),
+            s.delta, s.eps_per_decade, self.curvature_ppd,
+        )
 
     # -- dimensions ---------------------------------------------------------
 
@@ -99,29 +110,25 @@ class SceneBundle:
                 f.origin + np.array(f.extents) * self.delta,
             ) + pad_cells * self.delta
             grid = grid_from_bbox((lo, hi), self.delta)
-            off = np.round((f.origin - lo) / self.delta).astype(int)
-            sel = tuple(
-                slice(off[ax], off[ax] + f.extents[ax]) for ax in range(self.d)
-            )
-            grid.occupancy[sel] = f.occupancy
-            return distance_transform(grid)
+            return distance_transform(grid.with_occupancy(f.embed_into(grid.origin, grid.extents)))
 
         return self._memo(("F_field", pad_cells), build)
 
     @property
     def field_small(self) -> DistanceField:
         """Field padded for everything up to ~1.25 * g_tilde."""
-        pad = self._memo("pad_small", lambda: self._pick_small_pad())
+        pad, _ = self._memo("pad_small", self._pick_small_pad)
         return self.F_field(pad)
 
-    def _pick_small_pad(self) -> float:
+    def _pick_small_pad(self) -> tuple[float, float]:
+        """(pad, g_tilde on the field of that pad) for the first pad that clears 1.3 g~."""
         lo, hi = np.asarray(self.scene.f_bbox[0], float), np.asarray(self.scene.f_bbox[1], float)
         pad = max(0.25 * float(np.linalg.norm(hi - lo)), 64 * self.delta)
         while True:
             field = self.F_field(pad)
             gt = relative_inradius(field, self.O)
             if 1.3 * gt + 8 * self.delta <= pad:
-                return pad
+                return pad, gt
             pad *= 1.6
 
     @property
@@ -135,13 +142,8 @@ class SceneBundle:
 
     @property
     def g_tilde(self) -> float:
-        return self._memo("g_tilde", lambda: relative_inradius(self.field_small, self.O))
-
-    # -- masks on field grids -----------------------------------------------
-
-    def embed_mask(self, grid: Grid, field: DistanceField) -> np.ndarray:
-        """Re-index a small aligned grid's occupancy onto a field's grid."""
-        return grid.embed_into(field.origin, field.extents)
+        _, gt = self._memo("pad_small", self._pick_small_pad)
+        return gt
 
     # -- eps grids ------------------------------------------------------------
 
@@ -150,7 +152,7 @@ class SceneBundle:
         return self._memo(
             "grid_G",
             lambda: volumes.make_eps_grid(
-                self.delta, inradius(self.tiling.G), self.scene.eps_per_decade, self.lattice_base
+                self.delta, self.g, self.scene.eps_per_decade, self.lattice_base
             ),
         )
 
@@ -188,7 +190,7 @@ class SceneBundle:
         return self._memo(
             "grid_curv_G",
             lambda: volumes.make_eps_grid(
-                self.delta, inradius(self.tiling.G) * (1 - 1e-6), self.curvature_ppd,
+                self.delta, self.g * (1 - 1e-6), self.curvature_ppd,
                 self.lattice_base,
             ),
         )
@@ -216,7 +218,7 @@ class SceneBundle:
     def h(self) -> volumes.VolumeSamples:
         return self._memo(
             "h",
-            lambda: volumes.h_function(self.V_T, self.ifs, inradius(self.tiling.G), self.grid_G),
+            lambda: volumes.h_function(self.V_T, self.ifs, self.g, self.grid_G),
         )
 
     @property
@@ -302,39 +304,34 @@ class SceneBundle:
         curvature w.r.t. a strong O coincides with the global one, while the
         outer halo would pollute finite windows in the compatible case.
         """
-        key = ("rel_curv", k, region)
-        if key in self._cache:
-            return self._cache[key]
-        mask_grid = self.tiling.G if region == "G" else self.tiling.O
-        if self.d == 1:
-            if k != 0:
-                raise ConfigError("d=1 supports k=0 only")
-            samples = curvature.sample_curvature(
-                self.field_small, 0, self.grid_curv,
-                self.embed_mask(mask_grid, self.field_small), region,
+
+        def build():
+            mask_grid = self.tiling.G if region == "G" else self.tiling.O
+            field = self.field_small
+            if self.d == 1:
+                if k != 0:
+                    raise ConfigError("d=1 supports k=0 only")
+                mask = mask_grid.embed_into(field.origin, field.extents)
+                return curvature.sample_curvature(field, 0, self.grid_curv, mask, region)
+            lengths, turns, abs_turns = self._memo(
+                ("rel_profiles", region),
+                lambda: curvature.measure_profiles(
+                    field, self.grid_curv.eps,
+                    mask_grid.embed_into(field.origin, field.extents), self.field_extractor,
+                ),
             )
-            self._cache[key] = samples
-            return samples
-        pkey = ("rel_profiles", region)
-        if pkey not in self._cache:
-            mask = self.embed_mask(mask_grid, self.field_small)
-            self._cache[pkey] = curvature.measure_profiles(
-                self.field_small, self.grid_curv.eps, mask, self.field_extractor
-            )
-        lengths, turns, abs_turns = self._cache[pkey]
-        if k == 1:
-            samples = curvature.CurvatureSamples(
-                self.grid_curv.eps, 1, 0.5 * lengths, 0.5 * lengths, self.delta, region
-            )
-        elif k == 0:
-            samples = curvature.CurvatureSamples(
-                self.grid_curv.eps, 0, turns / (2 * math.pi),
-                abs_turns / (2 * math.pi), self.delta, region,
-            )
-        else:
+            if k == 1:
+                return curvature.CurvatureSamples(
+                    self.grid_curv.eps, 1, 0.5 * lengths, 0.5 * lengths, self.delta, region
+                )
+            if k == 0:
+                return curvature.CurvatureSamples(
+                    self.grid_curv.eps, 0, turns / (2 * math.pi),
+                    abs_turns / (2 * math.pi), self.delta, region,
+                )
             raise ConfigError(f"no curvature order k={k} in d={self.d}")
-        self._cache[key] = samples
-        return samples
+
+        return self._memo(("rel_curv", k, region), build)
 
     def generator_curvature_samples(self, k: int) -> curvature.CurvatureSamples:
         def build():
@@ -369,25 +366,30 @@ class SceneBundle:
     # -- contents ----------------------------------------------------------------
 
     def content(self, method: str) -> contents.ContentResult:
-        key = ("content", method)
-        if key in self._cache:
-            return self._cache[key]
+        if method in ("direct_limit", "direct_average"):
+            # both direct estimates come from one window: one memo entry
+            limit, average = self._memo("direct_contents", lambda: self._content(method))
+            return average if method == "direct_average" else limit
+        return self._memo(("content", method), lambda: self._content(method))
+
+    def _content(self, method: str):
+        """One content result; either direct method builds the (limit, average) pair."""
         dd = self.dim_data
         D, eta, d = dd.D, dd.eta, self.d
         note = dd.note
         if method == "generator_integral":
-            res = contents.generator_content(self.V_G, D, eta, d, inradius(self.tiling.G), lattice_note=note)
-        elif method == "tiling_via_h":
-            res = contents.tiling_content_via_h(self.h, D, eta, d, inradius(self.tiling.G), lattice_note=note)
-        elif method == "gatzouras":
-            res = contents.gatzouras_content(self.R_d, D, eta, d, a=1.0, lattice_note=note)
-        elif method == "relative_generator":
+            return contents.generator_content(self.V_G, D, eta, d, self.g, lattice_note=note)
+        if method == "tiling_via_h":
+            return contents.tiling_content_via_h(self.h, D, eta, d, self.g, lattice_note=note)
+        if method == "gatzouras":
+            return contents.gatzouras_content(self.R_d, D, eta, d, a=1.0, lattice_note=note)
+        if method == "relative_generator":
             checks = self.checks()
-            res = contents.relative_generator_content(
+            return contents.relative_generator_content(
                 self.F_on_Gamma, D, eta, d, self.g_tilde, self.tiling.Gamma.area(),
                 checks=[checks["strong"], checks["projection"]], lattice_note=note,
             )
-        elif method in ("direct_limit", "direct_average"):
+        if method in ("direct_limit", "direct_average"):
             # Restricting to O only pays when bd O lies on the attractor
             # (compatible case): there the outer halo per(O)*eps decays like
             # eps^(D-d+1) and would swamp the window. Otherwise (and always
@@ -395,24 +397,18 @@ class SceneBundle:
             # regime) the full parallel volume settles much faster.
             restrict = d == 2 and self.checks()["compatible"].passed
             samples = self.F_on_O if restrict else self.F_full_volumes
-            limit, average = contents.direct_content(
+            return contents.direct_content(
                 samples, D, d, window=self.direct_window(restrict),
                 lattice_base=self.lattice_base, lattice_note=note,
             )
-            self._cache[("content", "direct_limit")] = limit
-            self._cache[("content", "direct_average")] = average
-            return self._cache[key]
-        elif method == "s_content":
+        if method == "s_content":
             checks = self.checks()
-            res = contents.s_content(
+            return contents.s_content(
                 self.surface_samples, D, eta, d, self.g_tilde,
                 checks=[checks["strong"], checks["projection"], checks["boundary_null"]],
                 lattice_note=note,
             )
-        else:
-            raise ConfigError(f"unknown content method {method!r}")
-        self._cache[key] = res
-        return res
+        raise ConfigError(f"unknown content method {method!r}")
 
     def direct_window(self, restrict_to_O: bool = False) -> tuple[float, float]:
         if restrict_to_O:
@@ -447,15 +443,26 @@ def _crop(grid: Grid, margin: int) -> Grid:
     return Grid(grid.origin + lo * grid.spacing, grid.spacing, grid.occupancy[sel])
 
 
+def _canonical(obj):
+    """Hashable value of nested dataclasses (tagged by type), arrays and sequences."""
+    if dataclasses.is_dataclass(obj):
+        fields = dataclasses.fields(obj)
+        return (type(obj).__name__, *(_canonical(getattr(obj, f.name)) for f in fields))
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return tuple(_canonical(v) for v in obj)
+    return obj
+
+
 _BUNDLES: dict = {}
 
 
 def get_bundle(preset: str | Preset, delta: float | None = None, **kw) -> SceneBundle:
+    """Shared bundle of a preset's scene (at delta, if given), keyed by SceneBundle.key."""
     p = get_preset(preset) if isinstance(preset, str) else preset
     scene = p.scene
     if delta is not None and delta != scene.delta:
         scene = Scene(scene.ifs, scene.region, delta, scene.f_bbox, scene.eps_per_decade, scene.name)
-    key = (p.name, scene.delta, tuple(sorted(kw.items())))
-    if key not in _BUNDLES:
-        _BUNDLES[key] = SceneBundle(scene, **kw)
-    return _BUNDLES[key]
+    bundle = SceneBundle(scene, **kw)
+    return _BUNDLES.setdefault(bundle.key, bundle)

@@ -287,7 +287,7 @@ def attractor_raster(
                 raise ResolutionError(
                     "bbox does not contain the attractor (orbit point escaped)"
                 )
-        idx = np.floor((p - lo) / delta).astype(np.int64)
+        idx = g.indices_of(p)
         for ax in range(g.dim):
             np.clip(idx[:, ax], 0, g.extents[ax] - 1, out=idx[:, ax])
         key = idx[:, 0] if g.dim == 1 else idx[:, 0] * g.extents[1] + idx[:, 1]
@@ -313,9 +313,7 @@ def attractor_raster(
         rs = np.concatenate(stacks_r)
         pts, rs = snap_dedupe(pts, rs)
 
-    idx = np.floor((pts - lo) / delta).astype(np.int64)
-    sel = tuple(idx[:, ax] for ax in range(g.dim))
-    occ[sel] = True
+    occ[tuple(g.indices_of(pts).T)] = True
     return g.with_occupancy(occ)
 
 
@@ -329,15 +327,7 @@ def relative_inradius(F_field: DistanceField, O: Grid) -> float:
     """sup of d(x, F) over the cells of O (the deepest point of O in F's field)."""
     if not O.occupancy.any():
         raise ResolutionError("relative inradius of an empty region")
-    if O.dim == 1:
-        pts = O.centers(0)[O.occupancy]
-    else:
-        ii, jj = np.nonzero(O.occupancy)
-        pts = np.column_stack([
-            O.origin[0] + (ii + 0.5) * O.spacing,
-            O.origin[1] + (jj + 0.5) * O.spacing,
-        ])
-    vals = F_field.sample_at(pts, outside=np.nan)
+    vals = F_field.sample_at(O.cell_points(O.occupancy), outside=np.nan)
     if np.isnan(vals).any():
         raise ResolutionError("O leaves the attractor's distance field")
     return float(vals.max())
@@ -413,11 +403,7 @@ def central_open_set(
     if not neighbors:
         return CentralOpenSet(g.with_occupancy(np.ones(g.extents, bool)), 0, True, neighbor_cap)
 
-    if g.dim == 1:
-        centers = g.centers(0).reshape(-1, 1)
-    else:
-        X, Y = np.meshgrid(g.centers(0), g.centers(1), indexing="ij")
-        centers = np.column_stack([X.ravel(), Y.ravel()])
+    centers = g.cell_points()
     d_f = F_field.sample_at(centers)
 
     # d(x, h(F)) = (r_omega / r_sigma) * d(h^{-1} x, F) through the attractor

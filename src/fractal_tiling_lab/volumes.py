@@ -143,15 +143,7 @@ def sample_restricted_volume(
     kind: str = "F_eps_on_A",
 ) -> VolumeSamples:
     """lambda_d(F_eps intersect A) from the attractor's distance field."""
-    if A.dim == 1:
-        pts = A.centers(0)[A.occupancy].reshape(-1, 1)
-    else:
-        ii, jj = np.nonzero(A.occupancy)
-        pts = np.column_stack([
-            A.origin[0] + (ii + 0.5) * A.spacing,
-            A.origin[1] + (jj + 0.5) * A.spacing,
-        ])
-    vals = np.sort(F_field.sample_at(pts))
+    vals = np.sort(F_field.sample_at(A.cell_points(A.occupancy)))
     values = _counts(vals, grid.eps) * A.cell_volume
     tol = _interface_tolerance(vals, grid.eps, A.spacing, A.dim)
     return VolumeSamples(grid.eps, values, kind, A.spacing, region_tag, tol)

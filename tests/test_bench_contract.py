@@ -1,0 +1,63 @@
+"""The benchmark's tracer must find every library name it wraps.
+
+bench/tracer.py wraps module functions (tiling._map_cells,
+tiling.relative_inradius, ...), Grid.lookup, the LevelSetExtractor methods
+and the SceneBundle products by name at run time. Installing it in a fresh
+interpreter and tracing one small scene turns a renamed or deleted traced
+name into a failure here instead of a failed benchmark run. The subprocess
+keeps the wrappers out of this test session.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TRACED_PASS = r"""
+import json, sys
+from dataclasses import replace
+root = sys.argv[1]
+sys.path[:0] = [root + "/src", root + "/bench"]
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from fractal_tiling_lab import pipeline, presets
+bundle = pipeline.SceneBundle(replace(presets.get_preset("cantor").scene, delta=2.0**-10))
+bundle.content_table()
+bundle.generator_curvature_samples(0)
+bundle.relative_curvature(0)
+print(json.dumps({"spans": sorted({s[0] for s in tracer.spans}),
+                  "counters": dict(tracer.counters),
+                  "summary": tracer.summary(1.0)}))
+"""
+
+
+def test_tracer_installs_and_sees_every_layer():
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_PASS, str(ROOT)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    spans = set(doc["spans"])
+    for name in (
+        "ifs.words_up_to_ratio", "ifs.dimension_data",
+        "tiling.build_tiling", "tiling.map_cells", "tiling.attractor_raster",
+        "tiling.relative_inradius",
+        "grids.rasterize", "grids.distance_transform", "grids.inner_distance", "grids.inradius",
+        "volumes.sample.inner", "volumes.sample.restricted", "volumes.sample.parallel",
+        "conditions.check_osc", "conditions.check_projection",
+        "contents.formula.generator", "contents.formula.direct",
+        "curvature.sample_curvature", "curvature.inner_curvature_samples",
+        "pipeline.stage.tiling", "pipeline.stage.F_tight", "pipeline.stage.field_small",
+        "pipeline.stage.checks", "pipeline.stage.generator_curvature_samples",
+        "pipeline.stage.relative_curvature.k0.G",
+    ):
+        assert name in spans, name
+    for method in ("generator_integral", "tiling_via_h", "gatzouras", "relative_generator",
+                   "direct_limit", "direct_average", "s_content"):
+        assert f"pipeline.stage.content.{method}" in spans, method
+    assert doc["counters"]["grids.lookup.points"] > 0
+    assert doc["summary"]["tiling.build_tiling.s"] > 0

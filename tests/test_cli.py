@@ -3,7 +3,10 @@ import math
 
 import pytest
 
-from fractal_tiling_lab.cli import main
+from fractal_tiling_lab import pipeline
+from fractal_tiling_lab.cli import build_parser, load_scene, main
+from fractal_tiling_lab.pipeline import get_bundle
+from fractal_tiling_lab.presets import Preset
 
 
 def run(capsys, *argv):
@@ -174,3 +177,69 @@ class TestRenderAndDeterminism:
         code, out = run(capsys, "dim", "--preset", "cantor", "--format", "table")
         assert code == 0
         assert "D" in out
+
+
+CANTOR_MAPS = [{"ratio": 1 / 3, "translation": [0.0]}, {"ratio": 1 / 3, "translation": [2 / 3]}]
+PAIR_MAPS = [{"ratio": 0.5, "translation": [0.0]}, {"ratio": 0.25, "translation": [0.75]}]
+
+
+def unnamed_scene(tmp_path, fname, maps, region=None):
+    """A 1-d scene file without a name, so it loads as "scene"."""
+    doc = {
+        "ifs": {"dim": 1, "maps": maps},
+        "region": region or {"type": "intervals", "intervals": [[0.0, 1.0]]},
+        "delta": 2.0**-10,
+        "f_bbox": [[0.0], [1.0]],
+    }
+    path = tmp_path / fname
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def cli_bundle(*argv):
+    return get_bundle(Preset(*load_scene(build_parser().parse_args(list(argv)))))
+
+
+class TestBundleCache:
+    """get_bundle keys bundles by scene content, not by scene name."""
+
+    def test_unnamed_scenes_get_their_own_bundles(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        golden_D = math.log(2 / (math.sqrt(5) - 1), 2)
+        for fname, maps, D in (("cantor.json", CANTOR_MAPS, math.log(2) / math.log(3)),
+                               ("pair.json", PAIR_MAPS, golden_D)):
+            path = unnamed_scene(tmp_path, fname, maps)
+            code, out = run(capsys, "dim", "--scene", path, "--format", "json")
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["scene"] == "scene"
+            assert doc["rows"]["D"]["value"] == pytest.approx(D, abs=1e-9)
+
+    def test_eps_per_decade_is_part_of_the_key(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        path = unnamed_scene(tmp_path, "cantor.json", CANTOR_MAPS)
+        b64 = cli_bundle("content", "--scene", path)
+        b16 = cli_bundle("content", "--scene", path, "--eps-per-decade", "16")
+        assert b16 is not b64
+        assert (b64.scene.eps_per_decade, b16.scene.eps_per_decade) == (64, 16)
+        assert cli_bundle("content", "--scene", path) is b64
+
+    def test_cli_reuses_the_preset_bundle(self, cantor_bundle):
+        assert cli_bundle("content", "--preset", "cantor") is cantor_bundle
+        assert get_bundle(Preset("renamed", cantor_bundle.scene)) is cantor_bundle
+
+    def test_one_bundle_across_commands(self, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        for argv in (["dim"], ["check"], ["curvature", "-k", "0"]):
+            main(argv + ["--preset", "cantor", "--delta", repr(2.0**-10), "--format", "json"])
+        capsys.readouterr()
+        assert len(pipeline._BUNDLES) == 1
+
+
+class TestRegionTypes:
+    def test_halfspaces_region_refused(self, capsys, tmp_path):
+        region = {"type": "halfspaces", "normals": [[1.0], [-1.0]], "offsets": [1.0, 0.0]}
+        path = unnamed_scene(tmp_path, "half.json", CANTOR_MAPS, region)
+        for cmd in ("dim", "check", "content"):
+            assert main([cmd, "--scene", path, "--format", "json"]) == 3
+            assert "unknown region type 'halfspaces'" in capsys.readouterr().err

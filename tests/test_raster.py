@@ -10,6 +10,7 @@ from fractal_tiling_lab import grids
 from fractal_tiling_lab.errors import ConfigError, ResolutionError
 from fractal_tiling_lab.grids import (
     ConvexPolygon,
+    DistanceField,
     Grid,
     IntervalUnion,
     PolygonUnion,
@@ -20,6 +21,7 @@ from fractal_tiling_lab.grids import (
     parallel_volume,
     rasterize,
 )
+from fractal_tiling_lab.levelsets import _mask_at
 from fractal_tiling_lab.pipeline import SceneBundle
 from fractal_tiling_lab.presets import get_preset
 
@@ -235,3 +237,117 @@ class TestExports:
         arr = np.fromfile(raw, dtype=np.float32).reshape(header["shape"])
         assert header["spacing"] == 0.1
         assert np.allclose(arr, f.values, atol=1e-6)
+
+
+def bits(a):
+    a = np.ascontiguousarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+# origin and spacing chosen so that (idx + 0.5) * spacing rounds
+ORIGINS = {1: np.array([-0.3712]), 2: np.array([-0.3712, 0.1137])}
+SPACING = 3.0 / 7.0 * 2.0**-5
+
+
+class TestCellPoints:
+    """Grid.cell_points against the per-dimension forms it replaced."""
+
+    def grid(self, rng, dim):
+        shape = (37,) if dim == 1 else (23, 41)
+        return Grid(ORIGINS[dim], SPACING, rng.random(shape) < 0.4)
+
+    def test_1d_masked_matches_centers(self, rng):
+        g = self.grid(rng, 1)
+        ref = g.centers(0)[g.occupancy].reshape(-1, 1)
+        assert bits(g.cell_points(g.occupancy)) == bits(ref)
+
+    def test_2d_masked_matches_nonzero_columns(self, rng):
+        g = self.grid(rng, 2)
+        ii, jj = np.nonzero(g.occupancy)
+        ref = np.column_stack([
+            g.origin[0] + (ii + 0.5) * g.spacing,
+            g.origin[1] + (jj + 0.5) * g.spacing,
+        ])
+        assert bits(g.cell_points(g.occupancy)) == bits(ref)
+
+    def test_first_point_matches_single_cell_form(self, rng):
+        g = self.grid(rng, 2)
+        idx = np.argwhere(g.occupancy)[0]
+        ref = [float(g.origin[ax] + (idx[ax] + 0.5) * g.spacing) for ax in range(2)]
+        assert g.cell_points(g.occupancy)[0].tolist() == ref
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_all_cells_match_meshgrid_order(self, rng, dim):
+        g = self.grid(rng, dim)
+        X = np.meshgrid(*(g.centers(ax) for ax in range(dim)), indexing="ij")
+        ref = np.column_stack([x.ravel() for x in X])
+        assert bits(g.cell_points()) == bits(ref)
+        full = np.ones(g.extents, bool)
+        assert bits(g.cell_points(full)) == bits(ref)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_empty_mask(self, rng, dim):
+        g = self.grid(rng, dim)
+        pts = g.cell_points(np.zeros(g.extents, bool))
+        assert pts.shape == (0, dim)
+
+    def test_rasterize_matches_meshgrid_sampling(self):
+        tri = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]]))
+        g = rasterize(tri, ([-0.05, -0.05], [1.05, 0.95]), 2.0**-6)
+        X, Y = np.meshgrid(g.centers(0), g.centers(1), indexing="ij")
+        ref = tri.contains(np.column_stack([X.ravel(), Y.ravel()])).reshape(g.extents)
+        assert np.array_equal(g.occupancy, ref)
+
+
+def reference_lookup(origin, spacing, cells, points, outside, dtype):
+    """The per-class point->cell code that Raster.values_at replaced."""
+    p = np.asarray(points, dtype=float)
+    if cells.ndim == 1 and p.ndim == 1:
+        p = p[:, None]
+    idx = np.floor((p - origin) / spacing).astype(np.int64)
+    ok = np.ones(idx.shape[0], dtype=bool)
+    for ax in range(cells.ndim):
+        ok &= (idx[:, ax] >= 0) & (idx[:, ax] < cells.shape[ax])
+    out = np.full(idx.shape[0], outside, dtype=dtype)
+    out[ok] = cells[tuple(idx[ok, ax] for ax in range(cells.ndim))]
+    return out
+
+
+class TestPointLookup:
+    """Grid.lookup, DistanceField.sample_at and the level-set mask filter
+    share one point->cell rule: floor((p - origin) / spacing), in bounds."""
+
+    def rasters(self, rng, dim):
+        shape = (19,) if dim == 1 else (13, 17)
+        occ = rng.random(shape) < 0.5
+        vals = rng.random(shape).astype(np.float32)
+        return Grid(ORIGINS[dim], SPACING, occ), DistanceField(ORIGINS[dim], SPACING, vals)
+
+    def probe_points(self, g, rng):
+        n = np.array(g.extents)
+        k = np.stack([rng.integers(-2, n + 3) for _ in range(40)])
+        edges = g.origin + k * g.spacing  # exact cell edges, some on the far border
+        inside = g.origin + rng.random((40, g.dim)) * n * g.spacing
+        outside = g.origin + np.array([[-1e-12] * g.dim, list(n * g.spacing)])
+        return np.concatenate([edges, inside, outside])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_agrees_with_reference(self, rng, dim):
+        g, f = self.rasters(rng, dim)
+        pts = self.probe_points(g, rng)
+        ref_occ = reference_lookup(g.origin, g.spacing, g.occupancy, pts, False, bool)
+        ref_val = reference_lookup(f.origin, f.spacing, f.values, pts, np.inf, float)
+        assert np.array_equal(g.lookup(pts), ref_occ)
+        assert bits(f.sample_at(pts)) == bits(ref_val)
+        assert np.isnan(f.sample_at(pts, outside=np.nan)).sum() == np.isinf(ref_val).sum()
+        assert f.sample_at(pts).dtype == np.float64
+        assert not ref_occ[-2:].any() and np.isinf(ref_val[-2:]).all()
+        if dim == 2:
+            assert np.array_equal(_mask_at(g.occupancy, f, pts), ref_occ)
+
+    def test_1d_flat_points(self, rng):
+        g, f = self.rasters(rng, 1)
+        pts = self.probe_points(g, rng)
+        assert np.array_equal(g.lookup(pts.ravel()), g.lookup(pts))
+        assert bits(f.sample_at(pts.ravel())) == bits(f.sample_at(pts))
+        assert np.array_equal(g.indices_of(pts.ravel()), g.indices_of(pts))
