@@ -178,9 +178,12 @@ def cmd_content(args) -> int:
 
 def cmd_curvature(args) -> int:
     name, scene = load_scene(args)
+    d = scene.ifs.ambient_dim
+    k = d - 1 if args.k is None else args.k
+    if not 0 <= k <= d - 1:
+        raise ConfigError(f"curvature order k={k} out of range for d={d}")
     bundle = get_bundle(Preset(name, scene))
     dd = bundle.dim_data
-    k = args.k
     rows = {}
     code = 0
     try:
@@ -321,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         if cmd == "content":
             p.add_argument("--methods", default=None, help="comma-separated method tags")
         if cmd == "curvature":
-            p.add_argument("-k", type=int, default=1)
+            p.add_argument("-k", type=int, default=None, help="curvature order (default d - 1)")
         p.set_defaults(fn=fn)
     return ap
 

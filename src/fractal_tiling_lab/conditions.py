@@ -63,15 +63,21 @@ def _erode(occ: np.ndarray, iterations: int = 1) -> np.ndarray:
     )
 
 
-def check_osc(ifs: IFS, O: Grid) -> CheckReport:
+def map_images(ifs: IFS, O: Grid) -> list[np.ndarray]:
+    """Occupancy of each S_i(O) on O's grid, in map order."""
+    return [_map_cells(m, O, O) for m in ifs.maps]
+
+
+def check_osc(ifs: IFS, O: Grid, images: list[np.ndarray] | None = None) -> CheckReport:
     """Open set condition: S_i O inside O, images pairwise disjoint.
 
     Containment and overlaps are judged up to a one-cell seam; overlap that
     survives a one-cell erosion is a hard fail, seam-only contact is
-    inconclusive.
+    inconclusive. `images` are map_images(ifs, O), built here if omitted.
     """
     delta = O.spacing
-    images = [_map_cells(m, O, O) for m in ifs.maps]
+    if images is None:
+        images = map_images(ifs, O)
     for i, img in enumerate(images):
         outside = img & ~O.occupancy
         if outside.any():
@@ -160,19 +166,21 @@ def check_compatibility(G: Grid, F_field: DistanceField, tol_cells: int = 2) -> 
 def check_projection(
     ifs: IFS, O: Grid, F_field: DistanceField, g_tilde: float,
     eps_samples: np.ndarray | None = None, seam_factor: float = 4.0,
+    images: list[np.ndarray] | None = None,
 ) -> CheckReport:
     """Projection condition, tested through the parallel-set identity.
 
     For each map the defect volume lambda((F_eps \\ (S_i F)_eps) ^ S_i O)
     must stay at seam scale for all sampled eps <= r_i g~; a genuine failure
     produces a defect bounded below on an eps interval, which is returned as
-    the witness.
+    the witness. `images` are map_images(ifs, O), built here if omitted.
     """
     delta = O.spacing
     d = O.dim
+    if images is None:
+        images = map_images(ifs, O)
     worst = None
-    for i, m in enumerate(ifs.maps):
-        img = _map_cells(m, O, O)
+    for i, (m, img) in enumerate(zip(ifs.maps, images)):
         if not img.any():
             continue
         pts = O.cell_points(img)
@@ -214,13 +222,14 @@ def check_projection(
 
 def check_boundary_null(
     O: Grid, F_field: DistanceField, k: int, eps_samples: np.ndarray,
-    collar_cells: int = 2,
+    collar_cells: int = 2, extractor: LevelSetExtractor | None = None,
 ) -> CheckReport:
     """Curvature mass of bd F_eps inside a thin collar of bd O stays at seam scale.
 
     Transversal crossings contribute one collar width each; a tangency
     contributes a full stretch of boundary and fails. d=1 boundaries are
-    finite point sets, so the check passes trivially.
+    finite point sets, so the check passes trivially. `extractor`, if
+    given, must be built on F_field.
     """
     delta = O.spacing
     if O.dim == 1:
@@ -228,12 +237,12 @@ def check_boundary_null(
     edge = O.boundary_cells() | (_dilate_occ(O.occupancy) & ~O.occupancy)
     collar = _dilate_occ(edge, iterations=collar_cells)
     collar = O.with_occupancy(collar).embed_into(F_field.origin, F_field.extents)
-    ex = LevelSetExtractor(F_field)
+    ex = extractor or LevelSetExtractor(F_field)
     worst = None
     for e in np.asarray(eps_samples, dtype=float):
-        length, _, abs_turn = ex.measure(float(e), collar)
-        cells = ex.segment_cells(float(e), collar)
-        ncomp = contour_components(cells)
+        ls = ex.extract(float(e))
+        length, _, abs_turn = ex.measure_level_set(ls, collar)
+        ncomp = contour_components(ex.level_set_cells(ls, collar))
         if k == O.dim - 1:
             mass = 0.5 * length
             tol = 12.0 * delta * max(1, ncomp)

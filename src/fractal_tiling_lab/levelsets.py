@@ -40,6 +40,8 @@ _CASES: dict[int, tuple[tuple[int, int], ...]] = {
     14: ((3, 0),),
     15: (),
 }
+_MAX_BIN = np.iinfo(np.uint16).max  # bin keys of the extractor's corner-minimum index
+_SORT_CHUNK = 1 << 20  # dual cells per chunk when the extractor builds that index
 
 
 @dataclass
@@ -60,8 +62,11 @@ class LevelSet:
 class LevelSetExtractor:
     """Reusable marching-squares engine for one distance field.
 
-    Precomputes the per-dual-cell corner min/max once so that each
-    threshold only touches the narrow band of sign changes.
+    The dual cells are indexed once by the bin floor(fmin / spacing) of
+    their corner minimum fmin. A cell crosses the threshold eps only when
+    fmin <= eps < fmax, and fmax - fmin never exceeds the field's widest
+    corner spread w, so each threshold reads only the bins that cover
+    (eps - w, eps] instead of scanning every cell.
     """
 
     def __init__(self, field: DistanceField):
@@ -70,13 +75,42 @@ class LevelSetExtractor:
         self.field = field
         f = field.values
         c0, c1, c2, c3 = f[:-1, :-1], f[1:, :-1], f[1:, 1:], f[:-1, 1:]
-        self._fmin = np.minimum(np.minimum(c0, c1), np.minimum(c2, c3)).astype(np.float32)
-        self._fmax = np.maximum(np.maximum(c0, c1), np.maximum(c2, c3)).astype(np.float32)
+        self._fmin = np.minimum(np.minimum(c0, c1), np.minimum(c2, c3)).astype(
+            np.float32, copy=False
+        )
+        fmax = np.maximum(np.maximum(c0, c1), np.maximum(c2, c3)).astype(np.float32, copy=False)
+        # measured, not sqrt(2) * spacing: the field need not be 1-Lipschitz
+        self._width = float(np.subtract(fmax, self._fmin, out=fmax).max(initial=0.0))
+        del fmax
+        self._scale = np.float32(1.0 / field.spacing)
+        key = self._bins(self._fmin.ravel())
+        self._starts = np.zeros(_MAX_BIN + 2, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=_MAX_BIN + 1), out=self._starts[1:])
+        # Cells grouped by bin, as int32 (which holds any MAX_CELLS grid).
+        # Each chunk is argsorted by key (numpy's stable sort of 16-bit keys
+        # is a radix sort) and its bin runs go after those of the earlier
+        # chunks. Chunks keep the int64 argsort output small: one full-size
+        # int64 order raised the peak RSS of a field's pass.
+        self._order = np.empty(key.size, dtype=np.int32)
+        fill = self._starts[:-1].copy()
+        for c in range(0, key.size, _SORT_CHUNK):
+            kc = key[c : c + _SORT_CHUNK]
+            n_c = np.bincount(kc, minlength=_MAX_BIN + 1)
+            dest = np.repeat(fill - (np.cumsum(n_c) - n_c), n_c) + np.arange(kc.size)
+            self._order[dest] = np.argsort(kc, kind="stable") + c
+            fill += n_c
+        del key
         ring = np.concatenate([f[0, :], f[-1, :], f[:, 0], f[:, -1]])
         self._ring_min = float(ring.min())
         self._ring_max = float(ring.max())
         nx, ny = f.shape
         self._n_xedges = (nx - 1) * ny
+
+    def _bins(self, x) -> np.ndarray:
+        """Bin keys floor(x * (1 / spacing)) in float32 arithmetic, clamped to 16 bits."""
+        k = np.asarray(x, dtype=np.float32) * self._scale
+        np.floor(k, out=k)
+        return np.clip(k, 0, _MAX_BIN, out=k).astype(np.uint16)
 
     def _check_contact(self, eps: float) -> None:
         if self._ring_min <= eps < self._ring_max:
@@ -90,13 +124,29 @@ class LevelSetExtractor:
         # shift clears the float32 ULP yet stays far below one cell
         return eps + 5e-7 * max(abs(eps), self.field.spacing)
 
+    def _band(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """Row-major (i, j) of the dual cells with fmin <= eps < fmax, as np.nonzero gives them."""
+        f = self.field.values
+        # fmin > eps - w, up to the float32 rounding of w and of eps (2^-24
+        # relative each), which the 2^-22 slack covers; keys are monotone in
+        # the value, so bins key(lo)..key(eps) hold every band cell
+        w = self._width
+        lo, hi = (int(b) for b in self._bins([eps - w - (abs(eps) + w) * 2.0**-22, eps]))
+        cand = self._order[self._starts[lo] : self._starts[hi + 1]]
+        cand = np.sort(cand).astype(np.intp)
+        ci, cj = np.divmod(cand, f.shape[1] - 1)
+        fmax = np.maximum(
+            np.maximum(f[ci, cj], f[ci + 1, cj]), np.maximum(f[ci + 1, cj + 1], f[ci, cj + 1])
+        ).astype(np.float32, copy=False)
+        keep = (self._fmin[ci, cj] <= eps) & (fmax > eps)
+        return ci[keep], cj[keep]
+
     def extract(self, eps: float) -> LevelSet:
         eps = self._nudge(eps)
         self._check_contact(eps)
         f = self.field.values
         ny = f.shape[1]
-        band = (self._fmin <= eps) & (self._fmax > eps)
-        ii, jj = np.nonzero(band)
+        ii, jj = self._band(eps)
         f00 = f[ii, jj]
         f10 = f[ii + 1, jj]
         f11 = f[ii + 1, jj + 1]
@@ -162,7 +212,10 @@ class LevelSetExtractor:
         angles count crossings whose vertex falls in a mask cell. Angles at
         a crossing join the unique incoming and outgoing segments.
         """
-        ls = self.extract(eps)
+        return self.measure_level_set(self.extract(eps), mask)
+
+    def measure_level_set(self, ls: LevelSet, mask: np.ndarray | Grid | None = None):
+        """measure() of a level set already extracted from this field."""
         m = _as_mask(mask, self.field)
         if ls.ein.size == 0:
             return 0.0, 0.0, 0.0
@@ -194,7 +247,10 @@ class LevelSetExtractor:
 
     def segment_cells(self, eps: float, mask: np.ndarray | Grid | None = None) -> np.ndarray:
         """Boolean raster of dual cells carrying level-set segments (mask-filtered)."""
-        ls = self.extract(eps)
+        return self.level_set_cells(self.extract(eps), mask)
+
+    def level_set_cells(self, ls: LevelSet, mask: np.ndarray | Grid | None = None) -> np.ndarray:
+        """segment_cells() of a level set already extracted from this field."""
         out = np.zeros(self.field.values.shape, dtype=bool)
         if ls.cell_ij.size:
             keep = np.ones(ls.cell_ij.shape[0], dtype=bool)

@@ -265,22 +265,27 @@ class SceneBundle:
 
     # -- checks ----------------------------------------------------------------
 
+    @property
+    def map_images(self) -> list[np.ndarray]:
+        """S_i(O) on O's grid, one raster per map."""
+        return self._memo("map_images", lambda: conditions.map_images(self.ifs, self.O))
+
     def checks(self) -> dict[str, conditions.CheckReport]:
         def build():
             t = self.tiling
             field = self.field_small
             out = {
-                "osc": conditions.check_osc(self.ifs, t.O),
+                "osc": conditions.check_osc(self.ifs, t.O, self.map_images),
                 "strong": conditions.check_strong(t.O, field),
                 "compatible": conditions.check_compatibility(t.G, field),
                 "projection": conditions.check_projection(
-                    self.ifs, t.O, field, self.g_tilde
+                    self.ifs, t.O, field, self.g_tilde, images=self.map_images
                 ),
             }
             if self.d == 2:
                 eps_bn = np.geomspace(8 * self.delta, max(0.5 * self.g_tilde, 16 * self.delta), 12)
                 out["boundary_null"] = conditions.check_boundary_null(
-                    t.O, field, self.d - 1, eps_bn
+                    t.O, field, self.d - 1, eps_bn, extractor=self.field_extractor
                 )
             else:
                 out["boundary_null"] = conditions.check_boundary_null(

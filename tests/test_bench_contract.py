@@ -2,10 +2,11 @@
 
 bench/tracer.py wraps module functions (tiling._map_cells,
 tiling.relative_inradius, ...), Grid.lookup, the LevelSetExtractor methods
-and the SceneBundle products by name at run time. Installing it in a fresh
-interpreter and tracing one small scene turns a renamed or deleted traced
-name into a failure here instead of a failed benchmark run. The subprocess
-keeps the wrappers out of this test session.
+and the SceneBundle products by name at run time, and reads
+LevelSetExtractor._fmin. Installing it in a fresh interpreter and tracing
+one small 1-d scene and one small 2-d field turns a renamed or deleted
+traced name into a failure here instead of a failed benchmark run. The
+subprocess keeps the wrappers out of this test session.
 """
 
 import json
@@ -28,6 +29,13 @@ bundle = pipeline.SceneBundle(replace(presets.get_preset("cantor").scene, delta=
 bundle.content_table()
 bundle.generator_curvature_samples(0)
 bundle.relative_curvature(0)
+# cantor is 1-d: a disk's distance field runs the 2-d level-set layer
+import numpy as np
+from fractal_tiling_lab import curvature, grids
+g = grids.grid_from_bbox(([-1.0, -1.0], [1.0, 1.0]), 2.0**-7)
+occ = np.zeros(g.extents, bool)
+occ[tuple(g.indices_of(np.zeros((1, 2)))[0])] = True
+curvature.measure_profiles(grids.distance_transform(g.with_occupancy(occ)), np.array([0.2, 0.5]))
 print(json.dumps({"spans": sorted({s[0] for s in tracer.spans}),
                   "counters": dict(tracer.counters),
                   "summary": tracer.summary(1.0)}))
@@ -54,10 +62,14 @@ def test_tracer_installs_and_sees_every_layer():
         "pipeline.stage.tiling", "pipeline.stage.F_tight", "pipeline.stage.field_small",
         "pipeline.stage.checks", "pipeline.stage.generator_curvature_samples",
         "pipeline.stage.relative_curvature.k0.G",
+        "curvature.measure_profiles",
+        "levelsets.extractor_init", "levelsets.extract", "levelsets.measure",
     ):
         assert name in spans, name
     for method in ("generator_integral", "tiling_via_h", "gatzouras", "relative_generator",
                    "direct_limit", "direct_average", "s_content"):
         assert f"pipeline.stage.content.{method}" in spans, method
     assert doc["counters"]["grids.lookup.points"] > 0
+    assert doc["counters"]["levelsets.cells_scanned"] > 0
+    assert doc["counters"]["levelsets.segments"] > 0
     assert doc["summary"]["tiling.build_tiling.s"] > 0

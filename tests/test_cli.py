@@ -135,6 +135,21 @@ class TestCurvatureCommand:
         rel = doc["rows"]["relative_generator"]["value"]
         assert abs(gen - rel) / abs(gen) <= 0.05
 
+    def test_1d_default_order_is_zero(self, capsys, cantor_bundle):
+        code, out = run(capsys, "curvature", "--preset", "cantor", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["k"] == 0
+        assert run(capsys, "curvature", "--preset", "cantor", "-k", "0", "--format", "json") == (0, out)
+
+    def test_order_out_of_range_refused_before_any_product(self, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        for preset, k in (("cantor", "1"), ("cantor", "-1"), ("carpet", "2")):
+            assert main(["curvature", "--preset", preset, "-k", k, "--format", "json"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"curvature order k={k} out of range" in captured.err
+        assert pipeline._BUNDLES == {}
+
 
 class TestRenderAndDeterminism:
     def test_render_outputs(self, capsys, tmp_path, cantor_bundle):

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fractal_tiling_lab as ftl
+from fractal_tiling_lab import conditions, pipeline, presets
 from fractal_tiling_lab.conditions import (
     check_boundary_null,
     check_boundary_null_volume,
@@ -200,6 +202,23 @@ class TestBoundaryNull:
     def test_volume_version_on_generator(self, carpet_bundle, carpet_coarse_bundle):
         rep = check_boundary_null_volume(carpet_coarse_bundle.tiling.G, carpet_bundle.tiling.G)
         assert rep.verdict in ("pass", "inconclusive")
+
+
+class TestMapImages:
+    @pytest.mark.parametrize("preset, delta", [("carpet", 2.0**-7), ("cantor", 2.0**-10)])
+    def test_bundle_samples_each_image_once(self, preset, delta, monkeypatch):
+        b = pipeline.SceneBundle(replace(presets.get_preset(preset).scene, delta=delta))
+        calls = []
+        sample = conditions._map_cells
+        monkeypatch.setattr(conditions, "_map_cells", lambda *a: calls.append(a) or sample(*a))
+        reports = b.checks()
+        assert len(calls) == b.ifs.n
+        fresh = conditions.map_images(b.ifs, b.O)
+        assert len(b.map_images) == len(fresh) == b.ifs.n
+        assert all(np.array_equal(a, c) for a, c in zip(b.map_images, fresh))
+        assert reports["osc"].to_dict() == check_osc(b.ifs, b.O).to_dict()
+        assert reports["projection"].to_dict() == check_projection(
+            b.ifs, b.O, b.field_small, b.g_tilde).to_dict()
 
 
 class TestVerdictStability:

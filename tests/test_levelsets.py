@@ -1,12 +1,17 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
+from fractal_tiling_lab import conditions, levelsets, pipeline, presets
 from fractal_tiling_lab.errors import ResolutionError
 from fractal_tiling_lab.grids import (
     ConvexPolygon,
+    DistanceField,
     distance_transform,
     grid_from_bbox,
     inner_distance,
@@ -122,3 +127,153 @@ class TestLocality:
         seam_len = 4 * 2 * 2 * delta  # 4 seams, up to 2 crossings, ~2 cells each
         assert abs(part_len - total_len) <= seam_len + 0.01 * total_len
         assert abs(part_turn - total_turn) <= 0.05 * 2 * math.pi
+
+
+class FullScanExtractor(LevelSetExtractor):
+    """Reference: the band found by scanning every dual cell, as before the index."""
+
+    def _band(self, eps):
+        f = self.field.values
+        c0, c1, c2, c3 = f[:-1, :-1], f[1:, :-1], f[1:, 1:], f[:-1, 1:]
+        fmax = np.maximum(np.maximum(c0, c1), np.maximum(c2, c3)).astype(np.float32)
+        return np.nonzero((self._fmin <= eps) & (fmax > eps))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ResolutionError as exc:
+        return ("raised", str(exc))
+
+
+def assert_same_level_set(a, b):
+    for name in ("p_in", "p_out", "ein", "eout", "cell_ij"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
+
+
+COARSE = 2.0**-7
+
+
+@pytest.fixture(scope="module", params=["carpet", "koch", "gasket"])
+def coarse_bundle(request):
+    scene = presets.get_preset(request.param).scene
+    return pipeline.SceneBundle(replace(scene, delta=COARSE))
+
+
+@st.composite
+def fields(draw):
+    """Small fields with ties, plateaus, clamped keys and no Lipschitz bound.
+
+    The border ring is one constant, so no threshold touches the grid
+    boundary and every level set closes.
+    """
+    nx, ny = draw(st.integers(3, 14)), draw(st.integers(3, 14))
+    spacing = draw(st.sampled_from([2.0**-7, 0.3, 1.0, 1e-3]))
+    # few distinct levels give exact ties and plateaus; the large and the
+    # negative ones put bin keys on both clamps; the spread breaks Lipschitz
+    levels = draw(st.lists(
+        st.one_of(st.integers(-3, 12), st.sampled_from([65534, 65535, 65536, 70000, 1e6])),
+        min_size=1, max_size=6, unique=True))
+    scale = draw(st.sampled_from([1.0, 0.5, 0.37, 7.0]))
+    picks = draw(st.lists(st.integers(0, len(levels) - 1), min_size=nx * ny, max_size=nx * ny))
+    vals = np.array([levels[i] for i in picks], float).reshape(nx, ny) * scale * spacing
+    border = draw(st.sampled_from(levels)) * scale * spacing
+    vals[0, :] = vals[-1, :] = vals[:, 0] = vals[:, -1] = border
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return DistanceField(np.zeros(2), spacing, vals.astype(dtype))
+
+
+class TestBandIndex:
+    """The banded extractor returns exactly what the full scan returned."""
+
+    @pytest.mark.parametrize("chunk", [4099, 1 << 20])
+    def test_preset_fields_bitwise(self, coarse_bundle, chunk):
+        b = coarse_bundle
+        field = b.field_small
+        with mock.patch.object(levelsets, "_SORT_CHUNK", chunk):
+            new = LevelSetExtractor(field)
+        ref = FullScanExtractor(field)
+        mask = b.O.embed_into(field.origin, field.extents)
+        for e in b.grid_curv.eps:
+            e = float(e)
+            assert_same_level_set(new.extract(e), ref.extract(e))
+            assert new.measure(e) == ref.measure(e)
+            assert new.measure(e, mask) == ref.measure(e, mask)
+        assert new._fmin.size == ref._fmin.size
+        assert new._width <= 1.4143 * field.spacing
+
+    @settings(max_examples=150, deadline=None)
+    @given(field=fields(), data=st.data())
+    def test_random_fields_bitwise(self, field, data):
+        chunk = data.draw(st.sampled_from([7, 64, 1 << 20]))
+        with mock.patch.object(levelsets, "_SORT_CHUNK", chunk):
+            new = LevelSetExtractor(field)
+        ref = FullScanExtractor(field)
+        vals = np.unique(field.values)
+        lo, hi = float(vals[0]), float(vals[-1])
+        eps_list = [lo - 1.0, lo, hi, hi + 1.0, 0.5 * (lo + hi)]
+        ties = data.draw(st.lists(st.sampled_from(list(vals)), max_size=4))
+        eps_list += [float(v) for v in ties]
+        eps_list += [float(np.nextafter(np.float32(v), np.float32(-np.inf))) for v in vals[:3]]
+        for e in eps_list:
+            a, r = new._band(new._nudge(e)), ref._band(ref._nudge(e))
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(a, r))
+            ls_new, ls_ref = outcome(new.extract, e), outcome(ref.extract, e)
+            if isinstance(ls_ref, tuple):
+                assert ls_new == ls_ref
+                continue
+            assert_same_level_set(ls_new, ls_ref)
+            assert outcome(new.measure, e) == outcome(ref.measure, e)
+
+    def test_width_is_measured(self):
+        # a non-Lipschitz field: one spike 40 cells high in a flat field
+        vals = np.zeros((9, 9), np.float32)
+        vals[4, 4] = 40.0
+        field = DistanceField(np.zeros(2), 1.0, vals)
+        ex = LevelSetExtractor(field)
+        assert ex._width == 40.0
+        for e in (0.5, 10.0, 39.0):
+            assert_same_level_set(ex.extract(e), FullScanExtractor(field).extract(e))
+            assert ex.extract(e).ein.size == 4
+
+    @pytest.mark.parametrize("preset", ["carpet", "gasket"])
+    def test_boundary_null_unchanged(self, preset):
+        b = pipeline.SceneBundle(replace(presets.get_preset(preset).scene, delta=COARSE))
+        O, field = b.O, b.field_small
+        eps = np.geomspace(8 * b.delta, max(0.5 * b.g_tilde, 16 * b.delta), 12)
+        ref = FullScanExtractor(field)
+        # the check's collar, rebuilt as check_boundary_null builds it
+        edge = O.boundary_cells() | (conditions._dilate_occ(O.occupancy) & ~O.occupancy)
+        collar = O.with_occupancy(conditions._dilate_occ(edge, iterations=2)).embed_into(
+            field.origin, field.extents)
+        for e in eps:
+            ls = b.field_extractor.extract(float(e))
+            assert b.field_extractor.measure_level_set(ls, collar) == ref.measure(float(e), collar)
+            cells = b.field_extractor.level_set_cells(ls, collar)
+            assert np.array_equal(cells, ref.segment_cells(float(e), collar))
+        for k in (0, 1):
+            banded = conditions.check_boundary_null(O, field, k, eps, extractor=b.field_extractor)
+            scanned = conditions.check_boundary_null(O, field, k, eps, extractor=ref)
+            assert banded.to_dict() == scanned.to_dict()
+        assert b.checks()["boundary_null"].to_dict() == conditions.check_boundary_null(
+            O, field, 1, eps, extractor=ref).to_dict()
+
+    def test_boundary_null_fail_report_unchanged(self):
+        # bd F_eps runs along O's bottom edge at eps = h: a fail report with numbers
+        delta, h = 2.0**-8, 12 * 2.0**-8
+        g = grid_from_bbox(([-0.25, -0.25], [1.25, 0.5]), delta)
+        occ = np.zeros(g.extents, bool)
+        xs = g.centers(0)
+        occ[(xs >= 0) & (xs <= 1), g.indices_of(np.zeros((1, 2)))[0, 1]] = True
+        field = distance_transform(g.with_occupancy(occ))
+        O = rasterize(ConvexPolygon(np.array([[0.0, h], [1.0, h], [1.0, 0.25], [0.0, 0.25]])),
+                      ([0.0, 0.0], [1.0, 0.3125]), delta)
+        eps = np.array([h / 2, h, 2 * h])
+        ref = FullScanExtractor(field)
+        for k in (0, 1):
+            banded = conditions.check_boundary_null(O, field, k, eps)
+            scanned = conditions.check_boundary_null(O, field, k, eps, extractor=ref)
+            assert banded.to_dict() == scanned.to_dict()
+        assert banded.verdict == "fail"
