@@ -180,8 +180,7 @@ def cmd_curvature(args) -> int:
     name, scene = load_scene(args)
     d = scene.ifs.ambient_dim
     k = d - 1 if args.k is None else args.k
-    if not 0 <= k <= d - 1:
-        raise ConfigError(f"curvature order k={k} out of range for d={d}")
+    curvmod.check_order(k, d)  # refuse before any bundle is built
     bundle = get_bundle(Preset(name, scene))
     dd = bundle.dim_data
     rows = {}
@@ -202,10 +201,7 @@ def cmd_curvature(args) -> int:
             checks=[checks["projection"], checks["boundary_null"]], lattice_note=dd.note,
         )
         rows["relative_generator"] = rel.to_dict()
-        direct_samples = (
-            bundle.relative_curvature(k, region="O") if bundle.d == 2
-            else bundle.relative_curvature(k)
-        )
+        direct_samples = bundle.relative_curvature(k, region="O" if bundle.d == 2 else "G")
         limit, average = curvmod.direct_fractal_curvature(
             direct_samples, dd.D, k,
             window=(8 * bundle.delta, bundle.g_tilde / 3), lattice_base=bundle.lattice_base,

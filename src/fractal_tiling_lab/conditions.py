@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy import ndimage
 
+from .curvature import samples_from_profile
 from .errors import ConfigError
 from .grids import DistanceField, Grid
 from .ifs import IFS
@@ -238,19 +239,20 @@ def check_boundary_null(
     collar = _dilate_occ(edge, iterations=collar_cells)
     collar = O.with_occupancy(collar).embed_into(F_field.origin, F_field.extents)
     ex = extractor or LevelSetExtractor(F_field)
-    worst = None
-    for e in np.asarray(eps_samples, dtype=float):
+    eps = np.asarray(eps_samples, dtype=float)
+    profile = np.zeros((eps.size, 3))
+    ncomp = []
+    for i, e in enumerate(eps):
         ls = ex.extract(float(e))
-        length, _, abs_turn = ex.measure_level_set(ls, collar)
-        ncomp = contour_components(ex.level_set_cells(ls, collar))
-        if k == O.dim - 1:
-            mass = 0.5 * length
-            tol = 12.0 * delta * max(1, ncomp)
-        else:
-            mass = abs_turn / (2 * math.pi)
-            tol = 0.25 * max(1, ncomp) + 0.5
+        profile[i] = ex.measure_level_set(ls, collar)
+        ncomp.append(contour_components(ex.level_set_cells(ls, collar)))
+    # the collar's curvature mass is the variation of C_k inside it
+    masses = samples_from_profile(k, O.dim, delta, lambda: (eps, *profile.T)).variation_values
+    worst = None
+    for e, mass, n in zip(eps, masses, ncomp):
+        tol = 12.0 * delta * max(1, n) if k == O.dim - 1 else 0.25 * max(1, n) + 0.5
         if mass > tol:
-            cand = {"eps": float(e), "mass": mass, "tolerance": tol, "components": ncomp}
+            cand = {"eps": float(e), "mass": float(mass), "tolerance": tol, "components": n}
             if worst is None or mass / cand["tolerance"] > worst["mass"] / worst["tolerance"]:
                 worst = cand
     if worst is not None:

@@ -33,23 +33,37 @@ class CurvatureSamples:
     variation_values: np.ndarray
     delta: float
     region_tag: str = ""
-    tolerance: np.ndarray | None = None
-    interpolated: bool = False
 
     def __post_init__(self):
         self.eps = np.asarray(self.eps, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         self.variation_values = np.asarray(self.variation_values, dtype=float)
-        if self.tolerance is None:
-            self.tolerance = np.zeros_like(self.values)
         if np.any(self.variation_values + 1e-12 < np.abs(self.values)):
             raise ConfigError("variation must dominate the signed values")
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("eps,value,variation,k,region_tag\n")
-            for e, v, w in zip(self.eps, self.values, self.variation_values):
-                fh.write(f"{e!r},{v!r},{w!r},{self.k},{self.region_tag}\n")
+
+def check_order(k: int, d: int) -> None:
+    """Refuse a curvature order outside 0 <= k <= d-1, with one message for every caller."""
+    if not 0 <= k <= d - 1:
+        raise ConfigError(f"curvature order k={k} out of range for d={d}")
+
+
+def samples_from_profile(k: int, d: int, delta: float, profile, region_tag: str = "") -> CurvatureSamples:
+    """C_k samples from the (eps, length, turning, |turning|) profile that profile() returns.
+
+    The one map from k to values and variation: k = d-1 is half the length
+    (in d=1 half the boundary-point count), its own variation; k = 0 < d-1
+    is turning / 2 pi, with variation |turning| / 2 pi. profile() runs only
+    once k has passed check_order, so a refused order builds nothing.
+    """
+    check_order(k, d)
+    eps, lengths, turns, abs_turns = profile()
+    if k == d - 1:
+        values = 0.5 * lengths
+        return CurvatureSamples(eps, k, values, values.copy(), delta, region_tag)
+    return CurvatureSamples(
+        eps, k, turns / (2 * math.pi), abs_turns / (2 * math.pi), delta, region_tag
+    )
 
 
 def measure_profiles(
@@ -58,12 +72,28 @@ def measure_profiles(
     mask=None,
     extractor: LevelSetExtractor | None = None,
 ):
-    """(length, signed turning, |turning|) of {field = eps} per threshold."""
+    """(length, signed turning, |turning|) of {field = eps} per threshold.
+
+    In d=1 the length counts the boundary points in the mask; no turning.
+    """
+    if field.dim == 1:
+        return _boundary_points_1d(field, eps, mask), np.zeros(eps.size), np.zeros(eps.size)
     ex = extractor or LevelSetExtractor(field)
     out = np.zeros((eps.size, 3))
     for i in range(eps.size):
         out[i] = ex.measure(float(eps[i]), mask)
     return out[:, 0], out[:, 1], out[:, 2]
+
+
+def _boundary_points_1d(field: DistanceField, eps: np.ndarray, mask) -> np.ndarray:
+    """Neighbour pairs with one cell in {field <= eps} (lo <= eps < hi), at least one in the mask."""
+    f = field.values.astype(float)
+    lo, hi = np.minimum(f[:-1], f[1:]), np.maximum(f[:-1], f[1:])
+    if mask is not None:
+        m = mask.occupancy if isinstance(mask, Grid) else mask
+        lo, hi = lo[m[:-1] | m[1:]], hi[m[:-1] | m[1:]]
+    below = np.searchsorted(np.sort(lo), eps, side="right")
+    return (below - np.searchsorted(np.sort(hi), eps, side="right")).astype(float)
 
 
 def sample_curvature(
@@ -78,56 +108,32 @@ def sample_curvature(
 
     `field` is the distance field whose sublevel sets are the parallel sets
     under study: d(., F) for outer parallel sets of an attractor, the
-    complement distance of a region for inner parallel sets. d=1 supports
-    k=0 only (half the boundary-point count in the mask).
+    complement distance of a region for inner parallel sets (d=1: outer
+    fields only, k=0 only: half the boundary-point count in the mask).
     """
-    d = field.dim
-    if not (0 <= k <= d - 1):
-        raise ConfigError(f"curvature order k={k} out of range for d={d}")
-    if d == 1:
-        values = _count_boundary_1d(field, grid.eps, mask)
-        return CurvatureSamples(grid.eps, 0, values, np.abs(values), field.spacing, region_tag)
-    lengths, turns, abs_turns = measure_profiles(field, grid.eps, mask, extractor)
-    if k == d - 1:
-        vals = 0.5 * lengths
-        var = vals.copy()
-    else:
-        vals = turns / (2 * math.pi)
-        var = abs_turns / (2 * math.pi)
-    return CurvatureSamples(grid.eps, k, vals, var, field.spacing, region_tag)
 
+    def profile():
+        if field.dim == 1 and field.values[[0, -1]].min() <= grid.eps.max():
+            raise ConfigError("1d parallel set touches the grid boundary")
+        return grid.eps, *measure_profiles(field, grid.eps, mask, extractor)
 
-def _count_boundary_1d(field: DistanceField, eps: np.ndarray, mask) -> np.ndarray:
-    f = field.values
-    if f[0] <= eps.max() or f[-1] <= eps.max():
-        raise ConfigError("1d parallel set touches the grid boundary")
-    mask_arr = mask.occupancy if isinstance(mask, Grid) else mask
-    out = np.zeros(eps.size)
-    for i, e in enumerate(eps):
-        ind = f <= e
-        flips = np.nonzero(ind[1:] != ind[:-1])[0]
-        if mask_arr is not None:
-            keep = mask_arr[flips] | mask_arr[flips + 1]
-            flips = flips[keep]
-        out[i] = 0.5 * flips.size
-    return out
+    return samples_from_profile(k, field.dim, field.spacing, profile, region_tag)
 
 
 def inner_curvature_samples(
     region: Grid, k: int, grid: EpsGrid, region_tag: str = "",
     extractor: LevelSetExtractor | None = None,
 ) -> CurvatureSamples:
-    """C_k of the inner parallel sets of a region (complement-distance field)."""
-    field = inner_distance(region)
-    if region.dim == 1:
-        # components of the eroded core, one +1 each
-        vals = np.zeros(grid.eps.size)
-        f = field.values
-        for i, e in enumerate(grid.eps):
-            core = f > e
-            vals[i] = np.count_nonzero(core[1:] & ~core[:-1]) + (1 if core[0] else 0)
-        return CurvatureSamples(grid.eps, 0, vals, np.abs(vals), region.spacing, region_tag)
-    return sample_curvature(field, k, grid, None, region_tag, extractor)
+    """C_k of the inner parallel sets of a region (complement-distance field).
+
+    In d=1 each core counts +1 (two boundary points): eps grids start above
+    the one-cell value that the raster border, counted as complement, gets.
+    """
+    return samples_from_profile(
+        k, region.dim, region.spacing,
+        lambda: (grid.eps, *measure_profiles(inner_distance(region), grid.eps, None, extractor)),
+        region_tag,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +158,9 @@ def _variation_exponent_gate(samples: CurvatureSamples, D: float, k: int, gamma_
 
 def _curvature_quadrature(
     samples: CurvatureSamples, D: float, eta: float, k: int, d: int, top: float,
-    method_tag: str, lattice_note: str,
+    gamma_min: float, method_tag: str, lattice_note: str,
 ) -> ContentResult:
+    b = _variation_exponent_gate(samples, D, k, gamma_min)
     sel = samples.eps <= top * (1 + 1e-12)
     if sel.sum() < 8:
         raise ConfigError("too few curvature samples below the integration top")
@@ -178,7 +185,7 @@ def _curvature_quadrature(
     err = (2.0 * quad_err + head_err) / eta
     return ContentResult(
         value, D, method_tag, samples.delta, err, lattice_note,
-        {"k": k, "head": head / eta},
+        {"k": k, "head": head / eta, "fitted_variation_exponent": b},
     )
 
 
@@ -191,10 +198,9 @@ def generator_curvature(
     (1/eta) * integral_0^g eps^(D-k-1) C_k(G_-eps) d(eps); finite interval,
     no tail. Refuses when the variation exponent violates the renewal bound.
     """
-    b = _variation_exponent_gate(G_samples, D, k, gamma_min)
-    res = _curvature_quadrature(G_samples, D, eta, k, d, g, "generator_integral", lattice_note)
-    res.extra["fitted_variation_exponent"] = b
-    return res
+    return _curvature_quadrature(
+        G_samples, D, eta, k, d, g, gamma_min, "generator_integral", lattice_note
+    )
 
 
 def relative_generator_curvature(
@@ -208,12 +214,9 @@ def relative_generator_curvature(
     CheckReports and any failure refuses the computation by name.
     """
     require_checks(checks)
-    b = _variation_exponent_gate(FG_samples, D, k, gamma_min)
-    res = _curvature_quadrature(
-        FG_samples, D, eta, k, d, g_tilde, "relative_generator", lattice_note
+    return _curvature_quadrature(
+        FG_samples, D, eta, k, d, g_tilde, gamma_min, "relative_generator", lattice_note
     )
-    res.extra["fitted_variation_exponent"] = b
-    return res
 
 
 def direct_fractal_curvature(
@@ -290,24 +293,26 @@ def curvature_renewal_difference(
 ) -> CurvatureSamples:
     """f(eps) - sum_i r_i^k f(eps / r_i) for curvature samples of a union set.
 
-    Both sides vanish above the generator inradius, so no explicit indicator
-    is needed; lookups beyond the sampled top clamp to the top sample.
+    Every core is gone past the generator inradius g, where the samples
+    stop, so a lookup f(eps / r_i) beyond the last sample reads 0; the top
+    sample itself sits just below g, where the deepest core is still alive.
     """
     if not np.allclose(samples.eps, grid.eps):
         raise ConfigError("samples must live on the provided eps grid")
     n = samples.eps.size
     values = samples.values.copy()
     var = samples.variation_values.copy()
-    interpolated = samples.interpolated
+    vals0 = np.append(samples.values, 0.0)
+    var0 = np.append(samples.variation_values, 0.0)
     for m in ifs.maps:
         shift = grid.shift_for_ratio(m.ratio)
         if shift is None:
             raise ConfigError("curvature renewal needs a lattice-aligned eps grid")
-        idx = np.minimum(np.arange(n) + shift, n - 1)
+        idx = np.minimum(np.arange(n) + shift, n)
         w = m.ratio**samples.k
-        values = values - w * samples.values[idx]
-        var = var + w * samples.variation_values[idx]
+        values = values - w * vals0[idx]
+        var = var + w * var0[idx]
     return CurvatureSamples(
         grid.eps, samples.k, values, np.maximum(var, np.abs(values)),
-        samples.delta, samples.region_tag, None, interpolated,
+        samples.delta, samples.region_tag,
     )

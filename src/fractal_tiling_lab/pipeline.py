@@ -1,8 +1,10 @@
 """Scene orchestration: raster -> distance fields -> samples -> formulas.
 
-A SceneBundle memoizes every expensive product (attractor raster, distance
-fields, sorted-value samplers, tilings, condition checks) so the CLI and
-the test suite can ask for results in any order without recomputation.
+A SceneBundle memoizes every expensive product (tiling, attractor raster,
+distance fields, eps grids, volume samples, S_i(O) images, condition checks,
+the small field's level-set extractor, and one curvature profile per field
+and mask, which serves both orders) so the CLI and the test suite can ask
+for results in any order without recomputation.
 get_bundle caches bundles by scene content (maps, region, f_bbox, delta and
 both eps-grid densities), never by name; everything inside is immutable
 after construction, so sharing is safe.
@@ -310,50 +312,44 @@ class SceneBundle:
         outer halo would pollute finite windows in the compatible case.
         """
 
-        def build():
-            mask_grid = self.tiling.G if region == "G" else self.tiling.O
+        def mask():
             field = self.field_small
-            if self.d == 1:
-                if k != 0:
-                    raise ConfigError("d=1 supports k=0 only")
-                mask = mask_grid.embed_into(field.origin, field.extents)
-                return curvature.sample_curvature(field, 0, self.grid_curv, mask, region)
-            lengths, turns, abs_turns = self._memo(
-                ("rel_profiles", region),
-                lambda: curvature.measure_profiles(
-                    field, self.grid_curv.eps,
-                    mask_grid.embed_into(field.origin, field.extents), self.field_extractor,
-                ),
-            )
-            if k == 1:
-                return curvature.CurvatureSamples(
-                    self.grid_curv.eps, 1, 0.5 * lengths, 0.5 * lengths, self.delta, region
-                )
-            if k == 0:
-                return curvature.CurvatureSamples(
-                    self.grid_curv.eps, 0, turns / (2 * math.pi),
-                    abs_turns / (2 * math.pi), self.delta, region,
-                )
-            raise ConfigError(f"no curvature order k={k} in d={self.d}")
+            mask_grid = self.tiling.G if region == "G" else self.tiling.O
+            return mask_grid.embed_into(field.origin, field.extents)
 
-        return self._memo(("rel_curv", k, region), build)
+        def profile():
+            eps = self.grid_curv.eps
+            return eps, *curvature.measure_profiles(self.field_small, eps, mask(), self.field_extractor)
+
+        if self.d == 1:
+            return curvature.sample_curvature(self.field_small, k, self.grid_curv, mask(), region)
+        return curvature.samples_from_profile(
+            k, self.d, self.delta, lambda: self._memo(("profile", region), profile), region
+        )
 
     def generator_curvature_samples(self, k: int) -> curvature.CurvatureSamples:
-        def build():
-            return curvature.inner_curvature_samples(
-                _crop(self.tiling.G, 4), k, self.grid_curv_G, "G_core"
-            )
-
-        return self._memo(("gen_curv", k), build)
+        """C_k of the generator's cores G_-eps (G cropped to its cells) on grid_curv_G."""
+        return self._inner_curvature(k, "G_core", lambda: _crop(self.tiling.G, 4))
 
     def tiling_curvature_samples(self, k: int) -> curvature.CurvatureSamples:
-        field = self._memo("T_inner", lambda: inner_distance(self.tiling.tile_union))
-        ex = None
-        if self.d == 2:
-            ex = self._memo("T_inner_ex", lambda: LevelSetExtractor(field))
-        return self._memo(
-            ("til_curv", k),
-            lambda: curvature.sample_curvature(field, k, self.grid_curv_G, None, "T_core", ex),
+        """C_k of the cores of the tile union on grid_curv_G."""
+        return self._inner_curvature(k, "T_core", lambda: self.tiling.tile_union)
+
+    def _inner_curvature(self, k: int, tag: str, region) -> curvature.CurvatureSamples:
+        """C_k of the cores of region() on grid_curv_G.
+
+        Both orders read one profile, memoized under `tag`. d=1 has the one
+        order k = 0 and keeps the one-shot sampler.
+        """
+
+        def profile():
+            eps = self.grid_curv_G.eps
+            return eps, *curvature.measure_profiles(inner_distance(region()), eps)
+
+        if self.d == 1:
+            return curvature.inner_curvature_samples(region(), k, self.grid_curv_G, tag)
+        return curvature.samples_from_profile(
+            k, self.d, self.delta, lambda: self._memo(("profile", tag), profile), tag
         )
 
     @property

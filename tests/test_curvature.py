@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fractal_tiling_lab import curvature, grids, levelsets, pipeline, presets
 from fractal_tiling_lab.curvature import (
     cbc_exponent_check,
     curvature_renewal_difference,
@@ -12,7 +14,7 @@ from fractal_tiling_lab.curvature import (
     relative_generator_curvature,
     sample_curvature,
 )
-from fractal_tiling_lab.errors import PreconditionError
+from fractal_tiling_lab.errors import ConfigError, PreconditionError
 from fractal_tiling_lab.grids import (
     ConvexPolygon,
     PolygonUnion,
@@ -281,3 +283,112 @@ class TestCbc:
         )
         slope, ok = cbc_exponent_check(samples, b.dim_data.D, 0)
         assert ok and slope == math.inf
+
+
+def fresh_bundle(name, delta):
+    """A bundle of its own (not shared through get_bundle), so nothing is prebuilt."""
+    return pipeline.SceneBundle(replace(presets.get_preset(name).scene, delta=delta))
+
+
+def assert_same_samples(a, b):
+    assert (a.k, a.region_tag, a.delta) == (b.k, b.region_tag, b.delta)
+    for name in ("eps", "values", "variation_values"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestProfilePath:
+    """Every bundle C_k sample comes from one memoized profile per field and mask."""
+
+    def test_each_order_pair_builds_field_extractor_and_profile_once(self, monkeypatch):
+        b = fresh_bundle("carpet", 2.0**-7)
+        b.grid_curv_G  # the tiling and the eps grid are not part of the count
+        counts = {"inner_distance": 0, "extractor": 0, "profiles": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module in (pipeline, curvature):
+            monkeypatch.setattr(module, "inner_distance", counting("inner_distance", grids.inner_distance))
+        monkeypatch.setattr(
+            levelsets.LevelSetExtractor, "__init__",
+            counting("extractor", levelsets.LevelSetExtractor.__init__),
+        )
+        monkeypatch.setattr(curvature, "measure_profiles", counting("profiles", curvature.measure_profiles))
+        for entry in (b.generator_curvature_samples, b.tiling_curvature_samples):
+            counts.update(dict.fromkeys(counts, 0))
+            entry(0)
+            entry(1)
+            assert counts == {"inner_distance": 1, "extractor": 1, "profiles": 1}, entry.__name__
+
+    @pytest.mark.parametrize("name", ["carpet", "koch", "gasket"])
+    def test_bundle_samples_equal_direct_samplers(self, name):
+        b = fresh_bundle(name, 2.0**-7)
+        field = b.field_small
+        for k in (0, 1):
+            for region, mask_grid in (("G", b.tiling.G), ("O", b.tiling.O)):
+                mask = mask_grid.embed_into(field.origin, field.extents)
+                assert_same_samples(
+                    b.relative_curvature(k, region),
+                    sample_curvature(field, k, b.grid_curv, mask, region),
+                )
+            assert_same_samples(
+                b.generator_curvature_samples(k),
+                inner_curvature_samples(pipeline._crop(b.tiling.G, 4), k, b.grid_curv_G, "G_core"),
+            )
+            assert_same_samples(
+                b.tiling_curvature_samples(k),
+                inner_curvature_samples(b.tiling.tile_union, k, b.grid_curv_G, "T_core"),
+            )
+
+    def test_out_of_range_order_refused_before_any_build(self):
+        b = fresh_bundle("carpet", 2.0**-7)
+        entries = (
+            lambda k: b.relative_curvature(k),
+            lambda k: b.relative_curvature(k, "O"),
+            b.generator_curvature_samples,
+            b.tiling_curvature_samples,
+        )
+        for k in (-1, 2):
+            for entry in entries:
+                with pytest.raises(ConfigError, match=rf"^curvature order k={k} out of range for d=2$"):
+                    entry(k)
+        assert b._cache == {}
+
+    def test_d1_out_of_range_order_refused(self, cantor_bundle):
+        b = cantor_bundle
+        for entry in (b.relative_curvature, b.generator_curvature_samples, b.tiling_curvature_samples):
+            with pytest.raises(ConfigError, match=r"^curvature order k=1 out of range for d=1$"):
+                entry(1)
+
+    def test_d1_tiling_samples_are_inner_samples_of_the_tile_union(self):
+        b = fresh_bundle("cantor", 2.0**-10)
+        assert_same_samples(
+            b.tiling_curvature_samples(0),
+            inner_curvature_samples(b.tiling.tile_union, 0, b.grid_curv_G, "T_core"),
+        )
+
+
+class TestRenewalDifference:
+    """Lookups f(eps / r_i) past the last sample read 0: every core is gone past g."""
+
+    def test_cantor_residual_is_the_generator_at_regular_eps(self):
+        b = fresh_bundle("cantor", 2.0**-12)
+        resid = curvature_renewal_difference(b.tiling_curvature_samples(0), b.ifs, b.grid_curv_G)
+        Gs = b.generator_curvature_samples(0)
+        crit = np.array([b.g * 3.0**-j for j in range(14)])
+        eps = resid.eps
+        regular = (np.min(np.abs(eps[:, None] - crit[None, :]), axis=1) >= 6 * b.delta) & (
+            eps >= 24 * b.delta
+        )
+        assert regular[eps > b.g / 3].any()
+        assert np.array_equal(resid.values[regular], Gs.values[regular])
+
+    def test_carpet_k0_residual_is_minus_one_in_the_top_third(self):
+        b = pipeline.get_bundle("carpet", delta=2.0**-9)
+        resid = curvature_renewal_difference(b.tiling_curvature_samples(0), b.ifs, b.grid_curv_G)
+        top = (resid.eps > b.g / 3) & (resid.eps <= b.g)
+        assert top.sum() >= 8
+        assert np.all(resid.values[top] == -1.0)
