@@ -120,10 +120,7 @@ def sample_curvature(
     return samples_from_profile(k, field.dim, field.spacing, profile, region_tag)
 
 
-def inner_curvature_samples(
-    region: Grid, k: int, grid: EpsGrid, region_tag: str = "",
-    extractor: LevelSetExtractor | None = None,
-) -> CurvatureSamples:
+def inner_curvature_samples(region: Grid, k: int, grid: EpsGrid, region_tag: str = "") -> CurvatureSamples:
     """C_k of the inner parallel sets of a region (complement-distance field).
 
     In d=1 each core counts +1 (two boundary points): eps grids start above
@@ -131,7 +128,7 @@ def inner_curvature_samples(
     """
     return samples_from_profile(
         k, region.dim, region.spacing,
-        lambda: (grid.eps, *measure_profiles(inner_distance(region), grid.eps, None, extractor)),
+        lambda: (grid.eps, *measure_profiles(inner_distance(region), grid.eps)),
         region_tag,
     )
 

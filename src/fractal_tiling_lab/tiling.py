@@ -249,16 +249,22 @@ def build_tiling(
     )
 
 
+ATTRACTOR_CHUNK = 1 << 16  # orbit candidates deduplicated per chunk
+
+
 def attractor_raster(
     ifs: IFS, bbox, delta: float, x0: np.ndarray | None = None, stop_cells: float = 0.5
 ) -> Grid:
     """Raster of the attractor: cells hit by the word orbit of a seed point.
 
-    Breadth-first over code space with per-cell deduplication (points landing
-    in an already-claimed cell are snapped to its center before expanding, so
-    memory stays proportional to the occupied cell count and the accumulated
-    snapping error is below ~2 cells in Hausdorff distance). Branches stop
-    once r_sigma * diam(bbox) <= stop_cells * delta.
+    Breadth-first over code space. A generation's candidates are the
+    finished points, then every active point under map 0, map 1, and so on;
+    the first candidate in a cell claims it and survives, snapped to the
+    cell's center (accumulated snapping error below ~2 cells in Hausdorff
+    distance). Candidates are made and deduplicated ATTRACTOR_CHUNK at a
+    time, with a bitmap of claimed cells across chunks, so a generation holds
+    its survivors, one chunk and 1 byte per grid cell. Branches stop once
+    r_sigma * diam(bbox) <= stop_cells * delta.
     """
     g = grid_from_bbox(bbox, delta)
     lo = g.origin
@@ -279,9 +285,9 @@ def attractor_raster(
         x0 = ifs.maps[0].fixed_point()
     pts = np.atleast_2d(np.asarray(x0, dtype=float).reshape(1, -1))
     rs = np.ones(1)
-    occ = np.zeros(g.extents, dtype=bool)
+    claimed = np.zeros(int(np.prod(g.extents)), dtype=bool)
 
-    def snap_dedupe(p, r):
+    def keys_of(p):
         if not invariant:
             if (p < lo - 0.25 * delta).any() or (p > hi + 0.25 * delta).any():
                 raise ResolutionError(
@@ -290,31 +296,74 @@ def attractor_raster(
         idx = g.indices_of(p)
         for ax in range(g.dim):
             np.clip(idx[:, ax], 0, g.extents[ax] - 1, out=idx[:, ax])
-        key = idx[:, 0] if g.dim == 1 else idx[:, 0] * g.extents[1] + idx[:, 1]
-        order = np.argsort(key, kind="stable")
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = key[order][1:] != key[order][:-1]
-        keep = order[first]
-        centers = lo + (idx[keep] + 0.5) * delta
-        return centers, r[keep]
+        return idx[:, 0] if g.dim == 1 else idx[:, 0] * g.extents[1] + idx[:, 1]
 
     while True:
         active = rs > thresh
         if not active.any():
             break
-        done_p, done_r = pts[~active], rs[~active]
-        stacks_p = [done_p]
-        stacks_r = [done_r]
-        for m in ifs.maps:
-            img = m(pts[active]) if g.dim > 1 else m(pts[active].ravel()).reshape(-1, 1)
-            stacks_p.append(np.atleast_2d(img))
-            stacks_r.append(m.ratio * rs[active])
-        pts = np.concatenate(stacks_p, axis=0)
-        rs = np.concatenate(stacks_r)
-        pts, rs = snap_dedupe(pts, rs)
+        act_p, act_r = pts[active], rs[active]
+        sources = [(None, pts[~active], rs[~active])] + [(m, act_p, act_r) for m in ifs.maps]
+        total = sum(len(p) for _, p, _ in sources)
+        # in one chunk the stable sort alone keeps the first point per cell, in cell order
+        chunked = total > ATTRACTOR_CHUNK
+        keys, ratios = [], []
+        for c0 in range(0, total, ATTRACTOR_CHUNK):
+            p, r = _orbit_chunk(sources, c0, c0 + ATTRACTOR_CHUNK)
+            key = keys_of(p)
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            first = np.ones(key.size, dtype=bool)
+            first[1:] = key[1:] != key[:-1]
+            key, r = key[first], r[order[first]]
+            if chunked:
+                new = ~claimed[key]
+                key, r = key[new], r[new]
+                claimed[key] = True
+            keys.append(key)
+            ratios.append(r)
+        key, rs = np.concatenate(keys), np.concatenate(ratios)
+        if chunked:
+            claimed[key] = False
+            order = np.argsort(key)
+            key, rs = key[order], rs[order]
+        idx = key[:, None] if g.dim == 1 else np.column_stack(np.divmod(key, g.extents[1]))
+        pts = lo + (idx + 0.5) * delta
 
+    occ = np.zeros(g.extents, dtype=bool)
     occ[tuple(g.indices_of(pts).T)] = True
     return g.with_occupancy(occ)
+
+
+def _orbit_chunk(sources, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points and ratios c0:c1 of the candidate sequence of one generation.
+
+    sources lists (map, points, ratios) in candidate order; map None stands
+    for the finished points, kept as they are. A mapped slice takes the
+    float operations of mapping its whole source, so the points are
+    bit-identical to it.
+    """
+    parts_p, parts_r, s0 = [], [], 0
+    for m, p, r in sources:
+        a, b = max(c0 - s0, 0), min(c1 - s0, len(p))
+        s0 += len(p)
+        if a >= b:
+            continue
+        if m is None:
+            parts_p.append(p[a:b])
+            parts_r.append(r[a:b])
+            continue
+        if p.shape[1] == 1:
+            img = m(p[a:b].ravel()).reshape(-1, 1)
+        elif b - a == 1 < len(p):
+            # a one-row product would go to BLAS gemv, whose sum order
+            # differs from gemm's on the whole source; take it as a pair
+            img = m(p[[a, a]])[:1]
+        else:
+            img = m(p[a:b])
+        parts_p.append(img)
+        parts_r.append(m.ratio * r[a:b])
+    return np.concatenate(parts_p), np.concatenate(parts_r)
 
 
 def _box_corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
