@@ -196,13 +196,18 @@ def check_projection(
         else:
             eps_i = np.asarray(eps_samples, dtype=float)
             eps_i = eps_i[eps_i <= top]
+        # #(d_F <= e and d_SiF > e) = #(d_F <= e) - #(max(d_F, d_SiF) <= e)
+        s_F = np.sort(d_F)
+        defects = np.searchsorted(s_F, eps_i, side="right") - np.searchsorted(
+            np.sort(np.maximum(d_F, d_SiF)), eps_i, side="right")
+        near = delta * math.sqrt(d)
         fail_eps = []
-        for e in eps_i:
-            defect = float(np.count_nonzero((d_F <= e) & (d_SiF > e))) * delta**d
+        for e, n_defect in zip(eps_i, defects):
+            defect = float(n_defect) * delta**d
             # the half-cell noise floor scales with the eps-interface inside
             # S_i O, not with its perimeter: compare against the collar-end
-            # cell count at this eps
-            interface = int(np.count_nonzero(np.abs(d_F - e) <= delta * math.sqrt(d)))
+            # cell count #(|d_F - e| <= near) at this eps, one run of s_F
+            interface = _first_above(s_F, e, near, True) - _first_above(s_F, e, -near, False)
             tol = seam_factor * delta * max(interface, 4) * delta ** (d - 1)
             if defect > tol:
                 fail_eps.append((float(e), defect, tol))
@@ -219,6 +224,21 @@ def check_projection(
     if worst is not None:
         return CheckReport("projection", "fail", delta, worst)
     return CheckReport("projection", "pass", delta)
+
+
+def _first_above(s: np.ndarray, e: float, bound: float, strict: bool) -> int:
+    """First index of the sorted s from which s - e, as rounded, is > bound (>= if not strict).
+
+    The rounded difference is monotone in s, so a binary search guesses the
+    index and a walk over whole runs of ties fixes it with the predicate.
+    """
+    above = (lambda x: x - e > bound) if strict else (lambda x: x - e >= bound)
+    g = int(np.searchsorted(s, e + bound, side="right" if strict else "left"))
+    while g > 0 and above(s[g - 1]):
+        g = int(np.searchsorted(s, s[g - 1], side="left"))
+    while g < s.size and not above(s[g]):
+        g = int(np.searchsorted(s, s[g], side="right"))
+    return g
 
 
 def check_boundary_null(

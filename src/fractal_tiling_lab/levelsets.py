@@ -22,24 +22,19 @@ from .grids import DistanceField, Grid
 
 # Per-case directed segments (in_edge -> out_edge), edges B=0, R=1, T=2, L=3.
 # Corner bits: 1 = (i,j), 2 = (i+1,j), 4 = (i+1,j+1), 8 = (i,j+1).
-_CASES: dict[int, tuple[tuple[int, int], ...]] = {
-    0: (),
-    1: ((0, 3),),
-    2: ((1, 0),),
-    3: ((1, 3),),
-    4: ((2, 1),),
-    5: ((0, 3), (2, 1)),
-    6: ((2, 0),),
-    7: ((2, 3),),
-    8: ((3, 2),),
-    9: ((0, 2),),
-    10: ((1, 0), (3, 2)),
-    11: ((1, 2),),
-    12: ((3, 1),),
-    13: ((0, 1),),
-    14: ((3, 0),),
-    15: (),
-}
+_CASES = (
+    (), ((0, 3),), ((1, 0),), ((1, 3),), ((2, 1),), ((0, 3), (2, 1)), ((2, 0),), ((2, 3),),
+    ((3, 2),), ((0, 2),), ((1, 0), (3, 2)), ((1, 2),), ((3, 1),), ((0, 1),), ((3, 0),), (),
+)
+# The case table: one (in_edge, out_edge) row per (case, segment slot), in case order
+_SEGMENTS = np.array([seg for segs in _CASES for seg in segs], dtype=np.intp)
+_N_SEG = np.array([len(segs) for segs in _CASES], dtype=np.uint8)
+_FIRST_ROW = (np.cumsum(_N_SEG) - _N_SEG).astype(np.uint8)
+# Per edge: its two corners (bit positions, crossing at t = 0 and t = 1) and
+# the crossing point at t = 0 in index units
+_EDGE_CORNERS = np.array([[0, 1], [1, 2], [3, 2], [0, 3]])
+_EDGE_START = np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [0.5, 0.5]])
+_CORNER_BITS = np.array([[1], [2], [4], [8]], dtype=np.uint8)
 _MAX_BIN = np.iinfo(np.uint16).max  # bin keys of the extractor's corner-minimum index
 _SORT_CHUNK = 1 << 20  # dual cells per chunk when the extractor builds that index
 
@@ -74,28 +69,30 @@ class LevelSetExtractor:
             raise ResolutionError("level sets are only defined on 2d fields")
         self.field = field
         f = field.values
-        c0, c1, c2, c3 = f[:-1, :-1], f[1:, :-1], f[1:, 1:], f[:-1, 1:]
-        self._fmin = np.minimum(np.minimum(c0, c1), np.minimum(c2, c3)).astype(
-            np.float32, copy=False
-        )
-        fmax = np.maximum(np.maximum(c0, c1), np.maximum(c2, c3)).astype(np.float32, copy=False)
+        # corner min and max by pairwise passes, rows then columns (exact)
+        pair = np.minimum(f[:-1], f[1:])
+        self._fmin = np.minimum(pair[:, :-1], pair[:, 1:]).astype(np.float32, copy=False)
+        np.maximum(f[:-1], f[1:], out=pair)
+        fmax = np.maximum(pair[:, :-1], pair[:, 1:]).astype(np.float32, copy=False)
+        del pair
         # measured, not sqrt(2) * spacing: the field need not be 1-Lipschitz
         self._width = float(np.subtract(fmax, self._fmin, out=fmax).max(initial=0.0))
         del fmax
         self._scale = np.float32(1.0 / field.spacing)
         key = self._bins(self._fmin.ravel())
-        self._starts = np.zeros(_MAX_BIN + 2, dtype=np.int64)
-        np.cumsum(np.bincount(key, minlength=_MAX_BIN + 1), out=self._starts[1:])
         # Cells grouped by bin, as int32 (which holds any MAX_CELLS grid).
         # Each chunk is argsorted by key (numpy's stable sort of 16-bit keys
         # is a radix sort) and its bin runs go after those of the earlier
-        # chunks. Chunks keep the int64 argsort output small: one full-size
-        # int64 order raised the peak RSS of a field's pass.
+        # chunks. Chunks keep the int64 argsort output and bincount's int64
+        # copy of the keys small: full-size ones raised a pass's peak RSS.
+        chunks = range(0, key.size, _SORT_CHUNK)
+        counts = [np.bincount(key[c : c + _SORT_CHUNK], minlength=_MAX_BIN + 1) for c in chunks]
+        self._starts = np.zeros(_MAX_BIN + 2, dtype=np.int64)
+        np.cumsum(sum(counts, np.zeros(_MAX_BIN + 1, np.int64)), out=self._starts[1:])
         self._order = np.empty(key.size, dtype=np.int32)
         fill = self._starts[:-1].copy()
-        for c in range(0, key.size, _SORT_CHUNK):
+        for c, n_c in zip(chunks, counts):
             kc = key[c : c + _SORT_CHUNK]
-            n_c = np.bincount(kc, minlength=_MAX_BIN + 1)
             dest = np.repeat(fill - (np.cumsum(n_c) - n_c), n_c) + np.arange(kc.size)
             self._order[dest] = np.argsort(kc, kind="stable") + c
             fill += n_c
@@ -105,6 +102,8 @@ class LevelSetExtractor:
         self._ring_max = float(ring.max())
         nx, ny = f.shape
         self._n_xedges = (nx - 1) * ny
+        # flat offsets of the corners (bit order) from a dual cell's first corner
+        self._corner_offsets = np.array([0, ny, ny + 1, 1])[:, None]
 
     def _bins(self, x) -> np.ndarray:
         """Bin keys floor(x * (1 / spacing)) in float32 arithmetic, clamped to 16 bits."""
@@ -124,86 +123,58 @@ class LevelSetExtractor:
         # shift clears the float32 ULP yet stays far below one cell
         return eps + 5e-7 * max(abs(eps), self.field.spacing)
 
+    def _corners(self, k: np.ndarray) -> np.ndarray:
+        """(4, n) corner values of the flat dual cells k, in corner-bit order."""
+        q = k + k // (self.field.values.shape[1] - 1)  # flat index of corner (i, j)
+        return np.take(self.field.values, q + self._corner_offsets)
+
     def _band(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
         """Row-major (i, j) of the dual cells with fmin <= eps < fmax, as np.nonzero gives them."""
-        f = self.field.values
         # fmin > eps - w, up to the float32 rounding of w and of eps (2^-24
         # relative each), which the 2^-22 slack covers; keys are monotone in
         # the value, so bins key(lo)..key(eps) hold every band cell
         w = self._width
         lo, hi = (int(b) for b in self._bins([eps - w - (abs(eps) + w) * 2.0**-22, eps]))
         cand = self._order[self._starts[lo] : self._starts[hi + 1]]
-        cand = np.sort(cand).astype(np.intp)
-        ci, cj = np.divmod(cand, f.shape[1] - 1)
-        fmax = np.maximum(
-            np.maximum(f[ci, cj], f[ci + 1, cj]), np.maximum(f[ci + 1, cj + 1], f[ci, cj + 1])
-        ).astype(np.float32, copy=False)
-        keep = (self._fmin[ci, cj] <= eps) & (fmax > eps)
-        return ci[keep], cj[keep]
+        c = self._corners(cand)
+        keep = (c.min(axis=0).astype(np.float32, copy=False) <= eps) & (
+            c.max(axis=0).astype(np.float32, copy=False) > eps
+        )
+        k = np.sort(cand[keep]).astype(np.intp)
+        i = k // (self.field.values.shape[1] - 1)
+        return i, k - i * (self.field.values.shape[1] - 1)
 
     def extract(self, eps: float) -> LevelSet:
+        """The segments of {f = eps}, ordered by case code, then segment slot, then row-major."""
         eps = self._nudge(eps)
         self._check_contact(eps)
-        f = self.field.values
-        ny = f.shape[1]
-        ii, jj = self._band(eps)
-        f00 = f[ii, jj]
-        f10 = f[ii + 1, jj]
-        f11 = f[ii + 1, jj + 1]
-        f01 = f[ii, jj + 1]
-        case = (
-            (f00 <= eps).astype(np.int8)
-            + 2 * (f10 <= eps)
-            + 4 * (f11 <= eps)
-            + 8 * (f01 <= eps)
-        )
-
-        def crossing(edge, i, j, a, b):
-            """Crossing point (index units) and global edge id for one edge code."""
-            t = np.clip((eps - a) / np.where(b == a, np.inf, b - a), 0.0, 1.0)
-            if edge == 0:  # bottom, x-edge (i, j)
-                return np.column_stack([i + 0.5 + t, j + 0.5]), i * ny + j
-            if edge == 2:  # top, x-edge (i, j+1)
-                return np.column_stack([i + 0.5 + t, j + 1.5]), i * ny + (j + 1)
-            base = self._n_xedges
-            if edge == 3:  # left, y-edge (i, j)
-                return np.column_stack([i + 0.5, j + 0.5 + t]), base + i * (ny - 1) + j
-            # right, y-edge (i+1, j)
-            return np.column_stack([i + 1.5, j + 0.5 + t]), base + (i + 1) * (ny - 1) + j
-
-        corner_vals = {0: (f00, f10), 1: (f10, f11), 2: (f01, f11), 3: (f00, f01)}
-        pins, pouts, eins, eouts, cells = [], [], [], [], []
-        for code, segs in _CASES.items():
-            if not segs:
-                continue
-            sel = case == code
-            if not sel.any():
-                continue
-            i, j = ii[sel], jj[sel]
-            for e_in, e_out in segs:
-                a, b = corner_vals[e_in]
-                p0, id0 = crossing(e_in, i, j, a[sel], b[sel])
-                a, b = corner_vals[e_out]
-                p1, id1 = crossing(e_out, i, j, a[sel], b[sel])
-                pins.append(p0)
-                pouts.append(p1)
-                eins.append(id0)
-                eouts.append(id1)
-                cells.append(np.column_stack([i, j]))
-        if not pins:
-            empty = np.empty((0, 2))
-            return LevelSet(empty, empty, np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 2), np.int64))
-        origin = self.field.origin
-        delta = self.field.spacing
-        p_in = np.concatenate(pins) * delta + origin
-        p_out = np.concatenate(pouts) * delta + origin
-        return LevelSet(
-            p_in,
-            p_out,
-            np.concatenate(eins).astype(np.int64),
-            np.concatenate(eouts).astype(np.int64),
-            np.concatenate(cells),
-        )
+        ny = self.field.values.shape[1]
+        i, j = self._band(eps)
+        k = i * (ny - 1) + j
+        n = k.size
+        c = self._corners(k)
+        code = ((c <= eps).view(np.uint8) * _CORNER_BITS).sum(axis=0, dtype=np.uint8)
+        # one table row per segment: every cell's first slot, then the
+        # saddles' second; a stable sort by row keeps row-major order per row
+        one, two = np.flatnonzero(_N_SEG[code]), np.flatnonzero(_N_SEG[code] == 2)
+        row = np.concatenate([_FIRST_ROW[code[one]], _FIRST_ROW[code[two]] + 1])
+        order = np.argsort(row, kind="stable")
+        src = np.concatenate([one, two])[order]
+        at = (_SEGMENTS.T[:, row[order]] * n + src).ravel()  # (edge, cell) of in-, then out-crossings
+        # per edge and band cell: crossing parameter t, point and global edge id
+        a, b = c[_EDGE_CORNERS[:, 0]], c[_EDGE_CORNERS[:, 1]]
+        t = np.clip((eps - a) / np.where(b == a, np.inf, b - a), 0.0, 1.0)
+        x, y = i + _EDGE_START[:, :1], j + _EDGE_START[:, 1:]
+        x[0::2] += t[0::2]  # t moves along x on B and T, along y on R and L
+        y[1::2] += t[1::2]
+        origin, delta = self.field.origin, self.field.spacing
+        p = _columns(np.take(x, at) * delta + origin[0], np.take(y, at) * delta + origin[1])
+        # x-edge (i, j) is i * ny + j; y-edge (i, j) follows all x-edges at i * (ny - 1) + j
+        eid = np.empty((4, n), dtype=np.int64)
+        eid[0::2], eid[1::2] = k + i, k + self._n_xedges
+        eid = np.take(eid + np.array([[0], [ny - 1], [1], [0]]), at)
+        m = src.size
+        return LevelSet(p[:m], p[m:], eid[:m], eid[m:], _columns(i[src], j[src]))
 
     def measure(self, eps: float, mask: np.ndarray | Grid | None = None):
         """(length, signed turning, absolute turning) at one threshold.
@@ -229,13 +200,11 @@ class LevelSetExtractor:
 
         # match: the segment entering edge e is the one with eout == e
         order = np.argsort(ls.eout)
-        pos = np.searchsorted(ls.eout[order], ls.ein)
-        if pos.max(initial=-1) >= order.size or not np.array_equal(
-            ls.eout[order][pos], ls.ein
-        ):
+        eout_sorted = ls.eout[order]
+        pos = np.searchsorted(eout_sorted, ls.ein)
+        if pos.max(initial=-1) >= order.size or not np.array_equal(eout_sorted[pos], ls.ein):
             raise ResolutionError("open level-set chain (grid boundary contact?)")
-        prev = order[pos]
-        d_in = seg_vec[prev]
+        d_in = np.take(seg_vec, order[pos], axis=0)
         d_out = seg_vec
         cross = d_in[:, 0] * d_out[:, 1] - d_in[:, 1] * d_out[:, 0]
         dot = d_in[:, 0] * d_out[:, 0] + d_in[:, 1] * d_out[:, 1]
@@ -260,6 +229,13 @@ class LevelSetExtractor:
                 keep = _mask_at(m, self.field, mid)
             out[ls.cell_ij[keep, 0], ls.cell_ij[keep, 1]] = True
         return out
+
+
+def _columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(n, 2) array of two columns (faster than np.column_stack)."""
+    out = np.empty((x.size, 2), dtype=np.result_type(x, y))
+    out[:, 0], out[:, 1] = x, y
+    return out
 
 
 def _as_mask(mask, field) -> np.ndarray | None:

@@ -1,8 +1,8 @@
 """Sampled scalar functions of the parallel radius eps.
 
-All samplers share one recipe: sort the relevant distance values once, then
-answer every threshold with a binary search. Each sample carries a
-resolution tolerance, delta times the interface measure at that threshold
+All samplers share one recipe: sort the relevant distance values in strips,
+answer every threshold with a binary search per strip, and sum the counts.
+Each sample carries a resolution tolerance, delta times the interface measure at that threshold
 (the cells whose half-cell uncertainty can flip the count), which consumers
 must fold into their error estimates.
 
@@ -24,6 +24,7 @@ from .errors import ConfigError
 from .grids import DistanceField, Grid, inner_distance
 from .ifs import IFS
 
+_COUNT_STRIP = 1 << 20  # values sorted at a time when the samplers count them
 VOLUME_KINDS = ("V_G", "V_T", "F_eps_on_A", "F_eps", "h", "phi", "R_d", "surface")
 
 
@@ -106,16 +107,21 @@ def make_eps_grid(
     return EpsGrid(eps=eps, log_step=step, lattice_base=lattice_base)
 
 
-def _counts(sorted_vals: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    return np.searchsorted(sorted_vals, eps, side="right")
+def _count_values(vals: np.ndarray, eps: np.ndarray, delta: float, dim: int):
+    """(# values <= eps, delta^dim * # values within one cell diagonal of eps) per threshold.
 
-
-def _interface_tolerance(sorted_vals: np.ndarray, eps: np.ndarray, delta: float, dim: int) -> np.ndarray:
-    """delta^dim * (# cells within one cell diagonal of each threshold)."""
+    The counts are sums over strips of _COUNT_STRIP values, each sorted on
+    its own, so no sorted copy of all values is ever held.
+    """
     w = 0.75 * delta * math.sqrt(dim)
-    hi = np.searchsorted(sorted_vals, eps + w, side="right")
-    lo = np.searchsorted(sorted_vals, eps - w, side="left")
-    return (hi - lo) * delta**dim
+    below = np.zeros(eps.shape, dtype=np.intp)
+    near = np.zeros(eps.shape, dtype=np.intp)
+    for c in range(0, vals.size, _COUNT_STRIP):
+        strip = np.sort(vals[c : c + _COUNT_STRIP]).astype(float, copy=False)
+        below += np.searchsorted(strip, eps, side="right")
+        near += np.searchsorted(strip, eps + w, side="right")
+        near -= np.searchsorted(strip, eps - w, side="left")
+    return below, near * delta**dim
 
 
 def sample_inner_volume(
@@ -131,10 +137,8 @@ def sample_inner_volume(
     if not U.occupancy.any():
         raise ConfigError("inner volume of an empty region")
     inner = inner_distance(U)
-    vals = np.sort(inner.values[U.occupancy], axis=None)
-    d = U.dim
-    values = _counts(vals, grid.eps) * U.cell_volume + extra_area
-    tol = _interface_tolerance(vals, grid.eps, U.spacing, d)
+    below, tol = _count_values(inner.values[U.occupancy], grid.eps, U.spacing, U.dim)
+    values = below * U.cell_volume + extra_area
     return VolumeSamples(grid.eps, values, kind, U.spacing, region_tag, tol)
 
 
@@ -143,9 +147,9 @@ def sample_restricted_volume(
     kind: str = "F_eps_on_A",
 ) -> VolumeSamples:
     """lambda_d(F_eps intersect A) from the attractor's distance field."""
-    vals = np.sort(F_field.sample_at(A.cell_points(A.occupancy)))
-    values = _counts(vals, grid.eps) * A.cell_volume
-    tol = _interface_tolerance(vals, grid.eps, A.spacing, A.dim)
+    vals = F_field.sample_at(A.cell_points(A.occupancy))
+    below, tol = _count_values(vals, grid.eps, A.spacing, A.dim)
+    values = below * A.cell_volume
     return VolumeSamples(grid.eps, values, kind, A.spacing, region_tag, tol)
 
 
@@ -158,9 +162,8 @@ def sample_parallel_volume(
     ring = f[[0, -1]] if d == 1 else np.concatenate([f[0], f[-1], f[:, 0], f[:, -1]])
     if ring.min() <= grid.eps[-1]:
         raise ConfigError("parallel set reaches the bbox at the top eps; enlarge the padding")
-    vals = np.sort(f, axis=None)
-    values = _counts(vals, grid.eps) * F_field.spacing**d
-    tol = _interface_tolerance(vals, grid.eps, F_field.spacing, d)
+    below, tol = _count_values(f.ravel(), grid.eps, F_field.spacing, d)
+    values = below * F_field.spacing**d
     return VolumeSamples(grid.eps, values, "F_eps", F_field.spacing, region_tag, tol)
 
 

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +172,107 @@ class TestProjection:
             eps = 0.05
             defects[delta] = float(np.count_nonzero((d_F <= eps) & (d_SF > eps))) * delta
         assert defects[2.0**-13] <= defects[2.0**-12] * 0.75 + 4 * 2.0**-13
+
+
+def check_projection_loop(ifs, O, F_field, g_tilde, eps_samples=None, seam_factor=4.0,
+                          images=None):
+    """Reference: check_projection with one full pass over the cells per eps."""
+    delta, d = O.spacing, O.dim
+    images = conditions.map_images(ifs, O) if images is None else images
+    worst = None
+    for i, (m, img) in enumerate(zip(ifs.maps, images)):
+        if not img.any():
+            continue
+        pts = O.cell_points(img)
+        d_F = F_field.sample_at(pts)
+        d_SiF = m.ratio * F_field.sample_at(m.inverse()(pts))
+        top = m.ratio * g_tilde
+        if eps_samples is None:
+            if top <= 4 * delta * 1.05:
+                continue
+            eps_i = np.geomspace(4 * delta, top, 24)
+        else:
+            eps_i = np.asarray(eps_samples, dtype=float)
+            eps_i = eps_i[eps_i <= top]
+        fail_eps = []
+        for e in eps_i:
+            defect = float(np.count_nonzero((d_F <= e) & (d_SiF > e))) * delta**d
+            interface = int(np.count_nonzero(np.abs(d_F - e) <= delta * math.sqrt(d)))
+            tol = seam_factor * delta * max(interface, 4) * delta ** (d - 1)
+            if defect > tol:
+                fail_eps.append((float(e), defect, tol))
+        if fail_eps:
+            peak = max(f[1] for f in fail_eps)
+            cand = {"map": i, "eps_interval": [fail_eps[0][0], fail_eps[-1][0]],
+                    "max_defect": peak, "tolerance": max(f[2] for f in fail_eps)}
+            if worst is None or peak > worst["max_defect"]:
+                worst = cand
+    if worst is not None:
+        return conditions.CheckReport("projection", "fail", delta, worst)
+    return conditions.CheckReport("projection", "pass", delta)
+
+
+def load_bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestProjectionBySorting:
+    """Sorted counts give the reports of the per-eps passes, to the bit."""
+
+    @staticmethod
+    def assert_same_reports(b, eps_samples=None):
+        args = (b.ifs, b.tiling.O, b.field_small, b.g_tilde, eps_samples)
+        new = check_projection(*args, images=b.map_images)
+        assert new.to_dict() == check_projection_loop(*args, images=b.map_images).to_dict()
+
+    @pytest.mark.parametrize("preset,delta", [
+        ("cantor", 2.0**-12), ("cantor_pair", 2.0**-12), ("carpet", 2.0**-7),
+        ("koch", 2.0**-7), ("gasket", 2.0**-7)])
+    def test_presets(self, preset, delta):
+        b = pipeline.SceneBundle(replace(presets.get_preset(preset).scene, delta=delta))
+        self.assert_same_reports(b)
+        # a dense eps list lands thresholds on the field's own values (ties)
+        vals = np.unique(b.field_small.values)
+        self.assert_same_reports(b, vals[(vals > 0) & (vals <= b.g_tilde)][:200])
+
+    def test_rand1d_draws(self):
+        wl = load_bench_workloads()
+        for slot in range(0, 100, 9):
+            scene = wl.rand1d_scene(wl.rand1d_draw(slot, slot % 3))
+            self.assert_same_reports(pipeline.SceneBundle(replace(scene, delta=2.0**-11)))
+
+    def test_failing_report(self, cantor_field):
+        delta, field = cantor_field
+        O = rasterize(IntervalUnion(((-0.6, 1.0),)), ([-0.6 - 2 * delta], [1 + 2 * delta]), delta)
+        gt = relative_inradius(field, O)
+        for eps in (None, np.geomspace(4 * delta, gt, 57)):
+            rep = check_projection(cantor_ifs(), O, field, gt, eps)
+            assert rep.verdict == "fail"
+            assert rep.to_dict() == check_projection_loop(cantor_ifs(), O, field, gt, eps).to_dict()
+
+    def test_run_ends_walk_over_ties(self, rng):
+        s = np.array([0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0, np.inf])
+        for e in (-1.0, 0.5, 1.0, 1.5, 2.0, 2.9999999999999996, 3.0, 10.0):
+            for near in (0.0, 0.5, 1.0, 1.0000000000000002):
+                lo = conditions._first_above(s, e, -near, False)
+                hi = conditions._first_above(s, e, near, True)
+                assert hi - lo == int(np.count_nonzero(np.abs(s - e) <= near))
+        # values within a few ulps of e -/+ near, where the rounded e + near
+        # and the rounded s - e disagree, so the binary-search guess is off
+        walked = 0
+        for e, near in zip(rng.random(300), rng.random(300)):
+            ends = np.array([e - near, e + near])
+            s = np.sort(np.repeat(np.concatenate(
+                [np.nextafter(ends, ends + k) if k else ends for k in (-2, -1, 0, 1, 2)]), 2))
+            lo = conditions._first_above(s, e, -near, False)
+            hi = conditions._first_above(s, e, near, True)
+            assert hi - lo == int(np.count_nonzero(np.abs(s - e) <= near))
+            walked += hi != np.searchsorted(s, e + near, side="right")
+        assert walked > 0
 
 
 class TestBoundaryNull:

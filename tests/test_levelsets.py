@@ -139,6 +139,56 @@ class FullScanExtractor(LevelSetExtractor):
         return np.nonzero((self._fmin <= eps) & (fmax > eps))
 
 
+class LoopExtractor(LevelSetExtractor):
+    """Reference: the per-case loop that extracted before the case table."""
+
+    def extract(self, eps):
+        eps = self._nudge(eps)
+        self._check_contact(eps)
+        f = self.field.values
+        ny = f.shape[1]
+        ii, jj = self._band(eps)
+        f00, f10, f11, f01 = f[ii, jj], f[ii + 1, jj], f[ii + 1, jj + 1], f[ii, jj + 1]
+        case = ((f00 <= eps).astype(np.int8) + 2 * (f10 <= eps) + 4 * (f11 <= eps)
+                + 8 * (f01 <= eps))
+
+        def crossing(edge, i, j, a, b):
+            t = np.clip((eps - a) / np.where(b == a, np.inf, b - a), 0.0, 1.0)
+            if edge == 0:
+                return np.column_stack([i + 0.5 + t, j + 0.5]), i * ny + j
+            if edge == 2:
+                return np.column_stack([i + 0.5 + t, j + 1.5]), i * ny + (j + 1)
+            base = self._n_xedges
+            if edge == 3:
+                return np.column_stack([i + 0.5, j + 0.5 + t]), base + i * (ny - 1) + j
+            return np.column_stack([i + 1.5, j + 0.5 + t]), base + (i + 1) * (ny - 1) + j
+
+        corner_vals = {0: (f00, f10), 1: (f10, f11), 2: (f01, f11), 3: (f00, f01)}
+        pins, pouts, eins, eouts, cells = [], [], [], [], []
+        for code, segs in enumerate(levelsets._CASES):
+            sel = case == code
+            if not segs or not sel.any():
+                continue
+            i, j = ii[sel], jj[sel]
+            for e_in, e_out in segs:
+                p0, id0 = crossing(e_in, i, j, *(v[sel] for v in corner_vals[e_in]))
+                p1, id1 = crossing(e_out, i, j, *(v[sel] for v in corner_vals[e_out]))
+                pins.append(p0)
+                pouts.append(p1)
+                eins.append(id0)
+                eouts.append(id1)
+                cells.append(np.column_stack([i, j]))
+        if not pins:
+            empty = np.empty((0, 2))
+            return levelsets.LevelSet(empty, empty, np.empty(0, np.int64), np.empty(0, np.int64),
+                                      np.empty((0, 2), np.int64))
+        origin, delta = self.field.origin, self.field.spacing
+        return levelsets.LevelSet(
+            np.concatenate(pins) * delta + origin, np.concatenate(pouts) * delta + origin,
+            np.concatenate(eins).astype(np.int64), np.concatenate(eouts).astype(np.int64),
+            np.concatenate(cells))
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -277,3 +327,81 @@ class TestBandIndex:
             scanned = conditions.check_boundary_null(O, field, k, eps, extractor=ref)
             assert banded.to_dict() == scanned.to_dict()
         assert banded.verdict == "fail"
+
+
+def corner_pattern_fields(dtype):
+    """Fields whose dual cell (1, 1) carries each of the 16 corner patterns at eps = 0.5.
+
+    Inside corners are 0 or an exact tie at the nudged eps; outside corners
+    are 1 or share a value with a neighbour (flat edges). The ring is 1, so
+    every level set closes.
+    """
+    probe = LevelSetExtractor(DistanceField(np.zeros(2), 0.25, np.ones((3, 3), dtype)))
+    tie = probe._nudge(0.5)
+    corners = [(1, 1), (2, 1), (2, 2), (1, 2)]  # corner bits 1, 2, 4, 8 of cell (1, 1)
+    for code in range(16):
+        for inside, outside in ((0.0, 1.0), (tie, 1.0), (0.0, 0.75)):
+            vals = np.ones((4, 4))
+            for bit, (ci, cj) in enumerate(corners):
+                vals[ci, cj] = inside if code >> bit & 1 else outside
+            yield code, DistanceField(np.zeros(2), 0.25, vals.astype(dtype))
+
+
+class TestCaseTable:
+    """The case-table extract returns exactly what the per-case loop returned."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_all_corner_patterns(self, dtype):
+        for code, field in corner_pattern_fields(dtype):
+            new, ref = LevelSetExtractor(field), LoopExtractor(field)
+            for e in (0.5, 0.0, 0.75, 0.99):
+                assert_same_level_set(new.extract(e), ref.extract(e))
+                assert new.measure(e) == ref.measure(e)
+            segs = new.extract(0.5).cell_ij
+            at_cell = int(np.count_nonzero((segs[:, 0] == 1) & (segs[:, 1] == 1)))
+            assert at_cell == len(levelsets._CASES[code])
+            if dtype is np.float32:
+                # fmin <= eps < fmax is "case code not 0 or 15" for float32 fields
+                i, j = new._band(new._nudge(0.5))
+                c = new._corners(i * (field.extents[1] - 1) + j) <= new._nudge(0.5)
+                assert c.any(axis=0).all() and not c.all(axis=0).any()
+
+    def test_saddles_emit_both_slots_in_table_order(self):
+        # a checkerboard: every inner dual cell is a saddle (case 5 or 10)
+        vals = np.ones((8, 8), np.float32)
+        vals[1:-1, 1:-1] = (np.indices((6, 6)).sum(axis=0) % 2).astype(np.float32)
+        field = DistanceField(np.zeros(2), 1.0, vals)
+        ls = LevelSetExtractor(field).extract(0.5)
+        assert_same_level_set(ls, LoopExtractor(field).extract(0.5))
+        codes = np.packbits(
+            LevelSetExtractor(field)._corners(ls.cell_ij[:, 0] * 7 + ls.cell_ij[:, 1]) <= 0.5,
+            axis=0, bitorder="little")[0]
+        assert np.all(np.diff(codes.astype(int)) >= 0)
+        assert {5, 10} <= set(codes.tolist())
+
+    @settings(max_examples=150, deadline=None)
+    @given(field=fields(), data=st.data())
+    def test_random_fields_bitwise(self, field, data):
+        new, ref = LevelSetExtractor(field), LoopExtractor(field)
+        vals = np.unique(field.values)
+        eps_list = [float(vals[0]) - 1.0, float(vals[-1]), 0.5 * float(vals[0] + vals[-1])]
+        eps_list += [float(v) for v in data.draw(st.lists(st.sampled_from(list(vals)), max_size=4))]
+        for e in eps_list:
+            ls_new, ls_ref = outcome(new.extract, e), outcome(ref.extract, e)
+            if isinstance(ls_ref, tuple):
+                assert ls_new == ls_ref
+                continue
+            assert_same_level_set(ls_new, ls_ref)
+            assert outcome(new.measure, e) == outcome(ref.measure, e)
+
+    def test_preset_fields_bitwise(self, coarse_bundle):
+        b = coarse_bundle
+        field = b.field_small
+        new, ref = LevelSetExtractor(field), LoopExtractor(field)
+        mask = b.O.embed_into(field.origin, field.extents)
+        for e in b.grid_curv.eps:
+            e = float(e)
+            ls = new.extract(e)
+            assert_same_level_set(ls, ref.extract(e))
+            assert new.measure_level_set(ls) == ref.measure(e)
+            assert new.measure_level_set(ls, mask) == ref.measure(e, mask)

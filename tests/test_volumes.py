@@ -1,15 +1,22 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import fractal_tiling_lab as ftl
+from fractal_tiling_lab import volumes
 from fractal_tiling_lab.errors import ConfigError
-from fractal_tiling_lab.grids import ConvexPolygon, rasterize
+from fractal_tiling_lab.grids import ConvexPolygon, distance_transform, rasterize
+from fractal_tiling_lab.presets import carpet_ifs
+from fractal_tiling_lab.tiling import attractor_raster
 from fractal_tiling_lab.volumes import (
+    EpsGrid,
     gatzouras_rd,
     make_eps_grid,
     sample_inner_volume,
+    sample_parallel_volume,
+    sample_restricted_volume,
 )
 
 
@@ -52,6 +59,55 @@ class TestInnerVolumeSamples:
         vs = sample_inner_volume(G, grid, "V_G")
         _, slope = power_fit(vs.eps, vs.values, decades=1.0)
         assert abs(slope - 1.0) <= 0.05
+
+
+def full_sort_samples(vals, eps, delta, dim, cell_volume):
+    """Reference: values and tolerance from one sorted copy of all values."""
+    s = np.sort(vals, axis=None)
+    w = 0.75 * delta * math.sqrt(dim)
+    near = np.searchsorted(s, eps + w, side="right") - np.searchsorted(s, eps - w, side="left")
+    return np.searchsorted(s, eps, side="right") * cell_volume, near * delta**dim
+
+
+class TestCountsInStrips:
+    """Counts summed over sorted strips equal the counts of one full sort."""
+
+    @pytest.fixture(scope="class")
+    def carpet_setup(self):
+        delta = 2.0**-7
+        field = distance_transform(attractor_raster(carpet_ifs(), ([-0.3, -0.3], [1.3, 1.3]), delta))
+        sq = ConvexPolygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float))
+        G = rasterize(sq, ([-0.05, -0.05], [1.05, 1.05]), delta)
+        vals = np.unique(field.values).astype(float)
+        # eps on a geometric grid, on the field's own values, and where
+        # eps -/+ w (the tolerance bounds) land exactly on field values
+        w = 0.75 * delta * math.sqrt(2)
+        at_bounds = np.concatenate([e[(e + sign * w) == vals] for sign, e in ((-1, vals + w), (1, vals - w))])
+        grids = [make_eps_grid(delta, 0.25, 64)] + [
+            EpsGrid(np.unique(e[(e > 0) & (e < 0.25)]), 0.0) for e in (vals, at_bounds)]
+        assert grids[-1].eps.size > 10
+        return field, G, grids
+
+    @staticmethod
+    def assert_same(samples, ref):
+        assert samples.values.tobytes() == ref[0].tobytes()
+        assert samples.tolerance.tobytes() == ref[1].tobytes()
+
+    @pytest.mark.parametrize("strip", [7, 64, 1 << 20])
+    def test_samplers_bitwise(self, carpet_setup, strip):
+        field, G, grids = carpet_setup
+        d, delta = field.dim, field.spacing
+        with mock.patch.object(volumes, "_COUNT_STRIP", strip):
+            for grid in grids:
+                self.assert_same(sample_parallel_volume(field, grid), full_sort_samples(
+                    field.values, grid.eps, delta, d, delta**d))
+                vals = field.sample_at(G.cell_points(G.occupancy))
+                self.assert_same(sample_restricted_volume(field, G, grid), full_sort_samples(
+                    vals, grid.eps, delta, d, G.cell_volume))
+                inner = ftl.grids.inner_distance(G).values[G.occupancy]
+                ref = full_sort_samples(inner, grid.eps, delta, d, G.cell_volume)
+                self.assert_same(sample_inner_volume(G, grid, extra_area=0.125),
+                                 (ref[0] + 0.125, ref[1]))
 
 
 class TestRestrictedVolume(object):
