@@ -25,6 +25,10 @@ from .levelsets import LevelSetExtractor, contour_components
 from .tiling import _map_cells
 
 CHECK_NAMES = ("osc", "strong", "compatible", "projection", "boundary_null")
+STRONG_INTERIOR_CELLS = 4  # erosion depth of O's interior in check_strong
+COMPATIBLE_TOL_CELLS = 2  # generator-boundary distance to F allowed by check_compatibility
+PROJECTION_SEAM_FACTOR = 4.0  # check_projection's defect tolerance per interface cell
+BOUNDARY_COLLAR_CELLS = 2  # half-width of check_boundary_null's collar around bd O
 
 
 @dataclass
@@ -112,15 +116,15 @@ def _dilate_edge(occ: np.ndarray) -> np.ndarray:
     return _erode(occ, iterations=2)
 
 
-def check_strong(O: Grid, F_field: DistanceField, interior_cells: int = 4) -> CheckReport:
+def check_strong(O: Grid, F_field: DistanceField) -> CheckReport:
     """Strong feasibility: the open set actually meets the attractor.
 
-    The interior margin must exceed the attractor raster's snapping slop
-    (about two cells), otherwise boundary contact is indistinguishable from
-    a genuine interior intersection.
+    The interior margin, STRONG_INTERIOR_CELLS, must exceed the attractor
+    raster's snapping slop (about two cells), otherwise boundary contact is
+    indistinguishable from a genuine interior intersection.
     """
     delta = O.spacing
-    interior = _erode(O.occupancy, iterations=interior_cells)
+    interior = _erode(O.occupancy, iterations=STRONG_INTERIOR_CELLS)
     if not interior.any():
         return CheckReport(
             "strong", "fail", delta,
@@ -142,7 +146,7 @@ def check_strong(O: Grid, F_field: DistanceField, interior_cells: int = 4) -> Ch
     )
 
 
-def check_compatibility(G: Grid, F_field: DistanceField, tol_cells: int = 2) -> CheckReport:
+def check_compatibility(G: Grid, F_field: DistanceField) -> CheckReport:
     """Compatibility: the generator boundary lies on the attractor."""
     delta = G.spacing
     boundary = G.boundary_cells()
@@ -152,22 +156,21 @@ def check_compatibility(G: Grid, F_field: DistanceField, tol_cells: int = 2) -> 
     pts = G.cell_points(boundary)
     dists = F_field.sample_at(pts)
     worst = int(np.argmax(dists))
-    if dists[worst] <= tol_cells * delta:
+    if dists[worst] <= COMPATIBLE_TOL_CELLS * delta:
         return CheckReport("compatible", "pass", delta,
                            details={"max_boundary_distance": float(dists[worst])})
     return CheckReport(
         "compatible", "fail", delta,
         {"max_boundary_distance": float(dists[worst]),
          "at": [float(v) for v in np.atleast_1d(pts[worst])],
-         "tolerance": tol_cells * delta,
+         "tolerance": COMPATIBLE_TOL_CELLS * delta,
          "reason": "generator boundary leaves the attractor"},
     )
 
 
 def check_projection(
     ifs: IFS, O: Grid, F_field: DistanceField, g_tilde: float,
-    eps_samples: np.ndarray | None = None, seam_factor: float = 4.0,
-    images: list[np.ndarray] | None = None,
+    eps_samples: np.ndarray | None = None, images: list[np.ndarray] | None = None,
 ) -> CheckReport:
     """Projection condition, tested through the parallel-set identity.
 
@@ -208,7 +211,7 @@ def check_projection(
             # S_i O, not with its perimeter: compare against the collar-end
             # cell count #(|d_F - e| <= near) at this eps, one run of s_F
             interface = _first_above(s_F, e, near, True) - _first_above(s_F, e, -near, False)
-            tol = seam_factor * delta * max(interface, 4) * delta ** (d - 1)
+            tol = PROJECTION_SEAM_FACTOR * delta * max(interface, 4) * delta ** (d - 1)
             if defect > tol:
                 fail_eps.append((float(e), defect, tol))
         if fail_eps:
@@ -243,7 +246,7 @@ def _first_above(s: np.ndarray, e: float, bound: float, strict: bool) -> int:
 
 def check_boundary_null(
     O: Grid, F_field: DistanceField, k: int, eps_samples: np.ndarray,
-    collar_cells: int = 2, extractor: LevelSetExtractor | None = None,
+    extractor: LevelSetExtractor | None = None,
 ) -> CheckReport:
     """Curvature mass of bd F_eps inside a thin collar of bd O stays at seam scale.
 
@@ -256,7 +259,7 @@ def check_boundary_null(
     if O.dim == 1:
         return CheckReport("boundary_null", "pass", delta, None, {"note": "finite bd O in d=1"})
     edge = O.boundary_cells() | (_dilate_occ(O.occupancy) & ~O.occupancy)
-    collar = _dilate_occ(edge, iterations=collar_cells)
+    collar = _dilate_occ(edge, iterations=BOUNDARY_COLLAR_CELLS)
     collar = O.with_occupancy(collar).embed_into(F_field.origin, F_field.extents)
     ex = extractor or LevelSetExtractor(F_field)
     eps = np.asarray(eps_samples, dtype=float)

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .volumes import VolumeSamples
+from .volumes import GATZOURAS_A, VolumeSamples
+
+GAMMA_MIN = 0.02  # renewal-hypothesis margin of the tube and curvature-variation exponents
 
 METHODS = (
     "generator_integral",
@@ -203,14 +205,13 @@ def _difference_cutoff(samples: VolumeSamples, d: int) -> float:
 
 
 def generator_content(
-    V_G: VolumeSamples, D: float, eta: float, d: int, g: float,
-    gamma_min: float = 0.02, lattice_note: str = "",
+    V_G: VolumeSamples, D: float, eta: float, d: int, g: float, lattice_note: str = "",
 ) -> ContentResult:
     """Average content of a tiling from its generator's tube volume alone.
 
     (1/eta) * [ integral_0^g eps^(D-d-1) V(G,eps) d(eps) + V(G,g) g^(D-d)/(d-D) ],
     with the head below the smallest sample extrapolated by a power-law fit.
-    Requires the empirical tube exponent to exceed d - D + gamma_min; a
+    Requires the empirical tube exponent to exceed d - D + GAMMA_MIN; a
     shallower exponent means the generator boundary is too fat for the
     renewal argument and the method refuses.
     """
@@ -221,10 +222,10 @@ def generator_content(
     if fit is None:
         raise PreconditionError("tube volume vanishes on the smallest decade; cannot fit exponent")
     a, b = fit
-    if b < (d - D) + gamma_min:
+    if b < (d - D) + GAMMA_MIN:
         raise PreconditionError(
-            f"tube-volume exponent {b:.4f} is below d - D + {gamma_min:g} = "
-            f"{d - D + gamma_min:.4f}: the generator boundary is too large for "
+            f"tube-volume exponent {b:.4f} is below d - D + {GAMMA_MIN:g} = "
+            f"{d - D + GAMMA_MIN:.4f}: the generator boundary is too large for "
             "the renewal hypothesis",
         )
     p = D - d - 1.0
@@ -263,9 +264,7 @@ def tiling_content_via_h(
     )
 
 
-def monophase_content(
-    m: MonophaseData, D: float, eta: float, d: int, lattice_note: str = ""
-) -> ContentResult:
+def monophase_content(m: MonophaseData, D: float, eta: float, d: int) -> ContentResult:
     """Closed form for a polynomial tube volume; exact arithmetic, no quadrature."""
     if not (d - 1 < D < d):
         raise PreconditionError(f"monophase formula needs D in (d-1, d), got D={D}")
@@ -274,12 +273,10 @@ def monophase_content(
         (d - k) / (D - k) * m.kappa[k] * m.g ** (D - k) for k in range(d)
     )
     value = total / ((d - D) * eta)
-    return ContentResult(value, D, "monophase", None, 0.0, lattice_note, {"g": m.g})
+    return ContentResult(value, D, "monophase", None, 0.0, "", {"g": m.g})
 
 
-def pluriphase_content(
-    p: PluriphaseData, D: float, eta: float, d: int, lattice_note: str = ""
-) -> ContentResult:
+def pluriphase_content(p: PluriphaseData, D: float, eta: float, d: int) -> ContentResult:
     """Closed form for a piecewise polynomial tube volume.
 
     Interior breakpoints contribute jump terms (kappa^l_k - kappa^(l+1)_k)
@@ -302,21 +299,21 @@ def pluriphase_content(
     for k in range(d):
         total += (d - k) / ((d - D) * (D - k)) * km[-1, k] * g ** (D - k)
     value = total / eta
-    return ContentResult(value, D, "pluriphase", None, 0.0, lattice_note, {"g": g})
+    return ContentResult(value, D, "pluriphase", None, 0.0, "", {"g": g})
 
 
 def gatzouras_content(
-    R_d: VolumeSamples, D: float, eta: float, d: int, a: float = 1.0,
-    lattice_note: str = "",
+    R_d: VolumeSamples, D: float, eta: float, d: int, lattice_note: str = "",
 ) -> ContentResult:
     """Average content of the attractor from the parallel-volume difference.
 
-    (1/eta) * integral_0^a eps^(D-d-1) R_d(eps) d(eps). Below the smallest
+    (1/eta) * integral_0^a eps^(D-d-1) R_d(eps) d(eps) with a = GATZOURAS_A,
+    the cutoff R_d was taken with (volumes.gatzouras_rd). Below the smallest
     sample R_d is the (signed) overlap deficit of the pieces' parallel sets;
     its magnitude is extrapolated by a power fit and entered as value when
     the sign is consistent, as error otherwise.
     """
-    eps, vals, tol, jumps = _restrict(R_d, a, lo=_difference_cutoff(R_d, d))
+    eps, vals, tol, jumps = _restrict(R_d, GATZOURAS_A, lo=_difference_cutoff(R_d, d))
     p = D - d - 1.0
     upper = None if jumps is None else eps**p * (vals + jumps)
     integral, quad_err = log_trapezoid(eps, eps**p * vals, upper)
@@ -343,7 +340,7 @@ def gatzouras_content(
         )
     return ContentResult(
         value, D, "gatzouras", R_d.delta, err, lattice_note,
-        {"normalization": a, "head": head / eta},
+        {"normalization": GATZOURAS_A, "head": head / eta},
     )
 
 
@@ -419,7 +416,7 @@ def full_dimensional_content(lambda_O: float, d: int, resolution: float, area_to
 
 def direct_content(
     samples: VolumeSamples, D: float, d: int,
-    window: tuple[float, float] | None = None,
+    window: tuple[float, float],
     lattice_base: float | None = None,
     lattice_note: str = "",
 ) -> tuple[ContentResult, ContentResult]:
@@ -432,8 +429,6 @@ def direct_content(
     snapped down to an integer number of periods when the base allows it.
     """
     eps = samples.eps
-    if window is None:
-        window = (eps[0], eps[-1] * 0.9)
     lo, hi = window
     if hi / lo < 10.0**1.5:
         raise ConfigError("direct-content window must span at least 1.5 decades")

@@ -22,7 +22,9 @@ from .grids import DistanceField, Grid, inner_distance
 from .ifs import IFS
 from .levelsets import LevelSetExtractor
 from .volumes import EpsGrid
-from .contents import ContentResult, log_trapezoid, power_fit, require_checks, _head_integral
+from .contents import (
+    GAMMA_MIN, ContentResult, log_trapezoid, power_fit, require_checks, _head_integral,
+)
 
 
 @dataclass
@@ -102,7 +104,6 @@ def sample_curvature(
     grid: EpsGrid,
     mask=None,
     region_tag: str = "",
-    extractor: LevelSetExtractor | None = None,
 ) -> CurvatureSamples:
     """Curvature samples C_k(., mask) along the eps grid.
 
@@ -115,7 +116,7 @@ def sample_curvature(
     def profile():
         if field.dim == 1 and field.values[[0, -1]].min() <= grid.eps.max():
             raise ConfigError("1d parallel set touches the grid boundary")
-        return grid.eps, *measure_profiles(field, grid.eps, mask, extractor)
+        return grid.eps, *measure_profiles(field, grid.eps, mask)
 
     return samples_from_profile(k, field.dim, field.spacing, profile, region_tag)
 
@@ -137,7 +138,7 @@ def inner_curvature_samples(region: Grid, k: int, grid: EpsGrid, region_tag: str
 # generator formulas
 
 
-def _variation_exponent_gate(samples: CurvatureSamples, D: float, k: int, gamma_min: float):
+def _variation_exponent_gate(samples: CurvatureSamples, D: float, k: int):
     eps, var = samples.eps, samples.variation_values
     if not np.any(var > 0):
         return math.inf  # degenerate: trivially summable
@@ -145,19 +146,19 @@ def _variation_exponent_gate(samples: CurvatureSamples, D: float, k: int, gamma_
     if fit is None:
         raise PreconditionError("variation samples too sparse to fit the exponent")
     b = fit[1]
-    if b < (k - D) + gamma_min:
+    if b < (k - D) + GAMMA_MIN:
         raise PreconditionError(
-            f"curvature-variation exponent {b:.4f} is below k - D + {gamma_min:g} "
-            f"= {k - D + gamma_min:.4f}: renewal hypothesis violated"
+            f"curvature-variation exponent {b:.4f} is below k - D + {GAMMA_MIN:g} "
+            f"= {k - D + GAMMA_MIN:.4f}: renewal hypothesis violated"
         )
     return b
 
 
 def _curvature_quadrature(
     samples: CurvatureSamples, D: float, eta: float, k: int, d: int, top: float,
-    gamma_min: float, method_tag: str, lattice_note: str,
+    method_tag: str, lattice_note: str,
 ) -> ContentResult:
-    b = _variation_exponent_gate(samples, D, k, gamma_min)
+    b = _variation_exponent_gate(samples, D, k)
     sel = samples.eps <= top * (1 + 1e-12)
     if sel.sum() < 8:
         raise ConfigError("too few curvature samples below the integration top")
@@ -188,7 +189,7 @@ def _curvature_quadrature(
 
 def generator_curvature(
     G_samples: CurvatureSamples, D: float, eta: float, k: int, d: int, g: float,
-    gamma_min: float = 0.02, lattice_note: str = "",
+    lattice_note: str = "",
 ) -> ContentResult:
     """Average k-th fractal curvature of a tiling from its generator's cores.
 
@@ -196,13 +197,13 @@ def generator_curvature(
     no tail. Refuses when the variation exponent violates the renewal bound.
     """
     return _curvature_quadrature(
-        G_samples, D, eta, k, d, g, gamma_min, "generator_integral", lattice_note
+        G_samples, D, eta, k, d, g, "generator_integral", lattice_note
     )
 
 
 def relative_generator_curvature(
     FG_samples: CurvatureSamples, D: float, eta: float, k: int, d: int, g_tilde: float,
-    checks=(), gamma_min: float = 0.02, lattice_note: str = "",
+    checks=(), lattice_note: str = "",
 ) -> ContentResult:
     """Average k-th fractal curvature of the attractor from C_k(F_eps, G).
 
@@ -212,20 +213,18 @@ def relative_generator_curvature(
     """
     require_checks(checks)
     return _curvature_quadrature(
-        FG_samples, D, eta, k, d, g_tilde, gamma_min, "relative_generator", lattice_note
+        FG_samples, D, eta, k, d, g_tilde, "relative_generator", lattice_note
     )
 
 
 def direct_fractal_curvature(
     samples: CurvatureSamples, D: float, k: int,
-    window: tuple[float, float] | None = None,
+    window: tuple[float, float],
     lattice_base: float | None = None,
     lattice_note: str = "",
 ) -> tuple[ContentResult, ContentResult]:
     """Direct (limit, average) scaled-curvature estimates over an eps window."""
     eps = samples.eps
-    if window is None:
-        window = (eps[0], eps[-1] * 0.9)
     lo, hi = window
     sel = (eps >= lo) & (eps <= hi)
     if sel.sum() < 16:
@@ -266,12 +265,10 @@ def direct_fractal_curvature(
     return limit, average
 
 
-def cbc_exponent_check(
-    var_samples: CurvatureSamples, D: float, k: int, gamma_min: float = 0.02
-) -> tuple[float, bool]:
+def cbc_exponent_check(var_samples: CurvatureSamples, D: float, k: int) -> tuple[float, bool]:
     """Least-squares slope of log variation against log eps on the lower half-window.
 
-    Passes when the slope stays at or above k - D + gamma_min; identically
+    Passes when the slope stays at or above k - D + GAMMA_MIN; identically
     zero variation passes with an infinite-slope sentinel.
     """
     eps, var = var_samples.eps, var_samples.variation_values
@@ -282,7 +279,7 @@ def cbc_exponent_check(
     if sel.sum() < 4:
         sel = var > 0
     slope = float(np.polyfit(np.log(eps[sel]), np.log(var[sel]), 1)[0])
-    return slope, slope >= (k - D) + gamma_min
+    return slope, slope >= (k - D) + GAMMA_MIN
 
 
 def curvature_renewal_difference(

@@ -118,9 +118,9 @@ class Grid(Raster):
         """Lebesgue estimate of the occupied region."""
         return self.count() * self.cell_volume
 
-    def lookup(self, points: np.ndarray, default: bool = False) -> np.ndarray:
-        """Occupancy at the cells containing the given points (default outside)."""
-        return self.values_at(self.occupancy, points, default, bool)
+    def lookup(self, points: np.ndarray) -> np.ndarray:
+        """Occupancy at the cells containing the given points (False outside)."""
+        return self.values_at(self.occupancy, points, False, bool)
 
     def with_occupancy(self, occ: np.ndarray) -> "Grid":
         return Grid(self.origin, self.spacing, occ)
@@ -264,9 +264,9 @@ class PolygonUnion(Region):
         return np.min(los, axis=0), np.max(his, axis=0)
 
 
-def rasterize(region: Region, bbox, delta: float, cap: int | None = None) -> Grid:
-    """Center-in-region raster of an open set on the given bbox."""
-    g = grid_from_bbox(bbox, delta, cap)
+def rasterize(region: Region, bbox, delta: float) -> Grid:
+    """Center-in-region raster of an open set on the given bbox (at most MAX_CELLS cells)."""
+    g = grid_from_bbox(bbox, delta)
     return g.with_occupancy(region.contains(g.cell_points()).reshape(g.extents))
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigError, FtlError
 
 ORTHO_TOL = 1e-12
+LATTICE_Q_MAX = 10**6  # largest denominator of a rational relation is_lattice accepts
 
 
 @dataclass(frozen=True)
@@ -151,12 +152,12 @@ class DimensionData:
     note: str = ""
 
 
-def similarity_dimension(ifs: IFS, tol: float = 1e-12, max_iter: int = 200) -> float:
+def similarity_dimension(ifs: IFS, tol: float = 1e-12) -> float:
     """Unique root of sum(r_i^s) = 1, by bisection plus a Newton polish.
 
     The map s -> sum r_i^s is strictly decreasing, so the bracket
-    [0, 2d] is safe for contracting maps; non-convergence signals
-    malformed ratios.
+    [0, 2d] is safe for contracting maps; non-convergence within 200
+    bisection steps signals malformed ratios.
     """
     if tol <= 0:
         raise ConfigError("tol must be positive")
@@ -172,7 +173,7 @@ def similarity_dimension(ifs: IFS, tol: float = 1e-12, max_iter: int = 200) -> f
         hi *= 2.0
         if hi > 1e6:
             raise FtlError("dimension solver failed to bracket the root")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0:
             lo = mid
@@ -202,12 +203,10 @@ def eta(ifs: IFS, D: float) -> float:
     return float(np.sum(r**D * np.abs(np.log(r))))
 
 
-def is_lattice(
-    ifs: IFS, tol: float = 1e-9, q_max: int = 10**6
-) -> tuple[bool, float | None]:
+def is_lattice(ifs: IFS, tol: float = 1e-9) -> tuple[bool, float | None]:
     """Detect whether {-ln r_i} generate a discrete subgroup of R.
 
-    Tests each ln(r_i)/ln(r_1) for a rational p/q with q <= q_max via
+    Tests each ln(r_i)/ln(r_1) for a rational p/q with q <= LATTICE_Q_MAX via
     continued fractions at tolerance tol. Floating ratios cannot prove
     irrationality, so a False verdict means "no rational relation found
     at this precision". When True, also returns the group generator h.
@@ -218,7 +217,7 @@ def is_lattice(
     base_log = logs[0]
     fracs: list[Fraction] = []
     for x in logs / base_log:
-        frac = _rational_approx(float(x), tol, q_max)
+        frac = _rational_approx(float(x), tol)
         if frac is None:
             return False, None
         fracs.append(frac)
@@ -234,8 +233,8 @@ def is_lattice(
     return True, float(base_log * g / lcm)
 
 
-def _rational_approx(x: float, tol: float, q_max: int) -> Fraction | None:
-    """Continued-fraction convergent p/q with q <= q_max, or None.
+def _rational_approx(x: float, tol: float) -> Fraction | None:
+    """Continued-fraction convergent p/q with q <= LATTICE_Q_MAX, or None.
 
     Acceptance is denominator-weighted (error <= tol * |x| / q): a float that
     genuinely equals p/q matches to machine precision at any q, while an
@@ -245,7 +244,7 @@ def _rational_approx(x: float, tol: float, q_max: int) -> Fraction | None:
         return None
 
     def good(p, q):
-        return q <= q_max and abs(x - p / q) <= tol * max(1.0, abs(x)) / q
+        return q <= LATTICE_Q_MAX and abs(x - p / q) <= tol * max(1.0, abs(x)) / q
 
     a = x
     p_prev, q_prev, p, q = 1, 0, int(math.floor(a)), 1
@@ -258,13 +257,13 @@ def _rational_approx(x: float, tol: float, q_max: int) -> Fraction | None:
         a = 1.0 / frac
         ai = int(math.floor(a))
         p_prev, q_prev, p, q = p, q, ai * p + p_prev, ai * q + q_prev
-        if q > q_max:
+        if q > LATTICE_Q_MAX:
             return None
     return Fraction(p, q) if good(p, q) else None
 
 
-def dimension_data(ifs: IFS, tol: float = 1e-12) -> DimensionData:
-    D = similarity_dimension(ifs, tol)
+def dimension_data(ifs: IFS) -> DimensionData:
+    D = similarity_dimension(ifs)
     latt, base = is_lattice(ifs)
     note = (
         f"lattice (base {base:.6g})"

@@ -112,7 +112,11 @@ class LevelSetExtractor:
         return np.clip(k, 0, _MAX_BIN, out=k).astype(np.uint16)
 
     def _check_contact(self, eps: float) -> None:
-        if self._ring_min <= eps < self._ring_max:
+        # {f = eps} runs past the raster when the border lies partly in
+        # {f <= eps}, or wholly in it with no cell of the set itself on it
+        # (ring_min > 0). A border that reaches f = 0, as inner_distance's
+        # outside-is-complement border does, closes every level set inside.
+        if self._ring_min <= eps and (eps < self._ring_max or self._ring_min > 0):
             raise ResolutionError(
                 f"level set at eps={eps:g} touches the grid boundary; enlarge the bbox"
             )
@@ -274,28 +278,23 @@ def euler_characteristic(occ: np.ndarray) -> int:
     return chi4 // 4
 
 
-def boundary_length(
-    f: DistanceField, eps: float, mask: np.ndarray | Grid | None = None,
-    extractor: LevelSetExtractor | None = None,
-) -> float:
+def boundary_length(f: DistanceField, eps: float, mask: np.ndarray | Grid | None = None) -> float:
     """Length of the level set {f = eps}, optionally restricted to mask cells."""
-    ex = extractor or LevelSetExtractor(f)
-    length, _, _ = ex.measure(eps, mask)
+    length, _, _ = LevelSetExtractor(f).measure(eps, mask)
     return length
 
 
 def euler_and_turning(
-    f: DistanceField, eps: float, mask: np.ndarray | Grid | None = None,
-    extractor: LevelSetExtractor | None = None,
+    f: DistanceField, eps: float, extractor: LevelSetExtractor | None = None
 ) -> tuple[int, float]:
-    """Euler characteristic of {f <= eps} and (1/2pi) * masked turning.
+    """Euler characteristic of {f <= eps} and (1/2pi) * the total turning of {f = eps}.
 
-    With no mask the two agree by the polygonal Gauss-Bonnet theorem, up to
-    interpolation noise; the comparison is the structural self-test of the
-    curvature pipeline.
+    The two agree by the polygonal Gauss-Bonnet theorem, up to interpolation
+    noise; the comparison is the structural self-test of the curvature
+    pipeline.
     """
     ex = extractor or LevelSetExtractor(f)
-    _, turn, _ = ex.measure(eps, mask)
+    _, turn, _ = ex.measure(eps)
     chi = euler_characteristic(f.values <= ex._nudge(eps))
     return chi, turn / (2.0 * np.pi)
 

@@ -6,8 +6,9 @@ the small field's level-set extractor, and one curvature profile per field
 and mask, which serves both orders) so the CLI and the test suite can ask
 for results in any order without recomputation.
 get_bundle caches bundles by scene content (maps, region, f_bbox, delta and
-both eps-grid densities), never by name; everything inside is immutable
-after construction, so sharing is safe.
+the scene's eps-grid density; curvature grids always take CURVATURE_PPD),
+never by name; everything inside is immutable after construction, so
+sharing is safe.
 """
 
 from __future__ import annotations
@@ -33,16 +34,16 @@ CONTENT_METHODS = (
     "direct_average",
     "s_content",
 )
+CURVATURE_PPD = 32  # points per decade of the curvature eps grids
 
 
 class SceneBundle:
-    def __init__(self, scene: Scene, curvature_ppd: int = 32):
+    def __init__(self, scene: Scene):
         scene.validate()
         self.scene = scene
         self.ifs = scene.ifs
         self.delta = scene.delta
         self.d = scene.ifs.ambient_dim
-        self.curvature_ppd = curvature_ppd
         self._cache: dict = {}
 
     def _memo(self, key, builder):
@@ -56,7 +57,7 @@ class SceneBundle:
         s = self.scene
         return (
             _canonical(s.ifs), _canonical(s.region), _canonical(s.f_bbox),
-            s.delta, s.eps_per_decade, self.curvature_ppd,
+            s.delta, s.eps_per_decade,
         )
 
     # -- dimensions ---------------------------------------------------------
@@ -101,42 +102,37 @@ class SceneBundle:
 
         return self._memo("F_tight", build)
 
-    def F_field(self, pad: float) -> DistanceField:
+    def _padded_field(self, pad: float) -> DistanceField:
+        """Distance field of F_tight on the box around O and F_tight grown by pad (unmemoized)."""
         pad_cells = int(math.ceil(pad / self.delta)) + 1
+        o, f = self.O, self.F_tight
+        lo = np.minimum(o.origin, f.origin) - pad_cells * self.delta
+        hi = np.maximum(
+            o.origin + np.array(o.extents) * self.delta,
+            f.origin + np.array(f.extents) * self.delta,
+        ) + pad_cells * self.delta
+        grid = grid_from_bbox((lo, hi), self.delta)
+        return distance_transform(grid.with_occupancy(f.embed_into(grid.origin, grid.extents)))
+
+    def _small_field(self) -> tuple[DistanceField, float]:
+        """(field, g_tilde on it) for the first pad that clears 1.3 g~; only that field is kept."""
 
         def build():
-            o, f = self.O, self.F_tight
-            lo = np.minimum(o.origin, f.origin) - pad_cells * self.delta
-            hi = np.maximum(
-                o.origin + np.array(o.extents) * self.delta,
-                f.origin + np.array(f.extents) * self.delta,
-            ) + pad_cells * self.delta
-            grid = grid_from_bbox((lo, hi), self.delta)
-            return distance_transform(grid.with_occupancy(f.embed_into(grid.origin, grid.extents)))
+            lo, hi = np.asarray(self.scene.f_bbox[0], float), np.asarray(self.scene.f_bbox[1], float)
+            pad = max(0.25 * float(np.linalg.norm(hi - lo)), 64 * self.delta)
+            while True:
+                field = self._padded_field(pad)
+                gt = relative_inradius(field, self.O)
+                if 1.3 * gt + 8 * self.delta <= pad:
+                    return field, gt
+                pad *= 1.6
 
-        return self._memo(("F_field", pad_cells), build)
+        return self._memo("field_small", build)
 
     @property
     def field_small(self) -> DistanceField:
         """Field padded for everything up to ~1.25 * g_tilde."""
-        pad, _ = self._memo("pad_small", self._pick_small_pad)
-        return self.F_field(pad)
-
-    def _pick_small_pad(self) -> tuple[float, float]:
-        """(pad, g_tilde on the field of that pad) for the first pad that clears 1.3 g~."""
-        lo, hi = np.asarray(self.scene.f_bbox[0], float), np.asarray(self.scene.f_bbox[1], float)
-        pad = max(0.25 * float(np.linalg.norm(hi - lo)), 64 * self.delta)
-        while True:
-            field = self.F_field(pad)
-            gt = relative_inradius(field, self.O)
-            if 1.3 * gt + 8 * self.delta <= pad:
-                return pad, gt
-            pad *= 1.6
-
-    @property
-    def field_full(self) -> DistanceField:
-        """Field padded past eps = 1 for the unit-normalized content difference."""
-        return self.F_field(1.05)
+        return self._small_field()[0]
 
     @property
     def g(self) -> float:
@@ -144,58 +140,37 @@ class SceneBundle:
 
     @property
     def g_tilde(self) -> float:
-        _, gt = self._memo("pad_small", self._pick_small_pad)
-        return gt
+        return self._small_field()[1]
 
     # -- eps grids ------------------------------------------------------------
 
+    def _eps_grid(self, top: float, ppd: int) -> volumes.EpsGrid:
+        return self._memo(
+            ("eps_grid", top, ppd),
+            lambda: volumes.make_eps_grid(self.delta, top, ppd, self.lattice_base),
+        )
+
     @property
     def grid_G(self) -> volumes.EpsGrid:
-        return self._memo(
-            "grid_G",
-            lambda: volumes.make_eps_grid(
-                self.delta, self.g, self.scene.eps_per_decade, self.lattice_base
-            ),
-        )
+        return self._eps_grid(self.g, self.scene.eps_per_decade)
 
     @property
     def grid_rel(self) -> volumes.EpsGrid:
-        return self._memo(
-            "grid_rel",
-            lambda: volumes.make_eps_grid(
-                self.delta, self.g_tilde, self.scene.eps_per_decade, self.lattice_base
-            ),
-        )
+        return self._eps_grid(self.g_tilde, self.scene.eps_per_decade)
 
     @property
     def grid_full(self) -> volumes.EpsGrid:
-        return self._memo(
-            "grid_full",
-            lambda: volumes.make_eps_grid(
-                self.delta, 1.0, self.scene.eps_per_decade, self.lattice_base
-            ),
-        )
+        return self._eps_grid(1.0, self.scene.eps_per_decade)
 
     @property
     def grid_curv(self) -> volumes.EpsGrid:
         # the top stops a hair below the raster depth so the deepest core is
         # still alive at the last node (the depth itself is a critical value)
-        return self._memo(
-            "grid_curv",
-            lambda: volumes.make_eps_grid(
-                self.delta, self.g_tilde * (1 - 1e-6), self.curvature_ppd, self.lattice_base
-            ),
-        )
+        return self._eps_grid(self.g_tilde * (1 - 1e-6), CURVATURE_PPD)
 
     @property
     def grid_curv_G(self) -> volumes.EpsGrid:
-        return self._memo(
-            "grid_curv_G",
-            lambda: volumes.make_eps_grid(
-                self.delta, self.g * (1 - 1e-6), self.curvature_ppd,
-                self.lattice_base,
-            ),
-        )
+        return self._eps_grid(self.g * (1 - 1e-6), CURVATURE_PPD)
 
     # -- volume samples -------------------------------------------------------
 
@@ -248,21 +223,21 @@ class SceneBundle:
 
     @property
     def F_full_volumes(self) -> volumes.VolumeSamples:
-        def build():
-            samples = volumes.sample_parallel_volume(self.field_full, self.grid_full)
-            # the fully padded field is only needed for these samples; drop
-            # the few hundred MB once they are frozen
-            pad_cells = int(math.ceil(1.05 / self.delta)) + 1
-            self._cache.pop(("F_field", pad_cells), None)
-            return samples
+        """lambda_d(F_eps) on grid_full, from a field padded past eps = 1.
 
-        return self._memo("F_full", build)
+        That field (a few hundred MB at fine delta) serves only these
+        samples, so it is built here and dropped once they are counted.
+        """
+        return self._memo(
+            "F_full",
+            lambda: volumes.sample_parallel_volume(self._padded_field(1.05), self.grid_full),
+        )
 
     @property
     def R_d(self) -> volumes.VolumeSamples:
         return self._memo(
             "R_d",
-            lambda: volumes.gatzouras_rd(self.F_full_volumes, self.ifs, self.grid_full, a=1.0),
+            lambda: volumes.gatzouras_rd(self.F_full_volumes, self.ifs, self.grid_full),
         )
 
     # -- checks ----------------------------------------------------------------
@@ -383,7 +358,7 @@ class SceneBundle:
         if method == "tiling_via_h":
             return contents.tiling_content_via_h(self.h, D, eta, d, self.g, lattice_note=note)
         if method == "gatzouras":
-            return contents.gatzouras_content(self.R_d, D, eta, d, a=1.0, lattice_note=note)
+            return contents.gatzouras_content(self.R_d, D, eta, d, lattice_note=note)
         if method == "relative_generator":
             checks = self.checks()
             return contents.relative_generator_content(
@@ -459,11 +434,11 @@ def _canonical(obj):
 _BUNDLES: dict = {}
 
 
-def get_bundle(preset: str | Preset, delta: float | None = None, **kw) -> SceneBundle:
+def get_bundle(preset: str | Preset, delta: float | None = None) -> SceneBundle:
     """Shared bundle of a preset's scene (at delta, if given), keyed by SceneBundle.key."""
     p = get_preset(preset) if isinstance(preset, str) else preset
     scene = p.scene
     if delta is not None and delta != scene.delta:
         scene = Scene(scene.ifs, scene.region, delta, scene.f_bbox, scene.eps_per_decade, scene.name)
-    bundle = SceneBundle(scene, **kw)
+    bundle = SceneBundle(scene)
     return _BUNDLES.setdefault(bundle.key, bundle)

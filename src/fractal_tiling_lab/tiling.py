@@ -58,6 +58,7 @@ class TilingData:
 
 
 CHUNK_CELLS = 1 << 20  # target cells inverse-sampled per Grid.lookup call
+RESOLVE_CELLS = 4.0  # tiles are resolved while r_sigma * diam(O) exceeds this many cells
 
 
 def _stack(maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,18 +188,12 @@ def rasterize_tiles(ifs: IFS, words: list[Word], G: Grid, target: Grid) -> np.nd
     return occ
 
 
-def build_tiling(
-    ifs: IFS,
-    O_region: Region | Grid,
-    delta: float,
-    depth: int | None = None,
-    bbox=None,
-    resolve_cells: float = 4.0,
-) -> TilingData:
+def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
     """Construct the tiling of a feasible open set at resolution delta.
 
-    Tiles are resolved for every word with r_sigma * diam(O) > resolve_cells
-    * delta; deeper (sub-cell) tiles land in the residual mask. An empty
+    A Region is rasterized on its bbox grown by two cells per side. Tiles
+    are resolved for every word with r_sigma * diam(O) > RESOLVE_CELLS *
+    delta; deeper (sub-cell) tiles land in the residual mask. An empty
     generator raster signals a full-dimensional attractor, for which no
     tiling exists. tile_words lists the resolved words depth-first; the tile
     union is rasterized one word length at a time by rasterize_tiles, which
@@ -207,11 +202,9 @@ def build_tiling(
     if isinstance(O_region, Grid):
         O = O_region
     else:
-        if bbox is None:
-            lo, hi = O_region.bbox()
-            pad = 2 * delta
-            bbox = (np.atleast_1d(lo) - pad, np.atleast_1d(hi) + pad)
-        O = rasterize(O_region, bbox, delta)
+        lo, hi = O_region.bbox()
+        pad = 2 * delta
+        O = rasterize(O_region, (np.atleast_1d(lo) - pad, np.atleast_1d(hi) + pad), delta)
     if not O.occupancy.any():
         raise ConfigError("feasible set rasterized to nothing; check the region/bbox")
 
@@ -226,12 +219,7 @@ def build_tiling(
         )
 
     lo, hi = O.origin, O.origin + np.array(O.extents) * O.spacing
-    diam_O = float(np.linalg.norm(hi - lo))
-    if depth is not None:
-        words = words_up_to_ratio(ifs, 0.0, max_len=depth, truncate=True)
-    else:
-        r_min = resolve_cells * delta / diam_O
-        words = words_up_to_ratio(ifs, r_min)
+    words = words_up_to_ratio(ifs, RESOLVE_CELLS * delta / float(np.linalg.norm(hi - lo)))
 
     tile_occ = rasterize_tiles(ifs, words, G, O) & O.occupancy
     tile_union = O.with_occupancy(tile_occ)
@@ -250,12 +238,11 @@ def build_tiling(
 
 
 ATTRACTOR_CHUNK = 1 << 16  # orbit candidates deduplicated per chunk
+ATTRACTOR_STOP_CELLS = 0.5  # an orbit branch stops once r_sigma * diam(bbox) is this many cells
 
 
-def attractor_raster(
-    ifs: IFS, bbox, delta: float, x0: np.ndarray | None = None, stop_cells: float = 0.5
-) -> Grid:
-    """Raster of the attractor: cells hit by the word orbit of a seed point.
+def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
+    """Raster of the attractor: cells hit by the word orbit of the first map's fixed point.
 
     Breadth-first over code space. A generation's candidates are the
     finished points, then every active point under map 0, map 1, and so on;
@@ -264,7 +251,7 @@ def attractor_raster(
     distance). Candidates are made and deduplicated ATTRACTOR_CHUNK at a
     time, with a bitmap of claimed cells across chunks, so a generation holds
     its survivors, one chunk and 1 byte per grid cell. Branches stop once
-    r_sigma * diam(bbox) <= stop_cells * delta.
+    r_sigma * diam(bbox) <= ATTRACTOR_STOP_CELLS * delta.
     """
     g = grid_from_bbox(bbox, delta)
     lo = g.origin
@@ -280,10 +267,8 @@ def attractor_raster(
             invariant = False
 
     diam = float(np.linalg.norm(hi - lo))
-    thresh = stop_cells * delta / diam
-    if x0 is None:
-        x0 = ifs.maps[0].fixed_point()
-    pts = np.atleast_2d(np.asarray(x0, dtype=float).reshape(1, -1))
+    thresh = ATTRACTOR_STOP_CELLS * delta / diam
+    pts = ifs.maps[0].fixed_point().reshape(1, -1)
     rs = np.ones(1)
     claimed = np.zeros(int(np.prod(g.extents)), dtype=bool)
 
@@ -390,24 +375,16 @@ class CentralOpenSet:
     neighbor_cap: int
 
 
-def central_open_set(
-    ifs: IFS,
-    bbox,
-    delta: float,
-    neighbor_cap: int = 4,
-    F: Grid | None = None,
-    strict_margin_cells: float = 1.0,
-) -> CentralOpenSet:
+def central_open_set(ifs: IFS, bbox, delta: float, neighbor_cap: int = 4) -> CentralOpenSet:
     """Points strictly closer to the attractor than to every neighbor copy.
 
     Neighbor maps h = S_sigma^{-1} S_omega (first letters distinct) are
     enumerated with both word lengths capped at neighbor_cap, pruned to maps
     whose image of the attractor bbox meets the working bbox, and deduped.
     The result is resolution-faithful only: cells are kept when
-    d(center, F) < d(center, H) - strict_margin_cells * delta.
+    d(center, F) < d(center, H) - delta, F the attractor raster on bbox.
     """
-    if F is None:
-        F = attractor_raster(ifs, bbox, delta)
+    F = attractor_raster(ifs, bbox, delta)
     F_field = distance_transform(F)
     g = grid_from_bbox(bbox, delta)
     lo, hi = g.origin, g.origin + np.array(g.extents) * g.spacing
@@ -473,7 +450,7 @@ def central_open_set(
             val[nan] = np.sqrt(box_d)
         d_h = np.minimum(d_h, ratio_h * val)
 
-    occ = (d_f < d_h - strict_margin_cells * delta).reshape(g.extents)
+    occ = (d_f < d_h - delta).reshape(g.extents)
     return CentralOpenSet(g.with_occupancy(occ), len(neighbors), False, neighbor_cap)
 
 

@@ -25,6 +25,7 @@ from .grids import DistanceField, Grid, inner_distance
 from .ifs import IFS
 
 _COUNT_STRIP = 1 << 20  # values sorted at a time when the samplers count them
+GATZOURAS_A = 1.0  # cutoff a of the Gatzouras difference: the content integral runs over (0, a]
 VOLUME_KINDS = ("V_G", "V_T", "F_eps_on_A", "F_eps", "h", "phi", "R_d", "surface")
 
 
@@ -92,10 +93,9 @@ def make_eps_grid(
     top: float,
     points_per_decade: int = 64,
     lattice_base: float | None = None,
-    low: float | None = None,
 ) -> EpsGrid:
-    """Geometric grid from max(low, 4*delta) up to top (top included exactly)."""
-    lo = max(low if low is not None else 0.0, 4.0 * delta)
+    """Geometric grid from 4*delta up to top (top included exactly)."""
+    lo = 4.0 * delta
     if top <= lo:
         raise ConfigError(f"eps grid is empty: top {top:g} <= floor {lo:g}")
     step = math.log(10.0) / points_per_decade
@@ -143,19 +143,16 @@ def sample_inner_volume(
 
 
 def sample_restricted_volume(
-    F_field: DistanceField, A: Grid, grid: EpsGrid, region_tag: str = "",
-    kind: str = "F_eps_on_A",
+    F_field: DistanceField, A: Grid, grid: EpsGrid, region_tag: str = ""
 ) -> VolumeSamples:
     """lambda_d(F_eps intersect A) from the attractor's distance field."""
     vals = F_field.sample_at(A.cell_points(A.occupancy))
     below, tol = _count_values(vals, grid.eps, A.spacing, A.dim)
     values = below * A.cell_volume
-    return VolumeSamples(grid.eps, values, kind, A.spacing, region_tag, tol)
+    return VolumeSamples(grid.eps, values, "F_eps_on_A", A.spacing, region_tag, tol)
 
 
-def sample_parallel_volume(
-    F_field: DistanceField, grid: EpsGrid, region_tag: str = "F"
-) -> VolumeSamples:
+def sample_parallel_volume(F_field: DistanceField, grid: EpsGrid) -> VolumeSamples:
     """lambda_d(F_eps) over the whole field (bbox must fully contain F_top)."""
     d = F_field.dim
     f = F_field.values
@@ -164,7 +161,7 @@ def sample_parallel_volume(
         raise ConfigError("parallel set reaches the bbox at the top eps; enlarge the padding")
     below, tol = _count_values(f.ravel(), grid.eps, F_field.spacing, d)
     values = below * F_field.spacing**d
-    return VolumeSamples(grid.eps, values, "F_eps", F_field.spacing, region_tag, tol)
+    return VolumeSamples(grid.eps, values, "F_eps", F_field.spacing, "F", tol)
 
 
 def _lookup_scaled(samples: VolumeSamples, grid: EpsGrid, r: float) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -198,7 +195,7 @@ def renewal_difference(
 
     The common shape of the tube-function difference (w = d, cutoff = g),
     the restricted-volume difference (w = d, cutoff = g_tilde) and the
-    Gatzouras difference (w = d, cutoff = a).
+    Gatzouras difference (w = d, cutoff = GATZOURAS_A).
     """
     if samples.eps.shape != grid.eps.shape or not np.allclose(samples.eps, grid.eps):
         raise ConfigError("samples must live on the provided eps grid")
@@ -235,9 +232,9 @@ def phi_function(F_on_O: VolumeSamples, ifs: IFS, g_tilde: float, grid: EpsGrid)
     return renewal_difference(F_on_O, ifs, g_tilde, grid, ifs.ambient_dim, "phi")
 
 
-def gatzouras_rd(F_vols: VolumeSamples, ifs: IFS, grid: EpsGrid, a: float = 1.0) -> VolumeSamples:
-    """lambda_d(F_eps) - sum_i 1{eps <= r_i a} lambda_d((S_i F)_eps), via scaling."""
+def gatzouras_rd(F_vols: VolumeSamples, ifs: IFS, grid: EpsGrid) -> VolumeSamples:
+    """lambda_d(F_eps) - sum_i 1{eps <= r_i a} lambda_d((S_i F)_eps), a = GATZOURAS_A, via scaling."""
     d = ifs.ambient_dim
     if np.sum(ifs.ratios**d) >= 1.0 - 1e-12:
         raise ConfigError("full-dimensional attractor: the content difference is degenerate")
-    return renewal_difference(F_vols, ifs, a, grid, d, "R_d")
+    return renewal_difference(F_vols, ifs, GATZOURAS_A, grid, d, "R_d")

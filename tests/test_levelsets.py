@@ -60,8 +60,9 @@ class TestBoundaryLength:
 
     def test_grid_contact_raises(self):
         f = point_field([[0.0, 0.0]], ([-1.2, -1.2], [1.2, 1.2]), 2.0**-7)
-        with pytest.raises(ResolutionError):
-            boundary_length(f, 1.4)
+        for eps in (1.4, 2.0):  # the border partly, then wholly in {f <= eps}
+            with pytest.raises(ResolutionError):
+                boundary_length(f, eps)
 
 
 class TestEulerAndTurning:

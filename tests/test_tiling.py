@@ -233,6 +233,24 @@ class TestRelativeInradius:
         O = rasterize(IntervalUnion(((0.0, 1.0),)), ([-0.01], [1.01]), delta)
         assert relative_inradius(field, O) <= 2 * delta
 
+    def test_bundle_keeps_only_the_field_of_the_chosen_pad(self):
+        # g~ = 0.3 is too deep for the first pad, 0.25, so the search builds a second field
+        ifs = ftl.IFS(
+            (
+                ftl.Similarity(0.2, np.eye(1), np.array([0.0])),
+                ftl.Similarity(0.2, np.eye(1), np.array([0.8])),
+            ),
+            1,
+        )
+        b = ftl.SceneBundle(ftl.Scene(ifs, IntervalUnion(((0.0, 1.0),)), 2.0**-12, ([0.0], [1.0])))
+        field = b.field_small
+        fields = [v for v in b._cache.values() if isinstance(v, ftl.DistanceField)]
+        fields += [x for v in b._cache.values() if isinstance(v, tuple) for x in v
+                   if isinstance(x, ftl.DistanceField)]
+        assert len(fields) == 1 and fields[0] is field
+        assert b.g_tilde == relative_inradius(field, b.O)
+        assert 1.3 * b.g_tilde + 8 * b.delta > 0.25  # the first pad was rejected
+
 
 class TestCentralOpenSet:
     def test_cantor_vc_extent_and_strongness(self):
