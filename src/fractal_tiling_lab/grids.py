@@ -171,18 +171,17 @@ class Grid(Raster):
                 fh.write(",".join(str(int(v)) for v in row) + "\n")
 
 
-def grid_from_bbox(bbox, delta: float, cap: int | None = None) -> Grid:
+def grid_from_bbox(bbox, delta: float) -> Grid:
     """Empty grid covering bbox = (lo, hi) with uniform spacing delta.
 
-    Refuses grids of more than cap cells (MAX_CELLS when cap is None).
+    Refuses grids of more than MAX_CELLS cells.
     """
     lo = np.atleast_1d(np.asarray(bbox[0], dtype=float))
     hi = np.atleast_1d(np.asarray(bbox[1], dtype=float))
     n = np.maximum(1, np.round((hi - lo) / delta).astype(int))
-    cap = MAX_CELLS if cap is None else cap
-    if int(np.prod(n)) > cap:
+    if int(np.prod(n)) > MAX_CELLS:
         raise ResolutionError(
-            f"grid of {int(np.prod(n))} cells exceeds the cap of {cap}"
+            f"grid of {int(np.prod(n))} cells exceeds the cap of {MAX_CELLS}"
         )
     return Grid(lo, delta, np.zeros(tuple(n), dtype=bool))
 

@@ -242,21 +242,17 @@ class SceneBundle:
 
     # -- checks ----------------------------------------------------------------
 
-    @property
-    def map_images(self) -> list[np.ndarray]:
-        """S_i(O) on O's grid, one raster per map."""
-        return self._memo("map_images", lambda: conditions.map_images(self.ifs, self.O))
-
     def checks(self) -> dict[str, conditions.CheckReport]:
         def build():
             t = self.tiling
             field = self.field_small
+            images = t.map_images
             out = {
-                "osc": conditions.check_osc(self.ifs, t.O, self.map_images),
+                "osc": conditions.check_osc(self.ifs, t.O, images),
                 "strong": conditions.check_strong(t.O, field),
                 "compatible": conditions.check_compatibility(t.G, field),
                 "projection": conditions.check_projection(
-                    self.ifs, t.O, field, self.g_tilde, images=self.map_images
+                    self.ifs, t.O, field, self.g_tilde, images=images
                 ),
             }
             if self.d == 2:

@@ -10,7 +10,17 @@ eps at or above the resolution floor).
 Tiles are built one word length at a time (rasterize_tiles): the composed
 maps S_sigma of all words of one length are stacked arrays, each made from
 its parent's map with one composition, and all tiles of that length are
-inverse-sampled inside their image boxes with one batch of lookups.
+inverse-sampled inside their image boxes in one pass of _stamp_images.
+That pass has two preimage paths. An axis-aligned map (diagonal inverse
+linear part: every 1-d map, the carpet and gasket maps) has preimages whose
+coordinate on each axis depends on that axis alone, so they are computed
+once per column and once per row of the box, and the source is gathered by
+broadcasting the two. A map with a rotation takes every cell center through
+a matrix product. The two agree to the bit: for a diagonal part the
+product's off-diagonal term is an exact 0 * y, and fl(a * x + 0 * y) =
+fl(a * x) with or without a fused multiply-add. The images S_i(O) are
+built once per map and kept on TilingData, one bit per map and cell; their
+union is Phi(O).
 """
 
 from __future__ import annotations
@@ -35,11 +45,17 @@ class TilingData:
     tile_words: list[Word]
     tile_union: Grid
     residual: Grid
+    image_bits: np.ndarray  # S_i(O) on O's grid, packed along axis 0 as np.packbits packs
     g_tilde: float | None = None
 
     @property
     def delta(self) -> float:
         return self.O.spacing
+
+    @property
+    def map_images(self) -> list[np.ndarray]:
+        """S_i(O) on O's grid, one raster per map, in map order."""
+        return list(np.unpackbits(self.image_bits, axis=0, count=self.ifs.n).view(bool))
 
     def manifest(self) -> dict:
         """JSON-ready summary: resolved words with ratios, g, g~, masses."""
@@ -79,10 +95,24 @@ def _stamp_images(
     cell. Only cells in the image of source's box under S_k, grown by one
     cell, are sampled: every other cell maps outside the source grid. The
     inverse maps and the sampled points use the float operations of
-    Similarity.inverse and AffineMap.__call__ on one map at a time (in 2-d,
-    one matrix product per distinct linear part), so the result is
-    bit-identical to sampling each map on its own. Cells are looked up at
-    most CHUNK_CELLS at a time.
+    Similarity.inverse and AffineMap.__call__ on one map at a time, so the
+    result is bit-identical to sampling each map on its own. Preimages take
+    one of two paths:
+
+    - Axis-aligned maps, whose inverse linear part A_k is diagonal (every
+      map in 1-d): the preimage coordinate on axis a is A_k[a, a] * x_a +
+      b_k[a], so it and its source index are computed once per column and
+      once per row of the image box. The columns of all boxes of one height
+      are one run; a block of them is gathered from the source by
+      broadcasting each column's source index against its box's row
+      indices. AffineMap's matrix product gives fl(a * x + 0 * y) =
+      fl(a * x), fused multiply-add or not, so dropping the exact-zero term
+      changes no bit.
+    - Maps with a rotation (2-d only): every cell center goes through one
+      matrix product per distinct linear part.
+
+    A block holds at most CHUNK_CELLS cells, or one column of a box when a
+    column is longer.
     """
     d = target.dim
     qinv = np.swapaxes(Q, 1, 2)
@@ -96,38 +126,73 @@ def _stamp_images(
     hi_i = np.ceil((img.max(axis=1) - target.origin) / target.spacing).astype(np.int64) + 1
     lo_i = np.maximum(lo_i, 0)
     shape = np.maximum(np.minimum(hi_i, target.extents) - lo_i, 0)
-    if d == 2:
-        # maps sharing a linear part become neighbours, so that their cells
-        # form one run and take one matrix product
-        group = np.unique(A.reshape(len(A), -1), axis=0, return_inverse=True)[1].reshape(-1)
-        order = np.argsort(group, kind="stable")
-        A, b, lo_i, shape, group = A[order], b[order], lo_i[order], shape[order], group[order]
-    counts = shape.prod(axis=1)
-    starts = np.cumsum(counts) - counts
+    live = shape.prod(axis=1) > 0
+    aligned = live & np.all(A[:, ~np.eye(d, dtype=bool)] == 0, axis=1)
 
+    def axis_preimages(k, a, idx):
+        # A_k[a, a] * center + b_k[a] at the target indices idx on axis a
+        return A[k, a, a] * (target.origin[a] + (idx + 0.5) * target.spacing) + b[k, a]
+
+    def source_cells(pre, a):
+        # source index on axis a (clipped for the gather) and whether it is inside
+        s = np.floor((pre - source.origin[a]) / source.spacing).astype(np.int64)
+        ok = (s >= 0) & (s < source.extents[a])
+        return np.clip(s, 0, source.extents[a] - 1), ok
+
+    ks = np.flatnonzero(aligned)
+    height = shape[ks, 1:].prod(axis=1)  # cells per column: 1 in 1-d
+    for n_y in np.unique(height):
+        kg = ks[height == n_y]
+        # the columns (box, index on axis 0) of these boxes, box by box
+        widths = shape[kg, 0]
+        starts = np.cumsum(widths) - widths
+        n_cols = int(widths.sum())
+        if d == 2:
+            iy = lo_i[kg, 1, None] + np.arange(n_y)
+            sy, oky = source_cells(axis_preimages(kg[:, None], 1, iy), 1)
+        step = max(1, CHUNK_CELLS // int(n_y))
+        for c0 in range(0, n_cols, step):
+            pos = np.arange(c0, min(c0 + step, n_cols))
+            t = np.searchsorted(starts, pos, side="right") - 1
+            k = kg[t]
+            ix = lo_i[k, 0] + (pos - starts[t])
+            px = axis_preimages(k, 0, ix)
+            if d == 1:
+                occ[ix[source.lookup(px)]] = True
+                continue
+            sx, okx = source_cells(px, 0)
+            hit = okx[:, None] & oky[t] & source.occupancy[sx[:, None], sy[t]]
+            u, v = np.nonzero(hit)
+            occ[ix[u], iy[t[u], v]] = True
+
+    rot = np.flatnonzero(live & ~aligned)
+    if not rot.size:
+        return
+    # maps sharing a linear part become neighbours, so that their cells
+    # form one run and take one matrix product
+    group = np.unique(A[rot].reshape(len(rot), d * d), axis=0, return_inverse=True)[1].reshape(-1)
+    order = np.argsort(group, kind="stable")
+    rot, group = rot[order], group[order]
+    counts = shape[rot].prod(axis=1)
+    starts = np.cumsum(counts) - counts
     total = int(counts.sum())
     for c0 in range(0, total, CHUNK_CELLS):
         pos = np.arange(c0, min(c0 + CHUNK_CELLS, total))
-        k = np.searchsorted(starts, pos, side="right") - 1
-        local = pos - starts[k]
-        if d == 1:
-            idx = (lo_i[k, 0] + local)[:, None]
-        else:
-            w = shape[k, 1]
-            idx = np.column_stack([lo_i[k, 0] + local // w, lo_i[k, 1] + local % w])
+        j = np.searchsorted(starts, pos, side="right") - 1
+        k = rot[j]
+        local = pos - starts[j]
+        w = shape[k, 1]
+        idx = np.column_stack([lo_i[k, 0] + local // w, lo_i[k, 1] + local % w])
         pts = target.origin + (idx + 0.5) * target.spacing
-        if d == 1:
-            pre = A[k, 0, 0] * pts[:, 0] + b[k, 0]
-        else:
-            g = group[k]
-            cuts = np.flatnonzero(g[1:] != g[:-1]) + 1
-            pre = np.empty_like(pts)
-            for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, len(g)]):
-                # a one-row product would go to BLAS gemv, whose sum order
-                # differs from gemm's; take such a row as a pair instead
-                rows = pts[r0:r1] if r1 - r0 > 1 else pts[[r0, r0]]
-                pre[r0:r1] = (rows @ A[k[r0]].T)[: r1 - r0]
-            pre += b[k]
+        g = group[j]
+        cuts = np.flatnonzero(g[1:] != g[:-1]) + 1
+        pre = np.empty_like(pts)
+        for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, len(g)]):
+            # a one-row product would go to BLAS gemv, whose sum order
+            # differs from gemm's; take such a row as a pair instead
+            rows = pts[r0:r1] if r1 - r0 > 1 else pts[[r0, r0]]
+            pre[r0:r1] = (rows @ A[k[r0]].T)[: r1 - r0]
+        pre += b[k]
         hit = source.lookup(pre)
         occ[tuple(idx[hit].T)] = True
 
@@ -137,13 +202,6 @@ def _map_cells(sim: Similarity, source: Grid, target: Grid) -> np.ndarray:
     occ = np.zeros(target.extents, dtype=bool)
     _stamp_images(occ, *_stack([sim]), source, target)
     return occ
-
-
-def set_map_raster(ifs: IFS, O: Grid) -> np.ndarray:
-    """Raster of Phi(O) = union of S_i(O) on O's own grid."""
-    out = np.zeros(O.extents, dtype=bool)
-    _stamp_images(out, *_stack(ifs.maps), O, O)
-    return out
 
 
 def rasterize_tiles(ifs: IFS, words: list[Word], G: Grid, target: Grid) -> np.ndarray:
@@ -208,7 +266,11 @@ def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
     if not O.occupancy.any():
         raise ConfigError("feasible set rasterized to nothing; check the region/bbox")
 
-    phi_open = set_map_raster(ifs, O)
+    # S_i(O) one map at a time, into bit 7 - i % 8 of byte i // 8 (np.packbits order)
+    image_bits = np.zeros((-(-ifs.n // 8),) + O.extents, dtype=np.uint8)
+    for i, m in enumerate(ifs.maps):
+        image_bits[i // 8] |= _map_cells(m, O, O).view(np.uint8) << (7 - i % 8)
+    phi_open = image_bits.any(axis=0)
     phi_closed = ndimage.binary_dilation(phi_open, structure=np.ones((3,) * O.dim, bool))
     G = O.with_occupancy(O.occupancy & ~phi_closed)
     Gamma = O.with_occupancy(O.occupancy & ~phi_open)
@@ -234,6 +296,7 @@ def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
         tile_words=words,
         tile_union=tile_union,
         residual=residual,
+        image_bits=image_bits,
     )
 
 

@@ -164,23 +164,36 @@ def sample_parallel_volume(F_field: DistanceField, grid: EpsGrid) -> VolumeSampl
     return VolumeSamples(grid.eps, values, "F_eps", F_field.spacing, "F", tol)
 
 
-def _lookup_scaled(samples: VolumeSamples, grid: EpsGrid, r: float) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(f(eps/r), tolerance(eps/r), interpolated?) for every grid point.
+def _lookup_scaled(samples: VolumeSamples, grid: EpsGrid, ratios) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Rows f(eps/r) and tolerance(eps/r) on the grid, one per ratio r, and whether any is interpolated.
 
-    Thresholds above the sampled top reuse the top sample (all sampled
-    functions are constant beyond their saturation radius by construction;
-    callers gate with indicators before that matters).
+    A ratio on the grid is an index shift. The off-grid ratios share one
+    monotone interpolant of the values and tolerances together, evaluated at
+    all their targets in one call; its columns are, to the bit, the
+    interpolants of each on its own. Thresholds above the sampled top reuse
+    the top sample (all sampled functions are constant beyond their
+    saturation radius by construction; callers gate with indicators before
+    that matters).
     """
-    shift = grid.shift_for_ratio(r)
     n = samples.eps.size
-    if shift is not None:
-        idx = np.arange(n) + shift
-        idx = np.minimum(idx, n - 1)
-        return samples.values[idx], samples.tolerance[idx], False
-    target = np.minimum(samples.eps / r, samples.eps[-1])
-    interp = PchipInterpolator(samples.eps, samples.values, extrapolate=False)
-    tol_interp = PchipInterpolator(samples.eps, samples.tolerance, extrapolate=False)
-    return interp(target), tol_interp(target), True
+    scaled = np.empty((len(ratios), n))
+    scaled_tol = np.empty((len(ratios), n))
+    off = []
+    for i, r in enumerate(ratios):
+        shift = grid.shift_for_ratio(r)
+        if shift is None:
+            off.append(i)
+            continue
+        idx = np.minimum(np.arange(n) + shift, n - 1)
+        scaled[i], scaled_tol[i] = samples.values[idx], samples.tolerance[idx]
+    if off:
+        both = PchipInterpolator(
+            samples.eps, np.column_stack([samples.values, samples.tolerance]), extrapolate=False
+        )
+        target = np.concatenate([np.minimum(samples.eps / ratios[i], samples.eps[-1]) for i in off])
+        out = both(target).reshape(len(off), n, 2)
+        scaled[off], scaled_tol[off] = out[..., 0], out[..., 1]
+    return scaled, scaled_tol, bool(off)
 
 
 def renewal_difference(
@@ -202,19 +215,18 @@ def renewal_difference(
     values = samples.values.copy()
     tol = samples.tolerance.copy()
     jumps = np.zeros_like(values)
-    interpolated = False
-    for m in ifs.maps:
-        scaled, scaled_tol, interp = _lookup_scaled(samples, grid, m.ratio)
-        interpolated |= interp
-        gate = grid.eps <= m.ratio * cutoff + 1e-12 * cutoff
-        w = m.ratio**weight_exponent
+    ratios = [m.ratio for m in ifs.maps]
+    all_scaled, all_scaled_tol, interpolated = _lookup_scaled(samples, grid, ratios)
+    for r, scaled, scaled_tol in zip(ratios, all_scaled, all_scaled_tol):
+        gate = grid.eps <= r * cutoff + 1e-12 * cutoff
+        w = r**weight_exponent
         values = values - gate * w * scaled
         tol = tol + gate * w * scaled_tol
         # the subtracted term switches off just above its gate radius; record
         # the jump when that radius sits on the grid
         if gate.any():
             last = int(np.nonzero(gate)[0][-1])
-            if abs(grid.eps[last] - m.ratio * cutoff) <= 1e-9 * cutoff:
+            if abs(grid.eps[last] - r * cutoff) <= 1e-9 * cutoff:
                 jumps[last] += w * scaled[last]
     return VolumeSamples(
         grid.eps, values, kind, samples.delta, samples.region_tag, tol,

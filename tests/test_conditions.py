@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fractal_tiling_lab as ftl
-from fractal_tiling_lab import conditions, pipeline, presets
+from fractal_tiling_lab import conditions, pipeline, presets, tiling
 from fractal_tiling_lab.conditions import (
     check_boundary_null,
     check_boundary_null_volume,
@@ -226,8 +226,8 @@ class TestProjectionBySorting:
     @staticmethod
     def assert_same_reports(b, eps_samples=None):
         args = (b.ifs, b.tiling.O, b.field_small, b.g_tilde, eps_samples)
-        new = check_projection(*args, images=b.map_images)
-        assert new.to_dict() == check_projection_loop(*args, images=b.map_images).to_dict()
+        new = check_projection(*args, images=b.tiling.map_images)
+        assert new.to_dict() == check_projection_loop(*args, images=b.tiling.map_images).to_dict()
 
     @pytest.mark.parametrize("preset,delta", [
         ("cantor", 2.0**-12), ("cantor_pair", 2.0**-12), ("carpet", 2.0**-7),
@@ -310,15 +310,17 @@ class TestBoundaryNull:
 class TestMapImages:
     @pytest.mark.parametrize("preset, delta", [("carpet", 2.0**-7), ("cantor", 2.0**-10)])
     def test_bundle_samples_each_image_once(self, preset, delta, monkeypatch):
+        # the tiling's images serve Phi(O) and both checks: one sampling per map in all
         b = pipeline.SceneBundle(replace(presets.get_preset(preset).scene, delta=delta))
         calls = []
-        sample = conditions._map_cells
-        monkeypatch.setattr(conditions, "_map_cells", lambda *a: calls.append(a) or sample(*a))
+        sample = tiling._map_cells
+        for module in (tiling, conditions):
+            monkeypatch.setattr(module, "_map_cells", lambda *a: calls.append(a) or sample(*a))
         reports = b.checks()
         assert len(calls) == b.ifs.n
         fresh = conditions.map_images(b.ifs, b.O)
-        assert len(b.map_images) == len(fresh) == b.ifs.n
-        assert all(np.array_equal(a, c) for a, c in zip(b.map_images, fresh))
+        assert len(b.tiling.map_images) == len(fresh) == b.ifs.n
+        assert all(np.array_equal(a, c) for a, c in zip(b.tiling.map_images, fresh))
         assert reports["osc"].to_dict() == check_osc(b.ifs, b.O).to_dict()
         assert reports["projection"].to_dict() == check_projection(
             b.ifs, b.O, b.field_small, b.g_tilde).to_dict()

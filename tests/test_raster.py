@@ -55,9 +55,10 @@ class TestRasterize:
         perimeter = 2 + math.sqrt(2)
         assert abs(g.area() - 0.5) <= 2 * delta * perimeter
 
-    def test_cell_cap(self):
+    def test_cell_cap(self, monkeypatch):
+        monkeypatch.setattr(grids, "MAX_CELLS", 10**6)
         with pytest.raises(ResolutionError):
-            grid_from_bbox(([0.0, 0.0], [1.0, 1.0]), 1e-6, cap=10**6)
+            grid_from_bbox(([0.0, 0.0], [1.0, 1.0]), 1e-6)
 
     def test_attractor_field_respects_cell_cap(self, monkeypatch):
         # the padded field grid is larger than O and the attractor raster;

@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from fractal_tiling_lab import tiling
 from fractal_tiling_lab.errors import ConfigError
-from fractal_tiling_lab.grids import Grid, grid_from_bbox
+from fractal_tiling_lab.grids import Grid, IntervalUnion, grid_from_bbox
 from fractal_tiling_lab.ifs import IFS, Similarity, Word, check_similarity_parts, rotation, words_up_to_ratio
 from fractal_tiling_lab.presets import get_preset
-from fractal_tiling_lab.tiling import _map_cells, build_tiling, rasterize_tiles, set_map_raster
+from fractal_tiling_lab.tiling import _map_cells, build_tiling, rasterize_tiles
 
 COARSE_DELTA = {
     "cantor": 2.0**-12,
@@ -153,11 +153,13 @@ def test_presets_match_per_word_reference(coarse_tiling):
 def test_presets_image_rasters_match_full_sampling(coarse_tiling):
     _, t = coarse_tiling
     union = np.zeros(t.O.extents, dtype=bool)
-    for m in t.ifs.maps:
+    for m, img in zip(t.ifs.maps, t.map_images, strict=True):
         ref = reference_map_cells(m, t.O, t.O)
-        assert np.array_equal(_map_cells(m, t.O, t.O), ref)
+        assert np.array_equal(img, ref)
         union |= ref
-    assert np.array_equal(set_map_raster(t.ifs, t.O), union)
+    # Phi(O) is the union of the kept images; Gamma = O minus Phi(O)
+    assert np.array_equal(np.logical_or.reduce(t.map_images), union)
+    assert np.array_equal(t.Gamma.occupancy, t.O.occupancy & ~union)
 
 
 def test_presets_tiling_digests(coarse_tiling):
@@ -165,6 +167,19 @@ def test_presets_tiling_digests(coarse_tiling):
     got = {k: grid_digest(getattr(t, k)) for k in ("O", "G", "Gamma", "tile_union", "residual")}
     got["manifest"] = hashlib.sha256(json.dumps(t.manifest(), sort_keys=True).encode()).hexdigest()
     assert got == TILING_SHA256[name]
+
+
+def test_images_of_more_than_eight_maps():
+    """TilingData packs S_i(O) one bit per map: ten maps take two bytes per cell."""
+    maps = tuple(Similarity(0.09, np.eye(1), np.array([0.1 * i])) for i in range(10))
+    t = build_tiling(IFS(maps, 1), IntervalUnion(((0.0, 1.0),)), 2.0**-10)
+    assert t.image_bits.shape == (2,) + t.O.extents
+    union = np.zeros(t.O.extents, dtype=bool)
+    for m, img in zip(maps, t.map_images, strict=True):
+        ref = reference_map_cells(m, t.O, t.O)
+        assert ref.any() and np.array_equal(img, ref)
+        union |= ref
+    assert np.array_equal(t.Gamma.occupancy, t.O.occupancy & ~union)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +250,54 @@ def test_random_2d_rotated_ifs_matches_reference(ifs, seed, chunk):
     # the empty word needs G on target's grid; its descendants do not
     words = words_up_to_ratio(ifs, 0.04)[1:]
     _check_against_reference(ifs, words, G, target, chunk)
+
+
+SIGNS = st.sampled_from([1.0, -1.0])
+
+
+def _axis_aligned_map(draw) -> Similarity:
+    # a reflection per axis or none; offsets reach past the target, so
+    # image boxes are clipped at both of its edges
+    q = np.diag([draw(SIGNS), draw(SIGNS)])
+    offsets = st.one_of(OFFSETS, st.floats(-0.5, 1.25))
+    return Similarity(draw(RATIOS), q, np.array([draw(offsets), draw(offsets)]))
+
+
+@st.composite
+def ifs_2d_axis_aligned(draw):
+    return IFS(tuple(_axis_aligned_map(draw) for _ in range(draw(st.integers(2, 4)))), 2)
+
+
+@st.composite
+def ifs_2d_one_rotated(draw):
+    maps = [_axis_aligned_map(draw) for _ in range(draw(st.integers(1, 3)))]
+    angle = draw(st.one_of(st.sampled_from([30.0, 90.0, 180.0]), st.floats(1.0, 179.0)))
+    rotated = Similarity(draw(RATIOS), rotation(angle), np.array([draw(OFFSETS), draw(OFFSETS)]))
+    maps.insert(draw(st.integers(0, len(maps))), rotated)
+    return IFS(tuple(maps), 2)
+
+
+def _check_2d_clipped(ifs, seed, chunk):
+    G = _random_grid(seed, ([-0.25, -0.25], [1.25, 1.25]), 2.0**-6, 0.3)
+    target = grid_from_bbox(([-0.125, 0.0], [1.0, 0.875]), 2.0**-6)
+    # the empty word needs G on target's grid; its descendants do not
+    _check_against_reference(ifs, words_up_to_ratio(ifs, 0.04)[1:], G, target, chunk)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ifs=ifs_2d_axis_aligned(), seed=st.integers(0, 2**32 - 1), chunk=CHUNKS)
+def test_random_2d_axis_aligned_ifs_matches_reference(ifs, seed, chunk):
+    """Signed-diagonal maps take the per-axis path; chunks of 7 and 64 cells
+    split one box shape's tiles (and a large box's rows) across blocks."""
+    _check_2d_clipped(ifs, seed, chunk)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ifs=ifs_2d_one_rotated(), seed=st.integers(0, 2**32 - 1), chunk=CHUNKS)
+def test_random_2d_one_rotated_map_matches_reference(ifs, seed, chunk):
+    """One rotated map among axis-aligned ones: every word length stamps
+    tiles through both paths in one call."""
+    _check_2d_clipped(ifs, seed, chunk)
 
 
 @pytest.mark.parametrize("chunk", [1, tiling.CHUNK_CELLS])

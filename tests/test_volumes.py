@@ -3,11 +3,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 import fractal_tiling_lab as ftl
 from fractal_tiling_lab import volumes
 from fractal_tiling_lab.errors import ConfigError
 from fractal_tiling_lab.grids import ConvexPolygon, distance_transform, rasterize
+from fractal_tiling_lab.ifs import IFS, Similarity
 from fractal_tiling_lab.presets import carpet_ifs
 from fractal_tiling_lab.tiling import attractor_raster
 from fractal_tiling_lab.volumes import (
@@ -17,6 +20,7 @@ from fractal_tiling_lab.volumes import (
     sample_inner_volume,
     sample_parallel_volume,
     sample_restricted_volume,
+    VolumeSamples,
 )
 
 
@@ -214,6 +218,51 @@ class TestPhiFunction:
         sel = phi.eps <= b.g_tilde
         resid = np.abs(phi.values[sel] - (fog.values[sel] + extra[sel]))
         assert np.max(resid) <= 3 * np.maximum(phi.tolerance[sel], 4 * b.delta).max()
+
+
+def renewal_difference_per_map(samples, ifs, cutoff, grid, weight_exponent):
+    """Reference: (values, tolerance) with two interpolants (values, tolerance) per off-grid map."""
+    n = samples.eps.size
+    values, tol = samples.values.copy(), samples.tolerance.copy()
+    for m in ifs.maps:
+        shift = grid.shift_for_ratio(m.ratio)
+        if shift is None:
+            target = np.minimum(samples.eps / m.ratio, samples.eps[-1])
+            scaled = PchipInterpolator(samples.eps, samples.values, extrapolate=False)(target)
+            scaled_tol = PchipInterpolator(samples.eps, samples.tolerance, extrapolate=False)(target)
+        else:
+            idx = np.minimum(np.arange(n) + shift, n - 1)
+            scaled, scaled_tol = samples.values[idx], samples.tolerance[idx]
+        gate = grid.eps <= m.ratio * cutoff + 1e-12 * cutoff
+        w = m.ratio**weight_exponent
+        values = values - gate * w * scaled
+        tol = tol + gate * w * scaled_tol
+    return values, tol
+
+
+class TestSharedInterpolant:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ratios=st.lists(st.floats(0.05, 0.7), min_size=2, max_size=4),
+        on_grid=st.lists(st.integers(1, 40), max_size=2),
+        dim=st.sampled_from([1, 2]),
+    )
+    def test_bitwise_equal_to_two_interpolants_per_map(self, seed, ratios, on_grid, dim):
+        """Off-grid ratios (and a few on-grid ones) against the per-map form, to the bit."""
+        grid = make_eps_grid(2.0**-12, 0.3, 64, None)
+        ratios = ratios + [math.exp(-k * grid.log_step) for k in on_grid]
+        rng = np.random.default_rng(seed)
+        values = np.cumsum(rng.random(grid.eps.size)) * rng.uniform(1e-4, 10.0)
+        tolerance = rng.random(grid.eps.size) * rng.uniform(1e-6, 1.0)
+        samples = VolumeSamples(grid.eps, values, "V_T", 2.0**-12, "", tolerance)
+        maps = tuple(Similarity(r, np.eye(dim), np.zeros(dim)) for r in ratios)
+        cutoff = float(rng.uniform(0.05, 0.5))
+        got = volumes.renewal_difference(samples, IFS(maps, dim), cutoff, grid, dim, "h")
+        ref_values, ref_tol = renewal_difference_per_map(samples, IFS(maps, dim), cutoff, grid, dim)
+        assert np.array_equal(got.values, ref_values)
+        assert np.array_equal(got.tolerance, ref_tol)
+        assert got.interpolated == any(grid.shift_for_ratio(r) is None for r in ratios)
 
 
 class TestGatzourasDifference:
