@@ -255,7 +255,9 @@ def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
     generator raster signals a full-dimensional attractor, for which no
     tiling exists. tile_words lists the resolved words depth-first; the tile
     union is rasterized one word length at a time by rasterize_tiles, which
-    composes each tile map once from its parent's.
+    composes each tile map once from its parent's. Each image S_i(O) is
+    sampled once; Phi(O) is their union, and the images stay on the result
+    (image_bits) for the structural checks.
     """
     if isinstance(O_region, Grid):
         O = O_region
