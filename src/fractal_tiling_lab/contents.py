@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .volumes import GATZOURAS_A, VolumeSamples
+from .volumes import VolumeSamples
 
 GAMMA_MIN = 0.02  # renewal-hypothesis margin of the tube and curvature-variation exponents
 
@@ -307,13 +307,13 @@ def gatzouras_content(
 ) -> ContentResult:
     """Average content of the attractor from the parallel-volume difference.
 
-    (1/eta) * integral_0^a eps^(D-d-1) R_d(eps) d(eps) with a = GATZOURAS_A,
-    the cutoff R_d was taken with (volumes.gatzouras_rd). Below the smallest
+    (1/eta) * integral_0^a eps^(D-d-1) R_d(eps) d(eps) with a = R_d's top
+    sample, the cutoff R_d was taken with (volumes.gatzouras_rd). Below the smallest
     sample R_d is the (signed) overlap deficit of the pieces' parallel sets;
     its magnitude is extrapolated by a power fit and entered as value when
     the sign is consistent, as error otherwise.
     """
-    eps, vals, tol, jumps = _restrict(R_d, GATZOURAS_A, lo=_difference_cutoff(R_d, d))
+    eps, vals, tol, jumps = _restrict(R_d, R_d.eps[-1], lo=_difference_cutoff(R_d, d))
     p = D - d - 1.0
     upper = None if jumps is None else eps**p * (vals + jumps)
     integral, quad_err = log_trapezoid(eps, eps**p * vals, upper)
@@ -340,7 +340,7 @@ def gatzouras_content(
         )
     return ContentResult(
         value, D, "gatzouras", R_d.delta, err, lattice_note,
-        {"normalization": GATZOURAS_A, "head": head / eta},
+        {"normalization": float(R_d.eps[-1]), "head": head / eta},
     )
 
 

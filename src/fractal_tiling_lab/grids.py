@@ -287,6 +287,11 @@ class DistanceField(Raster):
         """Nearest-cell lookup of the field at arbitrary points."""
         return self.values_at(self.values, points, outside, float)
 
+    def border_min(self) -> float:
+        """Smallest value on the raster's border cells."""
+        f = self.values
+        return float(min(np.take(f, [0, -1], axis=ax).min() for ax in range(f.ndim)))
+
     def to_raw(self, path) -> None:
         """float32 raw dump next to a JSON header describing the geometry."""
         arr = self.values.astype(np.float32)

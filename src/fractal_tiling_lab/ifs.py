@@ -18,6 +18,7 @@ from .errors import ConfigError, FtlError
 
 ORTHO_TOL = 1e-12
 LATTICE_Q_MAX = 10**6  # largest denominator of a rational relation is_lattice accepts
+WORD_MAX_LEN = 64  # depth guard of words_up_to_ratio's word tree
 
 
 @dataclass(frozen=True)
@@ -298,14 +299,8 @@ def enumerate_words(
             stack.append(w.extend(a))
 
 
-def words_up_to_ratio(
-    ifs: IFS, r_min: float, max_len: int = 64, truncate: bool = False
-) -> list[Word]:
-    """All words (tree nodes, including the empty word) with r_sigma > r_min.
-
-    With truncate=True, words at max_len become leaves instead of raising;
-    use that for explicit depth caps.
-    """
+def words_up_to_ratio(ifs: IFS, r_min: float) -> list[Word]:
+    """All words (tree nodes, including the empty word) with r_sigma > r_min."""
     # each node carries its ratio, multiplied in letter order as Word.ratio
     # does; children at or below r_min are never built
     ratios = [m.ratio for m in ifs.maps]
@@ -316,9 +311,7 @@ def words_up_to_ratio(
         if r <= r_min:
             continue
         out.append(w)
-        if len(w) >= max_len:
-            if truncate:
-                continue
+        if len(w) >= WORD_MAX_LEN:
             raise FtlError("word tree exceeded max length")
         for a in range(ifs.n):
             child = r * ratios[a]

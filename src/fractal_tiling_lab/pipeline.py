@@ -1,10 +1,10 @@
 """Scene orchestration: raster -> distance fields -> samples -> formulas.
 
 A SceneBundle memoizes every expensive product (tiling, attractor raster,
-distance fields, eps grids, volume samples, S_i(O) images, condition checks,
-the small field's level-set extractor, and one curvature profile per field
-and mask, which serves both orders) so the CLI and the test suite can ask
-for results in any order without recomputation.
+the one attractor field field_small, G's inner field, eps grids, volume
+samples, S_i(O) images, checks, field_small's level-set extractor, and one
+curvature profile per field and mask, which serves both orders) so the CLI
+and the test suite can ask for results in any order without recomputation.
 get_bundle caches bundles by scene content (maps, region, f_bbox, delta and
 the scene's eps-grid density; curvature grids always take CURVATURE_PPD),
 never by name; everything inside is immutable after construction, so
@@ -102,28 +102,26 @@ class SceneBundle:
 
         return self._memo("F_tight", build)
 
-    def _padded_field(self, pad: float) -> DistanceField:
-        """Distance field of F_tight on the box around O and F_tight grown by pad (unmemoized)."""
-        pad_cells = int(math.ceil(pad / self.delta)) + 1
-        o, f = self.O, self.F_tight
-        lo = np.minimum(o.origin, f.origin) - pad_cells * self.delta
-        hi = np.maximum(
-            o.origin + np.array(o.extents) * self.delta,
-            f.origin + np.array(f.extents) * self.delta,
-        ) + pad_cells * self.delta
-        grid = grid_from_bbox((lo, hi), self.delta)
-        return distance_transform(grid.with_occupancy(f.embed_into(grid.origin, grid.extents)))
-
     def _small_field(self) -> tuple[DistanceField, float]:
-        """(field, g_tilde on it) for the first pad that clears 1.3 g~; only that field is kept."""
+        """(field, g_tilde on it): F_tight's one distance field, on the box around
+        O and F_tight grown by the first pad past max(1.3 g~, direct window top) + 8 delta."""
 
         def build():
+            o, f = self.O, self.F_tight
+            box_lo = np.minimum(o.origin, f.origin)
+            box_hi = np.maximum(
+                o.origin + np.array(o.extents) * self.delta,
+                f.origin + np.array(f.extents) * self.delta,
+            )
             lo, hi = np.asarray(self.scene.f_bbox[0], float), np.asarray(self.scene.f_bbox[1], float)
-            pad = max(0.25 * float(np.linalg.norm(hi - lo)), 64 * self.delta)
+            # the window top's floor needs no g~ (in d=1 neither does the top)
+            pad = max(0.25 * float(np.linalg.norm(hi - lo)), self.direct_window(0.0)[1] + 8 * self.delta)
             while True:
-                field = self._padded_field(pad)
-                gt = relative_inradius(field, self.O)
-                if 1.3 * gt + 8 * self.delta <= pad:
+                margin = (int(math.ceil(pad / self.delta)) + 1) * self.delta
+                grid = grid_from_bbox((box_lo - margin, box_hi + margin), self.delta)
+                field = distance_transform(grid.with_occupancy(f.embed_into(grid.origin, grid.extents)))
+                gt = relative_inradius(field, o)
+                if max(1.3 * gt, self.direct_window(gt)[1]) + 8 * self.delta <= pad:
                     return field, gt
                 pad *= 1.6
 
@@ -131,7 +129,7 @@ class SceneBundle:
 
     @property
     def field_small(self) -> DistanceField:
-        """Field padded for everything up to ~1.25 * g_tilde."""
+        """The attractor's distance field: reaches past 1.3 g~ and the direct window."""
         return self._small_field()[0]
 
     @property
@@ -159,8 +157,12 @@ class SceneBundle:
         return self._eps_grid(self.g_tilde, self.scene.eps_per_decade)
 
     @property
-    def grid_full(self) -> volumes.EpsGrid:
-        return self._eps_grid(1.0, self.scene.eps_per_decade)
+    def grid_F(self) -> volumes.EpsGrid:
+        """Top-1.0 eps nodes below field_small's border minimum less 4 cells (so the counts
+        equal those on any larger box); the top node is the Gatzouras cutoff a."""
+        top1 = self._eps_grid(1.0, self.scene.eps_per_decade)
+        keep = top1.eps < self.field_small.border_min() - 4 * self.delta
+        return dataclasses.replace(top1, eps=top1.eps[keep])
 
     @property
     def grid_curv(self) -> volumes.EpsGrid:
@@ -175,10 +177,15 @@ class SceneBundle:
     # -- volume samples -------------------------------------------------------
 
     @property
+    def G_inner(self) -> DistanceField:
+        """inner_distance of G cropped to its cells (equal to G's own on G), for V_G and G_-eps."""
+        return self._memo("G_inner", lambda: inner_distance(_crop(self.tiling.G, 4)))
+
+    @property
     def V_G(self) -> volumes.VolumeSamples:
         return self._memo(
             "V_G",
-            lambda: volumes.sample_inner_volume(self.tiling.G, self.grid_G, "V_G", "G"),
+            lambda: volumes.sample_inner_volume(self.G_inner, self.grid_G, "V_G", "G"),
         )
 
     @property
@@ -222,22 +229,17 @@ class SceneBundle:
         )
 
     @property
-    def F_full_volumes(self) -> volumes.VolumeSamples:
-        """lambda_d(F_eps) on grid_full, from a field padded past eps = 1.
-
-        That field (a few hundred MB at fine delta) serves only these
-        samples, so it is built here and dropped once they are counted.
-        """
+    def F_volumes(self) -> volumes.VolumeSamples:
+        """lambda_d(F_eps) on grid_F."""
         return self._memo(
-            "F_full",
-            lambda: volumes.sample_parallel_volume(self._padded_field(1.05), self.grid_full),
+            "F_volumes", lambda: volumes.sample_parallel_volume(self.field_small, self.grid_F)
         )
 
     @property
     def R_d(self) -> volumes.VolumeSamples:
         return self._memo(
             "R_d",
-            lambda: volumes.gatzouras_rd(self.F_full_volumes, self.ifs, self.grid_full),
+            lambda: volumes.gatzouras_rd(self.F_volumes, self.ifs, self.grid_F),
         )
 
     # -- checks ----------------------------------------------------------------
@@ -299,26 +301,23 @@ class SceneBundle:
         )
 
     def generator_curvature_samples(self, k: int) -> curvature.CurvatureSamples:
-        """C_k of the generator's cores G_-eps (G cropped to its cells) on grid_curv_G."""
-        return self._inner_curvature(k, "G_core", lambda: _crop(self.tiling.G, 4))
+        """C_k of the generator's cores G_-eps on grid_curv_G."""
+        return self._inner_curvature(k, "G_core", lambda: self.G_inner)
 
     def tiling_curvature_samples(self, k: int) -> curvature.CurvatureSamples:
         """C_k of the cores of the tile union on grid_curv_G."""
-        return self._inner_curvature(k, "T_core", lambda: self.tiling.tile_union)
+        return self._inner_curvature(k, "T_core", lambda: inner_distance(self.tiling.tile_union))
 
-    def _inner_curvature(self, k: int, tag: str, region) -> curvature.CurvatureSamples:
-        """C_k of the cores of region() on grid_curv_G.
-
-        Both orders read one profile, memoized under `tag`. d=1 has the one
-        order k = 0 and keeps the one-shot sampler.
-        """
+    def _inner_curvature(self, k: int, tag: str, inner) -> curvature.CurvatureSamples:
+        """C_k of the cores {inner() > eps} on grid_curv_G. Both orders read one profile,
+        memoized under `tag`; d=1 has the one order k = 0 and keeps the one-shot sampler."""
 
         def profile():
             eps = self.grid_curv_G.eps
-            return eps, *curvature.measure_profiles(inner_distance(region()), eps)
+            return eps, *curvature.measure_profiles(inner(), eps)
 
         if self.d == 1:
-            return curvature.inner_curvature_samples(region(), k, self.grid_curv_G, tag)
+            return curvature.inner_curvature_samples(inner(), k, self.grid_curv_G, tag)
         return curvature.samples_from_profile(
             k, self.d, self.delta, lambda: self._memo(("profile", tag), profile), tag
         )
@@ -368,9 +367,10 @@ class SceneBundle:
             # in d=1, where the outer collars belong to the scaled periodic
             # regime) the full parallel volume settles much faster.
             restrict = d == 2 and self.checks()["compatible"].passed
-            samples = self.F_on_O if restrict else self.F_full_volumes
+            samples = self.F_on_O if restrict else self.F_volumes
+            lo, hi = self.direct_window(self.g_tilde)
             return contents.direct_content(
-                samples, D, d, window=self.direct_window(restrict),
+                samples, D, d, window=(lo, min(hi, self.grid_rel.eps[-1]) if restrict else hi),
                 lattice_base=self.lattice_base, lattice_note=note,
             )
         if method == "s_content":
@@ -382,19 +382,13 @@ class SceneBundle:
             )
         raise ConfigError(f"unknown content method {method!r}")
 
-    def direct_window(self, restrict_to_O: bool = False) -> tuple[float, float]:
-        if restrict_to_O:
-            lo = 4 * self.delta
-            hi = max(0.55 * self.g_tilde, lo * 10.0**1.5 * 1.02)
-            return lo, min(hi, self.grid_rel.eps[-1])
+    def direct_window(self, g_tilde: float) -> tuple[float, float]:
+        """(floor, top): top 0.3 x scale in d=1, 0.55 g~ in d=2, at least 1.5 decades up."""
         if self.d == 1:
-            lo = 16 * self.delta
-            scale = float(np.ptp(np.asarray(self.scene.f_bbox, float)))
-            hi = min(max(0.3 * scale, lo * 10.0**1.5 * 1.02), self.grid_full.eps[-1] * 0.9)
-            return lo, hi
-        lo = 4 * self.delta
-        hi = min(max(0.55 * self.g_tilde, lo * 10.0**1.5 * 1.02), self.grid_full.eps[-1] * 0.9)
-        return lo, hi
+            lo, top = 16 * self.delta, 0.3 * float(np.ptp(np.asarray(self.scene.f_bbox, float)))
+        else:
+            lo, top = 4 * self.delta, 0.55 * g_tilde
+        return lo, max(top, lo * 10.0**1.5 * 1.02)
 
     def content_table(self, methods=CONTENT_METHODS) -> dict[str, object]:
         """One row per method; refusals become rows with the failure reason."""

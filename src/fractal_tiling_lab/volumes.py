@@ -25,7 +25,6 @@ from .grids import DistanceField, Grid, inner_distance
 from .ifs import IFS
 
 _COUNT_STRIP = 1 << 20  # values sorted at a time when the samplers count them
-GATZOURAS_A = 1.0  # cutoff a of the Gatzouras difference: the content integral runs over (0, a]
 VOLUME_KINDS = ("V_G", "V_T", "F_eps_on_A", "F_eps", "h", "phi", "R_d", "surface")
 
 
@@ -125,21 +124,22 @@ def _count_values(vals: np.ndarray, eps: np.ndarray, delta: float, dim: int):
 
 
 def sample_inner_volume(
-    U: Grid, grid: EpsGrid, kind: str = "V_G", region_tag: str = "",
+    U: Grid | DistanceField, grid: EpsGrid, kind: str = "V_G", region_tag: str = "",
     extra_area: float = 0.0,
 ) -> VolumeSamples:
-    """V(U, eps): volume of the inner eps-collar of U on the eps grid.
+    """V(U, eps): volume of the inner eps-collar of U (or of inner_distance(U)) on the eps grid.
 
     extra_area is added to every sample; tilings pass the residual-mask area
     here (sub-cell tiles sit entirely within any sampled eps of their own
     boundary).
     """
-    if not U.occupancy.any():
+    inner = U if isinstance(U, DistanceField) else inner_distance(U)
+    vals = inner.values[inner.values > 0]
+    if not vals.size:
         raise ConfigError("inner volume of an empty region")
-    inner = inner_distance(U)
-    below, tol = _count_values(inner.values[U.occupancy], grid.eps, U.spacing, U.dim)
-    values = below * U.cell_volume + extra_area
-    return VolumeSamples(grid.eps, values, kind, U.spacing, region_tag, tol)
+    below, tol = _count_values(vals, grid.eps, inner.spacing, inner.dim)
+    values = below * inner.spacing**inner.dim + extra_area
+    return VolumeSamples(grid.eps, values, kind, inner.spacing, region_tag, tol)
 
 
 def sample_restricted_volume(
@@ -155,11 +155,9 @@ def sample_restricted_volume(
 def sample_parallel_volume(F_field: DistanceField, grid: EpsGrid) -> VolumeSamples:
     """lambda_d(F_eps) over the whole field (bbox must fully contain F_top)."""
     d = F_field.dim
-    f = F_field.values
-    ring = f[[0, -1]] if d == 1 else np.concatenate([f[0], f[-1], f[:, 0], f[:, -1]])
-    if ring.min() <= grid.eps[-1]:
+    if F_field.border_min() <= grid.eps[-1]:
         raise ConfigError("parallel set reaches the bbox at the top eps; enlarge the padding")
-    below, tol = _count_values(f.ravel(), grid.eps, F_field.spacing, d)
+    below, tol = _count_values(F_field.values.ravel(), grid.eps, F_field.spacing, d)
     values = below * F_field.spacing**d
     return VolumeSamples(grid.eps, values, "F_eps", F_field.spacing, "F", tol)
 
@@ -208,7 +206,7 @@ def renewal_difference(
 
     The common shape of the tube-function difference (w = d, cutoff = g),
     the restricted-volume difference (w = d, cutoff = g_tilde) and the
-    Gatzouras difference (w = d, cutoff = GATZOURAS_A).
+    Gatzouras difference (w = d, cutoff = the grid's top node a).
     """
     if samples.eps.shape != grid.eps.shape or not np.allclose(samples.eps, grid.eps):
         raise ConfigError("samples must live on the provided eps grid")
@@ -245,8 +243,11 @@ def phi_function(F_on_O: VolumeSamples, ifs: IFS, g_tilde: float, grid: EpsGrid)
 
 
 def gatzouras_rd(F_vols: VolumeSamples, ifs: IFS, grid: EpsGrid) -> VolumeSamples:
-    """lambda_d(F_eps) - sum_i 1{eps <= r_i a} lambda_d((S_i F)_eps), a = GATZOURAS_A, via scaling."""
+    """lambda_d(F_eps) - sum_i 1{eps <= r_i a} lambda_d((S_i F)_eps) via scaling, a = grid.eps[-1].
+
+    Any a > 0 gives the same content integral; a node puts the lattice gate radii r_i a on nodes.
+    """
     d = ifs.ambient_dim
     if np.sum(ifs.ratios**d) >= 1.0 - 1e-12:
         raise ConfigError("full-dimensional attractor: the content difference is degenerate")
-    return renewal_difference(F_vols, ifs, GATZOURAS_A, grid, d, "R_d")
+    return renewal_difference(F_vols, ifs, float(grid.eps[-1]), grid, d, "R_d")

@@ -107,9 +107,10 @@ class TestLattice:
         # the base divides every -ln r_sigma
         ifs = cantor_pair_ifs()
         _, base = ftl.is_lattice(ifs)
-        for w in words_up_to_ratio(ifs, 0.0, max_len=4, truncate=True):
-            if len(w) != 3:
-                continue
+        # ratios 1/2 and 1/4: every length-3 word has r_sigma >= 1/64 > 0.01
+        words = [w for w in words_up_to_ratio(ifs, 0.01) if len(w) == 3]
+        assert len(words) == 2**3
+        for w in words:
             mult = -math.log(w.ratio(ifs)) / base
             assert abs(mult - round(mult)) < 1e-9
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -7,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 import fractal_tiling_lab as ftl
-from fractal_tiling_lab import volumes
+from fractal_tiling_lab import pipeline, volumes
+from fractal_tiling_lab.contents import gatzouras_content
 from fractal_tiling_lab.errors import ConfigError
-from fractal_tiling_lab.grids import ConvexPolygon, distance_transform, rasterize
+from fractal_tiling_lab.grids import ConvexPolygon, IntervalUnion, distance_transform, grid_from_bbox, rasterize
 from fractal_tiling_lab.ifs import IFS, Similarity
-from fractal_tiling_lab.presets import carpet_ifs
+from fractal_tiling_lab.presets import Scene, carpet_ifs, get_preset, translation_map
 from fractal_tiling_lab.tiling import attractor_raster
 from fractal_tiling_lab.volumes import (
     EpsGrid,
@@ -265,20 +267,62 @@ class TestSharedInterpolant:
         assert got.interpolated == any(grid.shift_for_ratio(r) is None for r in ratios)
 
 
+def gatzouras_at_cutoff_1(b):
+    """The Gatzouras row with cutoff a = 1, from a field of F padded past eps = 1.05."""
+    o, f, delta = b.O, b.F_tight, b.delta
+    margin = (math.ceil(1.05 / delta) + 1) * delta
+    lo = np.minimum(o.origin, f.origin) - margin
+    hi = np.maximum(o.origin + np.array(o.extents) * delta, f.origin + np.array(f.extents) * delta) + margin
+    grid = grid_from_bbox((lo, hi), delta)
+    field = distance_transform(grid.with_occupancy(f.embed_into(grid.origin, grid.extents)))
+    eps_grid = make_eps_grid(delta, 1.0, b.scene.eps_per_decade, b.lattice_base)
+    rd = gatzouras_rd(sample_parallel_volume(field, eps_grid), b.ifs, eps_grid)
+    return gatzouras_content(rd, b.dim_data.D, b.dim_data.eta, b.d)
+
+
+def interval_bundle(ratios, translations, delta=2.0**-14):
+    maps = tuple(translation_map(r, [t]) for r, t in zip(ratios, translations))
+    scene = Scene(IFS(maps, 1), IntervalUnion(((0.0, 1.0),)), delta, ([0.0], [1.0]))
+    return pipeline.SceneBundle(scene)
+
+
 class TestGatzourasDifference:
     def test_indicators_vanish_above_rmax(self, cantor_bundle):
         b = cantor_bundle
-        rd, fv = b.R_d, b.F_full_volumes
+        rd, fv = b.R_d, b.F_volumes
+        a = rd.eps[-1]
         rmax = float(b.ifs.ratios.max())
-        sel = rd.eps > rmax * 1.0001
+        sel = rd.eps > rmax * a * 1.0001
+        assert sel.any()
         assert np.array_equal(rd.values[sel], fv.values[sel])
+
+    @pytest.mark.parametrize("name", ["cantor", "cantor_pair"])
+    def test_lattice_cutoff_matches_cutoff_1(self, name):
+        """Any grid node is a valid cutoff: on a lattice grid a = 1 gives the same row to rounding."""
+        b = pipeline.get_bundle(name)
+        row = b.content("gatzouras")
+        ref = gatzouras_at_cutoff_1(b)
+        assert row.extra["normalization"] == b.grid_F.eps[-1] < 1.0
+        assert row.value == pytest.approx(ref.value, rel=1e-12)
+
+    @pytest.mark.parametrize("ratios,translations", [
+        ((0.3, 0.45), (0.0, 0.55)),
+        ((0.2, 0.35, 0.25), (0.0, 0.3, 0.75)),
+    ])
+    def test_nonlattice_cutoff_within_own_error(self, ratios, translations):
+        b = interval_bundle(ratios, translations)
+        assert b.lattice_base is None
+        row = b.content("gatzouras")
+        ref = gatzouras_at_cutoff_1(b)
+        assert abs(row.value - ref.value) <= row.error_estimate
 
     def test_cantor_rd_vanishes_below_separation(self, cantor_bundle):
         # the two pieces' parallel sets are disjoint until eps = 1/6, so the
-        # difference is exactly zero there
+        # difference is exactly zero there while both pieces are subtracted
+        # (eps <= a / 3)
         b = cantor_bundle
         rd = b.R_d
-        sel = (rd.eps >= 64 * b.delta) & (rd.eps <= 1 / 6 * 0.99)
+        sel = (rd.eps >= 64 * b.delta) & (rd.eps <= min(1 / 6, rd.eps[-1] / 3) * 0.99)
         assert np.max(np.abs(rd.values[sel])) <= 3 * np.maximum(rd.tolerance[sel], 2 * b.delta).max()
 
     def test_full_dimensional_rejected(self):
@@ -293,6 +337,30 @@ class TestGatzourasDifference:
         fake = ftl.VolumeSamples(grid.eps, np.ones_like(grid.eps), "F_eps", 2.0**-10)
         with pytest.raises(ConfigError):
             gatzouras_rd(fake, ifs, grid)
+
+
+class TestOneAttractorField:
+    @pytest.mark.parametrize("name,delta", [("cantor", 2.0**-10), ("carpet", 2.0**-9)])
+    def test_one_distance_transform_per_bundle(self, name, delta, monkeypatch):
+        """Contents, checks and every curvature order read the one field_small."""
+        calls = []
+
+        def counting(grid):
+            calls.append(grid.extents)
+            return distance_transform(grid)
+
+        monkeypatch.setattr(pipeline, "distance_transform", counting)
+        b = pipeline.SceneBundle(replace(get_preset(name).scene, delta=delta))
+        # carpet's direct window (capped at g~) spans under 1.5 decades at
+        # 2^-9 and is refused with a ConfigError; every other row is built
+        methods = [m for m in pipeline.CONTENT_METHODS if b.d == 1 or not m.startswith("direct")]
+        b.content_table(methods)
+        b.checks()
+        for k in range(b.d):
+            b.relative_curvature(k)
+            b.relative_curvature(k, "O")
+            b.generator_curvature_samples(k)
+        assert len(calls) == 1
 
 
 class TestCsvExport:
