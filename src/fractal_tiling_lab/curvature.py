@@ -121,20 +121,17 @@ def sample_curvature(
     return samples_from_profile(k, field.dim, field.spacing, profile, region_tag)
 
 
-def inner_curvature_samples(
-    region: Grid | DistanceField, k: int, grid: EpsGrid, region_tag: str = ""
-) -> CurvatureSamples:
-    """C_k of the inner parallel sets of a region (or of inner_distance(region), not rebuilt).
+def inner_curvature_samples(region: Grid, k: int, grid: EpsGrid, region_tag: str = "") -> CurvatureSamples:
+    """C_k of the inner parallel sets of a region (complement-distance field).
 
     In d=1 each core counts +1 (two boundary points): eps grids start above
     the one-cell value that the raster border, counted as complement, gets.
     """
-
-    def profile():
-        inner = region if isinstance(region, DistanceField) else inner_distance(region)
-        return grid.eps, *measure_profiles(inner, grid.eps)
-
-    return samples_from_profile(k, region.dim, region.spacing, profile, region_tag)
+    return samples_from_profile(
+        k, region.dim, region.spacing,
+        lambda: (grid.eps, *measure_profiles(inner_distance(region), grid.eps)),
+        region_tag,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,11 @@ class SceneBundle:
 
     def _small_field(self) -> tuple[DistanceField, float]:
         """(field, g_tilde on it): F_tight's one distance field, on the box around
-        O and F_tight grown by the first pad past max(1.3 g~, direct window top) + 8 delta."""
+        O and F_tight grown by the first pad past max(1.3 g~, direct window top) + 8 delta.
+
+        The start pad covers the window's g~-free top (all of it in d=1); the
+        rest of the top, 0.55 g~ in d=2, lies inside 1.3 g~.
+        """
 
         def build():
             o, f = self.O, self.F_tight
@@ -114,14 +118,13 @@ class SceneBundle:
                 f.origin + np.array(f.extents) * self.delta,
             )
             lo, hi = np.asarray(self.scene.f_bbox[0], float), np.asarray(self.scene.f_bbox[1], float)
-            # the window top's floor needs no g~ (in d=1 neither does the top)
-            pad = max(0.25 * float(np.linalg.norm(hi - lo)), self.direct_window(0.0)[1] + 8 * self.delta)
+            pad = max(0.25 * float(np.linalg.norm(hi - lo)), self._window_without_g()[1] + 8 * self.delta)
             while True:
                 margin = (int(math.ceil(pad / self.delta)) + 1) * self.delta
                 grid = grid_from_bbox((box_lo - margin, box_hi + margin), self.delta)
                 field = distance_transform(grid.with_occupancy(f.embed_into(grid.origin, grid.extents)))
                 gt = relative_inradius(field, o)
-                if max(1.3 * gt, self.direct_window(gt)[1]) + 8 * self.delta <= pad:
+                if 1.3 * gt + 8 * self.delta <= pad:
                     return field, gt
                 pad *= 1.6
 
@@ -193,7 +196,7 @@ class SceneBundle:
         def build():
             t = self.tiling
             return volumes.sample_inner_volume(
-                t.tile_union, self.grid_G, "V_T", "T", extra_area=t.residual.area()
+                inner_distance(t.tile_union), self.grid_G, "V_T", "T", extra_area=t.residual.area()
             )
 
         return self._memo("V_T", build)
@@ -309,15 +312,13 @@ class SceneBundle:
         return self._inner_curvature(k, "T_core", lambda: inner_distance(self.tiling.tile_union))
 
     def _inner_curvature(self, k: int, tag: str, inner) -> curvature.CurvatureSamples:
-        """C_k of the cores {inner() > eps} on grid_curv_G. Both orders read one profile,
-        memoized under `tag`; d=1 has the one order k = 0 and keeps the one-shot sampler."""
+        """C_k of the cores {inner() > eps} on grid_curv_G. Both orders (d=2) read
+        one profile, memoized under `tag`."""
 
         def profile():
             eps = self.grid_curv_G.eps
             return eps, *curvature.measure_profiles(inner(), eps)
 
-        if self.d == 1:
-            return curvature.inner_curvature_samples(inner(), k, self.grid_curv_G, tag)
         return curvature.samples_from_profile(
             k, self.d, self.delta, lambda: self._memo(("profile", tag), profile), tag
         )
@@ -368,7 +369,7 @@ class SceneBundle:
             # regime) the full parallel volume settles much faster.
             restrict = d == 2 and self.checks()["compatible"].passed
             samples = self.F_on_O if restrict else self.F_volumes
-            lo, hi = self.direct_window(self.g_tilde)
+            lo, hi = self.direct_window()
             return contents.direct_content(
                 samples, D, d, window=(lo, min(hi, self.grid_rel.eps[-1]) if restrict else hi),
                 lattice_base=self.lattice_base, lattice_note=note,
@@ -382,13 +383,18 @@ class SceneBundle:
             )
         raise ConfigError(f"unknown content method {method!r}")
 
-    def direct_window(self, g_tilde: float) -> tuple[float, float]:
+    def direct_window(self) -> tuple[float, float]:
         """(floor, top): top 0.3 x scale in d=1, 0.55 g~ in d=2, at least 1.5 decades up."""
+        lo, top = self._window_without_g()
+        return lo, top if self.d == 1 else max(top, 0.55 * self.g_tilde)
+
+    def _window_without_g(self) -> tuple[float, float]:
+        """(floor, the part of the direct window's top that needs no g~)."""
+        lo = (16 if self.d == 1 else 4) * self.delta
+        top = lo * 10.0**1.5 * 1.02
         if self.d == 1:
-            lo, top = 16 * self.delta, 0.3 * float(np.ptp(np.asarray(self.scene.f_bbox, float)))
-        else:
-            lo, top = 4 * self.delta, 0.55 * g_tilde
-        return lo, max(top, lo * 10.0**1.5 * 1.02)
+            top = max(top, 0.3 * float(np.ptp(np.asarray(self.scene.f_bbox, float))))
+        return lo, top
 
     def content_table(self, methods=CONTENT_METHODS) -> dict[str, object]:
         """One row per method; refusals become rows with the failure reason."""

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError
-from .grids import DistanceField, Grid, inner_distance
+from .grids import DistanceField, Grid
 from .ifs import IFS
 
 _COUNT_STRIP = 1 << 20  # values sorted at a time when the samplers count them
@@ -124,16 +124,15 @@ def _count_values(vals: np.ndarray, eps: np.ndarray, delta: float, dim: int):
 
 
 def sample_inner_volume(
-    U: Grid | DistanceField, grid: EpsGrid, kind: str = "V_G", region_tag: str = "",
+    inner: DistanceField, grid: EpsGrid, kind: str = "V_G", region_tag: str = "",
     extra_area: float = 0.0,
 ) -> VolumeSamples:
-    """V(U, eps): volume of the inner eps-collar of U (or of inner_distance(U)) on the eps grid.
+    """V(U, eps): volume of the inner eps-collar of U on the eps grid, from inner = inner_distance(U).
 
-    extra_area is added to every sample; tilings pass the residual-mask area
-    here (sub-cell tiles sit entirely within any sampled eps of their own
-    boundary).
+    U's cells are exactly those where inner is positive. extra_area is added
+    to every sample; tilings pass the residual-mask area here (sub-cell tiles
+    sit entirely within any sampled eps of their own boundary).
     """
-    inner = U if isinstance(U, DistanceField) else inner_distance(U)
     vals = inner.values[inner.values > 0]
     if not vals.size:
         raise ConfigError("inner volume of an empty region")

@@ -24,6 +24,7 @@ from fractal_tiling_lab.grids import (
     PolygonUnion,
     distance_transform,
     grid_from_bbox,
+    inner_distance,
     inradius,
     parallel_volume,
     rasterize,
@@ -55,7 +56,7 @@ def region_content(bundle, lo, hi):
     G = rasterize(axis_square(lo, hi), ([lo - pad, lo - pad], [hi + pad, hi + pad]), bundle.delta)
     g = inradius(G)
     grid = make_eps_grid(bundle.delta, g, 64, dd.lattice_base)
-    vg = sample_inner_volume(G, grid, "V_G")
+    vg = sample_inner_volume(inner_distance(G), grid, "V_G")
     return generator_content(vg, dd.D, dd.eta, 2, g)
 
 
@@ -264,7 +265,7 @@ def test_criterion_09_condition_checks(carpet_bundle):
     tth = rasterize(teeth, ([-0.01, -0.01], [1.01, 1.01]), delta)
     comb = sq.with_occupancy(sq.occupancy & ~tth.occupancy)
     grid = make_eps_grid(delta, inradius(comb), 64)
-    vg = sample_inner_volume(comb, grid, "V_G")
+    vg = sample_inner_volume(inner_distance(comb), grid, "V_G")
     try:
         generator_content(vg, D_KOCH, math.log(3) / 2, 2, inradius(comb))
         refusal = False

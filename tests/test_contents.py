@@ -15,7 +15,7 @@ from fractal_tiling_lab.contents import (
     relative_generator_content,
 )
 from fractal_tiling_lab.errors import ConfigError, PreconditionError
-from fractal_tiling_lab.grids import ConvexPolygon, PolygonUnion, distance_transform, grid_from_bbox, inradius, rasterize
+from fractal_tiling_lab.grids import ConvexPolygon, PolygonUnion, distance_transform, grid_from_bbox, inner_distance, inradius, rasterize
 from fractal_tiling_lab.presets import (
     CANTOR_CONTENT_CLOSED_FORM,
     D_CARPET,
@@ -32,7 +32,7 @@ def region_generator_content(region, delta, D, eta, d, lattice_base, bbox):
     G = rasterize(region, bbox, delta)
     g = inradius(G)
     grid = make_eps_grid(delta, g, 64, lattice_base)
-    vg = sample_inner_volume(G, grid, "V_G")
+    vg = sample_inner_volume(inner_distance(G), grid, "V_G")
     return generator_content(vg, D, eta, d, g)
 
 
@@ -173,7 +173,7 @@ class TestCarpetCrossMethods:
         # re-run the quadrature at doubled sample density
         g = inradius(b.tiling.G)
         grid2 = make_eps_grid(b.delta, g, 128, dd.lattice_base)
-        vg2 = sample_inner_volume(b.tiling.G, grid2, "V_G")
+        vg2 = sample_inner_volume(inner_distance(b.tiling.G), grid2, "V_G")
         res2 = generator_content(vg2, dd.D, dd.eta, 2, g)
         assert abs(res2.value - res.value) <= max(res.error_estimate, 1e-6)
 

@@ -269,7 +269,7 @@ class TestCbc:
         tth = rasterize(teeth, ([-0.01, -0.01], [1.01, 1.01]), delta)
         comb = sq.with_occupancy(sq.occupancy & ~tth.occupancy)
         grid = make_eps_grid(delta, inradius(comb), 64)
-        vg = sample_inner_volume(comb, grid, "V_G")
+        vg = sample_inner_volume(grids.inner_distance(comb), grid, "V_G")
         with pytest.raises(PreconditionError):
             generator_content(vg, D_KOCH, math.log(3) / 2, 2, inradius(comb))
 

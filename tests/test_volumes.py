@@ -11,7 +11,7 @@ import fractal_tiling_lab as ftl
 from fractal_tiling_lab import pipeline, volumes
 from fractal_tiling_lab.contents import gatzouras_content
 from fractal_tiling_lab.errors import ConfigError
-from fractal_tiling_lab.grids import ConvexPolygon, IntervalUnion, distance_transform, grid_from_bbox, rasterize
+from fractal_tiling_lab.grids import ConvexPolygon, IntervalUnion, distance_transform, grid_from_bbox, inner_distance, rasterize
 from fractal_tiling_lab.ifs import IFS, Similarity
 from fractal_tiling_lab.presets import Scene, carpet_ifs, get_preset, translation_map
 from fractal_tiling_lab.tiling import attractor_raster
@@ -49,7 +49,7 @@ class TestInnerVolumeSamples:
         sq = ConvexPolygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float))
         G = rasterize(sq, ([-0.05, -0.05], [1.05, 1.05]), delta)
         grid = make_eps_grid(delta, 0.5, 64)
-        vs = sample_inner_volume(G, grid, "V_G")
+        vs = sample_inner_volume(inner_distance(G), grid, "V_G")
         assert vs.value_at(0.1) == pytest.approx(0.36, abs=16 * delta)
         assert np.all(np.diff(vs.values) >= 0)
         assert vs.values[-1] == pytest.approx(1.0, abs=16 * delta)
@@ -62,7 +62,7 @@ class TestInnerVolumeSamples:
         from fractal_tiling_lab.contents import power_fit
 
         grid = make_eps_grid(delta, inradius(G), 64)
-        vs = sample_inner_volume(G, grid, "V_G")
+        vs = sample_inner_volume(inner_distance(G), grid, "V_G")
         _, slope = power_fit(vs.eps, vs.values, decades=1.0)
         assert abs(slope - 1.0) <= 0.05
 
@@ -110,9 +110,9 @@ class TestCountsInStrips:
                 vals = field.sample_at(G.cell_points(G.occupancy))
                 self.assert_same(sample_restricted_volume(field, G, grid), full_sort_samples(
                     vals, grid.eps, delta, d, G.cell_volume))
-                inner = ftl.grids.inner_distance(G).values[G.occupancy]
+                inner = inner_distance(G).values[G.occupancy]
                 ref = full_sort_samples(inner, grid.eps, delta, d, G.cell_volume)
-                self.assert_same(sample_inner_volume(G, grid, extra_area=0.125),
+                self.assert_same(sample_inner_volume(inner_distance(G), grid, extra_area=0.125),
                                  (ref[0] + 0.125, ref[1]))
 
 
