@@ -20,9 +20,9 @@ from scipy import ndimage
 from .curvature import samples_from_profile
 from .errors import ConfigError
 from .grids import DistanceField, Grid
-from .ifs import IFS
+from .ifs import IFS, Similarity
 from .levelsets import LevelSetExtractor, contour_components
-from .tiling import _map_cells
+from .tiling import _map_cells, axis_cells
 
 CHECK_NAMES = ("osc", "strong", "compatible", "projection", "boundary_null")
 STRONG_INTERIOR_CELLS = 4  # erosion depth of O's interior in check_strong
@@ -130,18 +130,14 @@ def check_strong(O: Grid, F_field: DistanceField) -> CheckReport:
             "strong", "fail", delta,
             {"reason": "no interior cells at this resolution"},
         )
-    pts = O.cell_points(interior)
-    dists = F_field.sample_at(pts)
+    dists = F_field.sample_cells(O, interior)
     best = int(np.argmin(dists))
+    at = [float(v) for v in O.cell_point(interior, best)]
     if dists[best] <= delta:
-        return CheckReport(
-            "strong", "pass", delta,
-            details={"witness_point": [float(v) for v in np.atleast_1d(pts[best])]},
-        )
+        return CheckReport("strong", "pass", delta, details={"witness_point": at})
     return CheckReport(
         "strong", "fail", delta,
-        {"min_distance_to_F": float(dists[best]),
-         "at": [float(v) for v in np.atleast_1d(pts[best])],
+        {"min_distance_to_F": float(dists[best]), "at": at,
          "reason": "no interior cell within one cell of F"},
     )
 
@@ -153,8 +149,7 @@ def check_compatibility(G: Grid, F_field: DistanceField) -> CheckReport:
     if not boundary.any():
         return CheckReport("compatible", "inconclusive", delta, None,
                            {"note": "generator has no boundary cells"})
-    pts = G.cell_points(boundary)
-    dists = F_field.sample_at(pts)
+    dists = F_field.sample_cells(G, boundary)
     worst = int(np.argmax(dists))
     if dists[worst] <= COMPATIBLE_TOL_CELLS * delta:
         return CheckReport("compatible", "pass", delta,
@@ -162,7 +157,7 @@ def check_compatibility(G: Grid, F_field: DistanceField) -> CheckReport:
     return CheckReport(
         "compatible", "fail", delta,
         {"max_boundary_distance": float(dists[worst]),
-         "at": [float(v) for v in np.atleast_1d(pts[worst])],
+         "at": [float(v) for v in G.cell_point(boundary, worst)],
          "tolerance": COMPATIBLE_TOL_CELLS * delta,
          "reason": "generator boundary leaves the attractor"},
     )
@@ -187,9 +182,8 @@ def check_projection(
     for i, (m, img) in enumerate(zip(ifs.maps, images)):
         if not img.any():
             continue
-        pts = O.cell_points(img)
-        d_F = F_field.sample_at(pts)
-        d_SiF = m.ratio * F_field.sample_at(m.inverse()(pts))
+        d_F = F_field.sample_cells(O, img)
+        d_SiF = m.ratio * _sample_preimages(m, O, img, F_field)
         top = m.ratio * g_tilde
         if eps_samples is None:
             lo = 4 * delta
@@ -227,6 +221,31 @@ def check_projection(
     if worst is not None:
         return CheckReport("projection", "fail", delta, worst)
     return CheckReport("projection", "pass", delta)
+
+
+def _sample_preimages(m: Similarity, O: Grid, img: np.ndarray, F_field: DistanceField) -> np.ndarray:
+    """F_field at S^{-1} of the centers of O's cells in img, in C order:
+    F_field.sample_at(m.inverse()(O.cell_points(img))).
+
+    For a diagonal inverse linear part the preimage cell on each axis depends
+    on that axis alone (tiling.axis_cells), so it is found once per row and
+    once per column of img's bounding box, and the field is gathered there.
+    """
+    inv = m.inverse()
+    A, d = inv.matrix, O.dim
+    if np.any(A[~np.eye(d, dtype=bool)] != 0):
+        return F_field.sample_at(inv(O.cell_points(img)))
+    box = []
+    for a in range(d):
+        rows = np.flatnonzero(img.any(axis=tuple(b for b in range(d) if b != a)))
+        box.append(slice(rows[0], rows[-1] + 1))
+    cells, inside = zip(*(
+        axis_cells(A[a, a] * O.centers(a)[box[a]] + inv.offset[a], F_field, a) for a in range(d)
+    ))
+    vals = F_field.values[np.ix_(*cells)].astype(float)
+    ok = inside[0] if d == 1 else inside[0][:, None] & inside[1][None, :]
+    vals[~ok] = np.inf
+    return vals[img[tuple(box)]]
 
 
 def _first_above(s: np.ndarray, e: float, bound: float, strict: bool) -> int:

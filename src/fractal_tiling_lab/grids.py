@@ -73,6 +73,26 @@ class Raster:
             p = p[:, None]
         return np.floor((p - self.origin) / self.spacing).astype(np.int64)
 
+    def cell_point(self, mask: np.ndarray, n: int) -> np.ndarray:
+        """Center of the mask's n-th cell in C order: cell_points(mask)[n]."""
+        idx = np.unravel_index(np.flatnonzero(mask)[n], mask.shape)
+        return self.origin + (np.array(idx) + 0.5) * self.spacing
+
+    def lattice_slice(self, other: "Raster") -> tuple[slice, ...] | None:
+        """The cells of this raster that are other's cells, as one slice per axis,
+        when other lies on this lattice and inside it; None otherwise."""
+        off = (other.origin - self.origin) / self.spacing
+        off_i = np.round(off).astype(np.int64)
+        hi = off_i + np.array(other.extents)
+        if (
+            other.spacing != self.spacing
+            or np.any(np.abs(off - off_i) > 1e-6)
+            or np.any(off_i < 0)
+            or np.any(hi > np.array(self.extents))
+        ):
+            return None
+        return tuple(slice(a, b) for a, b in zip(off_i, hi))
+
     def values_at(self, cells: np.ndarray, points: np.ndarray, outside, dtype) -> np.ndarray:
         """Entries of a per-cell array (shaped like this raster) at the cells
         holding the points; outside for points that leave the raster."""
@@ -127,16 +147,12 @@ class Grid(Raster):
 
     def embed_into(self, origin: np.ndarray, extents: tuple[int, ...]) -> np.ndarray:
         """Occupancy re-indexed onto a larger lattice-aligned grid."""
-        off = (self.origin - np.atleast_1d(origin)) / self.spacing
-        off_i = np.round(off).astype(int)
-        if np.any(np.abs(off - off_i) > 1e-6):
+        out = Grid(origin, self.spacing, np.zeros(extents, dtype=bool))
+        sel = out.lattice_slice(self)
+        if sel is None:
             raise ConfigError("grids are not lattice-aligned")
-        out = np.zeros(extents, dtype=bool)
-        sel = tuple(
-            slice(off_i[ax], off_i[ax] + self.extents[ax]) for ax in range(self.dim)
-        )
-        out[sel] = self.occupancy
-        return out
+        out.occupancy[sel] = self.occupancy
+        return out.occupancy
 
     def boundary_cells(self) -> np.ndarray:
         """Occupied cells 4-adjacent to an unoccupied (or outside) cell."""
@@ -191,7 +207,18 @@ def grid_from_bbox(bbox, delta: float) -> Grid:
 
 
 class Region:
+    """An open set, tested at points or on per-axis coordinate arrays."""
+
+    dim: int
+
     def contains(self, points: np.ndarray) -> np.ndarray:
+        """Membership of points of shape (n, dim) (flat in 1d)."""
+        p = np.asarray(points, dtype=float).reshape(-1, self.dim)
+        return self.contains_axes(*p.T)
+
+    def contains_axes(self, *coords: np.ndarray) -> np.ndarray:
+        """Membership of the points whose per-axis coordinates coords broadcast
+        against each other, in their broadcast shape."""
         raise NotImplementedError
 
     def bbox(self):
@@ -203,10 +230,10 @@ class IntervalUnion(Region):
     """Union of open intervals on the line."""
 
     intervals: tuple[tuple[float, float], ...]
+    dim = 1
 
-    def contains(self, points):
-        x = np.asarray(points, dtype=float).reshape(-1)
-        out = np.zeros(x.shape[0], dtype=bool)
+    def contains_axes(self, x):
+        out = np.zeros(np.shape(x), dtype=bool)
         for a, b in self.intervals:
             out |= (x > a) & (x < b)
         return out
@@ -222,6 +249,7 @@ class ConvexPolygon(Region):
     """Open convex polygon, vertices in counterclockwise order."""
 
     vertices: np.ndarray
+    dim = 2
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -233,14 +261,13 @@ class ConvexPolygon(Region):
             v = v[::-1]
         object.__setattr__(self, "vertices", v)
 
-    def contains(self, points):
-        p = np.asarray(points, dtype=float).reshape(-1, 2)
+    def contains_axes(self, x, y):
         v = self.vertices
-        out = np.ones(p.shape[0], dtype=bool)
+        out = np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=bool)
         for i in range(v.shape[0]):
             a, b = v[i], v[(i + 1) % v.shape[0]]
             edge = b - a
-            out &= (edge[0] * (p[:, 1] - a[1]) - edge[1] * (p[:, 0] - a[0])) > 0
+            out &= (edge[0] * (y - a[1]) - edge[1] * (x - a[0])) > 0
         return out
 
     def bbox(self):
@@ -250,12 +277,12 @@ class ConvexPolygon(Region):
 @dataclass(frozen=True)
 class PolygonUnion(Region):
     polygons: tuple[ConvexPolygon, ...]
+    dim = 2
 
-    def contains(self, points):
-        p = np.asarray(points, dtype=float).reshape(-1, 2)
-        out = np.zeros(p.shape[0], dtype=bool)
+    def contains_axes(self, x, y):
+        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=bool)
         for poly in self.polygons:
-            out |= poly.contains(p)
+            out |= poly.contains_axes(x, y)
         return out
 
     def bbox(self):
@@ -264,9 +291,13 @@ class PolygonUnion(Region):
 
 
 def rasterize(region: Region, bbox, delta: float) -> Grid:
-    """Center-in-region raster of an open set on the given bbox (at most MAX_CELLS cells)."""
+    """Center-in-region raster of an open set on the given bbox (at most MAX_CELLS cells).
+
+    The region is evaluated on the per-axis center vectors broadcast against
+    each other, so no (n, dim) array of centers is built.
+    """
     g = grid_from_bbox(bbox, delta)
-    return g.with_occupancy(region.contains(g.cell_points()).reshape(g.extents))
+    return g.with_occupancy(region.contains_axes(*np.ix_(*(g.centers(a) for a in range(g.dim)))))
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +317,20 @@ class DistanceField(Raster):
     def sample_at(self, points: np.ndarray, outside=np.inf) -> np.ndarray:
         """Nearest-cell lookup of the field at arbitrary points."""
         return self.values_at(self.values, points, outside, float)
+
+    def sample_cells(self, grid: Raster, mask: np.ndarray | None = None, outside=np.inf) -> np.ndarray:
+        """The field at the centers of grid's cells where mask is set (all cells
+        when mask is None), in C order: sample_at(grid.cell_points(mask)).
+
+        When grid lies on the field's lattice and inside it, each center lies
+        in the field cell at a fixed index offset, so the values are read by
+        slicing the field and no center is built.
+        """
+        sel = self.lattice_slice(grid)
+        if sel is None:
+            return self.sample_at(grid.cell_points(mask), outside)
+        vals = self.values[sel]
+        return (vals.ravel() if mask is None else vals[mask]).astype(float)
 
     def border_min(self) -> float:
         """Smallest value on the raster's border cells."""

@@ -294,11 +294,13 @@ class SceneBundle:
             return mask_grid.embed_into(field.origin, field.extents)
 
         def profile():
-            eps = self.grid_curv.eps
-            return eps, *curvature.measure_profiles(self.field_small, eps, mask(), self.field_extractor)
+            field, eps = self.field_small, self.grid_curv.eps
+            if self.d == 1:
+                if field.values[[0, -1]].min() <= eps.max():
+                    raise ConfigError("1d parallel set touches the grid boundary")
+                return eps, *curvature.measure_profiles(field, eps, mask())
+            return eps, *curvature.measure_profiles(field, eps, mask(), self.field_extractor)
 
-        if self.d == 1:
-            return curvature.sample_curvature(self.field_small, k, self.grid_curv, mask(), region)
         return curvature.samples_from_profile(
             k, self.d, self.delta, lambda: self._memo(("profile", region), profile), region
         )
@@ -370,9 +372,15 @@ class SceneBundle:
             restrict = d == 2 and self.checks()["compatible"].passed
             samples = self.F_on_O if restrict else self.F_volumes
             lo, hi = self.direct_window()
+            if restrict:
+                hi = min(hi, self.grid_rel.eps[-1])
+            if hi / lo < 10.0**1.5:
+                raise PreconditionError(
+                    f"direct window ({lo:.4g}, {hi:.4g}) spans {math.log10(hi / lo):.2f} "
+                    "decades, under 1.5"
+                )
             return contents.direct_content(
-                samples, D, d, window=(lo, min(hi, self.grid_rel.eps[-1]) if restrict else hi),
-                lattice_base=self.lattice_base, lattice_note=note,
+                samples, D, d, window=(lo, hi), lattice_base=self.lattice_base, lattice_note=note,
             )
         if method == "s_content":
             checks = self.checks()

@@ -21,6 +21,14 @@ product's off-diagonal term is an exact 0 * y, and fl(a * x + 0 * y) =
 fl(a * x) with or without a fused multiply-add. The images S_i(O) are
 built once per map and kept on TilingData, one bit per map and cell; their
 union is Phi(O).
+
+The attractor raster (attractor_raster) walks the word orbit of a fixed
+point on integer cell keys. The same per-axis argument gives a diagonal
+2-d map its child cells from one table per axis, built once per raster;
+a map with a rotation, and every 1-d map, maps cell centers and floors
+them. axis_cells, the index of the cell holding a coordinate on one axis,
+is shared by _stamp_images, the orbit tables and
+conditions.check_projection.
 """
 
 from __future__ import annotations
@@ -133,12 +141,6 @@ def _stamp_images(
         # A_k[a, a] * center + b_k[a] at the target indices idx on axis a
         return A[k, a, a] * (target.origin[a] + (idx + 0.5) * target.spacing) + b[k, a]
 
-    def source_cells(pre, a):
-        # source index on axis a (clipped for the gather) and whether it is inside
-        s = np.floor((pre - source.origin[a]) / source.spacing).astype(np.int64)
-        ok = (s >= 0) & (s < source.extents[a])
-        return np.clip(s, 0, source.extents[a] - 1), ok
-
     ks = np.flatnonzero(aligned)
     height = shape[ks, 1:].prod(axis=1)  # cells per column: 1 in 1-d
     for n_y in np.unique(height):
@@ -149,7 +151,7 @@ def _stamp_images(
         n_cols = int(widths.sum())
         if d == 2:
             iy = lo_i[kg, 1, None] + np.arange(n_y)
-            sy, oky = source_cells(axis_preimages(kg[:, None], 1, iy), 1)
+            sy, oky = axis_cells(axis_preimages(kg[:, None], 1, iy), source, 1)
         step = max(1, CHUNK_CELLS // int(n_y))
         for c0 in range(0, n_cols, step):
             pos = np.arange(c0, min(c0 + step, n_cols))
@@ -160,7 +162,7 @@ def _stamp_images(
             if d == 1:
                 occ[ix[source.lookup(px)]] = True
                 continue
-            sx, okx = source_cells(px, 0)
+            sx, okx = axis_cells(px, source, 0)
             hit = okx[:, None] & oky[t] & source.occupancy[sx[:, None], sy[t]]
             u, v = np.nonzero(hit)
             occ[ix[u], iy[t[u], v]] = True
@@ -310,13 +312,20 @@ def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
     """Raster of the attractor: cells hit by the word orbit of the first map's fixed point.
 
     Breadth-first over code space. A generation's candidates are the
-    finished points, then every active point under map 0, map 1, and so on;
-    the first candidate in a cell claims it and survives, snapped to the
-    cell's center (accumulated snapping error below ~2 cells in Hausdorff
-    distance). Candidates are made and deduplicated ATTRACTOR_CHUNK at a
-    time, with a bitmap of claimed cells across chunks, so a generation holds
-    its survivors, one chunk and 1 byte per grid cell. Branches stop once
-    r_sigma * diam(bbox) <= ATTRACTOR_STOP_CELLS * delta.
+    finished cells, then every active cell under map 0, map 1, and so on;
+    the first candidate in a cell claims it and survives, and the next
+    generation maps the cell's center (accumulated snapping error below ~2
+    cells in Hausdorff distance). A generation is carried as its sorted
+    C-order cell keys and their ratios. The first generation maps the
+    fixed point itself. After that, a 2-d map with a diagonal linear part
+    reads its child keys from per-axis tables that hold the image cell of
+    every cell center (_orbit_tables); other maps, and every 1-d map, map
+    the centers of the active cells and floor them. Candidates are made
+    ATTRACTOR_CHUNK at a time and fold into a per-cell array of first
+    candidate positions with np.minimum.at, so a generation holds its
+    survivors, one chunk and that array; the survivors come out of it in
+    key order. Branches stop once r_sigma * diam(bbox) <= ATTRACTOR_STOP_CELLS
+    * delta.
     """
     g = grid_from_bbox(bbox, delta)
     lo = g.origin
@@ -331,89 +340,139 @@ def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
         if (img < lo - 1e-9).any() or (img > hi + 1e-9).any():
             invariant = False
 
-    diam = float(np.linalg.norm(hi - lo))
-    thresh = ATTRACTOR_STOP_CELLS * delta / diam
-    pts = ifs.maps[0].fixed_point().reshape(1, -1)
-    rs = np.ones(1)
-    claimed = np.zeros(int(np.prod(g.extents)), dtype=bool)
+    # an orbit point this far outside the box has escaped it
+    reach_lo, reach_hi = lo - 0.25 * delta, hi + 0.25 * delta
+
+    def escape():
+        return ResolutionError("bbox does not contain the attractor (orbit point escaped)")
 
     def keys_of(p):
-        if not invariant:
-            if (p < lo - 0.25 * delta).any() or (p > hi + 0.25 * delta).any():
-                raise ResolutionError(
-                    "bbox does not contain the attractor (orbit point escaped)"
-                )
+        if not invariant and ((p < reach_lo).any() or (p > reach_hi).any()):
+            raise escape()
         idx = g.indices_of(p)
         for ax in range(g.dim):
             np.clip(idx[:, ax], 0, g.extents[ax] - 1, out=idx[:, ax])
         return idx[:, 0] if g.dim == 1 else idx[:, 0] * g.extents[1] + idx[:, 1]
 
+    diam = float(np.linalg.norm(hi - lo))
+    thresh = ATTRACTOR_STOP_CELLS * delta / diam
+    tables = _orbit_tables(ifs, g, reach_lo, reach_hi)
+    factors = np.array([1.0] + [m.ratio for m in ifs.maps])
+    keys = None  # the first generation's one active point is the fixed point, not a cell
+    act_pts = ifs.maps[0].fixed_point().reshape(1, -1)
+    rs = np.ones(1)
     while True:
         active = rs > thresh
         if not active.any():
             break
-        act_p, act_r = pts[active], rs[active]
-        sources = [(None, pts[~active], rs[~active])] + [(m, act_p, act_r) for m in ifs.maps]
-        total = sum(len(p) for _, p, _ in sources)
-        # in one chunk the stable sort alone keeps the first point per cell, in cell order
-        chunked = total > ATTRACTOR_CHUNK
-        keys, ratios = [], []
-        for c0 in range(0, total, ATTRACTOR_CHUNK):
-            p, r = _orbit_chunk(sources, c0, c0 + ATTRACTOR_CHUNK)
-            key = keys_of(p)
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-            first = np.ones(key.size, dtype=bool)
-            first[1:] = key[1:] != key[:-1]
-            key, r = key[first], r[order[first]]
-            if chunked:
-                new = ~claimed[key]
-                key, r = key[new], r[new]
-                claimed[key] = True
-            keys.append(key)
-            ratios.append(r)
-        key, rs = np.concatenate(keys), np.concatenate(ratios)
-        if chunked:
-            claimed[key] = False
-            order = np.argsort(key)
-            key, rs = key[order], rs[order]
-        idx = key[:, None] if g.dim == 1 else np.column_stack(np.divmod(key, g.extents[1]))
-        pts = lo + (idx + 0.5) * delta
-
-    occ = np.zeros(g.extents, dtype=bool)
-    occ[tuple(g.indices_of(pts).T)] = True
-    return g.with_occupancy(occ)
-
-
-def _orbit_chunk(sources, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points and ratios c0:c1 of the candidate sequence of one generation.
-
-    sources lists (map, points, ratios) in candidate order; map None stands
-    for the finished points, kept as they are. A mapped slice takes the
-    float operations of mapping its whole source, so the points are
-    bit-identical to it.
-    """
-    parts_p, parts_r, s0 = [], [], 0
-    for m, p, r in sources:
-        a, b = max(c0 - s0, 0), min(c1 - s0, len(p))
-        s0 += len(p)
-        if a >= b:
-            continue
-        if m is None:
-            parts_p.append(p[a:b])
-            parts_r.append(r[a:b])
-            continue
-        if p.shape[1] == 1:
-            img = m(p[a:b].ravel()).reshape(-1, 1)
-        elif b - a == 1 < len(p):
-            # a one-row product would go to BLAS gemv, whose sum order
-            # differs from gemm's on the whole source; take it as a pair
-            img = m(p[[a, a]])[:1]
+        if keys is None:
+            fin, act = np.zeros(0, dtype=np.int64), None
         else:
-            img = m(p[a:b])
-        parts_p.append(img)
-        parts_r.append(m.ratio * r[a:b])
-    return np.concatenate(parts_p), np.concatenate(parts_r)
+            fin, act = keys[~active], keys[active]
+            idx = act[:, None] if g.dim == 1 else np.column_stack(np.divmod(act, g.extents[1]))
+            act_pts = lo + (idx + 0.5) * delta if None in tables else None
+        n_fin, n_act = fin.size, int(active.sum())
+        # candidate c lies in block j when starts[j] <= c < starts[j + 1]:
+        # the finished cells, then one block per map
+        starts = [0] + [n_fin + n_act * i for i in range(ifs.n)]
+        total = n_fin + n_act * ifs.n
+
+        def chunk_keys(c0, c1):
+            # runs of mapped points are floored together, one keys_of per run
+            parts, run = [], []
+            for j in range(ifs.n + 1):
+                a = max(c0 - starts[j], 0)
+                b = min(c1 - starts[j], n_fin if j == 0 else n_act)
+                if a >= b:
+                    continue
+                if j > 0 and (act is None or tables[j - 1] is None):
+                    run.append(_map_rows(ifs.maps[j - 1], act_pts, a, b))
+                    continue
+                if run:
+                    parts.append(keys_of(np.concatenate(run)))
+                    run = []
+                if j == 0:
+                    parts.append(fin[a:b])
+                    continue
+                (cx, ex), (cy, ey) = tables[j - 1]
+                ix, iy = idx[a:b, 0], idx[a:b, 1]
+                if not invariant and (ex[ix].any() or ey[iy].any()):
+                    raise escape()
+                parts.append(cx[ix] * g.extents[1] + cy[iy])
+            if run:
+                parts.append(keys_of(np.concatenate(run)))
+            return np.concatenate(parts)
+
+        if total <= ATTRACTOR_CHUNK:
+            # one chunk: a stable sort finds the first candidate per cell
+            keys, pos = np.unique(chunk_keys(0, total), return_index=True)
+        else:
+            first = np.full(g.occupancy.size, total, dtype=np.min_scalar_type(total))
+            for c0 in range(0, total, ATTRACTOR_CHUNK):
+                key = chunk_keys(c0, c0 + ATTRACTOR_CHUNK)
+                np.minimum.at(first, key, np.arange(c0, c0 + key.size, dtype=first.dtype))
+            keys = np.flatnonzero(first != total)
+            pos = first[keys].astype(np.int64)
+            del first
+        # each survivor's ratio is its claiming candidate's: the parent's
+        # ratio times its map's, or unchanged for a finished cell
+        j = np.searchsorted(starts, pos, side="right") - 1
+        parent = pos - np.array(starts)[j]
+        parent[j > 0] += n_fin
+        rs = factors[j] * np.concatenate([rs[~active], rs[active]])[parent]
+
+    occ = np.zeros(g.occupancy.size, dtype=bool)
+    occ[keys] = True
+    return g.with_occupancy(occ.reshape(g.extents))
+
+
+def _orbit_tables(ifs: IFS, g: Grid, lo: np.ndarray, hi: np.ndarray) -> list:
+    """Per map, the image cell of every cell center of g, one table per axis.
+
+    A 2-d map whose linear part is diagonal gets, for each axis, (the image
+    cell's index clipped into g, whether the image coordinate leaves
+    [lo, hi]); every other map, and every 1-d map, gets None. The image
+    coordinate is ratio * (Q[a, a] * center) + t[a], which is what
+    Similarity.__call__'s matrix product gives on that axis: its other term
+    is an exact 0 * y, and fl(q * x + 0 * y) = fl(q * x) with or without a
+    fused multiply-add.
+    """
+    out = []
+    for m in ifs.maps:
+        q = m.orthogonal_part
+        if g.dim == 1 or q[0, 1] != 0 or q[1, 0] != 0:
+            out.append(None)
+            continue
+        axes = []
+        for a in range(2):
+            coord = m.ratio * (g.centers(a) * q[a, a]) + m.translation[a]
+            axes.append((axis_cells(coord, g, a)[0], (coord < lo[a]) | (coord > hi[a])))
+        out.append(axes)
+    return out
+
+
+def axis_cells(coord: np.ndarray, raster, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of raster on one axis that hold the coordinates coord.
+
+    Returns the index floor((coord - origin) / spacing), clipped into the
+    raster, and whether it lay inside; the float operations are those of
+    Raster.indices_of on that axis. Shared by the per-axis paths of
+    _stamp_images, the attractor orbit and conditions.check_projection.
+    """
+    s = np.floor((coord - raster.origin[axis]) / raster.spacing).astype(np.int64)
+    inside = (s >= 0) & (s < raster.extents[axis])
+    return np.clip(s, 0, raster.extents[axis] - 1), inside
+
+
+def _map_rows(m: Similarity, p: np.ndarray, a: int, b: int) -> np.ndarray:
+    """m(p)[a:b], shape (b - a, d), with the float operations of mapping all of p."""
+    if p.shape[1] == 1:
+        return m(p[a:b].ravel()).reshape(-1, 1)
+    if b - a == 1 < len(p):
+        # a one-row product would go to BLAS gemv, whose sum order
+        # differs from gemm's on the whole source; take it as a pair
+        return m(p[[a, a]])[:1]
+    return m(p[a:b])
 
 
 def _box_corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -426,7 +485,7 @@ def relative_inradius(F_field: DistanceField, O: Grid) -> float:
     """sup of d(x, F) over the cells of O (the deepest point of O in F's field)."""
     if not O.occupancy.any():
         raise ResolutionError("relative inradius of an empty region")
-    vals = F_field.sample_at(O.cell_points(O.occupancy), outside=np.nan)
+    vals = F_field.sample_cells(O, O.occupancy, outside=np.nan)
     if np.isnan(vals).any():
         raise ResolutionError("O leaves the attractor's distance field")
     return float(vals.max())
@@ -495,7 +554,7 @@ def central_open_set(ifs: IFS, bbox, delta: float, neighbor_cap: int = 4) -> Cen
         return CentralOpenSet(g.with_occupancy(np.ones(g.extents, bool)), 0, True, neighbor_cap)
 
     centers = g.cell_points()
-    d_f = F_field.sample_at(centers)
+    d_f = F_field.sample_cells(g)
 
     # d(x, h(F)) = (r_omega / r_sigma) * d(h^{-1} x, F) through the attractor
     # field; where h^{-1} x leaves the field, fall back to the distance to

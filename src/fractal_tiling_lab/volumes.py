@@ -145,7 +145,7 @@ def sample_restricted_volume(
     F_field: DistanceField, A: Grid, grid: EpsGrid, region_tag: str = ""
 ) -> VolumeSamples:
     """lambda_d(F_eps intersect A) from the attractor's distance field."""
-    vals = F_field.sample_at(A.cell_points(A.occupancy))
+    vals = F_field.sample_cells(A, A.occupancy)
     below, tol = _count_values(vals, grid.eps, A.spacing, A.dim)
     values = below * A.cell_volume
     return VolumeSamples(grid.eps, values, "F_eps_on_A", A.spacing, region_tag, tol)

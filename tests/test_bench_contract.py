@@ -29,9 +29,10 @@ bundle = pipeline.SceneBundle(replace(presets.get_preset("cantor").scene, delta=
 bundle.content_table()
 bundle.generator_curvature_samples(0)
 bundle.relative_curvature(0)
-# the bundle reads memoized core profiles; the one-shot core sampler is public API
+# the bundle reads memoized profiles; the one-shot samplers are public API
 from fractal_tiling_lab import curvature
 curvature.inner_curvature_samples(bundle.tiling.G, 0, bundle.grid_curv_G)
+curvature.sample_curvature(bundle.field_small, 0, bundle.grid_curv)
 # cantor is 1-d: a disk's distance field runs the 2-d level-set layer
 import numpy as np
 from fractal_tiling_lab import curvature, grids

@@ -106,6 +106,17 @@ class TestContent:
         doc = json.loads(out)
         assert "refused" in doc["rows"]["relative_generator"]
 
+    def test_carpet_short_direct_window_refuses_only_direct_rows(self, capsys):
+        # at 2^-9 the compatible carpet's direct window is capped at g~ and
+        # spans 1.33 decades: the direct rows are refused, the rest print
+        code, out = run(capsys, "content", "--preset", "carpet", "--delta", str(2.0**-9),
+                        "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        for m in ("direct_limit", "direct_average"):
+            assert "1.33 decades, under 1.5" in rows[m]["refused"]
+        assert all("value" in r for m, r in rows.items() if not m.startswith("direct"))
+
     def test_config_error_exit_code(self, capsys):
         assert main(["dim", "--preset", "nosuch"]) == 3
         assert main(["dim"]) == 3

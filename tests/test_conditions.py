@@ -220,6 +220,38 @@ def load_bench_workloads():
     return module
 
 
+class TestPreimageReads:
+    """check_projection's d(S_i^{-1} x, F) reads equal sample_at at the mapped centers."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_match_point_lookup_inside_and_outside_the_field(self, dim):
+        from fractal_tiling_lab.grids import DistanceField
+        from fractal_tiling_lab.ifs import Similarity
+        from fractal_tiling_lab.presets import koch_ifs
+
+        delta = 2.0**-7
+        rng = np.random.default_rng(11)
+        pad = [-2 * delta] * dim, [1 + 2 * delta] * dim
+        if dim == 1:
+            O = rasterize(IntervalUnion(((0.0, 1.0),)), pad, delta)
+            maps = [*cantor_ifs().maps, Similarity(0.4, -np.eye(1), np.array([0.7]))]
+        else:
+            O = rasterize(unit_square(), pad, delta)
+            maps = [*carpet_ifs().maps, *koch_ifs().maps,
+                    Similarity(0.5, np.diag([-1.0, 1.0]), np.array([0.6, 0.2]))]
+        # a field off O's lattice that holds only part of the preimages
+        shape = (70,) * dim
+        field = DistanceField(np.full(dim, 0.13), delta, rng.random(shape).astype(np.float32))
+        outside = 0
+        for m in maps:
+            img = tiling._map_cells(m, O, O)
+            ref = field.sample_at(m.inverse()(O.cell_points(img)))
+            got = conditions._sample_preimages(m, O, img, field)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            outside += int(np.isinf(ref).sum())
+        assert outside > 0
+
+
 class TestProjectionBySorting:
     """Sorted counts give the reports of the per-eps passes, to the bit."""
 

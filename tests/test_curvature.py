@@ -363,6 +363,27 @@ class TestProfilePath:
             with pytest.raises(ConfigError, match=r"^curvature order k=1 out of range for d=1$"):
                 entry(1)
 
+    def test_d1_relative_samples_read_the_memoized_profile(self):
+        b = fresh_bundle("cantor", 2.0**-10)
+        field = b.field_small
+        for region, mask_grid in (("G", b.tiling.G), ("O", b.tiling.O)):
+            mask = mask_grid.embed_into(field.origin, field.extents)
+            assert_same_samples(
+                b.relative_curvature(0, region),
+                sample_curvature(field, 0, b.grid_curv, mask, region),
+            )
+            assert ("profile", region) in b._cache
+
+    def test_d1_parallel_set_touching_the_field_border_refused(self):
+        b = fresh_bundle("cantor", 2.0**-10)
+        field, g_tilde = b._small_field()
+        # a field cropped to F_tight's box: the top eps reaches its border
+        sel = b.field_small.lattice_slice(b.F_tight)
+        cropped = grids.DistanceField(b.F_tight.origin, field.spacing, field.values[sel])
+        b._cache["field_small"] = (cropped, g_tilde)
+        with pytest.raises(ConfigError, match="1d parallel set touches the grid boundary"):
+            b.relative_curvature(0)
+
     def test_d1_tiling_samples_are_inner_samples_of_the_tile_union(self):
         b = fresh_bundle("cantor", 2.0**-10)
         assert_same_samples(

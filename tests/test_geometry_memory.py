@@ -1,15 +1,21 @@
 """Bounded-memory attractor raster and EDT against the algorithms they replaced.
 
-`attractor_raster` deduplicates each breadth-first generation chunk by chunk
-through a bitmap of claimed cells; `distance_transform` and `inner_distance`
-turn scipy's feature transform into distances one strip of rows at a time.
-Both must reproduce, bit for bit, what the whole-array versions gave, and
-both must stay below a fixed peak of traced allocations (numpy reports its
-buffers to tracemalloc).
+`attractor_raster` carries each breadth-first generation as cell keys,
+reads axis-aligned maps' child keys from per-axis image tables and keeps
+the first candidate per cell through a per-cell array of first positions,
+chunk by chunk; `distance_transform` and `inner_distance` turn scipy's
+feature transform into distances one strip of rows at a time. Both must
+reproduce, bit for bit, what the whole-generation float orbit and the
+whole-array EDT gave, and both must stay below a fixed peak of traced
+allocations (numpy reports its buffers to tracemalloc), as must a field
+read at a region's cells.
 """
 
+import functools
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +24,11 @@ from scipy import ndimage
 
 from fractal_tiling_lab import grids, tiling
 from fractal_tiling_lab.errors import ResolutionError
-from fractal_tiling_lab.grids import Grid, distance_transform, grid_from_bbox, inner_distance
+from fractal_tiling_lab.grids import DistanceField, Grid, distance_transform, grid_from_bbox, inner_distance
 from fractal_tiling_lab.ifs import IFS, Similarity, rotation
 from fractal_tiling_lab.presets import carpet_ifs, get_preset
 from fractal_tiling_lab.tiling import attractor_raster
+from fractal_tiling_lab.volumes import make_eps_grid, sample_restricted_volume
 
 COARSE_DELTA = {
     "cantor": 2.0**-12,
@@ -30,7 +37,7 @@ COARSE_DELTA = {
     "koch": 2.0**-9,
     "gasket": 2.0**-8,
 }
-CHUNKS = (7, 64, tiling.ATTRACTOR_CHUNK)
+CHUNKS = (7, 64, 509, tiling.ATTRACTOR_CHUNK)
 
 
 def reference_attractor_raster(ifs, bbox, delta, stop_cells=0.5):
@@ -95,18 +102,103 @@ def assert_same(got, ref):
         assert np.array_equal(got, ref)
 
 
+@functools.lru_cache(maxsize=None)
+def preset_reference(name):
+    scene = get_preset(name).scene
+    return reference_attractor_raster(scene.ifs, scene.f_bbox, COARSE_DELTA[name])
+
+
+def assert_same_for_every_chunk(ifs, bbox, delta):
+    """attractor_raster gives the reference's occupancy (or refusal) at every chunk size."""
+    ref = outcome(reference_attractor_raster, ifs, bbox, delta)
+    for chunk in CHUNKS:
+        tiling.ATTRACTOR_CHUNK, saved = chunk, tiling.ATTRACTOR_CHUNK
+        try:
+            got = outcome(attractor_raster, ifs, bbox, delta)
+        finally:
+            tiling.ATTRACTOR_CHUNK = saved
+        assert_same(got, ref)
+    return ref
+
+
+def rand1d_draws():
+    """The benchmark's random 1-d catalogue (bench/workloads.py), loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        "rand1d_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    )
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod, [mod.rand1d_draw(slot, slot % mod.RAND1D_VARIANTS) for slot in range(0, 100, 9)]
+
+
+def orbit_tables(ifs, g):
+    hi = g.origin + np.array(g.extents) * g.spacing
+    return tiling._orbit_tables(ifs, g, g.origin - 0.25 * g.spacing, hi + 0.25 * g.spacing)
+
+
+def aligned_map(r, signs, t):
+    """x -> r * diag(signs) x + t: a diagonal linear part, so the orbit reads its image tables."""
+    return Similarity(r, np.diag(np.asarray(signs, float)), np.asarray(t, float))
+
+
 class TestAttractorParity:
     @pytest.mark.parametrize("name", sorted(COARSE_DELTA))
-    @pytest.mark.parametrize("chunk", (509, tiling.ATTRACTOR_CHUNK))
+    @pytest.mark.parametrize("chunk", CHUNKS)
     def test_presets_bitwise(self, name, chunk, monkeypatch):
         monkeypatch.setattr(tiling, "ATTRACTOR_CHUNK", chunk)
         scene = get_preset(name).scene
-        delta = COARSE_DELTA[name]
-        ref = reference_attractor_raster(scene.ifs, scene.f_bbox, delta)
-        got = attractor_raster(scene.ifs, scene.f_bbox, delta)
+        ref = preset_reference(name)
+        got = attractor_raster(scene.ifs, scene.f_bbox, COARSE_DELTA[name])
         assert ref.count() > 0
         assert np.array_equal(got.occupancy, ref.occupancy)
         assert np.array_equal(got.origin, ref.origin) and got.spacing == ref.spacing
+
+    def test_rand1d_draws_bitwise(self):
+        mod, draws = rand1d_draws()
+        for draw in draws:
+            scene = mod.rand1d_scene(draw)
+            lo, hi = np.asarray(scene.f_bbox[0]), np.asarray(scene.f_bbox[1])
+            pad = 2 * scene.delta
+            ref = assert_same_for_every_chunk(scene.ifs, (lo - pad, hi + pad), scene.delta)
+            assert isinstance(ref, np.ndarray) and ref.any()
+
+    def test_1d_reflection_bitwise(self):
+        # q = -1 on the first map: the box [0, 2] is not invariant (S_0(2) < 0),
+        # so every orbit point is checked, and none escapes
+        ifs = IFS((aligned_map(0.4, [-1.0], [0.4]), aligned_map(0.35, [1.0], [0.65])), 1)
+        for bbox in (([0.0], [1.0]), ([0.0], [2.0])):
+            ref = assert_same_for_every_chunk(ifs, bbox, 2.0**-11)
+            assert isinstance(ref, np.ndarray) and ref.any()
+
+    def test_non_invariant_box_holding_the_attractor(self):
+        # axis-aligned maps with a reflection: the attractor lies in the unit
+        # square, but S_0 sends the box's far corner to x = -1; the tables of
+        # the cells past x = 1 mark escapes that the orbit never reads
+        ifs = IFS((
+            aligned_map(0.5, [-1.0, 1.0], [0.5, 0.0]),
+            aligned_map(0.5, [1.0, 1.0], [0.5, 0.0]),
+            aligned_map(0.5, [1.0, -1.0], [0.0, 1.0]),
+        ), 2)
+        bbox = ([0.0, 0.0], [3.0, 1.0])
+        g = grid_from_bbox(bbox, 2.0**-6)
+        tables = orbit_tables(ifs, g)
+        assert all(t is not None for t in tables) and tables[0][0][1].any()
+        ref = assert_same_for_every_chunk(ifs, bbox, 2.0**-6)
+        assert isinstance(ref, np.ndarray) and ref.any() and not ref[g.centers(0) > 1.0].any()
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 5), data=st.data())
+    def test_random_axis_aligned_ifs(self, n, data):
+        # reflections about either axis keep the linear part diagonal, so
+        # every map past the first generation takes the table path
+        maps = []
+        for _ in range(n):
+            r = data.draw(st.floats(0.2, 0.5))
+            q = np.array([data.draw(st.sampled_from([1.0, -1.0])) for _ in range(2)])
+            t = np.array([data.draw(st.floats(0.5 * r, 1 - 0.5 * r)) for _ in range(2)])
+            maps.append(aligned_map(r, q, t - r * q * 0.5))
+        bbox = (np.zeros(2), np.array([1.0, data.draw(st.sampled_from([1.0, 0.8]))]))
+        assert_same_for_every_chunk(IFS(tuple(maps), 2), bbox, 2.0**-6)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -131,15 +223,7 @@ class TestAttractorParity:
             maps.append(Similarity(r, q, t - r * q @ np.full(dim, 0.5)))
         ifs = IFS(tuple(maps), dim)
         bbox = (np.zeros(dim), np.ones(dim))
-        delta = 2.0**-9 if dim == 1 else 2.0**-6
-        ref = outcome(reference_attractor_raster, ifs, bbox, delta)
-        for chunk in CHUNKS:
-            tiling.ATTRACTOR_CHUNK, saved = chunk, tiling.ATTRACTOR_CHUNK
-            try:
-                got = outcome(attractor_raster, ifs, bbox, delta)
-            finally:
-                tiling.ATTRACTOR_CHUNK = saved
-            assert_same(got, ref)
+        assert_same_for_every_chunk(ifs, bbox, 2.0**-9 if dim == 1 else 2.0**-6)
 
     def test_escape_in_a_later_chunk_is_refused(self, monkeypatch):
         # right-angle gasket with vertices (0,0), (1,0), (0,1) in a box cut at
@@ -156,6 +240,10 @@ class TestAttractorParity:
             reference_attractor_raster(ifs, bbox, 2.0**-6)
         with pytest.raises(ResolutionError, match="bbox does not contain the attractor"):
             attractor_raster(ifs, bbox, 2.0**-6)
+        # the maps are axis-aligned: the escape is read from the image tables
+        g = grid_from_bbox(bbox, 2.0**-6)
+        assert all(t is not None for t in orbit_tables(ifs, g))
+        assert isinstance(assert_same_for_every_chunk(ifs, bbox, 2.0**-6), str)
 
 
 def reference_edt(occ, spacing, inner=False):
@@ -210,6 +298,21 @@ class TestMemoryBounds:
         occ[::37, ::41] = True
         g = Grid(np.zeros(2), 1.0 / n, occ)
         per_cell = traced_peak(distance_transform, g) / occ.size
+        assert per_cell <= 20
+
+    def test_restricted_volume_builds_no_cell_points(self):
+        # reading the field at centers built per cell peaked at 65 B per cell
+        # (float64 centers, their int64 indices, the values); on a shared
+        # lattice the field is sliced, which leaves the float32 read, its
+        # float64 copy and one sorted strip
+        n = 1024
+        rng = np.random.default_rng(5)
+        f = DistanceField(np.zeros(2), 1.0 / n, rng.random((n, n)).astype(np.float32))
+        occ = np.zeros((n - 24, n - 24), dtype=bool)
+        occ[50:-50, 50:-50] = True
+        A = Grid(f.origin + 12 * f.spacing, f.spacing, occ)
+        eps = make_eps_grid(f.spacing, 0.5, 16)
+        per_cell = traced_peak(sample_restricted_volume, f, A, eps) / occ.sum()
         assert per_cell <= 20
 
     def test_carpet_attractor_raster_peak(self):

@@ -352,3 +352,73 @@ class TestPointLookup:
         assert np.array_equal(g.lookup(pts.ravel()), g.lookup(pts))
         assert bits(f.sample_at(pts.ravel())) == bits(f.sample_at(pts))
         assert np.array_equal(g.indices_of(pts.ravel()), g.indices_of(pts))
+
+
+class TestCellReads:
+    """DistanceField.sample_cells against sample_at at the grid's cell centers."""
+
+    def field(self, rng, dim):
+        shape = (41,) if dim == 1 else (29, 37)
+        return DistanceField(ORIGINS[dim], SPACING, rng.random(shape).astype(np.float32))
+
+    def grid_at(self, f, rng, offset, extents):
+        occ = rng.random(extents) < 0.5
+        return Grid(f.origin + np.asarray(offset, float) * f.spacing, f.spacing, occ)
+
+    def assert_reads(self, f, g, mask, outside=np.inf):
+        ref = f.sample_at(g.cell_points(mask), outside)
+        got = f.sample_cells(g, mask, outside)
+        assert got.dtype == ref.dtype == np.float64
+        assert bits(got) == bits(ref)
+        if outside is np.nan:
+            assert np.array_equal(np.isnan(got), np.isnan(ref))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_on_lattice_inside_slices(self, rng, dim, monkeypatch):
+        f = self.field(rng, dim)
+        for offset, extents in (((0,) * dim, f.extents), ((3,) * dim, (7,) * dim)):
+            g = self.grid_at(f, rng, offset, extents)
+            assert f.lattice_slice(g) is not None
+            self.assert_reads(f, g, g.occupancy)
+            self.assert_reads(f, g, None)
+        # the slice path builds no centers
+        monkeypatch.setattr(Grid, "cell_points", lambda *a: pytest.fail("centers built"))
+        f.sample_cells(g, g.occupancy)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_off_lattice_falls_back(self, rng, dim):
+        f = self.field(rng, dim)
+        cases = [
+            ((0.3,) * dim, (7,) * dim, f.spacing),  # between lattice nodes
+            ((-2,) * dim, (9,) * dim, f.spacing),  # partly outside the field
+            ((f.extents[0] - 4,) + (0,) * (dim - 1), (9,) * dim, f.spacing),
+            ((0,) * dim, (7,) * dim, 0.5 * f.spacing),  # another spacing
+        ]
+        for offset, extents, spacing in cases:
+            occ = rng.random(extents) < 0.5
+            g = Grid(f.origin + np.asarray(offset, float) * f.spacing, spacing, occ)
+            assert f.lattice_slice(g) is None
+            self.assert_reads(f, g, g.occupancy)
+            self.assert_reads(f, g, g.occupancy, outside=np.nan)
+
+    def test_relative_inradius_refuses_o_leaving_the_field(self, rng):
+        from fractal_tiling_lab.tiling import relative_inradius
+
+        f = self.field(rng, 2)
+        inside = self.grid_at(f, rng, (2, 2), (5, 5))
+        assert relative_inradius(f, inside) == float(f.sample_at(inside.cell_points(inside.occupancy)).max())
+        leaving = Grid(f.origin - 2 * f.spacing, f.spacing, np.ones((5, 5), bool))
+        with pytest.raises(ResolutionError, match="leaves the attractor's distance field"):
+            relative_inradius(f, leaving)
+
+    @pytest.mark.parametrize(
+        "region,bbox",
+        [
+            (IntervalUnion(((0.1, 0.4), (0.55, 0.9))), ([0.0], [1.0])),
+            (ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]])), ([-0.05, -0.05], [1.05, 0.95])),
+            (PolygonUnion((square(0.1, 0.5), square(0.4, 0.8))), ([0.0, 0.0], [1.0, 1.0])),
+        ],
+    )
+    def test_rasterize_matches_contains_at_centers(self, region, bbox):
+        g = rasterize(region, bbox, 2.0**-7)
+        assert np.array_equal(g.occupancy, region.contains(g.cell_points()).reshape(g.extents))

@@ -351,10 +351,14 @@ class TestOneAttractorField:
 
         monkeypatch.setattr(pipeline, "distance_transform", counting)
         b = pipeline.SceneBundle(replace(get_preset(name).scene, delta=delta))
+        rows = b.content_table()
         # carpet's direct window (capped at g~) spans under 1.5 decades at
-        # 2^-9 and is refused with a ConfigError; every other row is built
-        methods = [m for m in pipeline.CONTENT_METHODS if b.d == 1 or not m.startswith("direct")]
-        b.content_table(methods)
+        # 2^-9: both direct rows are refused by name, every other row is built
+        for m, row in rows.items():
+            refused = name == "carpet" and m.startswith("direct")
+            assert isinstance(row, dict) == refused, m
+            if refused:
+                assert "decades, under 1.5" in row["refused"]
         b.checks()
         for k in range(b.d):
             b.relative_curvature(k)
