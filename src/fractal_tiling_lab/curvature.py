@@ -87,6 +87,26 @@ def measure_profiles(
     return out[:, 0], out[:, 1], out[:, 2]
 
 
+def measure_mask_profiles(field: DistanceField, eps: np.ndarray, masks, extractor: LevelSetExtractor | None):
+    """measure_profiles(field, eps, mask, extractor) for each mask in masks.
+
+    In d=2 each threshold is extracted, matched and measured once for all
+    masks (LevelSetExtractor.measure_masks); extractor is used there only.
+    """
+    if field.dim == 1:
+        return [measure_profiles(field, eps, m) for m in masks]
+    out = np.zeros((len(masks), eps.size, 3))
+    for i in range(eps.size):
+        out[:, i] = extractor.measure_masks(extractor.extract(float(eps[i])), masks)
+    return [(o[:, 0], o[:, 1], o[:, 2]) for o in out]
+
+
+def check_border_1d(field: DistanceField, eps: np.ndarray) -> None:
+    """Refuse a 1-d parallel set that reaches the field's border below the top eps."""
+    if field.dim == 1 and field.values[[0, -1]].min() <= eps.max():
+        raise ConfigError("1d parallel set touches the grid boundary")
+
+
 def _boundary_points_1d(field: DistanceField, eps: np.ndarray, mask) -> np.ndarray:
     """Neighbour pairs with one cell in {field <= eps} (lo <= eps < hi), at least one in the mask."""
     f = field.values.astype(float)
@@ -114,8 +134,7 @@ def sample_curvature(
     """
 
     def profile():
-        if field.dim == 1 and field.values[[0, -1]].min() <= grid.eps.max():
-            raise ConfigError("1d parallel set touches the grid boundary")
+        check_border_1d(field, grid.eps)
         return grid.eps, *measure_profiles(field, grid.eps, mask)
 
     return samples_from_profile(k, field.dim, field.spacing, profile, region_tag)

@@ -93,18 +93,27 @@ class Raster:
             return None
         return tuple(slice(a, b) for a, b in zip(off_i, hi))
 
-    def values_at(self, cells: np.ndarray, points: np.ndarray, outside, dtype) -> np.ndarray:
-        """Entries of a per-cell array (shaped like this raster) at the cells
-        holding the points; outside for points that leave the raster."""
+    def flat_cells(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(inside, flat C-order index of the cell of each point inside) for the
+        points, located once so that several per-cell arrays can be read."""
         idx = self.indices_of(points)
         ok = np.ones(idx.shape[0], dtype=bool)
         for ax in range(self.dim):
             ok &= (idx[:, ax] >= 0) & (idx[:, ax] < self.extents[ax])
-        out = np.full(idx.shape[0], outside, dtype=dtype)
-        if ok.any():
-            sel = tuple(idx[ok, ax] for ax in range(self.dim))
-            out[ok] = cells[sel]
-        return out
+        return ok, np.ravel_multi_index(tuple(idx[ok].T), self.extents)
+
+    def values_at(self, cells: np.ndarray, points: np.ndarray, outside, dtype) -> np.ndarray:
+        """Entries of a per-cell array (shaped like this raster) at the cells
+        holding the points; outside for points that leave the raster."""
+        return read_cells(cells, self.flat_cells(points), outside, dtype)
+
+
+def read_cells(cells: np.ndarray, located: tuple[np.ndarray, np.ndarray], outside, dtype) -> np.ndarray:
+    """Entries of a per-cell array at points located by Raster.flat_cells; outside elsewhere."""
+    ok, flat = located
+    out = np.full(ok.size, outside, dtype=dtype)
+    out[ok] = np.take(cells, flat)
+    return out
 
 
 @dataclass(frozen=True)
@@ -153,6 +162,17 @@ class Grid(Raster):
             raise ConfigError("grids are not lattice-aligned")
         out.occupancy[sel] = self.occupancy
         return out.occupancy
+
+    def cropped(self, margin: int) -> "Grid":
+        """The box of the occupied cells grown by margin cells (clipped to the
+        raster), on the same lattice."""
+        lo, hi = [], []
+        for ax in range(self.dim):
+            hit = np.flatnonzero(self.occupancy.any(axis=tuple(a for a in range(self.dim) if a != ax)))
+            lo.append(max(hit[0] - margin, 0))
+            hi.append(min(hit[-1] + 1 + margin, self.extents[ax]))
+        sel = tuple(map(slice, lo, hi))
+        return Grid(self.origin + np.array(lo) * self.spacing, self.spacing, self.occupancy[sel])
 
     def boundary_cells(self) -> np.ndarray:
         """Occupied cells 4-adjacent to an unoccupied (or outside) cell."""

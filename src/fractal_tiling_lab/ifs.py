@@ -299,25 +299,81 @@ def enumerate_words(
             stack.append(w.extend(a))
 
 
-def words_up_to_ratio(ifs: IFS, r_min: float) -> list[Word]:
-    """All words (tree nodes, including the empty word) with r_sigma > r_min."""
-    # each node carries its ratio, multiplied in letter order as Word.ratio
-    # does; children at or below r_min are never built
-    ratios = [m.ratio for m in ifs.maps]
-    out = []
-    stack = [(Word(), 1.0)]
-    while stack:
-        w, r = stack.pop()
-        if r <= r_min:
-            continue
-        out.append(w)
-        if len(w) >= WORD_MAX_LEN:
+@dataclass(frozen=True)
+class WordTree:
+    """Prefix-closed words of an IFS, stored one word length at a time.
+
+    Level L holds the words of length L in lexicographic order:
+    parent[L][i] is the index in level L - 1 of word i's prefix (so the
+    indices never decrease), letter[L][i] its last letter and ratio[L][i]
+    its r_sigma, the prefix's ratio times the letter's (Word.ratio's
+    product, in letter order). Level 0 holds the empty word, ratio 1.0, or
+    nothing; the words of length 1 then hang from a root that is not
+    stored. Iterating yields Word objects in depth-first pre-order with the
+    highest letter first.
+    """
+
+    parent: tuple[np.ndarray, ...]
+    letter: tuple[np.ndarray, ...]
+    ratio: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return sum(r.size for r in self.ratio)
+
+    def __iter__(self) -> Iterator[Word]:
+        words, level = [()] * self.ratio[0].size, [()]
+        for p, a in zip(self.parent[1:], self.letter[1:]):
+            level = [level[i] + (b,) for i, b in zip(p.tolist(), a.tolist())]
+            words += level
+        # pre-order, highest letter first, is the lexicographic order of the
+        # negated letters with every prefix before its extensions
+        for w in sorted(words, key=lambda w: [-a for a in w]):
+            yield Word(w)
+
+    @classmethod
+    def from_words(cls, ifs: IFS, words) -> "WordTree":
+        """The tree of a word list; every word's proper prefixes but the empty
+        word must be in it."""
+        by_len: dict[int, set] = {}
+        for w in words:
+            by_len.setdefault(len(w), set()).add(w.letters)
+        root = np.ones(len(by_len.get(0, ())))
+        parent, letter, ratio = [np.full(root.size, -1)], [np.zeros(root.size, np.int64)], [root]
+        index = {(): 0}
+        for length in range(1, max(by_len, default=0) + 1):
+            level = sorted(by_len.get(length, ()))
+            try:
+                p = np.array([index[w[:-1]] for w in level], dtype=np.int64)
+            except KeyError:
+                raise ConfigError("tile words must be prefix-closed") from None
+            a = np.array([w[-1] for w in level], dtype=np.int64)
+            parent.append(p)
+            letter.append(a)
+            ratio.append((ratio[-1] if length > 1 else np.ones(1))[p] * ifs.ratios[a])
+            index = {w: i for i, w in enumerate(level)}
+        return cls(tuple(parent), tuple(letter), tuple(ratio))
+
+
+def words_up_to_ratio(ifs: IFS, r_min: float) -> WordTree:
+    """All words (tree nodes, including the empty word) with r_sigma > r_min.
+
+    The tree is grown one length at a time: every word of the last length
+    times every map, kept while the product stays above r_min.
+    """
+    r = ifs.ratios
+    ratio = [np.ones(1) if 1.0 > r_min else np.zeros(0)]
+    parent, letter = [np.full(ratio[0].size, -1)], [np.zeros(ratio[0].size, np.int64)]
+    while ratio[-1].size:
+        if len(ratio) > WORD_MAX_LEN:
             raise FtlError("word tree exceeded max length")
-        for a in range(ifs.n):
-            child = r * ratios[a]
-            if child > r_min:
-                stack.append((w.extend(a), child))
-    return out
+        child = ratio[-1][:, None] * r  # prefix-major, letters ascending
+        p, a = np.nonzero(child > r_min)
+        if not p.size:
+            break
+        parent.append(p)
+        letter.append(a)
+        ratio.append(child[p, a])
+    return WordTree(tuple(parent), tuple(letter), tuple(ratio))
 
 
 def rotation(angle_deg: float) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ResolutionError
-from .grids import DistanceField, Grid
+from .grids import DistanceField, Grid, read_cells
 
 # Per-case directed segments (in_edge -> out_edge), edges B=0, R=1, T=2, L=3.
 # Corner bits: 1 = (i,j), 2 = (i+1,j), 4 = (i+1,j+1), 8 = (i,j+1).
@@ -191,16 +191,20 @@ class LevelSetExtractor:
 
     def measure_level_set(self, ls: LevelSet, mask: np.ndarray | Grid | None = None):
         """measure() of a level set already extracted from this field."""
-        m = _as_mask(mask, self.field)
+        return self.measure_masks(ls, [mask])[0]
+
+    def measure_masks(self, ls: LevelSet, masks) -> list[tuple[float, float, float]]:
+        """measure_level_set() of one level set for each mask in masks.
+
+        The segments are matched and their turning angles taken once; the
+        cells holding the midpoints and the start points are located once,
+        and each mask is one gather at them.
+        """
+        ms = [_as_mask(m, self.field) for m in masks]
         if ls.ein.size == 0:
-            return 0.0, 0.0, 0.0
+            return [(0.0, 0.0, 0.0)] * len(ms)
         seg_vec = ls.p_out - ls.p_in
         lengths = np.hypot(seg_vec[:, 0], seg_vec[:, 1])
-        if m is None:
-            length = float(lengths.sum())
-        else:
-            mid = 0.5 * (ls.p_in + ls.p_out)
-            length = float(lengths[_mask_at(m, self.field, mid)].sum())
 
         # match: the segment entering edge e is the one with eout == e
         order = np.argsort(ls.eout)
@@ -213,10 +217,19 @@ class LevelSetExtractor:
         cross = d_in[:, 0] * d_out[:, 1] - d_in[:, 1] * d_out[:, 0]
         dot = d_in[:, 0] * d_out[:, 0] + d_in[:, 1] * d_out[:, 1]
         ang = np.arctan2(cross, dot)
-        if m is not None:
-            keep = _mask_at(m, self.field, ls.p_in)
-            ang = ang[keep]
-        return length, float(ang.sum()), float(np.abs(ang).sum())
+
+        if any(m is not None for m in ms):
+            mids = self.field.flat_cells(0.5 * (ls.p_in + ls.p_out))
+            starts = self.field.flat_cells(ls.p_in)
+        out = []
+        for m in ms:
+            if m is None:
+                out.append((float(lengths.sum()), float(ang.sum()), float(np.abs(ang).sum())))
+                continue
+            a = ang[read_cells(m, starts, False, bool)]
+            out.append((float(lengths[read_cells(m, mids, False, bool)].sum()),
+                        float(a.sum()), float(np.abs(a).sum())))
+        return out
 
     def segment_cells(self, eps: float, mask: np.ndarray | Grid | None = None) -> np.ndarray:
         """Boolean raster of dual cells carrying level-set segments (mask-filtered)."""
@@ -229,8 +242,7 @@ class LevelSetExtractor:
             keep = np.ones(ls.cell_ij.shape[0], dtype=bool)
             m = _as_mask(mask, self.field)
             if m is not None:
-                mid = 0.5 * (ls.p_in + ls.p_out)
-                keep = _mask_at(m, self.field, mid)
+                keep = _mask_at(m, self.field, 0.5 * (ls.p_in + ls.p_out))
             out[ls.cell_ij[keep, 0], ls.cell_ij[keep, 1]] = True
         return out
 
@@ -245,15 +257,14 @@ def _columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _as_mask(mask, field) -> np.ndarray | None:
     if mask is None:
         return None
-    if isinstance(mask, Grid):
-        return mask.occupancy
-    return np.asarray(mask, dtype=bool)
+    m = mask.occupancy if isinstance(mask, Grid) else np.asarray(mask, dtype=bool)
+    if m.shape != field.values.shape:
+        raise ResolutionError("mask must live on the field's grid (embed it first)")
+    return m
 
 
 def _mask_at(mask_arr: np.ndarray, field: DistanceField, points: np.ndarray) -> np.ndarray:
-    if mask_arr.shape != field.values.shape:
-        raise ResolutionError("mask must live on the field's grid (embed it first)")
-    return field.values_at(mask_arr, points, False, bool)
+    return read_cells(_as_mask(mask_arr, field), field.flat_cells(points), False, bool)
 
 
 def euler_characteristic(occ: np.ndarray) -> int:

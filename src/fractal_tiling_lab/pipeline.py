@@ -2,8 +2,9 @@
 
 A SceneBundle memoizes every expensive product (tiling, attractor raster,
 the one attractor field field_small, G's inner field, eps grids, volume
-samples, S_i(O) images, checks, field_small's level-set extractor, and one
-curvature profile per field and mask, which serves both orders) so the CLI
+samples, S_i(O) images, checks, field_small's level-set extractor, and the
+curvature profiles of one marching pass per field, which serve both orders
+and, for field_small in d=2, both masks G and O) so the CLI
 and the test suite can ask for results in any order without recomputation.
 get_bundle caches bundles by scene content (maps, region, f_bbox, delta and
 the scene's eps-grid density; curvature grids always take CURVATURE_PPD),
@@ -182,7 +183,7 @@ class SceneBundle:
     @property
     def G_inner(self) -> DistanceField:
         """inner_distance of G cropped to its cells (equal to G's own on G), for V_G and G_-eps."""
-        return self._memo("G_inner", lambda: inner_distance(_crop(self.tiling.G, 4)))
+        return self._memo("G_inner", lambda: inner_distance(self.tiling.G.cropped(4)))
 
     @property
     def V_G(self) -> volumes.VolumeSamples:
@@ -282,27 +283,27 @@ class SceneBundle:
     def relative_curvature(self, k: int, region: str = "G") -> curvature.CurvatureSamples:
         """C_k(F_eps, .) localized to the generator (default) or to O.
 
-        One marching pass per region serves both k orders in d=2. The O
-        localization backs the direct estimators: the relative fractal
-        curvature w.r.t. a strong O coincides with the global one, while the
-        outer halo would pollute finite windows in the compatible case.
+        In d=2 one marching pass per threshold measures both regions, so the
+        first request builds both profiles and serves both k orders; d=1
+        builds the requested region's. The O localization backs the direct
+        estimators: the relative fractal curvature w.r.t. a strong O
+        coincides with the global one, while the outer halo would pollute
+        finite windows in the compatible case.
         """
+        if region not in ("G", "O"):
+            raise ConfigError(f"curvature region must be G or O, got {region!r}")
+        regions = ("G", "O") if self.d == 2 else (region,)
 
-        def mask():
-            field = self.field_small
-            mask_grid = self.tiling.G if region == "G" else self.tiling.O
-            return mask_grid.embed_into(field.origin, field.extents)
-
-        def profile():
+        def profiles():
             field, eps = self.field_small, self.grid_curv.eps
-            if self.d == 1:
-                if field.values[[0, -1]].min() <= eps.max():
-                    raise ConfigError("1d parallel set touches the grid boundary")
-                return eps, *curvature.measure_profiles(field, eps, mask())
-            return eps, *curvature.measure_profiles(field, eps, mask(), self.field_extractor)
+            curvature.check_border_1d(field, eps)
+            masks = [getattr(self.tiling, r).embed_into(field.origin, field.extents) for r in regions]
+            ex = self.field_extractor if self.d == 2 else None
+            out = curvature.measure_mask_profiles(field, eps, masks, ex)
+            return {r: (eps, *p) for r, p in zip(regions, out)}
 
         return curvature.samples_from_profile(
-            k, self.d, self.delta, lambda: self._memo(("profile", region), profile), region
+            k, self.d, self.delta, lambda: self._memo(("profile", *regions), profiles)[region], region
         )
 
     def generator_curvature_samples(self, k: int) -> curvature.CurvatureSamples:
@@ -413,14 +414,6 @@ class SceneBundle:
             except PreconditionError as exc:
                 rows[m] = {"refused": str(exc)}
         return rows
-
-
-def _crop(grid: Grid, margin: int) -> Grid:
-    idx = np.argwhere(grid.occupancy)
-    lo = np.maximum(idx.min(axis=0) - margin, 0)
-    hi = np.minimum(idx.max(axis=0) + margin + 1, grid.extents)
-    sel = tuple(slice(lo[ax], hi[ax]) for ax in range(grid.dim))
-    return Grid(grid.origin + lo * grid.spacing, grid.spacing, grid.occupancy[sel])
 
 
 def _canonical(obj):

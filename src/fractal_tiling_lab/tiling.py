@@ -7,10 +7,11 @@ everything smaller into a residual mask (those tiles are entirely within
 any sampled eps of their own boundary, so cell counting stays exact for
 eps at or above the resolution floor).
 
-Tiles are built one word length at a time (rasterize_tiles): the composed
-maps S_sigma of all words of one length are stacked arrays, each made from
-its parent's map with one composition, and all tiles of that length are
-inverse-sampled inside their image boxes in one pass of _stamp_images.
+Tiles are built one word length at a time (rasterize_tiles) from the
+arrays of the word tree: the composed maps S_sigma of all words of one
+length are stacked arrays, each made from its parent's map with one
+composition, and all tiles of that length are inverse-sampled inside the
+images of G's occupied box in one pass of _stamp_images.
 That pass has two preimage paths. An axis-aligned map (diagonal inverse
 linear part: every 1-d map, the carpet and gasket maps) has preimages whose
 coordinate on each axis depends on that axis alone, so they are computed
@@ -40,7 +41,7 @@ from scipy import ndimage
 
 from .errors import ConfigError, FtlError, ResolutionError
 from .grids import DistanceField, Grid, Region, distance_transform, grid_from_bbox, inradius, rasterize
-from .ifs import IFS, Similarity, Word, check_similarity_parts, words_up_to_ratio
+from .ifs import IFS, Similarity, WordTree, check_similarity_parts, words_up_to_ratio
 
 
 @dataclass
@@ -50,7 +51,7 @@ class TilingData:
     G: Grid
     Gamma: Grid
     g: float
-    tile_words: list[Word]
+    tile_words: WordTree
     tile_union: Grid
     residual: Grid
     image_bits: np.ndarray  # S_i(O) on O's grid, packed along axis 0 as np.packbits packs
@@ -100,8 +101,9 @@ def _stamp_images(
     """Mark in occ (target's shape) the cells of S_k(source-region) for stacked maps S_k.
 
     A target cell is marked iff S_k^{-1}(center) lies in an occupied source
-    cell. Only cells in the image of source's box under S_k, grown by one
-    cell, are sampled: every other cell maps outside the source grid. The
+    cell. Only cells in the image under S_k of the box of source's occupied
+    cells, grown by one cell, are sampled: every other cell maps outside
+    that box. The
     inverse maps and the sampled points use the float operations of
     Similarity.inverse and AffineMap.__call__ on one map at a time, so the
     result is bit-identical to sampling each map on its own. Preimages take
@@ -127,8 +129,10 @@ def _stamp_images(
     A = qinv / ratio[:, None, None]
     b = -(qinv @ t[:, :, None])[:, :, 0] / ratio[:, None]
 
-    lo = source.origin
-    corners = _box_corners(lo, lo + np.array(source.extents) * source.spacing)
+    if not source.occupancy.any():
+        return
+    box = source.cropped(0)
+    corners = _box_corners(box.origin, box.origin + np.array(box.extents) * box.spacing)
     img = ratio[:, None, None] * (corners @ qinv) + t[:, None, :]
     lo_i = np.floor((img.min(axis=1) - target.origin) / target.spacing).astype(np.int64) - 1
     hi_i = np.ceil((img.max(axis=1) - target.origin) / target.spacing).astype(np.int64) + 1
@@ -206,44 +210,35 @@ def _map_cells(sim: Similarity, source: Grid, target: Grid) -> np.ndarray:
     return occ
 
 
-def rasterize_tiles(ifs: IFS, words: list[Word], G: Grid, target: Grid) -> np.ndarray:
+def rasterize_tiles(ifs: IFS, words: WordTree, G: Grid, target: Grid) -> np.ndarray:
     """Occupancy of the union of the tiles S_sigma(G), sigma in words, on target's grid.
 
-    words must be prefix-closed, as words_up_to_ratio returns them; the
-    empty word contributes G itself, which must lie on target's grid. The
-    word tree is walked one length at a time. The composed maps of one
-    length are stacked arrays, each built from its parent's with the float
-    operations of parent.compose(S_a), so every map is bit-identical to
-    Word.map. Each length is checked like Similarity checks one map and
-    rasterized in one pass of _stamp_images.
+    The empty word, if the tree holds it, contributes G itself, which must
+    then lie on target's grid. The tree is walked one length at a time from
+    its arrays. The composed maps of one length are stacked arrays, each
+    built from its parent's with the float operations of
+    parent.compose(S_a), so every map is bit-identical to Word.map. Each
+    length is checked like Similarity checks one map and rasterized in one
+    pass of _stamp_images, which samples only the images of G's occupied
+    box.
     """
     occ = np.zeros(target.extents, dtype=bool)
-    levels: dict[int, list[tuple[int, ...]]] = {}
-    for w in words:
-        levels.setdefault(len(w), []).append(w.letters)
-    if 0 in levels:
+    if words.ratio[0].size:
         occ |= G.occupancy
     r1, Q1, t1 = _stack(ifs.maps)
-    index: dict[tuple[int, ...], int] = {}
-    for length in range(1, max(levels, default=0) + 1):
-        letters = levels.get(length, [])
-        last = np.array([w[-1] for w in letters], dtype=np.int64)
+    for length in range(1, len(words.ratio)):
+        last, ratio = words.letter[length], words.ratio[length]
         if length == 1:
-            ratio, Q, t = r1[last], Q1[last], t1[last]
+            Q, t = Q1[last], t1[last]
         else:
-            try:
-                parent = np.array([index[w[:-1]] for w in letters], dtype=np.int64)
-            except KeyError:
-                raise ConfigError("tile words must be prefix-closed") from None
-            pr, pQ, pt = ratio[parent], Q[parent], t[parent]
-            ratio = pr * r1[last]
+            parent = words.parent[length]
+            pr, pQ, pt = words.ratio[length - 1][parent], Q[parent], t[parent]
             Q = pQ @ Q1[last]
             if ifs.ambient_dim == 1:
                 t = (pr * pQ[:, 0, 0] * t1[last, 0] + pt[:, 0])[:, None]
             else:
                 t = pr[:, None] * (t1[last][:, None, :] @ np.swapaxes(pQ, 1, 2))[:, 0] + pt
             check_similarity_parts(ratio, Q)
-        index = {w: i for i, w in enumerate(letters)}
         _stamp_images(occ, ratio, Q, t, G, target)
     return occ
 
@@ -255,11 +250,13 @@ def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
     are resolved for every word with r_sigma * diam(O) > RESOLVE_CELLS *
     delta; deeper (sub-cell) tiles land in the residual mask. An empty
     generator raster signals a full-dimensional attractor, for which no
-    tiling exists. tile_words lists the resolved words depth-first; the tile
-    union is rasterized one word length at a time by rasterize_tiles, which
+    tiling exists. tile_words is the tree of resolved words; the tile union
+    is rasterized one word length at a time by rasterize_tiles, which
     composes each tile map once from its parent's. Each image S_i(O) is
     sampled once; Phi(O) is their union, and the images stay on the result
-    (image_bits) for the structural checks.
+    (image_bits) for the structural checks. g is the inradius of G cropped
+    to its cells plus one: cells outside the raster count as complement, so
+    the crop changes no distance.
     """
     if isinstance(O_region, Grid):
         O = O_region
@@ -296,7 +293,7 @@ def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
         O=O,
         G=G,
         Gamma=Gamma,
-        g=inradius(G),
+        g=inradius(G.cropped(1)),
         tile_words=words,
         tile_union=tile_union,
         residual=residual,

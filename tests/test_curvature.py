@@ -336,12 +336,32 @@ class TestProfilePath:
                 )
             assert_same_samples(
                 b.generator_curvature_samples(k),
-                inner_curvature_samples(pipeline._crop(b.tiling.G, 4), k, b.grid_curv_G, "G_core"),
+                inner_curvature_samples(b.tiling.G.cropped(4), k, b.grid_curv_G, "G_core"),
             )
             assert_same_samples(
                 b.tiling_curvature_samples(k),
                 inner_curvature_samples(b.tiling.tile_union, k, b.grid_curv_G, "T_core"),
             )
+
+    @pytest.mark.parametrize("name", ["carpet", "gasket"])
+    def test_shared_pass_equals_one_pass_per_mask(self, name):
+        """One extraction per threshold for G and O gives, to the bit, the
+        profiles of one measure_profiles call per mask."""
+        b = fresh_bundle(name, 2.0**-8)
+        field, eps = b.field_small, b.grid_curv.eps
+        masks = [m.embed_into(field.origin, field.extents) for m in (b.tiling.G, b.tiling.O)]
+        shared = curvature.measure_mask_profiles(field, eps, masks, b.field_extractor)
+        for mask, got in zip(masks, shared, strict=True):
+            want = curvature.measure_profiles(field, eps, mask)
+            for a, w in zip(got, want, strict=True):
+                assert a.tobytes() == w.tobytes()
+        for region, got in zip(("G", "O"), shared):
+            assert b.relative_curvature(1, region).values.tobytes() == (0.5 * got[0]).tobytes()
+
+    def test_unknown_region_refused(self):
+        b = fresh_bundle("carpet", 2.0**-7)
+        with pytest.raises(ConfigError, match="curvature region must be G or O"):
+            b.relative_curvature(0, "Gamma")
 
     def test_out_of_range_order_refused_before_any_build(self):
         b = fresh_bundle("carpet", 2.0**-7)

@@ -129,6 +129,24 @@ class TestLocality:
         assert abs(part_len - total_len) <= seam_len + 0.01 * total_len
         assert abs(part_turn - total_turn) <= 0.05 * 2 * math.pi
 
+    def test_length_reads_midpoints_and_turning_reads_start_points(self):
+        """A mask of the cells holding the segments' start points keeps every
+        turning angle; one of the cells holding their midpoints keeps every
+        length. measure_masks takes several masks in one call."""
+        f = point_field([[0.0, 0.0], [1.4, 0.2]], ([-2.0, -2.0], [3.4, 2.2]), 2.0**-7)
+        ex = LevelSetExtractor(f)
+        ls = ex.extract(0.8)
+        cells = []
+        for pts in (ls.p_in, 0.5 * (ls.p_in + ls.p_out)):
+            m = np.zeros(f.extents, bool)
+            m[tuple(f.indices_of(pts).T)] = True
+            cells.append(m)
+        total = ex.measure(0.8)
+        (len_s, turn_s, abs_s), (len_m, turn_m, abs_m) = ex.measure_masks(ls, cells)
+        assert (turn_s, abs_s) == total[1:] and len_s < total[0]
+        assert len_m == total[0] and abs_m < total[2]
+        assert ex.measure_masks(ls, [None, cells[1]]) == [total, (len_m, turn_m, abs_m)]
+
 
 class FullScanExtractor(LevelSetExtractor):
     """Reference: the band found by scanning every dual cell, as before the index."""

@@ -3,7 +3,9 @@
 `rasterize_tiles` composes each tile map once per word length and samples
 all tiles of one length together; `_map_cells` samples only the image box.
 Both must reproduce, bit for bit, what composing every word from the root
-(`Word.map`) and inverse-sampling its image one tile at a time gives.
+(`Word.map`) and inverse-sampling its image one tile at a time gives. The
+word tree that `words_up_to_ratio` returns as arrays must be the tree the
+depth-first stack walk over `Word` objects gave.
 """
 
 import hashlib
@@ -14,9 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fractal_tiling_lab import tiling
-from fractal_tiling_lab.errors import ConfigError
+from fractal_tiling_lab import ifs as ifs_module
+from fractal_tiling_lab.errors import ConfigError, FtlError
 from fractal_tiling_lab.grids import Grid, IntervalUnion, grid_from_bbox
-from fractal_tiling_lab.ifs import IFS, Similarity, Word, check_similarity_parts, rotation, words_up_to_ratio
+from fractal_tiling_lab.ifs import (
+    IFS, Similarity, Word, WordTree, check_similarity_parts, rotation, words_up_to_ratio,
+)
 from fractal_tiling_lab.presets import get_preset
 from fractal_tiling_lab.tiling import _map_cells, build_tiling, rasterize_tiles
 
@@ -226,9 +231,10 @@ def ifs_2d(draw):
 
 def _check_against_reference(ifs, words, G, target, chunk):
     ref = reference_tiles(ifs, words, G, target)
+    tree = words if isinstance(words, WordTree) else WordTree.from_words(ifs, words)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tiling, "CHUNK_CELLS", chunk)
-        got = rasterize_tiles(ifs, words, G, target)
+        got = rasterize_tiles(ifs, tree, G, target)
         maps_got = [_map_cells(m, G, target) for m in ifs.maps]
     assert np.array_equal(got, ref)
     for m, img in zip(ifs.maps, maps_got):
@@ -248,7 +254,7 @@ def test_random_2d_rotated_ifs_matches_reference(ifs, seed, chunk):
     G = _random_grid(seed, ([-0.25, -0.25], [1.25, 1.25]), 2.0**-6, 0.3)
     target = grid_from_bbox(([-1.0, -0.5], [1.5, 1.5]), 2.0**-6)
     # the empty word needs G on target's grid; its descendants do not
-    words = words_up_to_ratio(ifs, 0.04)[1:]
+    words = list(words_up_to_ratio(ifs, 0.04))[1:]
     _check_against_reference(ifs, words, G, target, chunk)
 
 
@@ -281,7 +287,7 @@ def _check_2d_clipped(ifs, seed, chunk):
     G = _random_grid(seed, ([-0.25, -0.25], [1.25, 1.25]), 2.0**-6, 0.3)
     target = grid_from_bbox(([-0.125, 0.0], [1.0, 0.875]), 2.0**-6)
     # the empty word needs G on target's grid; its descendants do not
-    _check_against_reference(ifs, words_up_to_ratio(ifs, 0.04)[1:], G, target, chunk)
+    _check_against_reference(ifs, list(words_up_to_ratio(ifs, 0.04))[1:], G, target, chunk)
 
 
 @settings(max_examples=40, deadline=None)
@@ -321,7 +327,7 @@ def test_cell_edge_follows_the_matrix_product(chunk):
     words = [Word((0,))]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tiling, "CHUNK_CELLS", chunk)
-        got = rasterize_tiles(ifs, words, G, target)
+        got = rasterize_tiles(ifs, WordTree.from_words(ifs, words), G, target)
         img = _map_cells(sim, G, target)
     assert np.array_equal(got, reference_tiles(ifs, words, G, target))
     assert np.array_equal(img, reference_map_cells(sim, G, target))
@@ -335,7 +341,7 @@ def test_words_must_be_prefix_closed():
     p = get_preset("cantor")
     t = build_tiling(p.scene.ifs, p.scene.region, 2.0**-8)
     with pytest.raises(ConfigError):
-        rasterize_tiles(t.ifs, [Word(), Word((0, 1))], t.G, t.O)
+        WordTree.from_words(t.ifs, [Word(), Word((0, 1))])
 
 
 def test_stacked_similarity_checks():
@@ -345,3 +351,123 @@ def test_stacked_similarity_checks():
         check_similarity_parts(np.array([0.5, 1.0]), q)
     with pytest.raises(ConfigError):
         check_similarity_parts(np.array([0.5, 0.25]), q * (1 + 1e-9))
+
+
+# ---------------------------------------------------------------------------
+# the word tree against the stack walk it replaced
+
+
+def reference_words(ifs: IFS, r_min: float, max_len: int = ifs_module.WORD_MAX_LEN):
+    """(word, ratio) of every word with r_sigma > r_min, depth first, highest letter first."""
+    ratios = [m.ratio for m in ifs.maps]
+    out, stack = [], [(Word(), 1.0)]
+    while stack:
+        w, r = stack.pop()
+        if r <= r_min:
+            continue
+        out.append((w, r))
+        if len(w) >= max_len:
+            raise FtlError("word tree exceeded max length")
+        for a in range(ifs.n):
+            if r * ratios[a] > r_min:
+                stack.append((w.extend(a), r * ratios[a]))
+    return out
+
+
+def _assert_tree_is_reference(ifs: IFS, r_min: float):
+    tree = words_up_to_ratio(ifs, r_min)
+    ref = reference_words(ifs, r_min)
+    assert len(tree) == len(ref)
+    assert [w.letters for w in tree] == [w.letters for w, _ in ref]
+    # each level lists its words in lexicographic order, by prefix index and
+    # letter, with the walk's ratios to the bit
+    level = [()]
+    for length in range(len(tree.ratio)):
+        if length:
+            level = [level[p] + (a,) for p, a in zip(tree.parent[length], tree.letter[length])]
+        want = sorted((w.letters, r) for w, r in ref if len(w) == length)
+        assert level[: tree.ratio[length].size] == [w for w, _ in want]
+        assert tree.ratio[length].tobytes() == np.array([r for _, r in want]).tobytes()
+    return tree
+
+
+@pytest.mark.parametrize("name", sorted(COARSE_DELTA))
+def test_word_tree_is_the_stack_walk_on_presets(name):
+    ifs = get_preset(name).scene.ifs
+    for r_min in (0.3, 0.01, 0.002):
+        _assert_tree_is_reference(ifs, r_min)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ifs=st.one_of(ifs_1d(), ifs_2d()), r_min=st.sampled_from([0.5, 0.25, 0.03, 0.004]))
+def test_word_tree_is_the_stack_walk_on_random_ifs(ifs, r_min):
+    tree = _assert_tree_is_reference(ifs, r_min)
+    # a word list made into a tree, with or without the empty word, is
+    # the same tree
+    words = list(tree)
+    again = WordTree.from_words(ifs, words)
+    for a, b in zip(again.ratio + again.letter, tree.ratio + tree.letter):
+        assert a.tobytes() == b.tobytes()
+    assert [w.letters for w in WordTree.from_words(ifs, words[1:])] == [w.letters for w in words[1:]]
+
+
+def test_word_tree_depth_guard():
+    """The walk refused a word of length WORD_MAX_LEN; so does the tree."""
+    ifs = get_preset("cantor").scene.ifs  # ratios 1/3: length L has r = 3^-L
+    depth = 5
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ifs_module, "WORD_MAX_LEN", depth)
+        assert len(words_up_to_ratio(ifs, 3.0**-depth)) == 2 ** depth - 1  # deepest length 4
+        with pytest.raises(FtlError, match="word tree exceeded max length"):
+            words_up_to_ratio(ifs, 3.0**-depth * 0.99)  # reaches length 5
+        with pytest.raises(FtlError):
+            reference_words(ifs, 3.0**-depth * 0.99, depth)
+    assert len(words_up_to_ratio(ifs, 1.0)) == 0
+
+
+# ---------------------------------------------------------------------------
+# tiles stamped from the box of G's occupied cells
+
+
+def _stamp_check(ifs: IFS, G: Grid, r_min: float):
+    tree = words_up_to_ratio(ifs, r_min)
+    for chunk in (7, tiling.CHUNK_CELLS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tiling, "CHUNK_CELLS", chunk)
+            got = rasterize_tiles(ifs, tree, G, G)
+        assert np.array_equal(got, reference_tiles(ifs, tree, G, G))
+
+
+def test_stamp_generator_touching_the_raster_edge():
+    """G's occupied box reaches two edges of the raster, so image boxes clip there."""
+    delta = 2.0**-6
+    occ = np.zeros((80, 72), dtype=bool)
+    occ[:20, 50:] = True
+    occ[60:, :9] = True
+    G = Grid(np.array([-0.125, -0.0625]), delta, occ)
+    for name in ("carpet", "gasket", "koch"):
+        _stamp_check(get_preset(name).scene.ifs, G, 0.02)
+
+
+def test_stamp_generator_of_one_cell():
+    """Ratios near 1 keep the tiles of a one-cell G about a cell wide."""
+    occ = np.zeros((136, 136), dtype=bool)
+    occ[70, 41] = True
+    G = Grid(np.array([-0.0625, -0.0625]), 2.0**-7, occ)
+    near_one = IFS((Similarity(0.95, np.eye(2), np.array([0.02, 0.0])),
+                    Similarity(0.9, rotation(30.0), np.array([0.1, -0.05]))), 2)
+    for ifs in (get_preset("carpet").scene.ifs, near_one):
+        _stamp_check(ifs, G, 0.7 if ifs is near_one else 0.01)
+    occ = np.zeros(1100, dtype=bool)
+    occ[515] = True
+    _stamp_check(get_preset("cantor").scene.ifs, Grid(np.array([-0.05]), 2.0**-10, occ), 0.001)
+
+
+def test_stamp_generator_of_separated_1d_gaps():
+    """A 1-d generator of three gaps: its box spans the space between them."""
+    delta = 2.0**-11
+    O = Grid(np.array([-2 * delta]), delta, np.zeros(2052, dtype=bool))
+    x = O.centers(0)
+    occ = ((x > 0.1) & (x < 0.15)) | ((x > 0.42) & (x < 0.45)) | ((x > 0.8) & (x < 0.84))
+    maps = tuple(Similarity(r, np.eye(1), np.array([t])) for r, t in ((0.1, 0.0), (0.27, 0.15), (0.3, 0.45), (0.16, 0.84)))
+    _stamp_check(IFS(maps, 1), O.with_occupancy(occ), 0.002)

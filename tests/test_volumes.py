@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 import fractal_tiling_lab as ftl
-from fractal_tiling_lab import pipeline, volumes
+from fractal_tiling_lab import curvature, grids, ifs, levelsets, pipeline, tiling, volumes
 from fractal_tiling_lab.contents import gatzouras_content
 from fractal_tiling_lab.errors import ConfigError
 from fractal_tiling_lab.grids import ConvexPolygon, IntervalUnion, distance_transform, grid_from_bbox, inner_distance, rasterize
@@ -365,6 +365,53 @@ class TestOneAttractorField:
             b.relative_curvature(k, "O")
             b.generator_curvature_samples(k)
         assert len(calls) == 1
+
+
+class TestBuiltOnce:
+    def test_carpet_words_tiles_and_level_sets_built_once(self, monkeypatch):
+        """The word tree is grown once, g reads G cropped to its cells, and
+        each field_small threshold is extracted once for G and O together."""
+        counts = {"words": 0}
+        extracted, inner, inradius_grids = [], [], []
+
+        def counting_words(*args):
+            counts["words"] += 1
+            return ifs.words_up_to_ratio(*args)
+
+        def recording_extract(self, eps):
+            extracted.append(self.field)
+            return extract(self, eps)
+
+        def recording_inner(grid):
+            inner.append(grid)
+            return inner_distance(grid)
+
+        def recording_inradius(grid):
+            inradius_grids.append(grid)
+            return grids.inradius(grid)
+
+        extract = levelsets.LevelSetExtractor.extract
+        monkeypatch.setattr(tiling, "words_up_to_ratio", counting_words)
+        monkeypatch.setattr(levelsets.LevelSetExtractor, "extract", recording_extract)
+        for module in (grids, pipeline, curvature):
+            monkeypatch.setattr(module, "inner_distance", recording_inner)
+        monkeypatch.setattr(tiling, "inradius", recording_inradius)
+
+        b = pipeline.SceneBundle(replace(get_preset("carpet").scene, delta=2.0**-8))
+        b.content_table()
+        b.checks()
+        for region in ("G", "O"):
+            for k in (0, 1):
+                b.relative_curvature(k, region)
+        assert counts["words"] == 1
+        # the curvature grid's thresholds, then boundary_null's 12
+        assert sum(f is b.field_small for f in extracted) == len(b.grid_curv.eps) + 12
+        t = b.tiling
+        assert [g.extents for g in inradius_grids] == [t.G.cropped(1).extents]
+        assert np.prod(t.G.cropped(1).extents) < np.prod(t.O.extents) / 8
+        # the one inner field on O's full grid is the tile union's, for V_T
+        full = [g for g in inner if g.extents == t.O.extents]
+        assert len(full) == 1 and full[0] is t.tile_union
 
 
 class TestCsvExport:
