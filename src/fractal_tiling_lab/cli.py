@@ -181,39 +181,11 @@ def cmd_curvature(args) -> int:
     d = scene.ifs.ambient_dim
     k = d - 1 if args.k is None else args.k
     curvmod.check_order(k, d)  # refuse before any bundle is built
-    bundle = get_bundle(Preset(name, scene))
-    dd = bundle.dim_data
-    rows = {}
-    code = 0
-    try:
-        gen = curvmod.generator_curvature(
-            bundle.generator_curvature_samples(k), dd.D, dd.eta, k, bundle.d,
-            bundle.tiling.g, lattice_note=dd.note,
-        )
-        rows["generator_integral"] = gen.to_dict()
-    except PreconditionError as exc:
-        rows["generator_integral"] = {"refused": str(exc)}
-        code = 2
-    try:
-        checks = bundle.checks()
-        rel = curvmod.relative_generator_curvature(
-            bundle.relative_curvature(k), dd.D, dd.eta, k, bundle.d, bundle.g_tilde,
-            checks=[checks["projection"], checks["boundary_null"]], lattice_note=dd.note,
-        )
-        rows["relative_generator"] = rel.to_dict()
-        direct_samples = bundle.relative_curvature(k, region="O" if bundle.d == 2 else "G")
-        limit, average = curvmod.direct_fractal_curvature(
-            direct_samples, dd.D, k,
-            window=(8 * bundle.delta, bundle.g_tilde / 3), lattice_base=bundle.lattice_base,
-        )
-        rows["direct_limit"] = limit.to_dict()
-        rows["direct_average"] = average.to_dict()
-    except PreconditionError as exc:
-        rows["relative_generator"] = {"refused": str(exc)}
-        code = 2
+    table = get_bundle(Preset(name, scene)).curvature_table(k)
+    rows = {m: r if isinstance(r, dict) else r.to_dict() for m, r in table.items()}
     doc = {"command": "curvature", "scene": name, "delta": scene.delta, "k": k, "rows": rows}
     _emit(doc, args)
-    return code if len(rows) == sum(1 for r in rows.values() if "refused" in r) else 0
+    return 2 if all("refused" in r for r in rows.values()) else 0
 
 
 def cmd_check(args) -> int:

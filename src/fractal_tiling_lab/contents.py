@@ -420,57 +420,61 @@ def direct_content(
     lattice_base: float | None = None,
     lattice_note: str = "",
 ) -> tuple[ContentResult, ContentResult]:
-    """Direct (limit, average) content estimates from scaled parallel volumes.
-
-    The limit estimate is the mean of eps^(D-d) * v(eps) over the window with
-    the oscillation amplitude as its error; for lattice systems the window's
-    lowest multiplicative period is reported as a band instead of a value.
-    The average estimate is the logarithmic Cesaro mean over the window,
-    snapped down to an integer number of periods when the base allows it.
-    """
-    eps = samples.eps
+    """Direct (limit, average) content estimates: the scaled window at order d
+    (C_d is the volume) with the raster tolerance. Refuses under 1.5 decades."""
     lo, hi = window
     if hi / lo < 10.0**1.5:
-        raise ConfigError("direct-content window must span at least 1.5 decades")
-    sel = (eps >= lo) & (eps <= hi)
-    if sel.sum() < 16:
-        raise ConfigError("direct-content window contains too few samples")
-    e = eps[sel]
-    scaled = e ** (D - d) * samples.values[sel]
-    tol = e ** (D - d) * samples.tolerance[sel]
+        raise PreconditionError(
+            f"direct window ({lo:.4g}, {hi:.4g}) spans {math.log10(hi / lo):.2f} "
+            "decades, under 1.5"
+        )
+    return _direct_estimates(
+        samples, samples.tolerance, D, d, window, lattice_base, lattice_note,
+        "lattice system: oscillation band over one period, not a limit", {},
+    )
 
-    win_used = (float(e[0]), float(e[-1]))
+
+def _direct_estimates(
+    samples, tolerance: np.ndarray, D: float, order: int,
+    window: tuple[float, float], lattice_base: float | None, lattice_note: str,
+    band_note: str, extra: dict,
+) -> tuple[ContentResult, ContentResult]:
+    """(limit, average) of eps^(D-order) * samples.values over the window.
+
+    The limit estimate is the mean with the oscillation amplitude as its
+    error; for lattice systems the window's lowest period is reported as a
+    band instead. The average is the logarithmic Cesaro mean, cut down to a
+    whole number of periods when 16 samples remain, with the density
+    sensitivity of the mean plus the scaled tolerance as its error.
+    """
+    eps = samples.eps
+    sel = (eps >= window[0]) & (eps <= window[1])
+    if sel.sum() < 16:
+        raise ConfigError("direct window contains too few samples")
+    e = eps[sel]
+    scaled = e ** (D - order) * samples.values[sel]
+    tol = e ** (D - order) * tolerance[sel]
     if lattice_base is not None:
-        span = math.log(e[-1] / e[0])
-        periods = int(math.floor(span / lattice_base))
+        periods = int(math.floor(math.log(e[-1] / e[0]) / lattice_base))
         if periods >= 1:
             cut = e >= e[-1] * math.exp(-periods * lattice_base) * (1 - 1e-9)
-            if cut.sum() >= 16 and math.log(e[-1] / e[cut][0]) >= 1.0:
+            if cut.sum() >= 16:
                 e, scaled, tol = e[cut], scaled[cut], tol[cut]
-                win_used = (float(e[0]), float(e[-1]))
-
+    win_used = (float(e[0]), float(e[-1]))
     avg_val = float(np.mean(scaled))
-    # density sensitivity of the log-midpoint mean plus raster tolerance
     avg_err = abs(avg_val - float(np.mean(scaled[::2]))) + float(np.mean(tol))
     average = ContentResult(
         avg_val, D, "direct_average", samples.delta, avg_err, lattice_note,
-        {"window": win_used},
+        {**extra, "window": win_used},
     )
-
     if lattice_base is not None:
         band_sel = e <= e[0] * math.exp(lattice_base) * (1 + 1e-9)
         band = scaled[band_sel] if band_sel.sum() >= 4 else scaled
         bmin, bmax = float(band.min()), float(band.max())
-        limit = ContentResult(
-            0.5 * (bmin + bmax), D, "direct_limit", samples.delta,
-            0.5 * (bmax - bmin), lattice_note,
-            {"band": (bmin, bmax), "window": win_used,
-             "note": "lattice system: oscillation band over one period, not a limit"},
-        )
+        value, err = 0.5 * (bmin + bmax), 0.5 * (bmax - bmin)
+        extra = {**extra, "band": (bmin, bmax), "window": win_used, "note": band_note}
     else:
-        osc = 0.5 * float(scaled.max() - scaled.min())
-        limit = ContentResult(
-            float(np.mean(scaled)), D, "direct_limit", samples.delta, osc,
-            lattice_note, {"window": win_used},
-        )
+        value, err = avg_val, 0.5 * float(scaled.max() - scaled.min())
+        extra = {**extra, "window": win_used}
+    limit = ContentResult(value, D, "direct_limit", samples.delta, err, lattice_note, extra)
     return limit, average

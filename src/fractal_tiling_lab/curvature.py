@@ -23,7 +23,8 @@ from .ifs import IFS
 from .levelsets import LevelSetExtractor
 from .volumes import EpsGrid
 from .contents import (
-    GAMMA_MIN, ContentResult, log_trapezoid, power_fit, require_checks, _head_integral,
+    GAMMA_MIN, ContentResult, log_trapezoid, power_fit, require_checks, _direct_estimates,
+    _head_integral,
 )
 
 
@@ -242,46 +243,12 @@ def direct_fractal_curvature(
     lattice_base: float | None = None,
     lattice_note: str = "",
 ) -> tuple[ContentResult, ContentResult]:
-    """Direct (limit, average) scaled-curvature estimates over an eps window."""
-    eps = samples.eps
-    lo, hi = window
-    sel = (eps >= lo) & (eps <= hi)
-    if sel.sum() < 16:
-        raise ConfigError("curvature window contains too few samples")
-    e = eps[sel]
-    scaled = e ** (D - k) * samples.values[sel]
-    win_used = (float(e[0]), float(e[-1]))
-    if lattice_base is not None:
-        span = math.log(e[-1] / e[0])
-        periods = int(math.floor(span / lattice_base))
-        if periods >= 1:
-            cut = e >= e[-1] * math.exp(-periods * lattice_base) * (1 - 1e-9)
-            if cut.sum() >= 16:
-                e, scaled = e[cut], scaled[cut]
-                win_used = (float(e[0]), float(e[-1]))
-    avg = float(np.mean(scaled))
-    avg_err = abs(avg - float(np.mean(scaled[::2])))
-    average = ContentResult(
-        avg, D, "direct_average", samples.delta, avg_err, lattice_note,
-        {"k": k, "window": win_used},
+    """Direct (limit, average) scaled-curvature estimates: direct_content's
+    scaled window at order k, with zero tolerance and no span rule."""
+    return _direct_estimates(
+        samples, np.zeros_like(samples.values), D, k, window, lattice_base, lattice_note,
+        "lattice system: oscillation band, not a limit", {"k": k},
     )
-    if lattice_base is not None:
-        band_sel = e <= e[0] * math.exp(lattice_base) * (1 + 1e-9)
-        band = scaled[band_sel] if band_sel.sum() >= 4 else scaled
-        bmin, bmax = float(band.min()), float(band.max())
-        limit = ContentResult(
-            0.5 * (bmin + bmax), D, "direct_limit", samples.delta,
-            0.5 * (bmax - bmin), lattice_note,
-            {"k": k, "band": (bmin, bmax), "window": win_used,
-             "note": "lattice system: oscillation band, not a limit"},
-        )
-    else:
-        osc = 0.5 * float(scaled.max() - scaled.min())
-        limit = ContentResult(
-            float(np.mean(scaled)), D, "direct_limit", samples.delta, osc,
-            lattice_note, {"k": k, "window": win_used},
-        )
-    return limit, average
 
 
 def cbc_exponent_check(var_samples: CurvatureSamples, D: float, k: int) -> tuple[float, bool]:

@@ -35,6 +35,7 @@ CONTENT_METHODS = (
     "direct_average",
     "s_content",
 )
+CURVATURE_METHODS = ("generator_integral", "relative_generator", "direct_limit", "direct_average")
 CURVATURE_PPD = 32  # points per decade of the curvature eps grids
 
 
@@ -338,7 +339,7 @@ class SceneBundle:
 
         return self._memo("surface", build)
 
-    # -- contents ----------------------------------------------------------------
+    # -- contents and curvatures -------------------------------------------------
 
     def content(self, method: str) -> contents.ContentResult:
         if method in ("direct_limit", "direct_average"):
@@ -375,11 +376,6 @@ class SceneBundle:
             lo, hi = self.direct_window()
             if restrict:
                 hi = min(hi, self.grid_rel.eps[-1])
-            if hi / lo < 10.0**1.5:
-                raise PreconditionError(
-                    f"direct window ({lo:.4g}, {hi:.4g}) spans {math.log10(hi / lo):.2f} "
-                    "decades, under 1.5"
-                )
             return contents.direct_content(
                 samples, D, d, window=(lo, hi), lattice_base=self.lattice_base, lattice_note=note,
             )
@@ -391,6 +387,27 @@ class SceneBundle:
                 lattice_note=note,
             )
         raise ConfigError(f"unknown content method {method!r}")
+
+    def _curvature(self, k: int, method: str) -> contents.ContentResult:
+        """One C_k row, with the checks each formula needs; the direct rows
+        (one memo entry) read C_k on O in d=2 over (8 delta, g~/3), with no span rule."""
+        dd, d = self.dim_data, self.d
+        if method == "generator_integral":
+            return curvature.generator_curvature(
+                self.generator_curvature_samples(k), dd.D, dd.eta, k, d, self.g, lattice_note=dd.note,
+            )
+        if method == "relative_generator":
+            checks = self.checks()
+            return curvature.relative_generator_curvature(
+                self.relative_curvature(k), dd.D, dd.eta, k, d, self.g_tilde,
+                checks=[checks["projection"], checks["boundary_null"]], lattice_note=dd.note,
+            )
+        limit, average = self._memo(("direct_curvature", k), lambda: curvature.direct_fractal_curvature(
+            self.relative_curvature(k, region="O" if d == 2 else "G"), dd.D, k,
+            window=(8 * self.delta, self.g_tilde / 3), lattice_base=self.lattice_base,
+            lattice_note=dd.note,
+        ))
+        return average if method == "direct_average" else limit
 
     def direct_window(self) -> tuple[float, float]:
         """(floor, top): top 0.3 x scale in d=1, 0.55 g~ in d=2, at least 1.5 decades up."""
@@ -407,13 +424,22 @@ class SceneBundle:
 
     def content_table(self, methods=CONTENT_METHODS) -> dict[str, object]:
         """One row per method; refusals become rows with the failure reason."""
-        rows = {}
-        for m in methods:
-            try:
-                rows[m] = self.content(m)
-            except PreconditionError as exc:
-                rows[m] = {"refused": str(exc)}
-        return rows
+        return _refusal_rows(self.content, methods)
+
+    def curvature_table(self, k: int) -> dict[str, object]:
+        """One row per curvature method at order k; refusals become rows."""
+        return _refusal_rows(lambda m: self._curvature(k, m), CURVATURE_METHODS)
+
+
+def _refusal_rows(row, methods) -> dict[str, object]:
+    """{method: row(method)}, with a PreconditionError as {"refused": reason}."""
+    rows = {}
+    for m in methods:
+        try:
+            rows[m] = row(m)
+        except PreconditionError as exc:
+            rows[m] = {"refused": str(exc)}
+    return rows
 
 
 def _canonical(obj):

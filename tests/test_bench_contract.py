@@ -4,8 +4,9 @@ bench/tracer.py wraps module functions (tiling._map_cells,
 tiling.relative_inradius, ...), Grid.lookup, the LevelSetExtractor methods
 and the SceneBundle products by name at run time, and reads
 LevelSetExtractor._fmin. Installing it in a fresh interpreter and tracing
-one small 1-d scene and one small 2-d field turns a renamed or deleted
-traced name into a failure here instead of a failed benchmark run. The
+one small 1-d scene (its content and k = 0 curvature tables) and one small
+2-d field turns a renamed or deleted traced name, or a bundle path that
+bypasses one, into a failure here instead of a failed benchmark run. The
 subprocess keeps the wrappers out of this test session.
 """
 
@@ -27,8 +28,7 @@ tracer.install()
 from fractal_tiling_lab import pipeline, presets
 bundle = pipeline.SceneBundle(replace(presets.get_preset("cantor").scene, delta=2.0**-10))
 bundle.content_table()
-bundle.generator_curvature_samples(0)
-bundle.relative_curvature(0)
+bundle.curvature_table(0)
 # the bundle reads memoized profiles; the one-shot samplers are public API
 from fractal_tiling_lab import curvature
 curvature.inner_curvature_samples(bundle.tiling.G, 0, bundle.grid_curv_G)
@@ -67,6 +67,8 @@ def test_tracer_installs_and_sees_every_layer():
         "pipeline.stage.checks", "pipeline.stage.generator_curvature_samples",
         "pipeline.stage.relative_curvature.k0.G",
         "curvature.measure_profiles",
+        "curvature.generator_curvature", "curvature.relative_generator_curvature",
+        "curvature.direct_fractal_curvature",
         "levelsets.extractor_init", "levelsets.extract", "levelsets.measure",
     ):
         assert name in spans, name

@@ -15,6 +15,22 @@ def run(capsys, *argv):
     return code, out
 
 
+# Cantor with O reaching past the attractor: the projection check fails
+OVERHANG_SCENE = {
+    "name": "cantor_overhang",
+    "ifs": {
+        "dim": 1,
+        "maps": [
+            {"ratio": 1 / 3, "translation": [0.0]},
+            {"ratio": 1 / 3, "translation": [2 / 3]},
+        ],
+    },
+    "region": {"type": "intervals", "intervals": [[-0.6, 1.0]]},
+    "delta": 2.0**-13,
+    "f_bbox": [[0.0], [1.0]],
+}
+
+
 class TestDim:
     def test_carpet(self, capsys):
         code, out = run(capsys, "dim", "--preset", "carpet", "--format", "json")
@@ -85,21 +101,8 @@ class TestContent:
         assert band[1] > band[0]
 
     def test_refusal_exit_code(self, capsys, tmp_path):
-        scene = {
-            "name": "cantor_overhang",
-            "ifs": {
-                "dim": 1,
-                "maps": [
-                    {"ratio": 1 / 3, "translation": [0.0]},
-                    {"ratio": 1 / 3, "translation": [2 / 3]},
-                ],
-            },
-            "region": {"type": "intervals", "intervals": [[-0.6, 1.0]]},
-            "delta": 2.0**-13,
-            "f_bbox": [[0.0], [1.0]],
-        }
         path = tmp_path / "scene.json"
-        path.write_text(json.dumps(scene))
+        path.write_text(json.dumps(OVERHANG_SCENE))
         code, out = run(capsys, "content", "--scene", str(path), "--format", "json",
                         "--methods", "relative_generator")
         assert code == 2
@@ -151,6 +154,19 @@ class TestCurvatureCommand:
         assert code == 0
         assert json.loads(out)["k"] == 0
         assert run(capsys, "curvature", "--preset", "cantor", "-k", "0", "--format", "json") == (0, out)
+
+    def test_refused_check_keeps_the_other_rows(self, capsys, tmp_path):
+        # a failed check refuses relative_generator alone: the generator and
+        # direct rows still print, with the lattice note, and the exit is 0
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(OVERHANG_SCENE))
+        code, out = run(capsys, "curvature", "--scene", str(path), "-k", "0", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert "projection" in rows["relative_generator"]["refused"]
+        for m in ("generator_integral", "direct_limit", "direct_average"):
+            assert "value" in rows[m]
+            assert rows[m]["lattice_note"].startswith("lattice")
 
     def test_order_out_of_range_refused_before_any_product(self, capsys, monkeypatch):
         monkeypatch.setattr(pipeline, "_BUNDLES", {})

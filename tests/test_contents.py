@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import fractal_tiling_lab as ftl
 from fractal_tiling_lab.contents import (
@@ -20,7 +21,10 @@ from fractal_tiling_lab.presets import (
     CANTOR_CONTENT_CLOSED_FORM,
     D_CARPET,
 )
-from fractal_tiling_lab.volumes import make_eps_grid, sample_inner_volume, sample_parallel_volume
+from fractal_tiling_lab.curvature import CurvatureSamples, direct_fractal_curvature
+from fractal_tiling_lab.volumes import (
+    VolumeSamples, make_eps_grid, sample_inner_volume, sample_parallel_volume,
+)
 from fractal_tiling_lab.conditions import CheckReport
 
 
@@ -266,5 +270,48 @@ class TestDirectContent:
         assert average.value == pytest.approx(2.0, rel=0.05)
 
     def test_window_must_span_decades(self, cantor_bundle):
-        with pytest.raises(ConfigError):
+        with pytest.raises(PreconditionError, match="under 1.5"):
             direct_content(cantor_bundle.F_on_O, cantor_bundle.dim_data.D, 1, window=(0.01, 0.05))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.floats(0.05, 3.0),
+        ppd=st.integers(4, 128),
+        lo_frac=st.floats(0.0, 1.0),
+        decades=st.floats(1.5, 4.0),
+    )
+    def test_whole_period_cut_spans_an_e_fold(self, base, ppd, lo_frac, decades):
+        # A window of >= 1.5 decades holding >= 16 nodes spans over 3 e-folds
+        # of nodes, so its whole-period cut (or, below 16 cut nodes, the
+        # uncut window) always spans at least one e-fold.
+        grid = make_eps_grid(2.0**-12, 1.0, ppd, base)
+        top = math.log10(grid.eps[-1] / grid.eps[0])
+        assume(top >= decades)
+        lo = grid.eps[0] * 10.0 ** (lo_frac * (top - decades))
+        hi = lo * 10.0**decades * (1 + 1e-12)
+        nodes = grid.eps[(grid.eps >= lo) & (grid.eps <= hi)]
+        assume(nodes.size >= 16)
+        samples = VolumeSamples(grid.eps, np.ones_like(grid.eps), "F_eps", 2.0**-12)
+        _, average = direct_content(samples, 0.5, 1, window=(lo, hi), lattice_base=base)
+        used = average.extra["window"]
+        span = math.log(used[1] / used[0])
+        assert span >= 1.0 - 1e-9
+        if used != (nodes[0], nodes[-1]):
+            assert span / base == pytest.approx(round(span / base), abs=1e-6)
+
+    @pytest.mark.parametrize("base", [None, math.log(3)])
+    def test_curvature_estimator_is_the_content_estimator(self, base):
+        # the content is the order-d scaled limit: with zero tolerance the
+        # curvature estimator at k = d returns the same rows
+        grid = make_eps_grid(2.0**-10, 0.5, 32, base)
+        eps, D = grid.eps, 1.6
+        vals = eps ** (2 - D) * (1.0 + 0.2 * np.sin(2 * math.pi * np.log(eps) / math.log(3)))
+        volume = VolumeSamples(eps, vals, "F_eps", 2.0**-10)
+        curv = CurvatureSamples(eps, 2, vals, vals, 2.0**-10)
+        window = (8 * 2.0**-10, 0.4)
+        rows_c = direct_content(volume, D, 2, window, lattice_base=base)
+        rows_k = direct_fractal_curvature(curv, D, 2, window, lattice_base=base)
+        for c, k in zip(rows_c, rows_k):
+            assert (c.value, c.error_estimate, c.method) == (k.value, k.error_estimate, k.method)
+            assert c.extra["window"] == k.extra["window"]
+            assert c.extra.get("band") == k.extra.get("band")
