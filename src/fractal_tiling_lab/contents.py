@@ -455,7 +455,8 @@ def _direct_estimates(
     scaled = e ** (D - order) * samples.values[sel]
     tol = e ** (D - order) * tolerance[sel]
     if lattice_base is not None:
-        periods = int(math.floor(math.log(e[-1] / e[0]) / lattice_base))
+        # the slack keeps a span of exactly P periods from rounding down to P - 1
+        periods = int(math.floor(math.log(e[-1] / e[0]) / lattice_base * (1 + 1e-9)))
         if periods >= 1:
             cut = e >= e[-1] * math.exp(-periods * lattice_base) * (1 - 1e-9)
             if cut.sum() >= 16:

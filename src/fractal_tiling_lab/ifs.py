@@ -321,14 +321,44 @@ class WordTree:
         return sum(r.size for r in self.ratio)
 
     def __iter__(self) -> Iterator[Word]:
-        words, level = [()] * self.ratio[0].size, [()]
+        words = self._levels((), lambda w, a: w + (a,))
+        for i in self.preorder().tolist():
+            yield Word(words[i])
+
+    def labelled(self) -> list[tuple[str, float]]:
+        """(str(w), r_sigma) of every word w, in iteration order."""
+        names = self._levels("", lambda w, a: w + str(a + 1))
+        ratios = np.concatenate(self.ratio).tolist()
+        return [(names[i] or str(Word()), ratios[i]) for i in self.preorder().tolist()]
+
+    def _levels(self, root, step) -> list:
+        """A value per word, levels concatenated: root for the empty word,
+        step(prefix's value, last letter) for the others."""
+        out, level = [root] * self.ratio[0].size, [root]
         for p, a in zip(self.parent[1:], self.letter[1:]):
-            level = [level[i] + (b,) for i, b in zip(p.tolist(), a.tolist())]
-            words += level
-        # pre-order, highest letter first, is the lexicographic order of the
-        # negated letters with every prefix before its extensions
-        for w in sorted(words, key=lambda w: [-a for a in w]):
-            yield Word(w)
+            level = [step(level[i], b) for i, b in zip(p.tolist(), a.tolist())]
+            out += level
+        return out
+
+    def preorder(self) -> np.ndarray:
+        """Indices into the concatenated levels in depth-first pre-order, highest letter first.
+
+        A word's position is its parent's plus one plus the subtree sizes of
+        its later siblings in the level (same parent, higher letters), which
+        the walk visits first.
+        """
+        size = [np.ones(r.size, np.int64) for r in self.ratio]
+        for length in range(len(size) - 1, 1, -1):
+            np.add.at(size[length - 1], self.parent[length], size[length])
+        pos = [np.zeros(self.ratio[0].size, np.int64)]
+        up = pos[0] if self.ratio[0].size else np.full(1, -1)  # a root that is not stored sits at -1
+        for p, s in zip(self.parent[1:], size[1:]):
+            later = np.append(np.cumsum(s[::-1])[::-1], 0)  # later[i]: subtree sizes of words i, i + 1, ...
+            up = up[p] + 1 + later[1:] - later[np.searchsorted(p, p, side="right")]
+            pos.append(up)
+        order = np.empty(len(self), np.int64)
+        order[np.concatenate(pos)] = np.arange(len(self))
+        return order
 
     @classmethod
     def from_words(cls, ifs: IFS, words) -> "WordTree":

@@ -76,9 +76,7 @@ class TilingData:
             "lambda_G": self.G.area(),
             "lambda_Gamma": self.Gamma.area(),
             "residual_mass": self.residual.area(),
-            "words": [
-                {"word": str(w), "ratio": w.ratio(self.ifs)} for w in self.tile_words
-            ],
+            "words": [{"word": w, "ratio": r} for w, r in self.tile_words.labelled()],
         }
 
 

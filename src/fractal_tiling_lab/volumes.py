@@ -9,7 +9,10 @@ must fold into their error estimates.
 The renewal differences (h, phi, the Gatzouras difference) evaluate
 f(eps / r_i) through the scaling identities; on lattice-aligned geometric
 grids the lookup is an exact index shift, otherwise a monotone interpolant
-is used and the samples are flagged.
+is used and the samples are flagged. That interpolant (_pchip) is the
+piecewise cubic Hermite scheme of Fritsch & Butland, written here with the
+float operations of scipy's PchipInterpolator, so it gives the same bits
+without loading scipy.interpolate.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError
 from .grids import DistanceField, Grid
@@ -161,6 +163,51 @@ def sample_parallel_volume(F_field: DistanceField, grid: EpsGrid) -> VolumeSampl
     return VolumeSamples(grid.eps, values, "F_eps", F_field.spacing, "F", tol)
 
 
+def _pchip_end(h0, h1, m0, m1) -> np.ndarray:
+    """One-sided three-point end slope, set to 0 or 3 * m0 where it would break monotonicity."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(np.sign(d) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, d))
+
+
+def _pchip(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Monotone piecewise cubic Hermite interpolant of y's columns at t, NaN outside [x[0], x[-1]].
+
+    The float operations are scipy's PchipInterpolator(x, y,
+    extrapolate=False)(t), in its order, so every result has the same bits:
+    node slopes from the weighted harmonic mean of the adjacent secants (0
+    where a secant is 0 or the secants change sign), the one-sided end rule
+    (linear with two nodes), the Hermite coefficients per interval and
+    their evaluation c3 + c2 s + c1 s^2 + c0 s^3, summed in that order,
+    with intervals closed on the left and the last one also on the right.
+    """
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ConfigError("interpolated samples must be finite")
+    h = np.diff(x)[:, None]
+    m = np.diff(y, axis=0) / h
+    if x.size == 2:
+        slope = np.concatenate([m, m])
+    else:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        sign = np.sign(m)
+        flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        slope = np.concatenate([
+            _pchip_end(h[0], h[1], m[0], m[1])[None], inner, _pchip_end(h[-1], h[-2], m[-1], m[-2])[None],
+        ])
+    cubic = (slope[:-1] + slope[1:] - 2 * m) / h
+    c0, c1, c2, c3 = cubic / h, (m - slope[:-1]) / h - cubic, slope[:-1], y[:-1]
+    i = np.where(t == x[-1], x.size - 2, np.searchsorted(x, t, side="right") - 1)
+    inside = (t >= x[0]) & (t <= x[-1])
+    i = np.where(inside, i, 0)
+    s = (t - x[i])[:, None]
+    z = s * s
+    out = 0.0 + c3[i] + c2[i] * s + c1[i] * z + c0[i] * (z * s)
+    out[~inside] = np.nan
+    return out
+
+
 def _lookup_scaled(samples: VolumeSamples, grid: EpsGrid, ratios) -> tuple[np.ndarray, np.ndarray, bool]:
     """Rows f(eps/r) and tolerance(eps/r) on the grid, one per ratio r, and whether any is interpolated.
 
@@ -184,11 +231,9 @@ def _lookup_scaled(samples: VolumeSamples, grid: EpsGrid, ratios) -> tuple[np.nd
         idx = np.minimum(np.arange(n) + shift, n - 1)
         scaled[i], scaled_tol[i] = samples.values[idx], samples.tolerance[idx]
     if off:
-        both = PchipInterpolator(
-            samples.eps, np.column_stack([samples.values, samples.tolerance]), extrapolate=False
-        )
+        both = np.column_stack([samples.values, samples.tolerance])
         target = np.concatenate([np.minimum(samples.eps / ratios[i], samples.eps[-1]) for i in off])
-        out = both(target).reshape(len(off), n, 2)
+        out = _pchip(samples.eps, both, target).reshape(len(off), n, 2)
         scaled[off], scaled_tol[off] = out[..., 0], out[..., 1]
     return scaled, scaled_tol, bool(off)
 

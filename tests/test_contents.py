@@ -299,6 +299,19 @@ class TestDirectContent:
         if used != (nodes[0], nodes[-1]):
             assert span / base == pytest.approx(round(span / base), abs=1e-6)
 
+    def test_whole_period_cut_keeps_an_exact_multiple(self):
+        # nodes 7 .. 31 of this grid span exactly 3 periods (24 steps of
+        # base / 8), but the float quotient of their log span by the base
+        # is just under 3; the cut must keep all three periods
+        base = 1.9656
+        grid = make_eps_grid(2.0**-20, 1.0, 9, base)
+        assert round(base / grid.log_step) == 8
+        lo, hi = grid.eps[7], grid.eps[31]
+        assert math.log(hi / lo) / base < 3
+        samples = VolumeSamples(grid.eps, np.ones_like(grid.eps), "F_eps", 2.0**-20)
+        _, average = direct_content(samples, 0.5, 1, window=(lo, hi), lattice_base=base)
+        assert average.extra["window"] == (lo, hi)
+
     @pytest.mark.parametrize("base", [None, math.log(3)])
     def test_curvature_estimator_is_the_content_estimator(self, base):
         # the content is the order-d scaled limit: with zero tolerance the

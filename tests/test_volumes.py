@@ -267,6 +267,51 @@ class TestSharedInterpolant:
         assert got.interpolated == any(grid.shift_for_ratio(r) is None for r in ratios)
 
 
+class TestPchipPort:
+    """volumes._pchip against scipy's PchipInterpolator(extrapolate=False), byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.one_of(st.just(2), st.integers(3, 40)),
+        columns=st.sampled_from([1, 2]),
+        shape=st.sampled_from(["random", "monotone", "steps", "geometric"]),
+    )
+    def test_same_bytes_as_scipy(self, seed, n, columns, shape):
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.uniform(1e-3, 1.0, n)) * rng.uniform(1e-3, 10.0) + rng.uniform(-1.0, 1.0)
+        if shape == "random":
+            y = rng.normal(size=(n, columns)) * rng.uniform(1e-3, 1e3)
+        elif shape == "monotone":
+            y = np.cumsum(rng.random((n, columns)), axis=0)
+        elif shape == "steps":  # flat runs, zero and sign-changing secants
+            y = rng.integers(-2, 3, size=(n, columns)).astype(float)
+        else:
+            x = 2.0**-12 * np.exp(0.036 * np.arange(n))
+            y = np.cumsum(rng.random((n, columns)), axis=0) * x[:, None]
+        span = x[-1] - x[0]
+        t = np.concatenate([
+            x, x[-1:], rng.uniform(x[0], x[-1], 25),
+            x[0] - span * rng.random(3) - 1e-12, x[-1] + span * rng.random(3) + 1e-12,
+        ])
+        got = volumes._pchip(x, y, t)
+        ref = PchipInterpolator(x, y, extrapolate=False)(t)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        assert np.isnan(got[-6:]).all() and not np.isnan(got[:-6]).any()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_refused(self, bad):
+        x = np.array([1.0, 2.0, 3.0])
+        y = np.ones((3, 2))
+        y[1, 0] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            volumes._pchip(x, y, x)
+        x[2] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            volumes._pchip(x, np.ones((3, 2)), x[:2])
+
+
 def gatzouras_at_cutoff_1(b):
     """The Gatzouras row with cutoff a = 1, from a field of F padded past eps = 1.05."""
     o, f, delta = b.O, b.F_tight, b.delta
