@@ -2,7 +2,8 @@
 
 import math
 
-from fractal_tiling_lab import dimension_data, enumerate_words
+from fractal_tiling_lab import dimension_data
+from fractal_tiling_lab.ifs import words_up_to_ratio
 from fractal_tiling_lab.presets import PRESETS
 
 for name, preset in sorted(PRESETS.items()):
@@ -13,7 +14,7 @@ for name, preset in sorted(PRESETS.items()):
 print("\nln8/ln3 =", math.log(8) / math.log(3))
 print("ln2/ln3 =", math.log(2) / math.log(3))
 
-# code-space words: stop once the cylinder ratio drops below 1/4
+# code-space words: the word tree keeps every word whose cylinder ratio exceeds 1/4
 ifs = PRESETS["cantor_pair"].scene.ifs
-words = list(enumerate_words(ifs, lambda w: w.ratio(ifs) <= 0.25))
-print("\nprefix-minimal words with r_sigma <= 1/4:", ", ".join(str(w) for w in words))
+words = words_up_to_ratio(ifs, 0.25).labelled()
+print("\nwords with r_sigma > 1/4:", ", ".join(f"{w} ({r:g})" for w, r in words))

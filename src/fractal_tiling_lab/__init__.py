@@ -7,7 +7,6 @@ from .ifs import (
     Similarity,
     Word,
     dimension_data,
-    enumerate_words,
     eta,
     is_lattice,
     load_ifs,
@@ -28,7 +27,6 @@ from .grids import (
 )
 from .levelsets import (
     LevelSetExtractor,
-    boundary_length,
     euler_and_turning,
     euler_characteristic,
 )
@@ -49,7 +47,6 @@ from .contents import (
     MonophaseData,
     PluriphaseData,
     direct_content,
-    full_dimensional_content,
     gatzouras_content,
     generator_content,
     monophase_content,
@@ -60,7 +57,6 @@ from .contents import (
 )
 from .curvature import (
     CurvatureSamples,
-    cbc_exponent_check,
     curvature_renewal_difference,
     direct_fractal_curvature,
     generator_curvature,
@@ -71,7 +67,6 @@ from .curvature import (
 from .conditions import (
     CheckReport,
     check_boundary_null,
-    check_boundary_null_volume,
     check_compatibility,
     check_osc,
     check_projection,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,33 +26,74 @@ from .presets import PRESETS, Preset, Scene, get_preset
 def _region_from_json(doc) -> Region | str:
     if doc == "central":
         return "central"
-    kind = doc.get("type")
-    if kind == "intervals":
-        return IntervalUnion(tuple(tuple(map(float, iv)) for iv in doc["intervals"]))
-    if kind == "polygon":
-        return ConvexPolygon(np.asarray(doc["vertices"], dtype=float))
-    if kind == "polygons":
-        return PolygonUnion(tuple(ConvexPolygon(np.asarray(v, float)) for v in doc["vertices"]))
-    raise ConfigError(f"unknown region type {kind!r}")
+    kind = doc.get("type") if isinstance(doc, dict) else None
+    if kind not in ("intervals", "polygon", "polygons"):
+        raise ConfigError(f"unknown region type {kind!r}")
+    key = "intervals" if kind == "intervals" else "vertices"
+    try:
+        parts = doc[key]
+        if not parts:
+            raise ConfigError(f"the {kind!r} region has no {key}")
+        if kind == "intervals":
+            return IntervalUnion(tuple((float(a), float(b)) for a, b in parts))
+        if kind == "polygon":
+            return ConvexPolygon(np.asarray(parts, dtype=float))
+        return PolygonUnion(tuple(ConvexPolygon(np.asarray(v, float)) for v in parts))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {kind!r} region: {exc!r}") from None
+
+
+SCENE_KEYS = ("ifs", "region", "f_bbox", "delta", "eps_per_decade", "name")
+
+
+def _is_number(x) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _scene_from_json(doc) -> Scene:
+    """The scene a scene file describes. Its keys, their types and the dimension
+    of maps, region and f_bbox are checked before anything is built."""
+    faults = [f"unknown key {k!r}" for k in sorted(set(doc) - set(SCENE_KEYS))]
+    faults += [f"missing key {k!r}" for k in SCENE_KEYS[:3] if k not in doc]
+    if faults:
+        raise ConfigError("scene file: " + ", ".join(faults))
+    if not isinstance(doc["ifs"], dict):
+        raise ConfigError("scene file: 'ifs' must be an object")
+    ifs = load_ifs(doc["ifs"])
+    d = ifs.ambient_dim
+    region = _region_from_json(doc["region"])
+    if region != "central" and region.dim != d:
+        raise ConfigError(f"scene file: the region is {region.dim}-d but the maps are {d}-d")
+    f_bbox = doc["f_bbox"]
+    if not (isinstance(f_bbox, list) and len(f_bbox) == 2 and all(
+        isinstance(c, list) and len(c) == d and all(map(_is_number, c)) for c in f_bbox
+    )):
+        raise ConfigError(f"scene file: f_bbox must be two corners [lo, hi] of dimension {d}, the maps' dimension")
+    delta, ppd, name = doc.get("delta", 2.0**-9), doc.get("eps_per_decade", 64), doc.get("name", "scene")
+    if not (_is_number(delta) and delta > 0):
+        raise ConfigError(f"scene file: delta must be a positive number, got {delta!r}")
+    if not (type(ppd) is int and ppd > 0):
+        raise ConfigError(f"scene file: eps_per_decade must be a positive integer, got {ppd!r}")
+    if not isinstance(name, str):
+        raise ConfigError(f"scene file: name must be a string, got {name!r}")
+    return Scene(ifs, region, float(delta), tuple(list(map(float, c)) for c in f_bbox), ppd, name)
 
 
 def load_scene(args) -> tuple[str, Scene]:
     if args.scene:
-        doc = json.loads(Path(args.scene).read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(Path(args.scene).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"scene file {args.scene!r} is not readable JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError("a scene file holds one JSON object")
         if "preset" in doc:
+            if set(doc) != {"preset"} or not isinstance(doc["preset"], str):
+                raise ConfigError("a preset scene file holds only the key 'preset', a name")
             preset = get_preset(doc["preset"])
             name, scene = preset.name, preset.scene
         else:
-            ifs = load_ifs(doc["ifs"])
-            region = _region_from_json(doc["region"])
-            f_bbox = doc.get("f_bbox")
-            if f_bbox is None:
-                raise ConfigError("scene files need f_bbox: an IFS-invariant box around the attractor")
-            scene = Scene(
-                ifs, region, float(doc.get("delta", 2.0**-9)),
-                (list(map(float, f_bbox[0])), list(map(float, f_bbox[1]))),
-                int(doc.get("eps_per_decade", 64)), doc.get("name", "scene"),
-            )
+            scene = _scene_from_json(doc)
             name = scene.name
     elif args.preset:
         preset = get_preset(args.preset)

@@ -302,26 +302,6 @@ def check_boundary_null(
     return CheckReport("boundary_null", "pass", delta, None, {"k": k})
 
 
-def check_boundary_null_volume(G_coarse: Grid, G_fine: Grid) -> CheckReport:
-    """Volume version: the generator-boundary collar area must shrink ~linearly in delta."""
-    a_c = float(G_coarse.boundary_cells().sum()) * G_coarse.cell_volume
-    a_f = float(G_fine.boundary_cells().sum()) * G_fine.cell_volume
-    delta = G_fine.spacing
-    if a_f == 0 and a_c == 0:
-        return CheckReport("boundary_null", "pass", delta, None, {"note": "no boundary cells"})
-    ratio = a_c / max(a_f, 1e-300)
-    if 1.5 <= ratio <= 3.0 * (G_coarse.spacing / G_fine.spacing):
-        return CheckReport("boundary_null", "pass", delta, None,
-                           {"collar_area_ratio": ratio})
-    if ratio > 1.2:
-        return CheckReport("boundary_null", "inconclusive", delta, None,
-                           {"collar_area_ratio": ratio})
-    return CheckReport(
-        "boundary_null", "fail", delta,
-        {"collar_area_ratio": ratio, "reason": "boundary collar does not vanish with delta"},
-    )
-
-
 def _dilate_occ(occ: np.ndarray, iterations: int = 1) -> np.ndarray:
     return ndimage.binary_dilation(
         occ, structure=np.ones((3,) * occ.ndim, bool), iterations=iterations

@@ -11,7 +11,6 @@ antiderivatives.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -32,7 +31,6 @@ METHODS = (
     "direct_limit",
     "direct_average",
     "s_content",
-    "full_dimensional",
 )
 
 
@@ -65,9 +63,6 @@ class ContentResult:
         }
         out.update({k: v for k, v in self.extra.items()})
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -398,15 +393,6 @@ def s_content(
     return ContentResult(
         value, D, "s_content", boundary_samples.delta, err, lattice_note,
         {"head": head / norm},
-    )
-
-
-def full_dimensional_content(lambda_O: float, d: int, resolution: float, area_tol: float) -> ContentResult:
-    """D = d case: the content exists and equals lambda_d(O), lattice or not."""
-    return ContentResult(
-        lambda_O, float(d), "full_dimensional", resolution, area_tol,
-        "content equals lambda_d(O) for full-dimensional attractors",
-        {"flag": "full_dimensional"},
     )
 
 

@@ -251,23 +251,6 @@ def direct_fractal_curvature(
     )
 
 
-def cbc_exponent_check(var_samples: CurvatureSamples, D: float, k: int) -> tuple[float, bool]:
-    """Least-squares slope of log variation against log eps on the lower half-window.
-
-    Passes when the slope stays at or above k - D + GAMMA_MIN; identically
-    zero variation passes with an infinite-slope sentinel.
-    """
-    eps, var = var_samples.eps, var_samples.variation_values
-    if not np.any(var > 0):
-        return math.inf, True
-    mid = math.sqrt(eps[0] * eps[-1])
-    sel = (eps <= mid) & (var > 0)
-    if sel.sum() < 4:
-        sel = var > 0
-    slope = float(np.polyfit(np.log(eps[sel]), np.log(var[sel]), 1)[0])
-    return slope, slope >= (k - D) + GAMMA_MIN
-
-
 def curvature_renewal_difference(
     samples: CurvatureSamples, ifs: IFS, grid: EpsGrid
 ) -> CurvatureSamples:

@@ -9,9 +9,8 @@ the region (open-set semantics).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
+
 import numpy as np
 from scipy import ndimage
 
@@ -187,9 +186,6 @@ class Grid(Raster):
             inner_all &= padded[tuple(lo)] & padded[tuple(hi)]
         return occ & ~inner_all
 
-    def boundary_cell_count(self) -> int:
-        return int(self.boundary_cells().sum())
-
     def to_pgm(self, path) -> None:
         """Binary PGM (P5), occupied = white. 1d grids export as a 1-row image."""
         occ = self.occupancy
@@ -198,13 +194,6 @@ class Grid(Raster):
         with open(path, "wb") as fh:
             fh.write(f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode())
             fh.write(data.tobytes())
-
-    def to_csv(self, path) -> None:
-        idx = np.argwhere(self.occupancy)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(f"i{ax}" for ax in range(self.dim)) + "\n")
-            for row in idx:
-                fh.write(",".join(str(int(v)) for v in row) + "\n")
 
 
 def grid_from_bbox(bbox, delta: float) -> Grid:
@@ -356,22 +345,6 @@ class DistanceField(Raster):
         """Smallest value on the raster's border cells."""
         f = self.values
         return float(min(np.take(f, [0, -1], axis=ax).min() for ax in range(f.ndim)))
-
-    def to_raw(self, path) -> None:
-        """float32 raw dump next to a JSON header describing the geometry."""
-        arr = self.values.astype(np.float32)
-        path = Path(path)
-        arr.tofile(path)
-        header = {
-            "dtype": "float32",
-            "shape": list(arr.shape),
-            "origin": [float(v) for v in self.origin],
-            "spacing": self.spacing,
-            "order": "C",
-        }
-        path.with_suffix(path.suffix + ".json").write_text(
-            json.dumps(header, sort_keys=True), encoding="utf-8"
-        )
 
 
 EDT_STRIP_CELLS = 1 << 13  # cells per strip of rows when distances are taken from the EDT

@@ -1,7 +1,7 @@
 """Iterated function systems of contracting similarities.
 
 Similarity dimension, the renewal normalizer eta, lattice detection and
-code-space word enumeration. Ambient dimension d is 1 or 2.
+the code-space word tree. Ambient dimension d is 1 or 2.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -272,31 +272,6 @@ def dimension_data(ifs: IFS) -> DimensionData:
         else "nonlattice at float precision (no rational relation with q <= 1e6)"
     )
     return DimensionData(D=D, eta=eta(ifs, D), lattice=latt, lattice_base=base, note=note)
-
-
-def enumerate_words(
-    ifs: IFS, stop: Callable[[Word], bool], max_len: int = 64
-) -> Iterator[Word]:
-    """Depth-first stream of prefix-minimal words satisfying stop.
-
-    A word is emitted exactly when stop holds for it and for none of its
-    proper prefixes (children of emitted words are never visited), so the
-    emitted cylinders partition code space. Raises when a branch exceeds
-    max_len, which signals a predicate that never becomes true.
-    """
-    stack = [Word()]
-    while stack:
-        w = stack.pop()
-        if stop(w):
-            yield w
-            continue
-        if len(w) >= max_len:
-            raise FtlError(
-                f"word enumeration exceeded max length {max_len}: stop predicate "
-                "never satisfied on some branch"
-            )
-        for a in reversed(range(ifs.n)):
-            stack.append(w.extend(a))
 
 
 @dataclass(frozen=True)

@@ -231,18 +231,14 @@ class LevelSetExtractor:
                         float(a.sum()), float(np.abs(a).sum())))
         return out
 
-    def segment_cells(self, eps: float, mask: np.ndarray | Grid | None = None) -> np.ndarray:
-        """Boolean raster of dual cells carrying level-set segments (mask-filtered)."""
-        return self.level_set_cells(self.extract(eps), mask)
-
     def level_set_cells(self, ls: LevelSet, mask: np.ndarray | Grid | None = None) -> np.ndarray:
-        """segment_cells() of a level set already extracted from this field."""
+        """Boolean raster of the dual cells carrying segments (mask-filtered by midpoint)."""
         out = np.zeros(self.field.values.shape, dtype=bool)
         if ls.cell_ij.size:
             keep = np.ones(ls.cell_ij.shape[0], dtype=bool)
             m = _as_mask(mask, self.field)
             if m is not None:
-                keep = _mask_at(m, self.field, 0.5 * (ls.p_in + ls.p_out))
+                keep = self.field.values_at(m, 0.5 * (ls.p_in + ls.p_out), False, bool)
             out[ls.cell_ij[keep, 0], ls.cell_ij[keep, 1]] = True
         return out
 
@@ -261,10 +257,6 @@ def _as_mask(mask, field) -> np.ndarray | None:
     if m.shape != field.values.shape:
         raise ResolutionError("mask must live on the field's grid (embed it first)")
     return m
-
-
-def _mask_at(mask_arr: np.ndarray, field: DistanceField, points: np.ndarray) -> np.ndarray:
-    return read_cells(_as_mask(mask_arr, field), field.flat_cells(points), False, bool)
 
 
 def euler_characteristic(occ: np.ndarray) -> int:
@@ -287,12 +279,6 @@ def euler_characteristic(occ: np.ndarray) -> int:
     if chi4 % 4:
         raise ResolutionError("inconsistent quad counts in Euler computation")
     return chi4 // 4
-
-
-def boundary_length(f: DistanceField, eps: float, mask: np.ndarray | Grid | None = None) -> float:
-    """Length of the level set {f = eps}, optionally restricted to mask cells."""
-    length, _, _ = LevelSetExtractor(f).measure(eps, mask)
-    return length
 
 
 def euler_and_turning(

@@ -247,14 +247,15 @@ def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
     A Region is rasterized on its bbox grown by two cells per side. Tiles
     are resolved for every word with r_sigma * diam(O) > RESOLVE_CELLS *
     delta; deeper (sub-cell) tiles land in the residual mask. An empty
-    generator raster signals a full-dimensional attractor, for which no
-    tiling exists. tile_words is the tree of resolved words; the tile union
-    is rasterized one word length at a time by rasterize_tiles, which
-    composes each tile map once from its parent's. Each image S_i(O) is
-    sampled once; Phi(O) is their union, and the images stay on the result
-    (image_bits) for the structural checks. g is the inradius of G cropped
-    to its cells plus one: cells outside the raster count as complement, so
-    the crop changes no distance.
+    generator raster is refused with sum r_i^d, which tells a
+    full-dimensional attractor (1) from overlapping maps (above 1).
+    tile_words is the tree of resolved words; the tile union is rasterized
+    one word length at a time by rasterize_tiles, which composes each tile
+    map once from its parent's. Each image S_i(O) is sampled once; Phi(O) is
+    their union, and the images stay on the result (image_bits) for the
+    structural checks. g is the inradius of G cropped to its cells plus one:
+    cells outside the raster count as complement, so the crop changes no
+    distance.
     """
     if isinstance(O_region, Grid):
         O = O_region
@@ -274,10 +275,11 @@ def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
     G = O.with_occupancy(O.occupancy & ~phi_closed)
     Gamma = O.with_occupancy(O.occupancy & ~phi_open)
     if not G.occupancy.any():
-        raise FtlError(
-            "empty generator: the attractor is full-dimensional (sum r_i^d = 1), "
-            "no tiling exists"
-        )
+        total = float(np.sum(ifs.ratios**O.dim))
+        why = ("the maps overlap, so the open set condition fails" if total > 1 + 1e-9
+               else "the attractor is full-dimensional" if total > 1 - 1e-9
+               else "the images S_i(O) cover O at this resolution")
+        raise FtlError(f"empty generator: {why} (sum r_i^d = {total:.6g}), no tiling exists")
 
     lo, hi = O.origin, O.origin + np.array(O.extents) * O.spacing
     words = words_up_to_ratio(ifs, RESOLVE_CELLS * delta / float(np.linalg.norm(hi - lo)))

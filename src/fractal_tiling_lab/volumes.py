@@ -56,16 +56,6 @@ class VolumeSamples:
         if self.tolerance is None:
             self.tolerance = np.zeros_like(self.values)
 
-    def value_at(self, eps: float) -> float:
-        i = int(np.argmin(np.abs(self.eps - eps)))
-        return float(self.values[i])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("eps,value,kind,delta,region_tag\n")
-            for e, v in zip(self.eps, self.values):
-                fh.write(f"{e!r},{v!r},{self.kind},{self.delta!r},{self.region_tag}\n")
-
 
 @dataclass(frozen=True)
 class EpsGrid:

@@ -285,3 +285,33 @@ class TestRegionTypes:
         for cmd in ("dim", "check", "content"):
             assert main([cmd, "--scene", path, "--format", "json"]) == 3
             assert "unknown region type 'halfspaces'" in capsys.readouterr().err
+
+
+KOCH_MAPS = [
+    {"ratio": 3**-0.5, "angle": 30.0, "reflect": True, "translation": [0.0, 0.0]},
+    {"ratio": 3**-0.5, "angle": -30.0, "reflect": True, "translation": [0.5, 3**0.5 / 6]},
+]
+
+
+class TestSceneFileValidation:
+    """A faulty scene file is refused with exit 3 before any product is built."""
+
+    @pytest.mark.parametrize("text, named", [
+        (json.dumps({"region": {"type": "intervals", "intervals": [[0.0, 1.0]]},
+                     "f_bbox": [[0.0], [1.0]]}), "missing key 'ifs'"),
+        ('{"ifs": {"dim": 1, "maps": [', "is not readable JSON"),
+        (json.dumps({"ifs": {"dim": 2, "maps": KOCH_MAPS},
+                     "region": {"type": "intervals", "intervals": [[0.0, 1.0]]},
+                     "f_bbox": [[0.0, 0.0], [1.0, 0.3]]}), "the region is 1-d but the maps are 2-d"),
+        (json.dumps({"ifs": {"dim": 1, "maps": CANTOR_MAPS},
+                     "region": {"type": "intervals", "intervals": [[0.0, 1.0]]},
+                     "f_bbox": [[0.0, 0.0], [1.0, 1.0]]}), "f_bbox must be two corners [lo, hi] of dimension 1"),
+    ], ids=["no_ifs_key", "not_json", "intervals_region_2d_maps", "2d_f_bbox_1d_maps"])
+    def test_refused_with_exit_3(self, capsys, tmp_path, monkeypatch, text, named):
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        path = tmp_path / "scene.json"
+        path.write_text(text)
+        assert main(["content", "--scene", str(path), "--format", "json"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and named in err
+        assert pipeline._BUNDLES == {}

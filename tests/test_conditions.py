@@ -10,7 +10,6 @@ import fractal_tiling_lab as ftl
 from fractal_tiling_lab import conditions, pipeline, presets, tiling
 from fractal_tiling_lab.conditions import (
     check_boundary_null,
-    check_boundary_null_volume,
     check_compatibility,
     check_osc,
     check_projection,
@@ -333,10 +332,6 @@ class TestBoundaryNull:
         rep = check_boundary_null(O, field, 1, np.array([h / 2, h, 2 * h]))
         assert rep.verdict == "fail"
         assert rep.witness["eps"] == pytest.approx(h, abs=delta)
-
-    def test_volume_version_on_generator(self, carpet_bundle, carpet_coarse_bundle):
-        rep = check_boundary_null_volume(carpet_coarse_bundle.tiling.G, carpet_bundle.tiling.G)
-        assert rep.verdict in ("pass", "inconclusive")
 
 
 class TestMapImages:

@@ -9,7 +9,6 @@ from fractal_tiling_lab.contents import (
     MonophaseData,
     PluriphaseData,
     direct_content,
-    full_dimensional_content,
     generator_content,
     monophase_content,
     pluriphase_content,
@@ -241,11 +240,6 @@ class TestRefusals:
                 b.F_on_Gamma, b.dim_data.D, b.dim_data.eta, 1, b.g_tilde,
                 b.tiling.Gamma.area(), checks=[bad],
             )
-
-    def test_full_dimensional_result_is_flagged(self):
-        res = full_dimensional_content(0.7, 2, 2.0**-10, 1e-3)
-        assert res.value == 0.7
-        assert res.extra["flag"] == "full_dimensional"
 
     def test_generator_content_rejects_full_dimension(self, cantor_bundle):
         b = cantor_bundle

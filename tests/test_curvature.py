@@ -6,7 +6,6 @@ import pytest
 
 from fractal_tiling_lab import curvature, grids, levelsets, pipeline, presets
 from fractal_tiling_lab.curvature import (
-    cbc_exponent_check,
     curvature_renewal_difference,
     direct_fractal_curvature,
     generator_curvature,
@@ -14,6 +13,7 @@ from fractal_tiling_lab.curvature import (
     relative_generator_curvature,
     sample_curvature,
 )
+from fractal_tiling_lab.contents import GAMMA_MIN
 from fractal_tiling_lab.errors import ConfigError, PreconditionError
 from fractal_tiling_lab.grids import (
     ConvexPolygon,
@@ -201,9 +201,8 @@ class TestCompatibleCarpet:
                 continue
             big = rasterize(axis_square(1 / 3, 2 / 3), ([0.30, 0.30], [0.70, 0.70]), delta)
             from fractal_tiling_lab.grids import inner_distance
-            from fractal_tiling_lab.levelsets import boundary_length
 
-            big_len = boundary_length(inner_distance(big), 3 * eps)
+            big_len = levelsets.LevelSetExtractor(inner_distance(big)).measure(3 * eps)[0]
             assert c1_small.values[i] == pytest.approx((1 / 3) * 0.5 * big_len, rel=0.03, abs=0.01)
 
 
@@ -240,18 +239,20 @@ class TestDirectCurvature:
 
 
 class TestCbc:
+    """The renewal hypothesis on the curvature variation: _variation_exponent_gate
+    returns the fitted exponent when it passes and refuses otherwise."""
+
     def test_carpet_k1_passes(self, carpet_bundle):
         b = carpet_bundle
-        slope, ok = cbc_exponent_check(b.relative_curvature(1), b.dim_data.D, 1)
-        assert ok
+        slope = curvature._variation_exponent_gate(b.relative_curvature(1), b.dim_data.D, 1)
+        assert slope >= 1 - b.dim_data.D + GAMMA_MIN
 
     def test_disk_passes(self):
         f = disk_field()
         grid = make_eps_grid(2.0**-9, 1.0, 32)
         for k in (0, 1):
             samples = sample_curvature(f, k, grid)
-            _, ok = cbc_exponent_check(samples, 1.0, k)
-            assert ok
+            assert curvature._variation_exponent_gate(samples, 1.0, k) >= k - 1.0 + GAMMA_MIN
 
     def test_fattened_comb_fails_volume_exponent(self):
         # square minus Cantor teeth: boundary dimension 1 + ln2/ln3 > D_koch
@@ -281,8 +282,7 @@ class TestCbc:
             b.grid_curv.eps, 0, np.zeros_like(b.grid_curv.eps),
             np.zeros_like(b.grid_curv.eps), b.delta,
         )
-        slope, ok = cbc_exponent_check(samples, b.dim_data.D, 0)
-        assert ok and slope == math.inf
+        assert curvature._variation_exponent_gate(samples, b.dim_data.D, 0) == math.inf
 
 
 def fresh_bundle(name, delta):

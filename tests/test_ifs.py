@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fractal_tiling_lab as ftl
-from fractal_tiling_lab.errors import ConfigError, FtlError
+from fractal_tiling_lab.errors import ConfigError
 from fractal_tiling_lab.ifs import Word, load_ifs, rotation, words_up_to_ratio
 from fractal_tiling_lab.presets import (
     cantor_ifs,
@@ -158,31 +158,6 @@ class TestWords:
             prod = float(np.prod([ifs.maps[a].ratio for a in letters]))
             assert abs(sim.ratio - prod) < 1e-12
             assert abs(w.ratio(ifs) - prod) < 1e-12
-
-    def test_fixed_length_enumeration(self):
-        ifs = cantor_ifs()
-        words = {str(w) for w in ftl.enumerate_words(ifs, lambda w: len(w) >= 2)}
-        assert words == {"11", "12", "21", "22"}
-
-    def test_three_maps_length_one(self):
-        ifs = gasket_ifs()
-        words = {str(w) for w in ftl.enumerate_words(ifs, lambda w: len(w) >= 1)}
-        assert words == {"1", "2", "3"}
-
-    def test_prefix_minimal_ratio_stop(self):
-        ifs = cantor_pair_ifs()
-        words = {str(w) for w in ftl.enumerate_words(ifs, lambda w: w.ratio(ifs) <= 0.25)}
-        assert words == {"11", "12", "2"}
-
-    def test_each_word_emitted_once(self):
-        ifs = carpet_ifs()
-        out = [str(w) for w in ftl.enumerate_words(ifs, lambda w: len(w) >= 2)]
-        assert len(out) == len(set(out)) == 64
-
-    def test_nonterminating_predicate_guard(self):
-        ifs = cantor_ifs()
-        with pytest.raises(FtlError):
-            list(ftl.enumerate_words(ifs, lambda w: False, max_len=16))
 
 
 class TestLoadIfs:

@@ -19,7 +19,6 @@ from fractal_tiling_lab.grids import (
 )
 from fractal_tiling_lab.levelsets import (
     LevelSetExtractor,
-    boundary_length,
     euler_and_turning,
     euler_characteristic,
 )
@@ -31,6 +30,11 @@ def point_field(points, bbox, delta):
     idx = g.indices_of(np.asarray(points, float))
     occ[idx[:, 0], idx[:, 1]] = True
     return distance_transform(g.with_occupancy(occ))
+
+
+def boundary_length(f, eps, mask=None):
+    """Length of the level set {f = eps}, restricted to mask cells when given."""
+    return LevelSetExtractor(f).measure(eps, mask)[0]
 
 
 class TestBoundaryLength:
@@ -321,7 +325,7 @@ class TestBandIndex:
             ls = b.field_extractor.extract(float(e))
             assert b.field_extractor.measure_level_set(ls, collar) == ref.measure(float(e), collar)
             cells = b.field_extractor.level_set_cells(ls, collar)
-            assert np.array_equal(cells, ref.segment_cells(float(e), collar))
+            assert np.array_equal(cells, ref.level_set_cells(ref.extract(float(e)), collar))
         for k in (0, 1):
             banded = conditions.check_boundary_null(O, field, k, eps, extractor=b.field_extractor)
             scanned = conditions.check_boundary_null(O, field, k, eps, extractor=ref)

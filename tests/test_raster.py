@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import replace
 
@@ -21,7 +20,6 @@ from fractal_tiling_lab.grids import (
     parallel_volume,
     rasterize,
 )
-from fractal_tiling_lab.levelsets import _mask_at
 from fractal_tiling_lab.pipeline import SceneBundle
 from fractal_tiling_lab.presets import get_preset
 
@@ -215,7 +213,7 @@ class TestInradius:
 
 
 class TestExports:
-    def test_pgm_and_csv(self, tmp_path):
+    def test_pgm(self, tmp_path):
         g = rasterize(square(), ([-0.1, -0.1], [1.1, 1.1]), 0.1)
         pgm = tmp_path / "g.pgm"
         g.to_pgm(pgm)
@@ -224,20 +222,6 @@ class TestExports:
         header, rest = data.split(b"\n255\n", 1)
         w, h = map(int, header.split(b"\n")[1].split())
         assert w * h == len(rest) == g.occupancy.size
-        csv = tmp_path / "g.csv"
-        g.to_csv(csv)
-        lines = csv.read_text().strip().splitlines()
-        assert len(lines) - 1 == g.count()
-
-    def test_field_raw_dump(self, tmp_path):
-        g = rasterize(square(), ([-0.1, -0.1], [1.1, 1.1]), 0.1)
-        f = distance_transform(g)
-        raw = tmp_path / "f.raw"
-        f.to_raw(raw)
-        header = json.loads((tmp_path / "f.raw.json").read_text())
-        arr = np.fromfile(raw, dtype=np.float32).reshape(header["shape"])
-        assert header["spacing"] == 0.1
-        assert np.allclose(arr, f.values, atol=1e-6)
 
 
 def bits(a):
@@ -344,7 +328,7 @@ class TestPointLookup:
         assert f.sample_at(pts).dtype == np.float64
         assert not ref_occ[-2:].any() and np.isinf(ref_val[-2:]).all()
         if dim == 2:
-            assert np.array_equal(_mask_at(g.occupancy, f, pts), ref_occ)
+            assert np.array_equal(f.values_at(g.occupancy, pts, False, bool), ref_occ)
 
     def test_1d_flat_points(self, rng):
         g, f = self.rasters(rng, 1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ class TestBuildTiling:
             td = build_tiling(ifs, region, delta)
             d = ifs.ambient_dim
             expected = (1 - float(np.sum(ifs.ratios**d))) * td.O.area()
-            tol = 3 * delta * (td.Gamma.boundary_cell_count() * delta ** (d - 1) + 1)
+            tol = 3 * delta * (td.Gamma.boundary_cells().sum() * delta ** (d - 1) + 1)
             assert abs(td.Gamma.area() - expected) <= tol
 
     def test_tiles_union_in_O_and_disjoint_from_residual(self):
@@ -140,6 +141,21 @@ class TestBuildTiling:
             1,
         )
         with pytest.raises(FtlError):
+            build_tiling(ifs, IntervalUnion(((0.0, 1.0),)), 2.0**-10)
+
+    @pytest.mark.parametrize("r, why", [
+        (0.5, "the attractor is full-dimensional (sum r_i^d = 1)"),
+        (0.6, "the maps overlap, so the open set condition fails (sum r_i^d = 1.2)"),
+    ])
+    def test_empty_generator_reports_the_sum(self, r, why):
+        ifs = ftl.IFS(
+            (
+                ftl.Similarity(r, np.eye(1), np.array([0.0])),
+                ftl.Similarity(r, np.eye(1), np.array([1.0 - r])),
+            ),
+            1,
+        )
+        with pytest.raises(FtlError, match=f"^empty generator: {re.escape(why)}, no tiling exists$"):
             build_tiling(ifs, IntervalUnion(((0.0, 1.0),)), 2.0**-10)
 
     def test_tile_scaling_identity(self):

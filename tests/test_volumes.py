@@ -50,7 +50,7 @@ class TestInnerVolumeSamples:
         G = rasterize(sq, ([-0.05, -0.05], [1.05, 1.05]), delta)
         grid = make_eps_grid(delta, 0.5, 64)
         vs = sample_inner_volume(inner_distance(G), grid, "V_G")
-        assert vs.value_at(0.1) == pytest.approx(0.36, abs=16 * delta)
+        assert vs.values[np.argmin(np.abs(vs.eps - 0.1))] == pytest.approx(0.36, abs=16 * delta)
         assert np.all(np.diff(vs.values) >= 0)
         assert vs.values[-1] == pytest.approx(1.0, abs=16 * delta)
 
@@ -122,7 +122,7 @@ class TestRestrictedVolume(object):
         fog = b.F_on_Gamma
         delta = b.delta
         # at eps = g~ the collar covers Gamma exactly: lambda = 1/3
-        assert fog.value_at(1 / 6) == pytest.approx(1 / 3, abs=8 * delta)
+        assert fog.values[np.argmin(np.abs(fog.eps - 1 / 6))] == pytest.approx(1 / 3, abs=8 * delta)
         # below 1/6 the collar grows from the endpoints 1/3, 2/3: lambda = 2 eps
         # (evaluated at the nearest grid node, since the log grid snaps)
         i = int(np.argmin(np.abs(fog.eps - 1 / 12)))
@@ -457,14 +457,3 @@ class TestBuiltOnce:
         # the one inner field on O's full grid is the tile union's, for V_T
         full = [g for g in inner if g.extents == t.O.extents]
         assert len(full) == 1 and full[0] is t.tile_union
-
-
-class TestCsvExport:
-    def test_volume_csv(self, tmp_path, cantor_bundle):
-        path = tmp_path / "vg.csv"
-        cantor_bundle.V_G.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "eps,value,kind,delta,region_tag"
-        assert len(lines) == len(cantor_bundle.V_G.eps) + 1
-        first = lines[1].split(",")
-        assert first[2] == "V_G" and first[4] == "G"
