@@ -264,6 +264,13 @@ class ConvexPolygon(Region):
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ConfigError("polygon needs >= 3 planar vertices")
+        # convex: every turn between consecutive edges goes the same way, once around
+        e = np.roll(v, -1, axis=0) - v
+        e_next = np.roll(e, -1, axis=0)
+        cross = e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
+        turning = np.arctan2(cross, np.sum(e * e_next, axis=1)).sum()
+        if (cross > 0).any() and (cross < 0).any() or abs(turning) > 3 * np.pi:
+            raise ConfigError(f"polygon vertices {v.tolist()} do not bound a convex polygon")
         # enforce ccw orientation
         area2 = np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
         if area2 < 0:

@@ -36,7 +36,7 @@ _EDGE_CORNERS = np.array([[0, 1], [1, 2], [3, 2], [0, 3]])
 _EDGE_START = np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [0.5, 0.5]])
 _CORNER_BITS = np.array([[1], [2], [4], [8]], dtype=np.uint8)
 _MAX_BIN = np.iinfo(np.uint16).max  # bin keys of the extractor's corner-minimum index
-_SORT_CHUNK = 1 << 20  # dual cells per chunk when the extractor builds that index
+_SORT_CHUNK = 1 << 17  # dual cells per strip and per sort chunk when the extractor builds that index
 
 
 @dataclass
@@ -69,41 +69,57 @@ class LevelSetExtractor:
             raise ResolutionError("level sets are only defined on 2d fields")
         self.field = field
         f = field.values
-        # corner min and max by pairwise passes, rows then columns (exact)
-        pair = np.minimum(f[:-1], f[1:])
-        self._fmin = np.minimum(pair[:, :-1], pair[:, 1:]).astype(np.float32, copy=False)
-        np.maximum(f[:-1], f[1:], out=pair)
-        fmax = np.maximum(pair[:, :-1], pair[:, 1:]).astype(np.float32, copy=False)
-        del pair
-        # measured, not sqrt(2) * spacing: the field need not be 1-Lipschitz
-        self._width = float(np.subtract(fmax, self._fmin, out=fmax).max(initial=0.0))
-        del fmax
         self._scale = np.float32(1.0 / field.spacing)
-        key = self._bins(self._fmin.ravel())
+        nx, ny = f.shape
+        self._fmin = np.empty((nx - 1, ny - 1), dtype=np.float32)
+        key = np.empty(self._fmin.size, dtype=np.uint16)
+        # bin counts, summed over the strips, then their running total
+        self._starts = np.zeros(_MAX_BIN + 2, dtype=np.int64)
+        self._width = 0.0
+        # corner minima, bin keys and widest corner spread, one strip of rows at a time
+        rows = max(1, _SORT_CHUNK // max(ny - 1, 1))
+        for r0 in range(0, nx - 1, rows):
+            fmin = self._fmin[r0 : r0 + rows]
+            kc = key[r0 * (ny - 1) : (r0 + fmin.shape[0]) * (ny - 1)]
+            self._width = max(self._width, self._index_strip(f[r0 : r0 + rows + 1], fmin, kc))
+            self._starts[1:] += np.bincount(kc, minlength=_MAX_BIN + 1)
+        np.cumsum(self._starts, out=self._starts)
         # Cells grouped by bin, as int32 (which holds any MAX_CELLS grid).
         # Each chunk is argsorted by key (numpy's stable sort of 16-bit keys
         # is a radix sort) and its bin runs go after those of the earlier
         # chunks. Chunks keep the int64 argsort output and bincount's int64
         # copy of the keys small: full-size ones raised a pass's peak RSS.
-        chunks = range(0, key.size, _SORT_CHUNK)
-        counts = [np.bincount(key[c : c + _SORT_CHUNK], minlength=_MAX_BIN + 1) for c in chunks]
-        self._starts = np.zeros(_MAX_BIN + 2, dtype=np.int64)
-        np.cumsum(sum(counts, np.zeros(_MAX_BIN + 1, np.int64)), out=self._starts[1:])
         self._order = np.empty(key.size, dtype=np.int32)
         fill = self._starts[:-1].copy()
-        for c, n_c in zip(chunks, counts):
+        for c in range(0, key.size, _SORT_CHUNK):
             kc = key[c : c + _SORT_CHUNK]
-            dest = np.repeat(fill - (np.cumsum(n_c) - n_c), n_c) + np.arange(kc.size)
-            self._order[dest] = np.argsort(kc, kind="stable") + c
+            n_c = np.bincount(kc, minlength=_MAX_BIN + 1)
+            dest = np.repeat(fill - (np.cumsum(n_c) - n_c), n_c)
+            dest += np.arange(kc.size)
+            src = np.argsort(kc, kind="stable")
+            src += c
+            self._order[dest] = src
             fill += n_c
+            del dest, src  # before the next chunk's bincount copies its keys
         del key
         ring = np.concatenate([f[0, :], f[-1, :], f[:, 0], f[:, -1]])
         self._ring_min = float(ring.min())
         self._ring_max = float(ring.max())
-        nx, ny = f.shape
         self._n_xedges = (nx - 1) * ny
         # flat offsets of the corners (bit order) from a dual cell's first corner
         self._corner_offsets = np.array([0, ny, ny + 1, 1])[:, None]
+
+    def _index_strip(self, s: np.ndarray, fmin: np.ndarray, key: np.ndarray) -> float:
+        """Fill fmin and key with the corner minima and their bin keys of the dual
+        cells between the rows of s; return the cells' widest corner spread."""
+        # corner min and max by pairwise passes, rows then columns (exact)
+        pair = np.minimum(s[:-1], s[1:])
+        np.minimum(pair[:, :-1], pair[:, 1:], out=fmin)
+        np.maximum(s[:-1], s[1:], out=pair)
+        fmax = np.maximum(pair[:, :-1], pair[:, 1:]).astype(np.float32, copy=False)
+        key[...] = self._bins(fmin.ravel())
+        # measured, not sqrt(2) * spacing: the field need not be 1-Lipschitz
+        return float(np.subtract(fmax, fmin, out=fmax).max(initial=0.0))
 
     def _bins(self, x) -> np.ndarray:
         """Bin keys floor(x * (1 / spacing)) in float32 arithmetic, clamped to 16 bits."""

@@ -104,23 +104,44 @@ class SceneBundle:
 
         return self._memo("F_tight", build)
 
+    def _box(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) of the box around O and F_tight, on their lattice."""
+        o, f = self.O, self.F_tight
+        box_lo = np.minimum(o.origin, f.origin)
+        box_hi = np.maximum(
+            o.origin + np.array(o.extents) * self.delta,
+            f.origin + np.array(f.extents) * self.delta,
+        )
+        return box_lo, box_hi
+
+    def _g_tilde_bound(self) -> float:
+        """An upper bound on g~ from one EDT at 4 delta.
+
+        F_tight and O are reduced by 4 cells per axis on their box (a block
+        is set when any of its cells is). A fine cell centre lies within
+        1.5 sqrt(d) delta of its block's centre, and so does the centre of an
+        attractor cell in the nearest attractor block, so g~ is at most the
+        coarse field's max over O's blocks plus 3 sqrt(d) delta.
+        """
+        box = grid_from_bbox(self._box(), self.delta)
+        f, o = (_block_any(x.embed_into(box.origin, box.extents), 4) for x in (self.F_tight, self.O))
+        coarse = distance_transform(Grid(box.origin, 4 * self.delta, f))
+        return float(coarse.values[o].max()) + 3 * math.sqrt(self.d) * self.delta
+
     def _small_field(self) -> tuple[DistanceField, float]:
         """(field, g_tilde on it): F_tight's one distance field, on the box around
         O and F_tight grown by the first pad past max(1.3 g~, direct window top) + 8 delta.
 
-        The start pad covers the window's g~-free top (all of it in d=1); the
-        rest of the top, 0.55 g~ in d=2, lies inside 1.3 g~.
+        The start pad is max(1.3 g^, the window's g~-free top) + 8 delta, g^ >= g~
+        the bound of _g_tilde_bound, so the first field is the last; the rest
+        of the top, 0.55 g~ in d=2, lies inside 1.3 g~. Every F_tight cell
+        lies in the box, so a cell's value does not depend on the pad.
         """
 
         def build():
+            box_lo, box_hi = self._box()
             o, f = self.O, self.F_tight
-            box_lo = np.minimum(o.origin, f.origin)
-            box_hi = np.maximum(
-                o.origin + np.array(o.extents) * self.delta,
-                f.origin + np.array(f.extents) * self.delta,
-            )
-            lo, hi = np.asarray(self.scene.f_bbox[0], float), np.asarray(self.scene.f_bbox[1], float)
-            pad = max(0.25 * float(np.linalg.norm(hi - lo)), self._window_without_g()[1] + 8 * self.delta)
+            pad = max(self._window_without_g()[1], 1.3 * self._g_tilde_bound()) + 8 * self.delta
             while True:
                 margin = (int(math.ceil(pad / self.delta)) + 1) * self.delta
                 grid = grid_from_bbox((box_lo - margin, box_hi + margin), self.delta)
@@ -429,6 +450,14 @@ class SceneBundle:
     def curvature_table(self, k: int) -> dict[str, object]:
         """One row per curvature method at order k; refusals become rows."""
         return _refusal_rows(lambda m: self._curvature(k, m), CURVATURE_METHODS)
+
+
+def _block_any(occ: np.ndarray, b: int) -> np.ndarray:
+    """occ reduced by b cells per axis (padded up to a multiple of b): a block
+    is set when any of its cells is."""
+    occ = np.pad(occ, [(0, -n % b) for n in occ.shape])
+    blocks = [m for n in occ.shape for m in (n // b, b)]
+    return occ.reshape(blocks).any(axis=tuple(range(1, 2 * occ.ndim, 2)))
 
 
 def _refusal_rows(row, methods) -> dict[str, object]:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigError, FtlError, ResolutionError
+from .errors import ConfigError, ResolutionError
 from .grids import DistanceField, Grid, Region, distance_transform, grid_from_bbox, inradius, rasterize
 from .ifs import IFS, Similarity, WordTree, check_similarity_parts, words_up_to_ratio
 
@@ -247,8 +247,10 @@ def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
     A Region is rasterized on its bbox grown by two cells per side. Tiles
     are resolved for every word with r_sigma * diam(O) > RESOLVE_CELLS *
     delta; deeper (sub-cell) tiles land in the residual mask. An empty
-    generator raster is refused with sum r_i^d, which tells a
-    full-dimensional attractor (1) from overlapping maps (above 1).
+    generator raster is refused with sum r_i^d: a ConfigError when the
+    scene has no tiling, for a full-dimensional attractor (sum 1) or
+    overlapping maps (above 1), and a ResolutionError when the sum is
+    below 1 and the images S_i(O) cover O at this resolution.
     tile_words is the tree of resolved words; the tile union is rasterized
     one word length at a time by rasterize_tiles, which composes each tile
     map once from its parent's. Each image S_i(O) is sampled once; Phi(O) is
@@ -279,7 +281,8 @@ def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
         why = ("the maps overlap, so the open set condition fails" if total > 1 + 1e-9
                else "the attractor is full-dimensional" if total > 1 - 1e-9
                else "the images S_i(O) cover O at this resolution")
-        raise FtlError(f"empty generator: {why} (sum r_i^d = {total:.6g}), no tiling exists")
+        error = ConfigError if total > 1 - 1e-9 else ResolutionError
+        raise error(f"empty generator: {why} (sum r_i^d = {total:.6g}), no tiling exists")
 
     lo, hi = O.origin, O.origin + np.array(O.extents) * O.spacing
     words = words_up_to_ratio(ifs, RESOLVE_CELLS * delta / float(np.linalg.norm(hi - lo)))
@@ -321,8 +324,10 @@ def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
     ATTRACTOR_CHUNK at a time and fold into a per-cell array of first
     candidate positions with np.minimum.at, so a generation holds its
     survivors, one chunk and that array; the survivors come out of it in
-    key order. Branches stop once r_sigma * diam(bbox) <= ATTRACTOR_STOP_CELLS
-    * delta.
+    key order, and their ratios are looked up ATTRACTOR_CHUNK at a time.
+    A table map takes the cell indices of each slice of active keys it
+    reads; only the other maps need the active cells' centers. Branches
+    stop once r_sigma * diam(bbox) <= ATTRACTOR_STOP_CELLS * delta.
     """
     g = grid_from_bbox(bbox, delta)
     lo = g.origin
@@ -366,9 +371,13 @@ def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
             fin, act = np.zeros(0, dtype=np.int64), None
         else:
             fin, act = keys[~active], keys[active]
-            idx = act[:, None] if g.dim == 1 else np.column_stack(np.divmod(act, g.extents[1]))
-            act_pts = lo + (idx + 0.5) * delta if None in tables else None
+            if None in tables:
+                # the active cells' centers, for the maps without tables
+                act_pts = lo + (np.column_stack(np.unravel_index(act, g.extents)) + 0.5) * delta
+        # the parents' ratios in candidate order: finished cells, then active
+        parent_rs = np.concatenate([rs[~active], rs[active]])
         n_fin, n_act = fin.size, int(active.sum())
+        del keys, rs, active  # held as fin, act and parent_rs
         # candidate c lies in block j when starts[j] <= c < starts[j + 1]:
         # the finished cells, then one block per map
         starts = [0] + [n_fin + n_act * i for i in range(ifs.n)]
@@ -392,7 +401,7 @@ def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
                     parts.append(fin[a:b])
                     continue
                 (cx, ex), (cy, ey) = tables[j - 1]
-                ix, iy = idx[a:b, 0], idx[a:b, 1]
+                ix, iy = np.divmod(act[a:b], g.extents[1])
                 if not invariant and (ex[ix].any() or ey[iy].any()):
                     raise escape()
                 parts.append(cx[ix] * g.extents[1] + cy[iy])
@@ -409,14 +418,19 @@ def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
                 key = chunk_keys(c0, c0 + ATTRACTOR_CHUNK)
                 np.minimum.at(first, key, np.arange(c0, c0 + key.size, dtype=first.dtype))
             keys = np.flatnonzero(first != total)
-            pos = first[keys].astype(np.int64)
+            pos = first[keys]
             del first
         # each survivor's ratio is its claiming candidate's: the parent's
         # ratio times its map's, or unchanged for a finished cell
-        j = np.searchsorted(starts, pos, side="right") - 1
-        parent = pos - np.array(starts)[j]
-        parent[j > 0] += n_fin
-        rs = factors[j] * np.concatenate([rs[~active], rs[active]])[parent]
+        bounds = np.array(starts)
+        rs = np.empty(keys.size)
+        for s0 in range(0, keys.size, ATTRACTOR_CHUNK):
+            p = pos[s0 : s0 + ATTRACTOR_CHUNK].astype(np.int64)
+            j = np.searchsorted(bounds, p, side="right") - 1
+            parent = p - bounds[j]
+            parent[j > 0] += n_fin
+            rs[s0 : s0 + ATTRACTOR_CHUNK] = factors[j] * parent_rs[parent]
+        del pos, parent_rs
 
     occ = np.zeros(g.occupancy.size, dtype=bool)
     occ[keys] = True

@@ -291,6 +291,8 @@ KOCH_MAPS = [
     {"ratio": 3**-0.5, "angle": 30.0, "reflect": True, "translation": [0.0, 0.0]},
     {"ratio": 3**-0.5, "angle": -30.0, "reflect": True, "translation": [0.5, 3**0.5 / 6]},
 ]
+CARPET_MAPS = [{"ratio": 1 / 3, "translation": [i / 3, j / 3]}
+               for i in range(3) for j in range(3) if (i, j) != (1, 1)]
 
 
 class TestSceneFileValidation:
@@ -306,7 +308,11 @@ class TestSceneFileValidation:
         (json.dumps({"ifs": {"dim": 1, "maps": CANTOR_MAPS},
                      "region": {"type": "intervals", "intervals": [[0.0, 1.0]]},
                      "f_bbox": [[0.0, 0.0], [1.0, 1.0]]}), "f_bbox must be two corners [lo, hi] of dimension 1"),
-    ], ids=["no_ifs_key", "not_json", "intervals_region_2d_maps", "2d_f_bbox_1d_maps"])
+        # shoelace area 0.75; the intersection of its edges' half-planes has area 0.137
+        (json.dumps({"ifs": {"dim": 2, "maps": CARPET_MAPS},
+                     "region": {"type": "polygon", "vertices": [[0, 0], [1, 0], [0.5, 0.2], [1, 1], [0, 1]]},
+                     "f_bbox": [[0.0, 0.0], [1.0, 1.0]]}), "do not bound a convex polygon"),
+    ], ids=["no_ifs_key", "not_json", "intervals_region_2d_maps", "2d_f_bbox_1d_maps", "non_convex_polygon"])
     def test_refused_with_exit_3(self, capsys, tmp_path, monkeypatch, text, named):
         monkeypatch.setattr(pipeline, "_BUNDLES", {})
         path = tmp_path / "scene.json"
@@ -315,3 +321,13 @@ class TestSceneFileValidation:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and named in err
         assert pipeline._BUNDLES == {}
+
+    def test_overlapping_maps_refused_with_exit_3(self, capsys, tmp_path, monkeypatch):
+        # sum r_i = 1.2: the generator is empty at any resolution, so no tiling exists
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        maps = [{"ratio": 0.6, "translation": [0.0]}, {"ratio": 0.6, "translation": [0.4]}]
+        path = unnamed_scene(tmp_path, "overlap.json", maps)
+        assert main(["content", "--scene", path, "--format", "json"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: empty generator: the maps overlap")
+        assert "(sum r_i^d = 1.2)" in err

@@ -8,7 +8,7 @@ feature transform into distances one strip of rows at a time. Both must
 reproduce, bit for bit, what the whole-generation float orbit and the
 whole-array EDT gave, and both must stay below a fixed peak of traced
 allocations (numpy reports its buffers to tracemalloc), as must a field
-read at a region's cells.
+read at a region's cells and the level-set extractor's index.
 """
 
 import functools
@@ -26,6 +26,7 @@ from fractal_tiling_lab import grids, tiling
 from fractal_tiling_lab.errors import ResolutionError
 from fractal_tiling_lab.grids import DistanceField, Grid, distance_transform, grid_from_bbox, inner_distance
 from fractal_tiling_lab.ifs import IFS, Similarity, rotation
+from fractal_tiling_lab.levelsets import LevelSetExtractor
 from fractal_tiling_lab.presets import carpet_ifs, get_preset
 from fractal_tiling_lab.tiling import attractor_raster
 from fractal_tiling_lab.volumes import make_eps_grid, sample_restricted_volume
@@ -316,6 +317,17 @@ class TestMemoryBounds:
         assert per_cell <= 20
 
     def test_carpet_attractor_raster_peak(self):
-        # the whole-generation dedupe peaked at 117 MB here
+        # the whole-generation dedupe peaked at 117 MB here, and 14.3 MB with
+        # each generation's index pair and survivor bookkeeping built whole
         peak = traced_peak(attractor_raster, carpet_ifs(), ([0.0, 0.0], [1.0, 1.0]), 2.0**-9)
-        assert peak <= 40e6
+        assert peak <= 12e6
+
+    def test_extractor_init_bytes_per_dual_cell(self):
+        # full-size corner pairs, corner maxima and float32 key temporaries,
+        # with 2^20-cell sort chunks, peaked at 27.5 B per dual cell; strips
+        # leave fmin (4 B), the keys (2 B), the int32 index (4 B) and one chunk
+        n = 1024
+        rng = np.random.default_rng(5)
+        f = DistanceField(np.zeros(2), 1.0 / n, rng.random((n, n)).astype(np.float32))
+        per_cell = traced_peak(LevelSetExtractor, f) / (n - 1) ** 2
+        assert per_cell <= 18

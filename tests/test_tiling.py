@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fractal_tiling_lab as ftl
-from fractal_tiling_lab.errors import FtlError, ResolutionError
+from fractal_tiling_lab.errors import ConfigError, FtlError, ResolutionError
 from fractal_tiling_lab.grids import (
     ConvexPolygon,
     IntervalUnion,
@@ -155,8 +155,22 @@ class TestBuildTiling:
             ),
             1,
         )
-        with pytest.raises(FtlError, match=f"^empty generator: {re.escape(why)}, no tiling exists$"):
+        with pytest.raises(ConfigError, match=f"^empty generator: {re.escape(why)}, no tiling exists$"):
             build_tiling(ifs, IntervalUnion(((0.0, 1.0),)), 2.0**-10)
+
+    def test_images_covering_o_at_this_resolution(self):
+        # sum r_i = 0.9, but the gap (0.45, 0.55) holds no cell centre at 1/8
+        ifs = ftl.IFS(
+            (
+                ftl.Similarity(0.45, np.eye(1), np.array([0.0])),
+                ftl.Similarity(0.45, np.eye(1), np.array([0.55])),
+            ),
+            1,
+        )
+        why = "the images S_i(O) cover O at this resolution (sum r_i^d = 0.9)"
+        with pytest.raises(ResolutionError, match=f"^empty generator: {re.escape(why)}, no tiling exists$"):
+            build_tiling(ifs, IntervalUnion(((0.0, 1.0),)), 2.0**-3)
+        assert build_tiling(ifs, IntervalUnion(((0.0, 1.0),)), 2.0**-6).G.count() > 0
 
     def test_tile_scaling_identity(self):
         # V(S_i T, eps) = r^d V(T, eps/r) checked on the generator square

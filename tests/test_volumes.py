@@ -387,11 +387,12 @@ class TestGatzourasDifference:
 class TestOneAttractorField:
     @pytest.mark.parametrize("name,delta", [("cantor", 2.0**-10), ("carpet", 2.0**-9)])
     def test_one_distance_transform_per_bundle(self, name, delta, monkeypatch):
-        """Contents, checks and every curvature order read the one field_small."""
+        """Contents, checks and every curvature order read the one field_small;
+        the only other attractor EDT is the coarse one (4 delta) of its pad's bound."""
         calls = []
 
         def counting(grid):
-            calls.append(grid.extents)
+            calls.append(grid.spacing)
             return distance_transform(grid)
 
         monkeypatch.setattr(pipeline, "distance_transform", counting)
@@ -409,7 +410,7 @@ class TestOneAttractorField:
             b.relative_curvature(k)
             b.relative_curvature(k, "O")
             b.generator_curvature_samples(k)
-        assert len(calls) == 1
+        assert sorted(calls) == [delta, 4 * delta]
 
 
 class TestBuiltOnce:
