@@ -76,22 +76,26 @@ def map_images(ifs: IFS, O: Grid) -> list[np.ndarray]:
 def check_osc(ifs: IFS, O: Grid, images: list[np.ndarray] | None = None) -> CheckReport:
     """Open set condition: S_i O inside O, images pairwise disjoint.
 
-    Containment and overlaps are judged up to a one-cell seam; overlap that
-    survives a one-cell erosion is a hard fail, seam-only contact is
-    inconclusive. `images` are map_images(ifs, O), built here if omitted.
+    Containment and overlaps are judged up to a one-cell seam: an image cell
+    beyond O's one-cell dilation (8-neighbourhood in d=2), or overlap that
+    survives a one-cell erosion, is a hard fail; leakage into the seam and
+    seam-only contact are inconclusive. `images` are map_images(ifs, O),
+    built here if omitted.
     """
     delta = O.spacing
     if images is None:
         images = map_images(ifs, O)
+    seam_leak = False
     for i, img in enumerate(images):
         outside = img & ~O.occupancy
         if outside.any():
-            hard = outside & ~_dilate_edge(O.occupancy)
+            hard = outside & ~_dilate_occ(O.occupancy)
             if hard.any():
                 return CheckReport(
                     "osc", "fail", delta,
                     {"map": i, "cell": O.cell_points(hard)[0].tolist(), "reason": "S_i O leaves O"},
                 )
+            seam_leak = True
     seam_only = False
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
@@ -106,14 +110,13 @@ def check_osc(ifs: IFS, O: Grid, images: list[np.ndarray] | None = None) -> Chec
                      "overlap_cells": int(overlap.sum()), "reason": "interior overlap"},
                 )
             seam_only = True
+    if seam_leak:
+        return CheckReport(
+            "osc", "inconclusive", delta, None, {"note": "S_i O leaves O in the seam layer only"}
+        )
     if seam_only:
         return CheckReport("osc", "inconclusive", delta, None, {"note": "seam-layer contact only"})
     return CheckReport("osc", "pass", delta)
-
-
-def _dilate_edge(occ: np.ndarray) -> np.ndarray:
-    """Cells of occ at least 2 cells away from its complement."""
-    return _erode(occ, iterations=2)
 
 
 def check_strong(O: Grid, F_field: DistanceField) -> CheckReport:

@@ -20,6 +20,7 @@ from .errors import ConfigError, PreconditionError
 from .volumes import VolumeSamples
 
 GAMMA_MIN = 0.02  # renewal-hypothesis margin of the tube and curvature-variation exponents
+DIRECT_MIN_DECADES = 1.5  # least span of a direct content window
 
 METHODS = (
     "generator_integral",
@@ -179,7 +180,7 @@ def require_checks(checks) -> None:
 def _restrict(samples: VolumeSamples, top: float, lo: float = 0.0):
     sel = (samples.eps <= top * (1.0 + 1e-12)) & (samples.eps >= lo)
     if sel.sum() < 8:
-        raise ConfigError("too few samples below the integration top")
+        raise PreconditionError("too few samples below the integration top")
     jumps = samples.upper_jumps[sel] if samples.upper_jumps is not None else None
     return samples.eps[sel], samples.values[sel], samples.tolerance[sel], jumps
 
@@ -407,12 +408,12 @@ def direct_content(
     lattice_note: str = "",
 ) -> tuple[ContentResult, ContentResult]:
     """Direct (limit, average) content estimates: the scaled window at order d
-    (C_d is the volume) with the raster tolerance. Refuses under 1.5 decades."""
+    (C_d is the volume) with the raster tolerance. Refuses under DIRECT_MIN_DECADES."""
     lo, hi = window
-    if hi / lo < 10.0**1.5:
+    if hi / lo < 10.0**DIRECT_MIN_DECADES:
         raise PreconditionError(
             f"direct window ({lo:.4g}, {hi:.4g}) spans {math.log10(hi / lo):.2f} "
-            "decades, under 1.5"
+            f"decades, under {DIRECT_MIN_DECADES}"
         )
     return _direct_estimates(
         samples, samples.tolerance, D, d, window, lattice_base, lattice_note,
@@ -436,7 +437,7 @@ def _direct_estimates(
     eps = samples.eps
     sel = (eps >= window[0]) & (eps <= window[1])
     if sel.sum() < 16:
-        raise ConfigError("direct window contains too few samples")
+        raise PreconditionError("direct window contains too few samples")
     e = eps[sel]
     scaled = e ** (D - order) * samples.values[sel]
     tol = e ** (D - order) * tolerance[sel]

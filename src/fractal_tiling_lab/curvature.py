@@ -181,7 +181,7 @@ def _curvature_quadrature(
     b = _variation_exponent_gate(samples, D, k)
     sel = samples.eps <= top * (1 + 1e-12)
     if sel.sum() < 8:
-        raise ConfigError("too few curvature samples below the integration top")
+        raise PreconditionError("too few curvature samples below the integration top")
     eps = samples.eps[sel]
     vals = samples.values[sel]
     var = samples.variation_values[sel]

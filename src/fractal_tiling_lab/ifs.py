@@ -6,7 +6,6 @@ the code-space word tree. Ambient dimension d is 1 or 2.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -386,22 +385,13 @@ def rotation(angle_deg: float) -> np.ndarray:
     return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
 
 
-def load_ifs(source) -> IFS:
-    """Build an IFS from a JSON document (path, JSON text, or dict).
+def load_ifs(doc: dict) -> IFS:
+    """Build an IFS from a parsed JSON document.
 
     Schema: {"dim": d, "maps": [{"ratio": r, "matrix": [[..]] | "angle": deg
     [, "reflect": true], "translation": [..]}, ...]}. "angle"/"reflect" are
     d=2 conveniences; omitted matrix means identity.
     """
-    if isinstance(source, (str, bytes)):
-        text = str(source)
-        if "{" not in text:
-            with open(text, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        else:
-            doc = json.loads(text)
-    else:
-        doc = source
     try:
         d = int(doc["dim"])
         maps = []

@@ -1,11 +1,11 @@
 """Scene orchestration: raster -> distance fields -> samples -> formulas.
 
-A SceneBundle memoizes every expensive product (tiling, attractor raster,
-the one attractor field field_small, G's inner field, eps grids, volume
-samples, S_i(O) images, checks, field_small's level-set extractor, and the
-curvature profiles of one marching pass per field, which serve both orders
-and, for field_small in d=2, both masks G and O) so the CLI
-and the test suite can ask for results in any order without recomputation.
+A SceneBundle memoizes every expensive product so the CLI and the test
+suite can ask for results in any order without recomputation. Each
+zero-argument product is declared once with _product, a property memoized
+under its own name; the keyed ones (the curvature profiles of one marching
+pass per field, which serve both orders and, for field_small in d=2, both
+masks G and O; the content and curvature rows; the checks) go through _memo.
 get_bundle caches bundles by scene content (maps, region, f_bbox, delta and
 the scene's eps-grid density; curvature grids always take CURVATURE_PPD),
 never by name; everything inside is immutable after construction, so
@@ -15,6 +15,7 @@ sharing is safe.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numpy as np
 
@@ -37,6 +38,17 @@ CONTENT_METHODS = (
 )
 CURVATURE_METHODS = ("generator_integral", "relative_generator", "direct_limit", "direct_average")
 CURVATURE_PPD = 32  # points per decade of the curvature eps grids
+
+
+def _product(build):
+    """A SceneBundle product: a property that builds build(self) once and
+    memoizes it in the bundle's _cache under build's name."""
+
+    @functools.wraps(build)
+    def get(self):
+        return self._memo(build.__name__, lambda: build(self))
+
+    return property(get)
 
 
 class SceneBundle:
@@ -64,9 +76,9 @@ class SceneBundle:
 
     # -- dimensions ---------------------------------------------------------
 
-    @property
+    @_product
     def dim_data(self) -> DimensionData:
-        return self._memo("dim", lambda: dimension_data(self.ifs))
+        return dimension_data(self.ifs)
 
     @property
     def lattice_base(self) -> float | None:
@@ -74,35 +86,29 @@ class SceneBundle:
 
     # -- rasters and fields -------------------------------------------------
 
-    @property
+    @_product
     def tiling(self) -> TilingData:
-        def build():
-            region = self.scene.region
-            if region == "central":
-                lo, hi = np.asarray(self.scene.f_bbox[0], float), np.asarray(self.scene.f_bbox[1], float)
-                pad = 0.3 * float(np.linalg.norm(hi - lo))
-                vc = central_open_set(self.ifs, (lo - pad, hi + pad), self.delta)
-                return build_tiling(self.ifs, vc.grid, self.delta)
-            return build_tiling(self.ifs, region, self.delta)
-
-        return self._memo("tiling", build)
+        region = self.scene.region
+        if region == "central":
+            lo, hi = np.asarray(self.scene.f_bbox[0], float), np.asarray(self.scene.f_bbox[1], float)
+            pad = 0.3 * float(np.linalg.norm(hi - lo))
+            vc = central_open_set(self.ifs, (lo - pad, hi + pad), self.delta)
+            return build_tiling(self.ifs, vc.grid, self.delta)
+        return build_tiling(self.ifs, region, self.delta)
 
     @property
     def O(self) -> Grid:
         return self.tiling.O
 
-    @property
+    @_product
     def F_tight(self) -> Grid:
-        def build():
-            o = self.O
-            lo = np.asarray(self.scene.f_bbox[0], float)
-            hi = np.asarray(self.scene.f_bbox[1], float)
-            # snap outward onto O's cell lattice so every grid here is aligned
-            lo_s = o.origin + (np.floor((lo - o.origin) / self.delta) - 1) * self.delta
-            hi_s = o.origin + (np.ceil((hi - o.origin) / self.delta) + 1) * self.delta
-            return attractor_raster(self.ifs, (lo_s, hi_s), self.delta)
-
-        return self._memo("F_tight", build)
+        o = self.O
+        lo = np.asarray(self.scene.f_bbox[0], float)
+        hi = np.asarray(self.scene.f_bbox[1], float)
+        # snap outward onto O's cell lattice so every grid here is aligned
+        lo_s = o.origin + (np.floor((lo - o.origin) / self.delta) - 1) * self.delta
+        hi_s = o.origin + (np.ceil((hi - o.origin) / self.delta) + 1) * self.delta
+        return attractor_raster(self.ifs, (lo_s, hi_s), self.delta)
 
     def _box(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) of the box around O and F_tight, on their lattice."""
@@ -128,6 +134,7 @@ class SceneBundle:
         coarse = distance_transform(Grid(box.origin, 4 * self.delta, f))
         return float(coarse.values[o].max()) + 3 * math.sqrt(self.d) * self.delta
 
+    @_product
     def _small_field(self) -> tuple[DistanceField, float]:
         """(field, g_tilde on it): F_tight's one distance field, on the box around
         O and F_tight grown by the first pad past max(1.3 g~, direct window top) + 8 delta.
@@ -137,26 +144,22 @@ class SceneBundle:
         of the top, 0.55 g~ in d=2, lies inside 1.3 g~. Every F_tight cell
         lies in the box, so a cell's value does not depend on the pad.
         """
-
-        def build():
-            box_lo, box_hi = self._box()
-            o, f = self.O, self.F_tight
-            pad = max(self._window_without_g()[1], 1.3 * self._g_tilde_bound()) + 8 * self.delta
-            while True:
-                margin = (int(math.ceil(pad / self.delta)) + 1) * self.delta
-                grid = grid_from_bbox((box_lo - margin, box_hi + margin), self.delta)
-                field = distance_transform(grid.with_occupancy(f.embed_into(grid.origin, grid.extents)))
-                gt = relative_inradius(field, o)
-                if 1.3 * gt + 8 * self.delta <= pad:
-                    return field, gt
-                pad *= 1.6
-
-        return self._memo("field_small", build)
+        box_lo, box_hi = self._box()
+        o, f = self.O, self.F_tight
+        pad = max(self._window_without_g()[1], 1.3 * self._g_tilde_bound()) + 8 * self.delta
+        while True:
+            margin = (int(math.ceil(pad / self.delta)) + 1) * self.delta
+            grid = grid_from_bbox((box_lo - margin, box_hi + margin), self.delta)
+            field = distance_transform(grid.with_occupancy(f.embed_into(grid.origin, grid.extents)))
+            gt = relative_inradius(field, o)
+            if 1.3 * gt + 8 * self.delta <= pad:
+                return field, gt
+            pad *= 1.6
 
     @property
     def field_small(self) -> DistanceField:
         """The attractor's distance field: reaches past 1.3 g~ and the direct window."""
-        return self._small_field()[0]
+        return self._small_field[0]
 
     @property
     def g(self) -> float:
@@ -164,25 +167,22 @@ class SceneBundle:
 
     @property
     def g_tilde(self) -> float:
-        return self._small_field()[1]
+        return self._small_field[1]
 
     # -- eps grids ------------------------------------------------------------
 
     def _eps_grid(self, top: float, ppd: int) -> volumes.EpsGrid:
-        return self._memo(
-            ("eps_grid", top, ppd),
-            lambda: volumes.make_eps_grid(self.delta, top, ppd, self.lattice_base),
-        )
+        return volumes.make_eps_grid(self.delta, top, ppd, self.lattice_base)
 
-    @property
+    @_product
     def grid_G(self) -> volumes.EpsGrid:
         return self._eps_grid(self.g, self.scene.eps_per_decade)
 
-    @property
+    @_product
     def grid_rel(self) -> volumes.EpsGrid:
         return self._eps_grid(self.g_tilde, self.scene.eps_per_decade)
 
-    @property
+    @_product
     def grid_F(self) -> volumes.EpsGrid:
         """Top-1.0 eps nodes below field_small's border minimum less 4 cells (so the counts
         equal those on any larger box); the top node is the Gatzouras cutoff a."""
@@ -190,83 +190,58 @@ class SceneBundle:
         keep = top1.eps < self.field_small.border_min() - 4 * self.delta
         return dataclasses.replace(top1, eps=top1.eps[keep])
 
-    @property
+    @_product
     def grid_curv(self) -> volumes.EpsGrid:
         # the top stops a hair below the raster depth so the deepest core is
         # still alive at the last node (the depth itself is a critical value)
         return self._eps_grid(self.g_tilde * (1 - 1e-6), CURVATURE_PPD)
 
-    @property
+    @_product
     def grid_curv_G(self) -> volumes.EpsGrid:
         return self._eps_grid(self.g * (1 - 1e-6), CURVATURE_PPD)
 
     # -- volume samples -------------------------------------------------------
 
-    @property
+    @_product
     def G_inner(self) -> DistanceField:
         """inner_distance of G cropped to its cells (equal to G's own on G), for V_G and G_-eps."""
-        return self._memo("G_inner", lambda: inner_distance(self.tiling.G.cropped(4)))
+        return inner_distance(self.tiling.G.cropped(4))
 
-    @property
+    @_product
     def V_G(self) -> volumes.VolumeSamples:
-        return self._memo(
-            "V_G",
-            lambda: volumes.sample_inner_volume(self.G_inner, self.grid_G, "V_G", "G"),
-        )
+        return volumes.sample_inner_volume(self.G_inner, self.grid_G, "V_G", "G")
 
-    @property
+    @_product
     def V_T(self) -> volumes.VolumeSamples:
-        def build():
-            t = self.tiling
-            return volumes.sample_inner_volume(
-                inner_distance(t.tile_union), self.grid_G, "V_T", "T", extra_area=t.residual.area()
-            )
+        t = self.tiling
+        return volumes.sample_inner_volume(
+            inner_distance(t.tile_union), self.grid_G, "V_T", "T", extra_area=t.residual.area()
+        )
 
-        return self._memo("V_T", build)
-
-    @property
+    @_product
     def h(self) -> volumes.VolumeSamples:
-        return self._memo(
-            "h",
-            lambda: volumes.h_function(self.V_T, self.ifs, self.g, self.grid_G),
-        )
+        return volumes.h_function(self.V_T, self.ifs, self.g, self.grid_G)
 
-    @property
+    @_product
     def F_on_O(self) -> volumes.VolumeSamples:
-        return self._memo(
-            "F_on_O",
-            lambda: volumes.sample_restricted_volume(self.field_small, self.O, self.grid_rel, "O"),
-        )
+        return volumes.sample_restricted_volume(self.field_small, self.O, self.grid_rel, "O")
 
-    @property
+    @_product
     def F_on_Gamma(self) -> volumes.VolumeSamples:
-        return self._memo(
-            "F_on_Gamma",
-            lambda: volumes.sample_restricted_volume(
-                self.field_small, self.tiling.Gamma, self.grid_rel, "Gamma"
-            ),
-        )
+        return volumes.sample_restricted_volume(self.field_small, self.tiling.Gamma, self.grid_rel, "Gamma")
 
-    @property
+    @_product
     def phi(self) -> volumes.VolumeSamples:
-        return self._memo(
-            "phi",
-            lambda: volumes.phi_function(self.F_on_O, self.ifs, self.g_tilde, self.grid_rel),
-        )
+        return volumes.phi_function(self.F_on_O, self.ifs, self.g_tilde, self.grid_rel)
 
-    @property
+    @_product
     def F_volumes(self) -> volumes.VolumeSamples:
         """lambda_d(F_eps) on grid_F."""
-        return self._memo(
-            "F_volumes", lambda: volumes.sample_parallel_volume(self.field_small, self.grid_F)
-        )
+        return volumes.sample_parallel_volume(self.field_small, self.grid_F)
 
-    @property
+    @_product
     def R_d(self) -> volumes.VolumeSamples:
-        return self._memo(
-            "R_d",
-            lambda: volumes.gatzouras_rd(self.F_volumes, self.ifs, self.grid_F),
-        )
+        return volumes.gatzouras_rd(self.F_volumes, self.ifs, self.grid_F)
 
     # -- checks ----------------------------------------------------------------
 
@@ -298,9 +273,9 @@ class SceneBundle:
 
     # -- curvature samples -------------------------------------------------------
 
-    @property
+    @_product
     def field_extractor(self) -> LevelSetExtractor:
-        return self._memo("extractor_small", lambda: LevelSetExtractor(self.field_small))
+        return LevelSetExtractor(self.field_small)
 
     def relative_curvature(self, k: int, region: str = "G") -> curvature.CurvatureSamples:
         """C_k(F_eps, .) localized to the generator (default) or to O.
@@ -348,17 +323,11 @@ class SceneBundle:
             k, self.d, self.delta, lambda: self._memo(("profile", tag), profile), tag
         )
 
-    @property
+    @_product
     def surface_samples(self) -> volumes.VolumeSamples:
         """H^{d-1}(bd F_eps ^ G) on the curvature grid (full length, not halved)."""
-
-        def build():
-            rel = self.relative_curvature(self.d - 1)
-            return volumes.VolumeSamples(
-                rel.eps, 2.0 * rel.values, "surface", self.delta, "G"
-            )
-
-        return self._memo("surface", build)
+        rel = self.relative_curvature(self.d - 1)
+        return volumes.VolumeSamples(rel.eps, 2.0 * rel.values, "surface", self.delta, "G")
 
     # -- contents and curvatures -------------------------------------------------
 
@@ -431,14 +400,14 @@ class SceneBundle:
         return average if method == "direct_average" else limit
 
     def direct_window(self) -> tuple[float, float]:
-        """(floor, top): top 0.3 x scale in d=1, 0.55 g~ in d=2, at least 1.5 decades up."""
+        """(floor, top): top 0.3 x scale in d=1, 0.55 g~ in d=2, at least DIRECT_MIN_DECADES up."""
         lo, top = self._window_without_g()
         return lo, top if self.d == 1 else max(top, 0.55 * self.g_tilde)
 
     def _window_without_g(self) -> tuple[float, float]:
         """(floor, the part of the direct window's top that needs no g~)."""
         lo = (16 if self.d == 1 else 4) * self.delta
-        top = lo * 10.0**1.5 * 1.02
+        top = lo * 10.0**contents.DIRECT_MIN_DECADES * 1.02
         if self.d == 1:
             top = max(top, 0.3 * float(np.ptp(np.asarray(self.scene.f_bbox, float))))
         return lo, top

@@ -1,0 +1,52 @@
+"""Each zero-argument SceneBundle product is declared once with pipeline._product.
+
+The product is built on first access and memoized in the bundle's _cache
+under its own name, so a second access returns the very same object.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from fractal_tiling_lab import pipeline
+from fractal_tiling_lab.presets import get_preset
+
+PRODUCTS = (
+    "dim_data", "tiling", "F_tight", "_small_field",
+    "grid_G", "grid_rel", "grid_F", "grid_curv", "grid_curv_G",
+    "G_inner", "V_G", "V_T", "h", "F_on_O", "F_on_Gamma", "phi", "F_volumes", "R_d",
+    "field_extractor", "surface_samples",
+)
+
+
+def fresh_bundle(preset: str, delta: float) -> pipeline.SceneBundle:
+    return pipeline.SceneBundle(replace(get_preset(preset).scene, delta=delta))
+
+
+def assert_built_once(bundle: pipeline.SceneBundle, name: str):
+    first = getattr(bundle, name)
+    assert getattr(bundle, name) is first
+    assert bundle._cache[name] is first
+
+
+@pytest.fixture(scope="module")
+def cantor():
+    return fresh_bundle("cantor", 2.0**-10)
+
+
+def test_every_declared_product_is_listed():
+    declared = {
+        name for name, attr in vars(pipeline.SceneBundle).items()
+        if isinstance(attr, property) and hasattr(attr.fget, "__wrapped__")
+    }
+    assert declared == set(PRODUCTS)
+
+
+@pytest.mark.parametrize("name", [p for p in PRODUCTS if p != "field_extractor"])
+def test_second_access_reads_the_memo(cantor, name):
+    assert_built_once(cantor, name)
+
+
+def test_field_extractor_is_built_once():
+    # level sets are 2-d only
+    assert_built_once(fresh_bundle("carpet", 2.0**-7), "field_extractor")

@@ -120,6 +120,15 @@ class TestContent:
             assert "1.33 decades, under 1.5" in rows[m]["refused"]
         assert all("value" in r for m, r in rows.items() if not m.startswith("direct"))
 
+    def test_too_few_samples_refuses_the_row_not_the_command(self, capsys):
+        # at 2^-9 cantor_pair's d = 1 tiling_via_h floor, 64 delta, equals g = 1/8
+        code, out = run(capsys, "content", "--preset", "cantor_pair", "--delta", str(2.0**-9),
+                        "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows["tiling_via_h"]["refused"] == "too few samples below the integration top"
+        assert all("value" in r for m, r in rows.items() if m != "tiling_via_h")
+
     def test_config_error_exit_code(self, capsys):
         assert main(["dim", "--preset", "nosuch"]) == 3
         assert main(["dim"]) == 3
@@ -167,6 +176,16 @@ class TestCurvatureCommand:
         for m in ("generator_integral", "direct_limit", "direct_average"):
             assert "value" in rows[m]
             assert rows[m]["lattice_note"].startswith("lattice")
+
+    def test_too_few_direct_samples_refuse_only_the_direct_rows(self, capsys):
+        code, out = run(capsys, "curvature", "--preset", "cantor_pair", "--delta", str(2.0**-9),
+                        "-k", "0", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        for m in ("direct_limit", "direct_average"):
+            assert rows[m]["refused"] == "direct window contains too few samples"
+        for m in ("generator_integral", "relative_generator"):
+            assert "value" in rows[m]
 
     def test_order_out_of_range_refused_before_any_product(self, capsys, monkeypatch):
         monkeypatch.setattr(pipeline, "_BUNDLES", {})

@@ -63,6 +63,15 @@ class TestOsc:
         assert rep.verdict == "fail"
         assert rep.witness is not None and "cell" in rep.witness
 
+    def test_gasket_seam_leakage_is_not_a_fail(self):
+        # the gasket's images leave O only within one cell of it (8-neighbourhood)
+        b = pipeline.SceneBundle(replace(presets.get_preset("gasket").scene, delta=2.0**-8))
+        O, images = b.tiling.O, b.tiling.map_images
+        assert any((img & ~O.occupancy).any() for img in images)
+        rep = check_osc(b.ifs, O, images)
+        assert rep.verdict == "inconclusive"
+        assert rep.details["note"] == "S_i O leaves O in the seam layer only"
+
     def test_overlapping_maps_fail(self, cantor_field):
         delta, _ = cantor_field
         ifs = ftl.IFS(

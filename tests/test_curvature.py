@@ -396,11 +396,11 @@ class TestProfilePath:
 
     def test_d1_parallel_set_touching_the_field_border_refused(self):
         b = fresh_bundle("cantor", 2.0**-10)
-        field, g_tilde = b._small_field()
+        field, g_tilde = b._small_field
         # a field cropped to F_tight's box: the top eps reaches its border
         sel = b.field_small.lattice_slice(b.F_tight)
         cropped = grids.DistanceField(b.F_tight.origin, field.spacing, field.values[sel])
-        b._cache["field_small"] = (cropped, g_tilde)
+        b._cache["_small_field"] = (cropped, g_tilde)
         with pytest.raises(ConfigError, match="1d parallel set touches the grid boundary"):
             b.relative_curvature(0)
 

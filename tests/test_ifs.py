@@ -194,7 +194,7 @@ class TestLoadIfs:
                 {"ratio": 0.25, "translation": [0.75]},
             ],
         })
-        ifs = load_ifs(text)
+        ifs = load_ifs(json.loads(text))
         assert ifs.ratios.tolist() == [0.5, 0.25]
 
     def test_malformed_rejected(self):
