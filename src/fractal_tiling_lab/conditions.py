@@ -79,7 +79,9 @@ def check_osc(ifs: IFS, O: Grid, images: list[np.ndarray] | None = None) -> Chec
     Containment and overlaps are judged up to a one-cell seam: an image cell
     beyond O's one-cell dilation (8-neighbourhood in d=2), or overlap that
     survives a one-cell erosion, is a hard fail; leakage into the seam and
-    seam-only contact are inconclusive. `images` are map_images(ifs, O),
+    seam-only contact are inconclusive. The images are sampled on O's grid
+    only, so a boundary cell of O whose centre S_i sends more than one cell
+    beyond that grid is a hard fail too. `images` are map_images(ifs, O),
     built here if omitted.
     """
     delta = O.spacing
@@ -96,6 +98,17 @@ def check_osc(ifs: IFS, O: Grid, images: list[np.ndarray] | None = None) -> Chec
                     {"map": i, "cell": O.cell_points(hard)[0].tolist(), "reason": "S_i O leaves O"},
                 )
             seam_leak = True
+    edge = O.cell_points(O.boundary_cells())
+    lo, hi = O.origin - delta, O.origin + (np.array(O.extents) + 1) * delta
+    for i, m in enumerate(ifs.maps):
+        image = m(edge)
+        off = np.flatnonzero(((image < lo) | (image > hi)).any(axis=1))
+        if off.size:
+            return CheckReport(
+                "osc", "fail", delta,
+                {"map": i, "cell": edge[off[0]].tolist(), "image": image[off[0]].tolist(),
+                 "reason": "S_i O leaves O's grid"},
+            )
     seam_only = False
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
@@ -285,12 +298,17 @@ def check_boundary_null(
     collar = O.with_occupancy(collar).embed_into(F_field.origin, F_field.extents)
     ex = extractor or LevelSetExtractor(F_field)
     eps = np.asarray(eps_samples, dtype=float)
+    ex.index(eps)
+    # a segment's dual cell lies at most one cell below its midpoint's, so the
+    # collar's bounding box grown by one cell holds every contour cell counted
+    hits = [np.flatnonzero(collar.any(axis=1 - ax)) for ax in (0, 1)]
+    box = tuple(slice(max(h[0] - 1, 0), h[-1] + 2) if h.size else slice(0, 0) for h in hits)
     profile = np.zeros((eps.size, 3))
     ncomp = []
     for i, e in enumerate(eps):
         ls = ex.extract(float(e))
         profile[i] = ex.measure_level_set(ls, collar)
-        ncomp.append(contour_components(ex.level_set_cells(ls, collar)))
+        ncomp.append(contour_components(ex.level_set_cells(ls, collar)[box]))
     # the collar's curvature mass is the variation of C_k inside it
     masses = samples_from_profile(k, O.dim, delta, lambda: (eps, *profile.T)).variation_values
     worst = None

@@ -82,6 +82,7 @@ def measure_profiles(
     if field.dim == 1:
         return _boundary_points_1d(field, eps, mask), np.zeros(eps.size), np.zeros(eps.size)
     ex = extractor or LevelSetExtractor(field)
+    ex.index(eps)
     out = np.zeros((eps.size, 3))
     for i in range(eps.size):
         out[i] = ex.measure(float(eps[i]), mask)
@@ -96,6 +97,7 @@ def measure_mask_profiles(field: DistanceField, eps: np.ndarray, masks, extracto
     """
     if field.dim == 1:
         return [measure_profiles(field, eps, m) for m in masks]
+    extractor.index(eps)
     out = np.zeros((len(masks), eps.size, 3))
     for i in range(eps.size):
         out[:, i] = extractor.measure_masks(extractor.extract(float(eps[i])), masks)

@@ -35,8 +35,7 @@ _FIRST_ROW = (np.cumsum(_N_SEG) - _N_SEG).astype(np.uint8)
 _EDGE_CORNERS = np.array([[0, 1], [1, 2], [3, 2], [0, 3]])
 _EDGE_START = np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [0.5, 0.5]])
 _CORNER_BITS = np.array([[1], [2], [4], [8]], dtype=np.uint8)
-_MAX_BIN = np.iinfo(np.uint16).max  # bin keys of the extractor's corner-minimum index
-_SORT_CHUNK = 1 << 17  # dual cells per strip and per sort chunk when the extractor builds that index
+_STRIP_CELLS = 1 << 17  # dual cells per strip of the corner minima and of each sweep
 
 
 @dataclass
@@ -57,11 +56,12 @@ class LevelSet:
 class LevelSetExtractor:
     """Reusable marching-squares engine for one distance field.
 
-    The dual cells are indexed once by the bin floor(fmin / spacing) of
-    their corner minimum fmin. A cell crosses the threshold eps only when
-    fmin <= eps < fmax, and fmax - fmin never exceeds the field's widest
-    corner spread w, so each threshold reads only the bins that cover
-    (eps - w, eps] instead of scanning every cell.
+    A dual cell crosses the threshold eps when fmin <= eps < fmax, its
+    corner minimum and maximum compared in float32. The constructor keeps
+    fmin; index(eps) sweeps the cells once for a whole threshold list and
+    keeps each cell that crosses one of them once, keyed by the first
+    threshold it crosses, with its crossing count. extract() reads its band
+    from there; a threshold that was never indexed is swept on its own.
     """
 
     def __init__(self, field: DistanceField):
@@ -69,63 +69,62 @@ class LevelSetExtractor:
             raise ResolutionError("level sets are only defined on 2d fields")
         self.field = field
         f = field.values
-        self._scale = np.float32(1.0 / field.spacing)
         nx, ny = f.shape
         self._fmin = np.empty((nx - 1, ny - 1), dtype=np.float32)
-        key = np.empty(self._fmin.size, dtype=np.uint16)
-        # bin counts, summed over the strips, then their running total
-        self._starts = np.zeros(_MAX_BIN + 2, dtype=np.int64)
-        self._width = 0.0
-        # corner minima, bin keys and widest corner spread, one strip of rows at a time
-        rows = max(1, _SORT_CHUNK // max(ny - 1, 1))
-        for r0 in range(0, nx - 1, rows):
-            fmin = self._fmin[r0 : r0 + rows]
-            kc = key[r0 * (ny - 1) : (r0 + fmin.shape[0]) * (ny - 1)]
-            self._width = max(self._width, self._index_strip(f[r0 : r0 + rows + 1], fmin, kc))
-            self._starts[1:] += np.bincount(kc, minlength=_MAX_BIN + 1)
-        np.cumsum(self._starts, out=self._starts)
-        # Cells grouped by bin, as int32 (which holds any MAX_CELLS grid).
-        # Each chunk is argsorted by key (numpy's stable sort of 16-bit keys
-        # is a radix sort) and its bin runs go after those of the earlier
-        # chunks. Chunks keep the int64 argsort output and bincount's int64
-        # copy of the keys small: full-size ones raised a pass's peak RSS.
-        self._order = np.empty(key.size, dtype=np.int32)
-        fill = self._starts[:-1].copy()
-        for c in range(0, key.size, _SORT_CHUNK):
-            kc = key[c : c + _SORT_CHUNK]
-            n_c = np.bincount(kc, minlength=_MAX_BIN + 1)
-            dest = np.repeat(fill - (np.cumsum(n_c) - n_c), n_c)
-            dest += np.arange(kc.size)
-            src = np.argsort(kc, kind="stable")
-            src += c
-            self._order[dest] = src
-            fill += n_c
-            del dest, src  # before the next chunk's bincount copies its keys
-        del key
+        for s, fmin in self._strips():
+            pair = np.minimum(s[:-1], s[1:])
+            np.minimum(pair[:, :-1], pair[:, 1:], out=fmin)
         ring = np.concatenate([f[0, :], f[-1, :], f[:, 0], f[:, -1]])
         self._ring_min = float(ring.min())
         self._ring_max = float(ring.max())
         self._n_xedges = (nx - 1) * ny
         # flat offsets of the corners (bit order) from a dual cell's first corner
         self._corner_offsets = np.array([0, ny, ny + 1, 1])[:, None]
+        self._index = self._sweep(np.empty(0, np.float32))
 
-    def _index_strip(self, s: np.ndarray, fmin: np.ndarray, key: np.ndarray) -> float:
-        """Fill fmin and key with the corner minima and their bin keys of the dual
-        cells between the rows of s; return the cells' widest corner spread."""
-        # corner min and max by pairwise passes, rows then columns (exact)
-        pair = np.minimum(s[:-1], s[1:])
-        np.minimum(pair[:, :-1], pair[:, 1:], out=fmin)
-        np.maximum(s[:-1], s[1:], out=pair)
-        fmax = np.maximum(pair[:, :-1], pair[:, 1:]).astype(np.float32, copy=False)
-        key[...] = self._bins(fmin.ravel())
-        # measured, not sqrt(2) * spacing: the field need not be 1-Lipschitz
-        return float(np.subtract(fmax, fmin, out=fmax).max(initial=0.0))
+    def _strips(self):
+        """(field rows, their fmin rows) for each strip of dual-cell rows, in order."""
+        f = self.field.values
+        rows = max(1, _STRIP_CELLS // max(f.shape[1] - 1, 1))
+        for r0 in range(0, f.shape[0] - 1, rows):
+            yield f[r0 : r0 + rows + 1], self._fmin[r0 : r0 + rows]
 
-    def _bins(self, x) -> np.ndarray:
-        """Bin keys floor(x * (1 / spacing)) in float32 arithmetic, clamped to 16 bits."""
-        k = np.asarray(x, dtype=np.float32) * self._scale
-        np.floor(k, out=k)
-        return np.clip(k, 0, _MAX_BIN, out=k).astype(np.uint16)
+    def index(self, eps) -> None:
+        """Sweep the dual cells once for the thresholds eps, so extract() at any
+        of them reads its band; the thresholds indexed before stay indexed."""
+        levels = np.unique(np.float32([self._nudge(float(e)) for e in np.ravel(eps)]))
+        if not np.isin(levels, self._index[0]).all():
+            self._index = self._sweep(np.union1d(levels, self._index[0]))
+
+    def _sweep(self, levels: np.ndarray):
+        """(levels, band cells, crossing counts, group starts, widest count) for
+        the sorted float32 thresholds levels: the flat dual cells that cross one,
+        grouped by the first one they cross, row-major within a group."""
+        top = np.append(levels, np.float32(np.inf))
+        key = np.min_scalar_type(levels.size)
+        strips, sizes, off = [], np.zeros(levels.size, np.int64), 0
+        for s, fmin in self._strips() if levels.size else ():
+            pair = np.maximum(s[:-1], s[1:])
+            fmax = np.maximum(pair[:, :-1], pair[:, 1:]).astype(np.float32, copy=False).ravel()
+            lo = np.searchsorted(levels, fmin.ravel())  # the first level >= fmin
+            k = np.flatnonzero(top[lo] < fmax)
+            k = k[np.argsort(lo[k].astype(key), kind="stable")]  # by first level, then row-major
+            first = lo[k]
+            n = np.bincount(first, minlength=levels.size)
+            strips.append(((k + off).astype(np.int32),  # int32 holds any MAX_CELLS grid
+                           (np.searchsorted(levels, fmax[k]) - first).astype(key), n))
+            sizes += n
+            off += fmin.size
+        # each strip's groups go after the same groups of the strips before it
+        starts = np.zeros(levels.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=starts[1:])
+        cells, count = np.empty(starts[-1], np.int32), np.empty(starts[-1], key)
+        fill = starts[:-1].copy()
+        for c, m, n in strips:
+            dest = np.repeat(fill - (np.cumsum(n) - n), n) + np.arange(c.size)
+            cells[dest], count[dest] = c, m
+            fill += n
+        return levels, cells, count, starts, int(count.max(initial=1))
 
     def _check_contact(self, eps: float) -> None:
         # {f = eps} runs past the raster when the border lies partly in
@@ -150,17 +149,17 @@ class LevelSetExtractor:
 
     def _band(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
         """Row-major (i, j) of the dual cells with fmin <= eps < fmax, as np.nonzero gives them."""
-        # fmin > eps - w, up to the float32 rounding of w and of eps (2^-24
-        # relative each), which the 2^-22 slack covers; keys are monotone in
-        # the value, so bins key(lo)..key(eps) hold every band cell
-        w = self._width
-        lo, hi = (int(b) for b in self._bins([eps - w - (abs(eps) + w) * 2.0**-22, eps]))
-        cand = self._order[self._starts[lo] : self._starts[hi + 1]]
-        c = self._corners(cand)
-        keep = (c.min(axis=0).astype(np.float32, copy=False) <= eps) & (
-            c.max(axis=0).astype(np.float32, copy=False) > eps
-        )
-        k = np.sort(cand[keep]).astype(np.intp)
+        e = np.float32(eps)
+        levels, cells, count, starts, widest = self._index
+        t = int(np.searchsorted(levels, e))
+        if t == levels.size or levels[t] != e:
+            levels, cells, count, starts, widest = self._sweep(np.array([e]))
+            t = 0
+        # a cell keyed by level g crosses levels g .. g + count - 1
+        g = max(0, t + 1 - widest)
+        run = slice(starts[g], starts[t + 1])
+        first = np.repeat(np.arange(g, t + 1), np.diff(starts[g : t + 2]))
+        k = np.sort(cells[run][first + count[run] > t]).astype(np.intp)
         i = k // (self.field.values.shape[1] - 1)
         return i, k - i * (self.field.values.shape[1] - 1)
 

@@ -245,6 +245,11 @@ class SceneBundle:
 
     # -- checks ----------------------------------------------------------------
 
+    @_product
+    def eps_boundary_null(self) -> np.ndarray:
+        """The radii at which the d=2 boundary_null check reads bd F_eps."""
+        return np.geomspace(8 * self.delta, max(0.5 * self.g_tilde, 16 * self.delta), 12)
+
     def checks(self) -> dict[str, conditions.CheckReport]:
         def build():
             t = self.tiling
@@ -259,9 +264,8 @@ class SceneBundle:
                 ),
             }
             if self.d == 2:
-                eps_bn = np.geomspace(8 * self.delta, max(0.5 * self.g_tilde, 16 * self.delta), 12)
                 out["boundary_null"] = conditions.check_boundary_null(
-                    t.O, field, self.d - 1, eps_bn, extractor=self.field_extractor
+                    t.O, field, self.d - 1, self.eps_boundary_null, extractor=self.field_extractor
                 )
             else:
                 out["boundary_null"] = conditions.check_boundary_null(
@@ -275,7 +279,10 @@ class SceneBundle:
 
     @_product
     def field_extractor(self) -> LevelSetExtractor:
-        return LevelSetExtractor(self.field_small)
+        """field_small's level sets, swept once for grid_curv and the boundary_null radii."""
+        ex = LevelSetExtractor(self.field_small)
+        ex.index(np.concatenate([self.grid_curv.eps, self.eps_boundary_null]))
+        return ex
 
     def relative_curvature(self, k: int, region: str = "G") -> curvature.CurvatureSamples:
         """C_k(F_eps, .) localized to the generator (default) or to O.

@@ -5,8 +5,10 @@ tiling.relative_inradius, ...), Grid.lookup, the LevelSetExtractor methods
 and the SceneBundle products by name at run time, and reads
 LevelSetExtractor._fmin. Installing it in a fresh interpreter and tracing
 one small 1-d scene (its content and k = 0 curvature tables) and one small
-2-d field turns a renamed or deleted traced name, or a bundle path that
-bypasses one, into a failure here instead of a failed benchmark run. The
+2-d field, also in koch_direct's call shape (an extractor built by the
+caller and passed to measure_profiles), turns a renamed or deleted traced
+name, or a bundle path that bypasses one, into a failure here instead of
+a failed benchmark run. The
 subprocess keeps the wrappers out of this test session.
 """
 
@@ -39,9 +41,17 @@ from fractal_tiling_lab import curvature, grids
 g = grids.grid_from_bbox(([-1.0, -1.0], [1.0, 1.0]), 2.0**-7)
 occ = np.zeros(g.extents, bool)
 occ[tuple(g.indices_of(np.zeros((1, 2)))[0])] = True
-curvature.measure_profiles(grids.distance_transform(g.with_occupancy(occ)), np.array([0.2, 0.5]))
+field = grids.distance_transform(g.with_occupancy(occ))
+curvature.measure_profiles(field, np.array([0.2, 0.5]))
+# koch_direct's call shape: an extractor built by the caller, handed in unindexed
+from fractal_tiling_lab import levelsets
+first, before = len(tracer.spans), dict(tracer.counters)
+ex = levelsets.LevelSetExtractor(field)
+curvature.measure_profiles(field, np.array([0.25, 0.4]), None, ex)
 print(json.dumps({"spans": sorted({s[0] for s in tracer.spans}),
                   "counters": dict(tracer.counters),
+                  "koch_spans": sorted({s[0] for s in tracer.spans[first:]}),
+                  "koch_counters": {k: v - before.get(k, 0) for k, v in tracer.counters.items()},
                   "summary": tracer.summary(1.0)}))
 """
 
@@ -78,4 +88,10 @@ def test_tracer_installs_and_sees_every_layer():
     assert doc["counters"]["grids.lookup.points"] > 0
     assert doc["counters"]["levelsets.cells_scanned"] > 0
     assert doc["counters"]["levelsets.segments"] > 0
+    for name in ("levelsets.extractor_init", "levelsets.extract", "levelsets.measure",
+                 "curvature.measure_profiles"):
+        assert name in doc["koch_spans"], name
+    for name in ("levelsets.cells_scanned", "levelsets.segments"):
+        assert doc["koch_counters"][name] > 0, name
+    assert doc["koch_counters"]["curvature.measure_profiles.thresholds"] == 2
     assert doc["summary"]["tiling.build_tiling.s"] > 0

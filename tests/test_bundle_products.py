@@ -15,7 +15,7 @@ PRODUCTS = (
     "dim_data", "tiling", "F_tight", "_small_field",
     "grid_G", "grid_rel", "grid_F", "grid_curv", "grid_curv_G",
     "G_inner", "V_G", "V_T", "h", "F_on_O", "F_on_Gamma", "phi", "F_volumes", "R_d",
-    "field_extractor", "surface_samples",
+    "eps_boundary_null", "field_extractor", "surface_samples",
 )
 
 

@@ -350,3 +350,20 @@ class TestSceneFileValidation:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: empty generator: the maps overlap")
         assert "(sum r_i^d = 1.2)" in err
+
+
+class TestOscImagesOffGrid:
+    def test_image_beyond_O_grid_fails(self, capsys, tmp_path, monkeypatch):
+        # O = [0, 1/2]^2: S_2 sends it to [0, 1/6] x [2/3, 5/6], wholly past O's
+        # grid, where the images sampled on that grid never look
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        doc = {"ifs": {"dim": 2, "maps": CARPET_MAPS},
+               "region": {"type": "polygon", "vertices": [[0, 0], [0.5, 0], [0.5, 0.5], [0, 0.5]]},
+               "delta": 2.0**-7, "f_bbox": [[0.0, 0.0], [1.0, 1.0]]}
+        path = tmp_path / "half_square.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "check", "--scene", str(path), "--format", "json")
+        osc = json.loads(out)["rows"]["osc"]
+        assert osc["verdict"] == "fail"
+        assert osc["witness"]["map"] == 2 and osc["witness"]["reason"] == "S_i O leaves O's grid"
+        assert osc["witness"]["image"][1] > 0.5 + 2.0**-7

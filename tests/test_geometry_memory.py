@@ -323,11 +323,40 @@ class TestMemoryBounds:
         assert peak <= 12e6
 
     def test_extractor_init_bytes_per_dual_cell(self):
-        # full-size corner pairs, corner maxima and float32 key temporaries,
-        # with 2^20-cell sort chunks, peaked at 27.5 B per dual cell; strips
-        # leave fmin (4 B), the keys (2 B), the int32 index (4 B) and one chunk
+        # the bin index (16-bit keys, an int32 cell order and a sort chunk)
+        # peaked at 13.5 B per dual cell; the constructor now keeps only
+        # fmin (4 B), built one strip at a time
         n = 1024
         rng = np.random.default_rng(5)
         f = DistanceField(np.zeros(2), 1.0 / n, rng.random((n, n)).astype(np.float32))
         per_cell = traced_peak(LevelSetExtractor, f) / (n - 1) ** 2
-        assert per_cell <= 18
+        assert per_cell <= 6
+
+    @pytest.mark.parametrize("field, bound", [("points", 4.5), ("random", 9.0)])
+    def test_swept_index_holds_each_cell_once(self, field, bound):
+        # after index() of 64 thresholds the extractor keeps fmin (4 B per
+        # dual cell) and, per band cell, one int32 cell and one uint8 crossing
+        # count: three points' distance field puts 7% of the dual cells in a
+        # band, the random field (no Lipschitz bound) nearly 70%, most of them
+        # crossing many thresholds, which a (cell, threshold) list would repeat
+        n = 1024
+        if field == "points":
+            occ = np.zeros((n, n), dtype=bool)
+            occ[[100, 512, 900], [900, 512, 100]] = True
+            f = distance_transform(Grid(np.zeros(2), 1.0 / n, occ))
+        else:
+            rng = np.random.default_rng(5)
+            f = DistanceField(np.zeros(2), 1.0 / n, rng.random((n, n)).astype(np.float32))
+        eps = np.geomspace(4.0 / n, 0.25, 64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ex = LevelSetExtractor(f)
+            ex.index(eps)
+            resident = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        levels, cells, count, starts, widest = ex._index
+        assert np.unique(cells).size == cells.size
+        assert resident <= 4 * ex._fmin.size + 5 * cells.size + (1 << 14)  # + object headers
+        assert resident / (n - 1) ** 2 <= bound

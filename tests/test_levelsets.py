@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
-from fractal_tiling_lab import conditions, levelsets, pipeline, presets
+from fractal_tiling_lab import conditions, curvature, levelsets, pipeline, presets
 from fractal_tiling_lab.errors import ResolutionError
 from fractal_tiling_lab.grids import (
     ConvexPolygon,
@@ -258,64 +259,105 @@ def fields(draw):
     return DistanceField(np.zeros(2), spacing, vals.astype(dtype))
 
 
+# SHA-256 of measure_mask_profiles(field_small, grid_curv.eps, [G, O]) at 2^-7,
+# as the bin-index extractor gave them
+MASK_PROFILE_DIGESTS = {
+    "carpet": "c36e64b47419dbbe95668a865dc916d8b957d75aa649383e6d43fe130d039058",
+    "koch": "1bd92fc0cffbce1cce155285db5bab33988ecc784006ca094413feae4d6ed106",
+    "gasket": "33b9e86440ca5bbecd299075fd905bc2c64a58b05eee57a61f715b6659e08467",
+}
+
+
+def assert_index_holds_each_cell_once(ex):
+    levels, cells, count, starts, widest = ex._index
+    assert np.unique(cells).size == cells.size
+    assert starts[-1] == cells.size and count.size == cells.size
+    assert cells.size == 0 or (count.min() >= 1 and count.max() == widest)
+
+
 class TestBandIndex:
-    """The banded extractor returns exactly what the full scan returned."""
+    """The swept extractor returns exactly what the full scan returned."""
 
     @pytest.mark.parametrize("chunk", [4099, 1 << 20])
     def test_preset_fields_bitwise(self, coarse_bundle, chunk):
         b = coarse_bundle
         field = b.field_small
-        with mock.patch.object(levelsets, "_SORT_CHUNK", chunk):
+        with mock.patch.object(levelsets, "_STRIP_CELLS", chunk):
             new = LevelSetExtractor(field)
-        ref = FullScanExtractor(field)
-        mask = b.O.embed_into(field.origin, field.extents)
-        for e in b.grid_curv.eps:
-            e = float(e)
-            assert_same_level_set(new.extract(e), ref.extract(e))
-            assert new.measure(e) == ref.measure(e)
-            assert new.measure(e, mask) == ref.measure(e, mask)
+            new.index(b.grid_curv.eps)
+            ref = FullScanExtractor(field)
+            mask = b.O.embed_into(field.origin, field.extents)
+            # the indexed thresholds, then midpoints that each sweep on their own
+            eps = b.grid_curv.eps
+            for e in [*eps, *(0.5 * (eps[:-1] + eps[1:]))[::5]]:
+                e = float(e)
+                assert_same_level_set(new.extract(e), ref.extract(e))
+                assert new.measure(e) == ref.measure(e)
+                assert new.measure(e, mask) == ref.measure(e, mask)
         assert new._fmin.size == ref._fmin.size
-        assert new._width <= 1.4143 * field.spacing
+        assert_index_holds_each_cell_once(new)
 
     @settings(max_examples=150, deadline=None)
     @given(field=fields(), data=st.data())
     def test_random_fields_bitwise(self, field, data):
         chunk = data.draw(st.sampled_from([7, 64, 1 << 20]))
-        with mock.patch.object(levelsets, "_SORT_CHUNK", chunk):
-            new = LevelSetExtractor(field)
-        ref = FullScanExtractor(field)
         vals = np.unique(field.values)
         lo, hi = float(vals[0]), float(vals[-1])
-        eps_list = [lo - 1.0, lo, hi, hi + 1.0, 0.5 * (lo + hi)]
-        ties = data.draw(st.lists(st.sampled_from(list(vals)), max_size=4))
-        eps_list += [float(v) for v in ties]
-        eps_list += [float(np.nextafter(np.float32(v), np.float32(-np.inf))) for v in vals[:3]]
-        for e in eps_list:
-            a, r = new._band(new._nudge(e)), ref._band(ref._nudge(e))
-            assert all(x.tobytes() == y.tobytes() for x, y in zip(a, r))
-            ls_new, ls_ref = outcome(new.extract, e), outcome(ref.extract, e)
-            if isinstance(ls_ref, tuple):
-                assert ls_new == ls_ref
-                continue
-            assert_same_level_set(ls_new, ls_ref)
-            assert outcome(new.measure, e) == outcome(ref.measure, e)
+        near = [float(np.nextafter(np.float32(v), np.float32(-np.inf))) for v in vals[:3]]
+        # below and above every value, exact ties, float32 neighbours, and
+        # pairs that fall on one float32 after the nudge
+        pool = [lo - 1.0, hi + 1.0, 0.5 * (lo + hi), *map(float, vals), *near]
+        pool += [e * (1 + 1e-12) for e in pool[:4]]
+        eps_list = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+        with mock.patch.object(levelsets, "_STRIP_CELLS", chunk):
+            new = LevelSetExtractor(field)
+            new.index(np.array(eps_list))
+            ref = FullScanExtractor(field)
+            for e in eps_list + data.draw(st.lists(st.sampled_from(pool), max_size=3)):
+                a, r = new._band(new._nudge(e)), ref._band(ref._nudge(e))
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(a, r))
+                ls_new, ls_ref = outcome(new.extract, e), outcome(ref.extract, e)
+                if isinstance(ls_ref, tuple):
+                    assert ls_new == ls_ref
+                    continue
+                assert_same_level_set(ls_new, ls_ref)
+                assert outcome(new.measure, e) == outcome(ref.measure, e)
+        assert_index_holds_each_cell_once(new)
 
     def test_width_is_measured(self):
-        # a non-Lipschitz field: one spike 40 cells high in a flat field
+        # a non-Lipschitz field: one spike 40 cells high in a flat field; its
+        # four dual cells cross every threshold and are kept once each
         vals = np.zeros((9, 9), np.float32)
         vals[4, 4] = 40.0
         field = DistanceField(np.zeros(2), 1.0, vals)
         ex = LevelSetExtractor(field)
-        assert ex._width == 40.0
+        ex.index([0.5, 10.0, 39.0])
+        assert ex._index[1].size == 4 and ex._index[4] == 3
         for e in (0.5, 10.0, 39.0):
             assert_same_level_set(ex.extract(e), FullScanExtractor(field).extract(e))
             assert ex.extract(e).ein.size == 4
 
+    def test_unindexed_extractor_gives_the_bundles_profiles(self, coarse_bundle):
+        b = coarse_bundle
+        field, eps = b.field_small, b.grid_curv.eps
+        mask = b.O.embed_into(field.origin, field.extents)
+        for m in (None, mask):
+            fresh = curvature.measure_profiles(field, eps, m, LevelSetExtractor(field))
+            swept = curvature.measure_profiles(field, eps, m, b.field_extractor)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(fresh, swept))
+
+    def test_mask_profiles_digest(self, coarse_bundle):
+        b = coarse_bundle
+        field = b.field_small
+        masks = [getattr(b.tiling, r).embed_into(field.origin, field.extents) for r in ("G", "O")]
+        out = curvature.measure_mask_profiles(field, b.grid_curv.eps, masks, LevelSetExtractor(field))
+        digest = hashlib.sha256(np.asarray(out).tobytes()).hexdigest()
+        assert digest == MASK_PROFILE_DIGESTS[b.scene.name]
+
     @pytest.mark.parametrize("preset", ["carpet", "gasket"])
     def test_boundary_null_unchanged(self, preset):
         b = pipeline.SceneBundle(replace(presets.get_preset(preset).scene, delta=COARSE))
-        O, field = b.O, b.field_small
-        eps = np.geomspace(8 * b.delta, max(0.5 * b.g_tilde, 16 * b.delta), 12)
+        O, field, eps = b.O, b.field_small, b.eps_boundary_null
         ref = FullScanExtractor(field)
         # the check's collar, rebuilt as check_boundary_null builds it
         edge = O.boundary_cells() | (conditions._dilate_occ(O.occupancy) & ~O.occupancy)
