@@ -6,7 +6,9 @@ projection condition fails with a defect on an eps-interval -- exactly the
 witness shape a genuine failure must produce.
 """
 
-from fractal_tiling_lab.conditions import check_compatibility, check_osc, check_projection, check_strong
+from fractal_tiling_lab.conditions import (
+    check_compatibility, check_osc, check_projection, check_strong, map_images,
+)
 from fractal_tiling_lab.grids import IntervalUnion, distance_transform, rasterize
 from fractal_tiling_lab.presets import cantor_ifs
 from fractal_tiling_lab.tiling import attractor_raster, relative_inradius
@@ -18,10 +20,11 @@ field = distance_transform(F)
 
 for a, b in ((0.0, 1.0), (0.1, 1.0), (-0.6, 1.0)):
     O = rasterize(IntervalUnion(((a, b),)), ([a - 2 * delta], [b + 2 * delta]), delta)
-    osc = check_osc(ifs, O).verdict
+    images = map_images(ifs, O)
+    osc = check_osc(ifs, O, images).verdict
     strong = check_strong(O, field).verdict
     gt = relative_inradius(field, O)
-    pc = check_projection(ifs, O, field, gt)
+    pc = check_projection(ifs, O, images, field, gt)
     print(f"O = ({a:5.2f}, {b:4.2f}):  osc={osc:12s} strong={strong:6s} projection={pc.verdict}")
     if pc.verdict == "fail":
         w = pc.witness

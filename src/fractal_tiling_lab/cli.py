@@ -69,14 +69,13 @@ def _scene_from_json(doc) -> Scene:
         isinstance(c, list) and len(c) == d and all(map(_is_number, c)) for c in f_bbox
     )):
         raise ConfigError(f"scene file: f_bbox must be two corners [lo, hi] of dimension {d}, the maps' dimension")
-    delta, ppd, name = doc.get("delta", 2.0**-9), doc.get("eps_per_decade", 64), doc.get("name", "scene")
-    if not (_is_number(delta) and delta > 0):
-        raise ConfigError(f"scene file: delta must be a positive number, got {delta!r}")
-    if not (type(ppd) is int and ppd > 0):
-        raise ConfigError(f"scene file: eps_per_decade must be a positive integer, got {ppd!r}")
+    name = doc.get("name", "scene")
     if not isinstance(name, str):
         raise ConfigError(f"scene file: name must be a string, got {name!r}")
-    return Scene(ifs, region, float(delta), tuple(list(map(float, c)) for c in f_bbox), ppd, name)
+    scene = Scene(ifs, region, doc.get("delta", 2.0**-9), tuple(list(map(float, c)) for c in f_bbox),
+                  doc.get("eps_per_decade", 64), name)
+    scene.validate()
+    return scene
 
 
 def load_scene(args) -> tuple[str, Scene]:
@@ -100,9 +99,10 @@ def load_scene(args) -> tuple[str, Scene]:
         name, scene = preset.name, preset.scene
     else:
         raise ConfigError("pass --preset NAME or --scene FILE")
-    delta = args.delta if args.delta else scene.delta
-    ppd = args.eps_per_decade if args.eps_per_decade else scene.eps_per_decade
-    scene = Scene(scene.ifs, scene.region, delta, scene.f_bbox, ppd, name)
+    delta = scene.delta if args.delta is None else args.delta
+    ppd = scene.eps_per_decade if args.eps_per_decade is None else args.eps_per_decade
+    scene = Scene(scene.ifs, scene.region, float(delta), scene.f_bbox, ppd, name)
+    scene.validate()
     return name, scene
 
 

@@ -73,7 +73,7 @@ def map_images(ifs: IFS, O: Grid) -> list[np.ndarray]:
     return [_map_cells(m, O, O) for m in ifs.maps]
 
 
-def check_osc(ifs: IFS, O: Grid, images: list[np.ndarray] | None = None) -> CheckReport:
+def check_osc(ifs: IFS, O: Grid, images: list[np.ndarray]) -> CheckReport:
     """Open set condition: S_i O inside O, images pairwise disjoint.
 
     Containment and overlaps are judged up to a one-cell seam: an image cell
@@ -82,11 +82,9 @@ def check_osc(ifs: IFS, O: Grid, images: list[np.ndarray] | None = None) -> Chec
     seam-only contact are inconclusive. The images are sampled on O's grid
     only, so a boundary cell of O whose centre S_i sends more than one cell
     beyond that grid is a hard fail too. `images` are map_images(ifs, O),
-    built here if omitted.
+    which a tiling holds as TilingData.map_images.
     """
     delta = O.spacing
-    if images is None:
-        images = map_images(ifs, O)
     seam_leak = False
     for i, img in enumerate(images):
         outside = img & ~O.occupancy
@@ -180,20 +178,18 @@ def check_compatibility(G: Grid, F_field: DistanceField) -> CheckReport:
 
 
 def check_projection(
-    ifs: IFS, O: Grid, F_field: DistanceField, g_tilde: float,
-    eps_samples: np.ndarray | None = None, images: list[np.ndarray] | None = None,
+    ifs: IFS, O: Grid, images: list[np.ndarray], F_field: DistanceField, g_tilde: float,
+    eps_samples: np.ndarray | None = None,
 ) -> CheckReport:
     """Projection condition, tested through the parallel-set identity.
 
     For each map the defect volume lambda((F_eps \\ (S_i F)_eps) ^ S_i O)
     must stay at seam scale for all sampled eps <= r_i g~; a genuine failure
     produces a defect bounded below on an eps interval, which is returned as
-    the witness. `images` are map_images(ifs, O), built here if omitted.
+    the witness. `images` are map_images(ifs, O), as for check_osc.
     """
     delta = O.spacing
     d = O.dim
-    if images is None:
-        images = map_images(ifs, O)
     worst = None
     for i, (m, img) in enumerate(zip(ifs.maps, images)):
         if not img.any():
@@ -281,14 +277,15 @@ def _first_above(s: np.ndarray, e: float, bound: float, strict: bool) -> int:
 
 def check_boundary_null(
     O: Grid, F_field: DistanceField, k: int, eps_samples: np.ndarray,
-    extractor: LevelSetExtractor | None = None,
+    extractor: LevelSetExtractor | None,
 ) -> CheckReport:
     """Curvature mass of bd F_eps inside a thin collar of bd O stays at seam scale.
 
     Transversal crossings contribute one collar width each; a tangency
     contributes a full stretch of boundary and fails. d=1 boundaries are
-    finite point sets, so the check passes trivially. `extractor`, if
-    given, must be built on F_field.
+    finite point sets, so the check passes trivially and reads neither the
+    radii nor the extractor (None there). In d=2 `extractor` is F_field's
+    LevelSetExtractor.
     """
     delta = O.spacing
     if O.dim == 1:
@@ -296,9 +293,8 @@ def check_boundary_null(
     edge = O.boundary_cells() | (_dilate_occ(O.occupancy) & ~O.occupancy)
     collar = _dilate_occ(edge, iterations=BOUNDARY_COLLAR_CELLS)
     collar = O.with_occupancy(collar).embed_into(F_field.origin, F_field.extents)
-    ex = extractor or LevelSetExtractor(F_field)
     eps = np.asarray(eps_samples, dtype=float)
-    ex.index(eps)
+    extractor.index(eps)
     # a segment's dual cell lies at most one cell below its midpoint's, so the
     # collar's bounding box grown by one cell holds every contour cell counted
     hits = [np.flatnonzero(collar.any(axis=1 - ax)) for ax in (0, 1)]
@@ -306,9 +302,9 @@ def check_boundary_null(
     profile = np.zeros((eps.size, 3))
     ncomp = []
     for i, e in enumerate(eps):
-        ls = ex.extract(float(e))
-        profile[i] = ex.measure_level_set(ls, collar)
-        ncomp.append(contour_components(ex.level_set_cells(ls, collar)[box]))
+        ls = extractor.extract(float(e))
+        profile[i] = extractor.measure_masks(ls, [collar])[0]
+        ncomp.append(contour_components(extractor.level_set_cells(ls, collar)[box]))
     # the collar's curvature mass is the variation of C_k inside it
     masses = samples_from_profile(k, O.dim, delta, lambda: (eps, *profile.T)).variation_values
     worst = None

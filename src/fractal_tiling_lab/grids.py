@@ -47,9 +47,14 @@ class Raster:
     def extents(self) -> tuple[int, ...]:
         return self._cells.shape
 
+    def centers_at(self, idx: np.ndarray, axis: int | None = None) -> np.ndarray:
+        """Centers origin + (idx + 0.5) * spacing of the cells at integer indices:
+        idx on one axis when axis is given, else (..., dim) index arrays."""
+        origin = self.origin if axis is None else self.origin[axis]
+        return origin + (idx + 0.5) * self.spacing
+
     def centers(self, axis: int) -> np.ndarray:
-        n = self.extents[axis]
-        return self.origin[axis] + (np.arange(n) + 0.5) * self.spacing
+        return self.centers_at(np.arange(self.extents[axis]), axis)
 
     def cell_points(self, mask: np.ndarray | None = None) -> np.ndarray:
         """Centers origin + (idx + 0.5) * spacing of the mask's cells (all cells
@@ -61,7 +66,7 @@ class Raster:
             shape = idx[0].shape
         pts = np.empty(shape + (self.dim,))
         for ax in range(self.dim):
-            pts[..., ax] = self.origin[ax] + (idx[ax] + 0.5) * self.spacing
+            pts[..., ax] = self.centers_at(idx[ax], ax)
         return pts.reshape(-1, self.dim)
 
     def indices_of(self, points: np.ndarray) -> np.ndarray:
@@ -74,8 +79,7 @@ class Raster:
 
     def cell_point(self, mask: np.ndarray, n: int) -> np.ndarray:
         """Center of the mask's n-th cell in C order: cell_points(mask)[n]."""
-        idx = np.unravel_index(np.flatnonzero(mask)[n], mask.shape)
-        return self.origin + (np.array(idx) + 0.5) * self.spacing
+        return self.centers_at(np.array(np.unravel_index(np.flatnonzero(mask)[n], mask.shape)))
 
     def lattice_slice(self, other: "Raster") -> tuple[slice, ...] | None:
         """The cells of this raster that are other's cells, as one slice per axis,
@@ -199,16 +203,16 @@ class Grid(Raster):
 def grid_from_bbox(bbox, delta: float) -> Grid:
     """Empty grid covering bbox = (lo, hi) with uniform spacing delta.
 
-    Refuses grids of more than MAX_CELLS cells.
+    Refuses grids of more than MAX_CELLS cells; the count is checked in
+    float, before the cast to int could overflow.
     """
     lo = np.atleast_1d(np.asarray(bbox[0], dtype=float))
     hi = np.atleast_1d(np.asarray(bbox[1], dtype=float))
-    n = np.maximum(1, np.round((hi - lo) / delta).astype(int))
-    if int(np.prod(n)) > MAX_CELLS:
-        raise ResolutionError(
-            f"grid of {int(np.prod(n))} cells exceeds the cap of {MAX_CELLS}"
-        )
-    return Grid(lo, delta, np.zeros(tuple(n), dtype=bool))
+    n = np.maximum(1, np.round((hi - lo) / delta))
+    cells = float(np.prod(n))
+    if not cells <= MAX_CELLS:  # also refuses an inf or nan count
+        raise ResolutionError(f"grid of {cells:.6g} cells exceeds the cap of {MAX_CELLS}")
+    return Grid(lo, delta, np.zeros(tuple(n.astype(int)), dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -202,14 +202,10 @@ class LevelSetExtractor:
         angles count crossings whose vertex falls in a mask cell. Angles at
         a crossing join the unique incoming and outgoing segments.
         """
-        return self.measure_level_set(self.extract(eps), mask)
-
-    def measure_level_set(self, ls: LevelSet, mask: np.ndarray | Grid | None = None):
-        """measure() of a level set already extracted from this field."""
-        return self.measure_masks(ls, [mask])[0]
+        return self.measure_masks(self.extract(eps), [mask])[0]
 
     def measure_masks(self, ls: LevelSet, masks) -> list[tuple[float, float, float]]:
-        """measure_level_set() of one level set for each mask in masks.
+        """measure() of one level set, already extracted from this field, for each mask in masks.
 
         The segments are matched and their turning angles taken once; the
         cells holding the midpoints and the start points are located once,

@@ -137,24 +137,19 @@ class SceneBundle:
     @_product
     def _small_field(self) -> tuple[DistanceField, float]:
         """(field, g_tilde on it): F_tight's one distance field, on the box around
-        O and F_tight grown by the first pad past max(1.3 g~, direct window top) + 8 delta.
+        O and F_tight grown by the pad max(1.3 g^, the window's g~-free top) + 8 delta.
 
-        The start pad is max(1.3 g^, the window's g~-free top) + 8 delta, g^ >= g~
-        the bound of _g_tilde_bound, so the first field is the last; the rest
-        of the top, 0.55 g~ in d=2, lies inside 1.3 g~. Every F_tight cell
-        lies in the box, so a cell's value does not depend on the pad.
+        g^ >= g~ is the bound of _g_tilde_bound, so the pad reaches past
+        1.3 g~ + 8 delta and the direct window top (the rest of the top,
+        0.55 g~ in d=2, lies inside 1.3 g~): one EDT. Every F_tight cell lies
+        in the box, so a cell's value does not depend on the pad.
         """
         box_lo, box_hi = self._box()
-        o, f = self.O, self.F_tight
         pad = max(self._window_without_g()[1], 1.3 * self._g_tilde_bound()) + 8 * self.delta
-        while True:
-            margin = (int(math.ceil(pad / self.delta)) + 1) * self.delta
-            grid = grid_from_bbox((box_lo - margin, box_hi + margin), self.delta)
-            field = distance_transform(grid.with_occupancy(f.embed_into(grid.origin, grid.extents)))
-            gt = relative_inradius(field, o)
-            if 1.3 * gt + 8 * self.delta <= pad:
-                return field, gt
-            pad *= 1.6
+        margin = (int(math.ceil(pad / self.delta)) + 1) * self.delta
+        grid = grid_from_bbox((box_lo - margin, box_hi + margin), self.delta)
+        field = distance_transform(grid.with_occupancy(self.F_tight.embed_into(grid.origin, grid.extents)))
+        return field, relative_inradius(field, self.O)
 
     @property
     def field_small(self) -> DistanceField:
@@ -203,13 +198,8 @@ class SceneBundle:
     # -- volume samples -------------------------------------------------------
 
     @_product
-    def G_inner(self) -> DistanceField:
-        """inner_distance of G cropped to its cells (equal to G's own on G), for V_G and G_-eps."""
-        return inner_distance(self.tiling.G.cropped(4))
-
-    @_product
     def V_G(self) -> volumes.VolumeSamples:
-        return volumes.sample_inner_volume(self.G_inner, self.grid_G, "V_G", "G")
+        return volumes.sample_inner_volume(self.tiling.G_inner, self.grid_G, "V_G", "G")
 
     @_product
     def V_T(self) -> volumes.VolumeSamples:
@@ -255,31 +245,26 @@ class SceneBundle:
             t = self.tiling
             field = self.field_small
             images = t.map_images
-            out = {
+            return {
                 "osc": conditions.check_osc(self.ifs, t.O, images),
                 "strong": conditions.check_strong(t.O, field),
                 "compatible": conditions.check_compatibility(t.G, field),
-                "projection": conditions.check_projection(
-                    self.ifs, t.O, field, self.g_tilde, images=images
+                "projection": conditions.check_projection(self.ifs, t.O, images, field, self.g_tilde),
+                "boundary_null": conditions.check_boundary_null(
+                    t.O, field, self.d - 1, self.eps_boundary_null, self.field_extractor
                 ),
             }
-            if self.d == 2:
-                out["boundary_null"] = conditions.check_boundary_null(
-                    t.O, field, self.d - 1, self.eps_boundary_null, extractor=self.field_extractor
-                )
-            else:
-                out["boundary_null"] = conditions.check_boundary_null(
-                    t.O, field, 0, np.array([self.delta * 8])
-                )
-            return out
 
         return self._memo("checks", build)
 
     # -- curvature samples -------------------------------------------------------
 
     @_product
-    def field_extractor(self) -> LevelSetExtractor:
-        """field_small's level sets, swept once for grid_curv and the boundary_null radii."""
+    def field_extractor(self) -> LevelSetExtractor | None:
+        """field_small's level sets, swept once for grid_curv and the boundary_null
+        radii; None in d=1, where boundaries are point sets."""
+        if self.d == 1:
+            return None
         ex = LevelSetExtractor(self.field_small)
         ex.index(np.concatenate([self.grid_curv.eps, self.eps_boundary_null]))
         return ex
@@ -302,8 +287,7 @@ class SceneBundle:
             field, eps = self.field_small, self.grid_curv.eps
             curvature.check_border_1d(field, eps)
             masks = [getattr(self.tiling, r).embed_into(field.origin, field.extents) for r in regions]
-            ex = self.field_extractor if self.d == 2 else None
-            out = curvature.measure_mask_profiles(field, eps, masks, ex)
+            out = curvature.measure_mask_profiles(field, eps, masks, self.field_extractor)
             return {r: (eps, *p) for r, p in zip(regions, out)}
 
         return curvature.samples_from_profile(
@@ -311,23 +295,15 @@ class SceneBundle:
         )
 
     def generator_curvature_samples(self, k: int) -> curvature.CurvatureSamples:
-        """C_k of the generator's cores G_-eps on grid_curv_G."""
-        return self._inner_curvature(k, "G_core", lambda: self.G_inner)
-
-    def tiling_curvature_samples(self, k: int) -> curvature.CurvatureSamples:
-        """C_k of the cores of the tile union on grid_curv_G."""
-        return self._inner_curvature(k, "T_core", lambda: inner_distance(self.tiling.tile_union))
-
-    def _inner_curvature(self, k: int, tag: str, inner) -> curvature.CurvatureSamples:
-        """C_k of the cores {inner() > eps} on grid_curv_G. Both orders (d=2) read
-        one profile, memoized under `tag`."""
+        """C_k of the generator's cores G_-eps on grid_curv_G, read from the
+        tiling's G_inner. Both orders (d=2) read one profile."""
 
         def profile():
             eps = self.grid_curv_G.eps
-            return eps, *curvature.measure_profiles(inner(), eps)
+            return eps, *curvature.measure_profiles(self.tiling.G_inner, eps)
 
         return curvature.samples_from_profile(
-            k, self.d, self.delta, lambda: self._memo(("profile", tag), profile), tag
+            k, self.d, self.delta, lambda: self._memo(("profile", "G_core"), profile), "G_core"
         )
 
     @_product

@@ -10,6 +10,7 @@ set, a working resolution and the eps-grid density.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -35,8 +36,14 @@ class Scene:
             raise ConfigError("region must be a Region or 'central'")
         if isinstance(self.region, str) and self.region != "central":
             raise ConfigError(f"unknown region spec {self.region!r}")
-        if self.delta <= 0:
-            raise ConfigError("resolution must be positive")
+        # one rule for presets, scene files and the --delta / --eps-per-decade flags
+        delta, ppd = self.delta, self.eps_per_decade
+        number = isinstance(delta, numbers.Real) and not isinstance(delta, bool)
+        if not (number and math.isfinite(delta) and delta > 0):
+            raise ConfigError(f"delta must be a positive finite number, got {delta!r}")
+        integer = isinstance(ppd, numbers.Integral) and not isinstance(ppd, bool)
+        if not (integer and ppd > 0):
+            raise ConfigError(f"eps_per_decade must be a positive integer, got {ppd!r}")
 
 
 @dataclass(frozen=True)

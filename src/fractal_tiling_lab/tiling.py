@@ -40,7 +40,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, ResolutionError
-from .grids import DistanceField, Grid, Region, distance_transform, grid_from_bbox, inradius, rasterize
+from .grids import DistanceField, Grid, Region, distance_transform, grid_from_bbox, inner_distance, rasterize
 from .ifs import IFS, Similarity, WordTree, check_similarity_parts, words_up_to_ratio
 
 
@@ -49,6 +49,7 @@ class TilingData:
     ifs: IFS
     O: Grid
     G: Grid
+    G_inner: DistanceField  # inner_distance of G cropped to its cells plus 4: V_G, G_-eps and g
     Gamma: Grid
     g: float
     tile_words: WordTree
@@ -141,7 +142,7 @@ def _stamp_images(
 
     def axis_preimages(k, a, idx):
         # A_k[a, a] * center + b_k[a] at the target indices idx on axis a
-        return A[k, a, a] * (target.origin[a] + (idx + 0.5) * target.spacing) + b[k, a]
+        return A[k, a, a] * target.centers_at(idx, a) + b[k, a]
 
     ks = np.flatnonzero(aligned)
     height = shape[ks, 1:].prod(axis=1)  # cells per column: 1 in 1-d
@@ -187,7 +188,7 @@ def _stamp_images(
         local = pos - starts[j]
         w = shape[k, 1]
         idx = np.column_stack([lo_i[k, 0] + local // w, lo_i[k, 1] + local % w])
-        pts = target.origin + (idx + 0.5) * target.spacing
+        pts = target.centers_at(idx)
         g = group[j]
         cuts = np.flatnonzero(g[1:] != g[:-1]) + 1
         pre = np.empty_like(pts)
@@ -255,9 +256,10 @@ def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
     one word length at a time by rasterize_tiles, which composes each tile
     map once from its parent's. Each image S_i(O) is sampled once; Phi(O) is
     their union, and the images stay on the result (image_bits) for the
-    structural checks. g is the inradius of G cropped to its cells plus one:
-    cells outside the raster count as complement, so the crop changes no
-    distance.
+    structural checks. G's one inner distance field, G_inner, is taken on G
+    cropped to its cells plus 4 (cells outside the raster count as
+    complement, so the crop changes no distance inside G), and g is its
+    maximum, the inradius.
     """
     if isinstance(O_region, Grid):
         O = O_region
@@ -290,13 +292,15 @@ def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
     tile_occ = rasterize_tiles(ifs, words, G, O) & O.occupancy
     tile_union = O.with_occupancy(tile_occ)
     residual = O.with_occupancy(O.occupancy & ~tile_occ)
+    G_inner = inner_distance(G.cropped(4))
 
     return TilingData(
         ifs=ifs,
         O=O,
         G=G,
+        G_inner=G_inner,
         Gamma=Gamma,
-        g=inradius(G.cropped(1)),
+        g=float(G_inner.values.max()),
         tile_words=words,
         tile_union=tile_union,
         residual=residual,
@@ -373,7 +377,7 @@ def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
             fin, act = keys[~active], keys[active]
             if None in tables:
                 # the active cells' centers, for the maps without tables
-                act_pts = lo + (np.column_stack(np.unravel_index(act, g.extents)) + 0.5) * delta
+                act_pts = g.centers_at(np.column_stack(np.unravel_index(act, g.extents)))
         # the parents' ratios in candidate order: finished cells, then active
         parent_rs = np.concatenate([rs[~active], rs[active]])
         n_fin, n_act = fin.size, int(active.sum())

@@ -16,6 +16,7 @@ import fractal_tiling_lab as ftl
 from fractal_tiling_lab.contents import MonophaseData, PluriphaseData, monophase_content, pluriphase_content, generator_content
 from fractal_tiling_lab.curvature import (
     curvature_renewal_difference,
+    inner_curvature_samples,
     relative_generator_curvature,
 )
 from fractal_tiling_lab.errors import PreconditionError
@@ -189,7 +190,7 @@ def test_criterion_07_renewal_residuals(cantor_bundle, carpet_bundle, koch_bundl
     crit = np.array([b.g * (1 / 3) ** j for j in range(12)])
     medians = {}
     for k in (0, 1):
-        Ts = b.tiling_curvature_samples(k)
+        Ts = inner_curvature_samples(b.tiling.tile_union, k, b.grid_curv_G, "T_core")
         Gs = b.generator_curvature_samples(k)
         resid = curvature_renewal_difference(Ts, b.ifs, b.grid_curv_G)
         eps = resid.eps

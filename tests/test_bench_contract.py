@@ -31,10 +31,12 @@ from fractal_tiling_lab import pipeline, presets
 bundle = pipeline.SceneBundle(replace(presets.get_preset("cantor").scene, delta=2.0**-10))
 bundle.content_table()
 bundle.curvature_table(0)
-# the bundle reads memoized profiles; the one-shot samplers are public API
-from fractal_tiling_lab import curvature
+# the bundle reads memoized profiles and the tiling's G_inner; the one-shot
+# samplers and inradius are public API
+from fractal_tiling_lab import curvature, grids
 curvature.inner_curvature_samples(bundle.tiling.G, 0, bundle.grid_curv_G)
 curvature.sample_curvature(bundle.field_small, 0, bundle.grid_curv)
+grids.inradius(bundle.tiling.G)
 # cantor is 1-d: a disk's distance field runs the 2-d level-set layer
 import numpy as np
 from fractal_tiling_lab import curvature, grids

@@ -352,6 +352,49 @@ class TestSceneFileValidation:
         assert "(sum r_i^d = 1.2)" in err
 
 
+class TestResolutionValues:
+    """delta and eps_per_decade follow one rule (Scene.validate) whether they come
+    from a flag, a scene file or a preset: exit 3, typed, before any bundle."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["content", "--delta", "0"], "delta must be a positive finite number, got 0.0"),
+        (["content", "--delta", "-0.001"], "delta must be a positive finite number, got -0.001"),
+        (["dim", "--delta", "nan"], "delta must be a positive finite number, got nan"),
+        (["check", "--delta", "inf"], "delta must be a positive finite number, got inf"),
+        (["content", "--eps-per-decade", "0"], "eps_per_decade must be a positive integer, got 0"),
+        (["content", "--eps-per-decade", "-5"], "eps_per_decade must be a positive integer, got -5"),
+    ], ids=["delta_0", "delta_negative", "delta_nan", "delta_inf", "ppd_0", "ppd_negative"])
+    def test_bad_flag_refused(self, capsys, monkeypatch, argv, named):
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        assert main(argv + ["--preset", "cantor", "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {named}\n"
+        assert pipeline._BUNDLES == {}
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("delta", "0.001", "delta must be a positive finite number, got '0.001'"),
+        ("delta", True, "delta must be a positive finite number, got True"),
+        ("eps_per_decade", 1.5, "eps_per_decade must be a positive integer, got 1.5"),
+        ("eps_per_decade", 0, "eps_per_decade must be a positive integer, got 0"),
+    ], ids=["delta_string", "delta_bool", "ppd_float", "ppd_0"])
+    def test_bad_scene_file_value_refused(self, capsys, tmp_path, monkeypatch, key, value, named):
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(dict(OVERHANG_SCENE, **{key: value})))
+        # the file's own value is refused even when a flag would replace it
+        flag = ["--delta", "0.001"] if key == "delta" else ["--eps-per-decade", "16"]
+        for extra in ([], flag):
+            assert main(["content", "--scene", str(path), "--format", "json", *extra]) == 3
+            assert capsys.readouterr().err == f"configuration error: {named}\n"
+        assert pipeline._BUNDLES == {}
+
+    def test_delta_past_the_cell_cap_refused_by_count(self, capsys):
+        # O's raster, 1e300 cells, would overflow an int cast; the count is checked in float
+        assert main(["content", "--preset", "cantor", "--delta", "1e-300", "--format", "json"]) == 1
+        assert capsys.readouterr().err == "error: grid of 1e+300 cells exceeds the cap of 134217728\n"
+
+
 class TestOscImagesOffGrid:
     def test_image_beyond_O_grid_fails(self, capsys, tmp_path, monkeypatch):
         # O = [0, 1/2]^2: S_2 sends it to [0, 1/6] x [2/3, 5/6], wholly past O's

@@ -23,6 +23,7 @@ from fractal_tiling_lab.grids import (
     rasterize,
 )
 from fractal_tiling_lab.ifs import words_up_to_ratio
+from fractal_tiling_lab.levelsets import LevelSetExtractor
 from fractal_tiling_lab.presets import cantor_ifs, carpet_ifs, unit_square
 from fractal_tiling_lab.tiling import attractor_raster, rasterize_tiles, relative_inradius
 
@@ -49,17 +50,17 @@ class TestOsc:
     def test_cantor_unit_interval(self, cantor_field):
         delta, field = cantor_field
         O = rasterize(IntervalUnion(((0.0, 1.0),)), ([-2 * delta], [1 + 2 * delta]), delta)
-        assert check_osc(cantor_ifs(), O).verdict == "pass"
+        assert check_osc(cantor_ifs(), O, conditions.map_images(cantor_ifs(), O)).verdict == "pass"
 
     def test_carpet_unit_square(self, carpet_field):
         delta, _ = carpet_field
         O = rasterize(unit_square(), ([-2 * delta, -2 * delta], [1 + 2 * delta, 1 + 2 * delta]), delta)
-        assert check_osc(carpet_ifs(), O).verdict == "pass"
+        assert check_osc(carpet_ifs(), O, conditions.map_images(carpet_ifs(), O)).verdict == "pass"
 
     def test_small_square_fails_with_witness(self, carpet_field):
         delta, _ = carpet_field
         O = rasterize(axis_square(0.0, 0.9), ([-0.01, -0.01], [0.95, 0.95]), delta)
-        rep = check_osc(carpet_ifs(), O)
+        rep = check_osc(carpet_ifs(), O, conditions.map_images(carpet_ifs(), O))
         assert rep.verdict == "fail"
         assert rep.witness is not None and "cell" in rep.witness
 
@@ -82,7 +83,7 @@ class TestOsc:
             1,
         )
         O = rasterize(IntervalUnion(((0.0, 1.0),)), ([-2 * delta], [1 + 2 * delta]), delta)
-        rep = check_osc(ifs, O)
+        rep = check_osc(ifs, O, conditions.map_images(ifs, O))
         assert rep.verdict == "fail"
 
 
@@ -140,7 +141,8 @@ class TestProjection:
         delta, field = cantor_field
         O = rasterize(IntervalUnion(((0.1, 1.0),)), ([0.1 - 2 * delta], [1 + 2 * delta]), delta)
         gt = relative_inradius(field, O)
-        assert check_projection(cantor_ifs(), O, field, gt).verdict == "pass"
+        images = conditions.map_images(cantor_ifs(), O)
+        assert check_projection(cantor_ifs(), O, images, field, gt).verdict == "pass"
 
     def test_no_defect_oracle_for_skewed_interval(self):
         # analytic check: for x in S_1(0.1,1) = (1/30,1/3) the distance to
@@ -155,7 +157,7 @@ class TestProjection:
         delta, field = cantor_field
         O = rasterize(IntervalUnion(((-0.6, 1.0),)), ([-0.6 - 2 * delta], [1 + 2 * delta]), delta)
         gt = relative_inradius(field, O)
-        rep = check_projection(cantor_ifs(), O, field, gt)
+        rep = check_projection(cantor_ifs(), O, conditions.map_images(cantor_ifs(), O), field, gt)
         assert rep.verdict == "fail"
         lo, hi = rep.witness["eps_interval"]
         # the analytic defect interval is [~0.1467, ~0.1867)
@@ -265,9 +267,10 @@ class TestProjectionBySorting:
 
     @staticmethod
     def assert_same_reports(b, eps_samples=None):
-        args = (b.ifs, b.tiling.O, b.field_small, b.g_tilde, eps_samples)
-        new = check_projection(*args, images=b.tiling.map_images)
-        assert new.to_dict() == check_projection_loop(*args, images=b.tiling.map_images).to_dict()
+        images = b.tiling.map_images
+        new = check_projection(b.ifs, b.tiling.O, images, b.field_small, b.g_tilde, eps_samples)
+        ref = check_projection_loop(b.ifs, b.tiling.O, b.field_small, b.g_tilde, eps_samples, images=images)
+        assert new.to_dict() == ref.to_dict()
 
     @pytest.mark.parametrize("preset,delta", [
         ("cantor", 2.0**-12), ("cantor_pair", 2.0**-12), ("carpet", 2.0**-7),
@@ -289,8 +292,9 @@ class TestProjectionBySorting:
         delta, field = cantor_field
         O = rasterize(IntervalUnion(((-0.6, 1.0),)), ([-0.6 - 2 * delta], [1 + 2 * delta]), delta)
         gt = relative_inradius(field, O)
+        images = conditions.map_images(cantor_ifs(), O)
         for eps in (None, np.geomspace(4 * delta, gt, 57)):
-            rep = check_projection(cantor_ifs(), O, field, gt, eps)
+            rep = check_projection(cantor_ifs(), O, images, field, gt, eps)
             assert rep.verdict == "fail"
             assert rep.to_dict() == check_projection_loop(cantor_ifs(), O, field, gt, eps).to_dict()
 
@@ -338,7 +342,7 @@ class TestBoundaryNull:
             ([0.0, 0.0], [1.0, 0.3125]),  # lattice-aligned with the field
             delta,
         )
-        rep = check_boundary_null(O, field, 1, np.array([h / 2, h, 2 * h]))
+        rep = check_boundary_null(O, field, 1, np.array([h / 2, h, 2 * h]), LevelSetExtractor(field))
         assert rep.verdict == "fail"
         assert rep.witness["eps"] == pytest.approx(h, abs=delta)
 
@@ -357,9 +361,9 @@ class TestMapImages:
         fresh = conditions.map_images(b.ifs, b.O)
         assert len(b.tiling.map_images) == len(fresh) == b.ifs.n
         assert all(np.array_equal(a, c) for a, c in zip(b.tiling.map_images, fresh))
-        assert reports["osc"].to_dict() == check_osc(b.ifs, b.O).to_dict()
+        assert reports["osc"].to_dict() == check_osc(b.ifs, b.O, fresh).to_dict()
         assert reports["projection"].to_dict() == check_projection(
-            b.ifs, b.O, b.field_small, b.g_tilde).to_dict()
+            b.ifs, b.O, fresh, b.field_small, b.g_tilde).to_dict()
 
 
 class TestVerdictStability:

@@ -175,7 +175,7 @@ class TestCompatibleCarpet:
         b = carpet_bundle
         crit = np.array([b.g * (1 / 3) ** j for j in range(12)])
         for k, tol in ((1, 0.05), (0, 0.05)):
-            Ts = b.tiling_curvature_samples(k)
+            Ts = tile_union_samples(b, k)
             Gs = b.generator_curvature_samples(k)
             resid = curvature_renewal_difference(Ts, b.ifs, b.grid_curv_G)
             eps = resid.eps
@@ -290,6 +290,11 @@ def fresh_bundle(name, delta):
     return pipeline.SceneBundle(replace(presets.get_preset(name).scene, delta=delta))
 
 
+def tile_union_samples(b, k):
+    """C_k of the tile union's cores on grid_curv_G, which the renewal identity compares with G's."""
+    return inner_curvature_samples(b.tiling.tile_union, k, b.grid_curv_G, "T_core")
+
+
 def assert_same_samples(a, b):
     assert (a.k, a.region_tag, a.delta) == (b.k, b.region_tag, b.delta)
     for name in ("eps", "values", "variation_values"):
@@ -301,7 +306,7 @@ class TestProfilePath:
 
     def test_each_order_pair_builds_field_extractor_and_profile_once(self, monkeypatch):
         b = fresh_bundle("carpet", 2.0**-7)
-        b.grid_curv_G  # the tiling and the eps grid are not part of the count
+        b.grid_curv_G  # the tiling, which holds G's inner field, and the eps grid are not counted
         counts = {"inner_distance": 0, "extractor": 0, "profiles": 0}
 
         def counting(key, fn):
@@ -317,11 +322,10 @@ class TestProfilePath:
             counting("extractor", levelsets.LevelSetExtractor.__init__),
         )
         monkeypatch.setattr(curvature, "measure_profiles", counting("profiles", curvature.measure_profiles))
-        for entry in (b.generator_curvature_samples, b.tiling_curvature_samples):
-            counts.update(dict.fromkeys(counts, 0))
-            entry(0)
-            entry(1)
-            assert counts == {"inner_distance": 1, "extractor": 1, "profiles": 1}, entry.__name__
+        b.generator_curvature_samples(0)
+        b.generator_curvature_samples(1)
+        # the cores read the tiling's G_inner: the pair builds no inner field of its own
+        assert counts == {"inner_distance": 0, "extractor": 1, "profiles": 1}
 
     @pytest.mark.parametrize("name", ["carpet", "koch", "gasket"])
     def test_bundle_samples_equal_direct_samplers(self, name):
@@ -337,10 +341,6 @@ class TestProfilePath:
             assert_same_samples(
                 b.generator_curvature_samples(k),
                 inner_curvature_samples(b.tiling.G.cropped(4), k, b.grid_curv_G, "G_core"),
-            )
-            assert_same_samples(
-                b.tiling_curvature_samples(k),
-                inner_curvature_samples(b.tiling.tile_union, k, b.grid_curv_G, "T_core"),
             )
 
     @pytest.mark.parametrize("name", ["carpet", "gasket"])
@@ -369,7 +369,6 @@ class TestProfilePath:
             lambda k: b.relative_curvature(k),
             lambda k: b.relative_curvature(k, "O"),
             b.generator_curvature_samples,
-            b.tiling_curvature_samples,
         )
         for k in (-1, 2):
             for entry in entries:
@@ -379,7 +378,7 @@ class TestProfilePath:
 
     def test_d1_out_of_range_order_refused(self, cantor_bundle):
         b = cantor_bundle
-        for entry in (b.relative_curvature, b.generator_curvature_samples, b.tiling_curvature_samples):
+        for entry in (b.relative_curvature, b.generator_curvature_samples):
             with pytest.raises(ConfigError, match=r"^curvature order k=1 out of range for d=1$"):
                 entry(1)
 
@@ -404,20 +403,13 @@ class TestProfilePath:
         with pytest.raises(ConfigError, match="1d parallel set touches the grid boundary"):
             b.relative_curvature(0)
 
-    def test_d1_tiling_samples_are_inner_samples_of_the_tile_union(self):
-        b = fresh_bundle("cantor", 2.0**-10)
-        assert_same_samples(
-            b.tiling_curvature_samples(0),
-            inner_curvature_samples(b.tiling.tile_union, 0, b.grid_curv_G, "T_core"),
-        )
-
 
 class TestRenewalDifference:
     """Lookups f(eps / r_i) past the last sample read 0: every core is gone past g."""
 
     def test_cantor_residual_is_the_generator_at_regular_eps(self):
         b = fresh_bundle("cantor", 2.0**-12)
-        resid = curvature_renewal_difference(b.tiling_curvature_samples(0), b.ifs, b.grid_curv_G)
+        resid = curvature_renewal_difference(tile_union_samples(b, 0), b.ifs, b.grid_curv_G)
         Gs = b.generator_curvature_samples(0)
         crit = np.array([b.g * 3.0**-j for j in range(14)])
         eps = resid.eps
@@ -429,7 +421,7 @@ class TestRenewalDifference:
 
     def test_carpet_k0_residual_is_minus_one_in_the_top_third(self):
         b = pipeline.get_bundle("carpet", delta=2.0**-9)
-        resid = curvature_renewal_difference(b.tiling_curvature_samples(0), b.ifs, b.grid_curv_G)
+        resid = curvature_renewal_difference(tile_union_samples(b, 0), b.ifs, b.grid_curv_G)
         top = (resid.eps > b.g / 3) & (resid.eps <= b.g)
         assert top.sum() >= 8
         assert np.all(resid.values[top] == -1.0)

@@ -365,7 +365,7 @@ class TestBandIndex:
             field.origin, field.extents)
         for e in eps:
             ls = b.field_extractor.extract(float(e))
-            assert b.field_extractor.measure_level_set(ls, collar) == ref.measure(float(e), collar)
+            assert b.field_extractor.measure_masks(ls, [collar])[0] == ref.measure(float(e), collar)
             cells = b.field_extractor.level_set_cells(ls, collar)
             assert np.array_equal(cells, ref.level_set_cells(ref.extract(float(e)), collar))
         for k in (0, 1):
@@ -388,7 +388,7 @@ class TestBandIndex:
         eps = np.array([h / 2, h, 2 * h])
         ref = FullScanExtractor(field)
         for k in (0, 1):
-            banded = conditions.check_boundary_null(O, field, k, eps)
+            banded = conditions.check_boundary_null(O, field, k, eps, LevelSetExtractor(field))
             scanned = conditions.check_boundary_null(O, field, k, eps, extractor=ref)
             assert banded.to_dict() == scanned.to_dict()
         assert banded.verdict == "fail"
@@ -468,5 +468,4 @@ class TestCaseTable:
             e = float(e)
             ls = new.extract(e)
             assert_same_level_set(ls, ref.extract(e))
-            assert new.measure_level_set(ls) == ref.measure(e)
-            assert new.measure_level_set(ls, mask) == ref.measure(e, mask)
+            assert new.measure_masks(ls, [None, mask]) == [ref.measure(e), ref.measure(e, mask)]

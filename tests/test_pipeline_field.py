@@ -1,11 +1,11 @@
 """field_small is sized by its readers: one EDT at the start pad, a crop of any larger field.
 
-SceneBundle._small_field starts at the pad max(1.3 g^, window top) + 8 delta,
+SceneBundle._small_field takes the pad max(1.3 g^, window top) + 8 delta,
 where g^ (SceneBundle._g_tilde_bound, one EDT at 4 delta) bounds the relative
-inradius g~ from above. Its loop keeps the pad only once 1.3 g~ + 8 delta fits,
-so g^ >= g~ means the first fine field is the last. Every F_tight cell lies in
-the box the pad grows, so the field's values at a cell do not depend on the
-pad: the field is the matching crop of one built at a larger pad, bit for bit.
+inradius g~ from above, so the pad covers 1.3 g~ + 8 delta and one fine field
+is built. Every F_tight cell lies in the box the pad grows, so the field's
+values at a cell do not depend on the pad: the field is the matching crop of
+one built at a larger pad, bit for bit.
 """
 
 import math
@@ -78,7 +78,7 @@ class TestStartPad:
         g_hat = b._g_tilde_bound()
         # and within 6 sqrt(d) delta of it: each of O's blocks holds a cell of O
         assert b.g_tilde <= g_hat <= b.g_tilde + 6.01 * math.sqrt(b.d) * b.delta
-        # the loop keeps its start pad, so the field is the first one built
+        # the pad covers 1.3 g~ + 8 delta, and the field is built at that pad
         pad = max(b._window_without_g()[1], 1.3 * g_hat) + 8 * b.delta
         assert 1.3 * b.g_tilde + 8 * b.delta <= pad
         margin = math.ceil(pad / b.delta) + 1

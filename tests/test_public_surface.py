@@ -1,10 +1,14 @@
-"""Every name the package exports has a user outside the tests.
+"""Every definition in src/ has a user outside the tests.
 
-A name exported from fractal_tiling_lab/__init__.py must be referenced in
-src/ (outside its own definition and __init__.py), in bench/ or in demos/.
-A reference is the name as a whole word, so bench/tracer.py's wrapping of
-a function by its name counts. The paper's acceptance-only names are kept
-by KEEP, each with its reason.
+Every top-level function or class and every non-dunder method of a class
+in src/fractal_tiling_lab/ must be referenced in src/ (outside its own
+body and __init__.py), in bench/ or in demos/. A reference is the name as
+a whole word outside a def or class line, so bench/tracer.py's wrapping of
+a function by its name counts. That match is by name only: a common name (a method called
+`index`, a product called `phi`) can be matched by an unrelated word, so
+a pass is necessary, not sufficient. Each exported name is checked too.
+The definitions that only tests compare against are kept by KEEP, each
+with its reason.
 """
 
 import ast
@@ -18,8 +22,16 @@ PKG = ROOT / "src" / "fractal_tiling_lab"
 
 KEEP = {
     "curvature_renewal_difference": (
-        "the paper's curvature renewal identity, asserted by "
+        "tests compare against it: the paper's curvature renewal identity, asserted by "
         "test_acceptance.py::test_criterion_07_renewal_residuals"
+    ),
+    "WordTree.from_words": (
+        "tests compare against it: test_tile_raster.py builds reference word trees "
+        "from explicit word lists"
+    ),
+    "Word.extend": (
+        "tests compare against it: test_tile_raster.py composes reference tile maps "
+        "one letter at a time"
     ),
 }
 
@@ -33,38 +45,66 @@ def exported_names() -> list[str]:
     )
 
 
-def user_text() -> dict[str, tuple[list[str], dict[str, range]]]:
-    """Per file: its lines, and the line range of each top-level definition."""
-    files = [p for p in PKG.glob("*.py") if p.name != "__init__.py"]
-    files += sorted((ROOT / "bench").rglob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+def definitions() -> dict[str, tuple[str, str, range]]:
+    """{label: (file, name, its own lines)} for every top-level def and class
+    and every non-dunder method in src/; a method's label is Class.method."""
     out = {}
-    for path in files:
-        text = path.read_text(encoding="utf-8")
-        spans = {
-            node.name: range(node.lineno - 1, node.end_lineno)
-            for node in ast.parse(text).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        }
-        out[str(path.relative_to(ROOT))] = (text.splitlines(), spans)
+    for path in sorted(PKG.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        rel = str(path.relative_to(ROOT))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            out[node.name] = (rel, node.name, range(node.lineno - 1, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not re.fullmatch(r"__\w+__", sub.name):
+                        own = range(sub.lineno - 1, sub.end_lineno)
+                        out[f"{node.name}.{sub.name}"] = (rel, sub.name, own)
     return out
 
 
-def has_user(name: str, files) -> bool:
+def user_text() -> dict[str, list[str]]:
+    """The lines of every file whose references count as users."""
+    files = [p for p in PKG.glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "bench").rglob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    return {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8").splitlines() for p in files}
+
+
+def has_user(name: str, files, own_file: str | None = None, own: range = range(0)) -> bool:
+    """Whether a line outside the definition's own body names it; a def or
+    class line of the same name elsewhere (an override) is not a user."""
     word = re.compile(rf"\b{re.escape(name)}\b")
-    for lines, spans in files.values():
-        own = spans.get(name, range(0))
-        if any(word.search(line) for i, line in enumerate(lines) if i not in own):
-            return True
-    return False
+    define = re.compile(rf"^\s*(def|class) {re.escape(name)}\b")
+    return any(
+        word.search(line) and not define.match(line)
+        for path, lines in files.items()
+        for i, line in enumerate(lines)
+        if not (path == own_file and i in own)
+    )
 
 
 FILES = user_text()
+DEFINITIONS = definitions()
 
 
-def test_keep_list_names_are_exported():
-    assert set(KEEP) <= set(exported_names())
+def test_keep_list_names_are_definitions_without_users():
+    for label in KEEP:
+        assert label in DEFINITIONS, f"{label} is kept but not defined in src/"
+        own_file, name, own = DEFINITIONS[label]
+        assert not has_user(name, FILES, own_file, own), f"{label} has a user now: drop it from KEEP"
 
 
 @pytest.mark.parametrize("name", sorted(set(exported_names()) - set(KEEP)))
 def test_export_has_a_user(name):
-    assert has_user(name, FILES), f"{name} is exported but nothing in src/, bench/ or demos/ uses it"
+    own_file, _, own = DEFINITIONS.get(name, (None, name, range(0)))
+    assert has_user(name, FILES, own_file, own), (
+        f"{name} is exported but nothing in src/, bench/ or demos/ uses it")
+
+
+@pytest.mark.parametrize("label", sorted(set(DEFINITIONS) - set(KEEP)))
+def test_definition_has_a_user(label):
+    own_file, name, own = DEFINITIONS[label]
+    assert has_user(name, FILES, own_file, own), (
+        f"{label} ({own_file}) has no user in src/, bench/ or demos/ outside its own body")

@@ -58,6 +58,12 @@ class TestRasterize:
         with pytest.raises(ResolutionError):
             grid_from_bbox(([0.0, 0.0], [1.0, 1.0]), 1e-6)
 
+    @pytest.mark.parametrize("bbox, delta", [(([0.0], [1.0]), 1e-20), (([0.0, 0.0], [1.0, 1.0]), 1e-10)])
+    def test_cell_cap_checked_before_the_int_cast(self, bbox, delta):
+        # 1e20 cells: past int64 for one axis and for the product of two
+        with pytest.raises(ResolutionError, match=rf"^grid of 1e\+20 cells exceeds the cap of {grids.MAX_CELLS}$"):
+            grid_from_bbox(bbox, delta)
+
     def test_attractor_field_respects_cell_cap(self, monkeypatch):
         # the padded field grid is larger than O and the attractor raster;
         # a cap between them must refuse the field before it is allocated

@@ -1,16 +1,19 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fractal_tiling_lab as ftl
+from fractal_tiling_lab import pipeline, presets
 from fractal_tiling_lab.errors import ConfigError, FtlError, ResolutionError
 from fractal_tiling_lab.grids import (
     ConvexPolygon,
     IntervalUnion,
     distance_transform,
     inner_parallel_volume,
+    inradius,
     rasterize,
 )
 from fractal_tiling_lab.presets import (
@@ -72,6 +75,15 @@ class TestBuildTiling:
         assert xs.min() > 1 / 3 - 2 * delta and xs.max() < 2 / 3 + 2 * delta
         assert ys.min() > 1 / 3 - 2 * delta and ys.max() < 2 / 3 + 2 * delta
         assert td.g == pytest.approx(1 / 6, abs=2 * delta * math.sqrt(2))
+
+    @pytest.mark.parametrize("preset", ["cantor", "cantor_pair", "carpet", "koch", "gasket"])
+    def test_g_is_the_inradius_of_G_inner(self, preset):
+        # G's one inner field, on G cropped to its cells plus 4: its maximum is
+        # the inradius of G cropped by 1 and of G on O's grid, to the bit
+        b = pipeline.SceneBundle(replace(presets.get_preset(preset).scene, delta=2.0**-8))
+        td = b.tiling
+        assert td.G_inner.extents == td.G.cropped(4).extents
+        assert td.g == float(td.G_inner.values.max()) == inradius(td.G.cropped(1)) == inradius(td.G)
 
     def test_koch_generator_is_equilateral_middle_triangle(self):
         delta = 2.0**-10
@@ -311,7 +323,7 @@ class TestCentralOpenSet:
         assert np.array_equal(vc.grid.occupancy[~fuzzy], expected[~fuzzy])
 
     def test_carpet_vc_passes_projection(self):
-        from fractal_tiling_lab.conditions import check_projection
+        from fractal_tiling_lab.conditions import check_projection, map_images
 
         delta = 2.0**-9
         ifs = carpet_ifs()
@@ -320,7 +332,8 @@ class TestCentralOpenSet:
         F = attractor_raster(ifs, ([-0.4, -0.4], [1.4, 1.4]), delta)
         field = distance_transform(F)
         gt = relative_inradius(field, vc.grid)
-        assert check_projection(ifs, vc.grid, field, gt).verdict == "pass"
+        images = map_images(ifs, vc.grid)
+        assert check_projection(ifs, vc.grid, images, field, gt).verdict == "pass"
 
     def test_vc_meets_F_for_gasket(self):
         delta = 2.0**-9

@@ -415,10 +415,11 @@ class TestOneAttractorField:
 
 class TestBuiltOnce:
     def test_carpet_words_tiles_and_level_sets_built_once(self, monkeypatch):
-        """The word tree is grown once, g reads G cropped to its cells, and
-        each field_small threshold is extracted once for G and O together."""
+        """The word tree is grown once, G's one inner field (on G cropped to its
+        cells) gives g, and each field_small threshold is extracted once for G
+        and O together."""
         counts = {"words": 0}
-        extracted, inner, inradius_grids = [], [], []
+        extracted, inner = [], []
 
         def counting_words(*args):
             counts["words"] += 1
@@ -432,16 +433,11 @@ class TestBuiltOnce:
             inner.append(grid)
             return inner_distance(grid)
 
-        def recording_inradius(grid):
-            inradius_grids.append(grid)
-            return grids.inradius(grid)
-
         extract = levelsets.LevelSetExtractor.extract
         monkeypatch.setattr(tiling, "words_up_to_ratio", counting_words)
         monkeypatch.setattr(levelsets.LevelSetExtractor, "extract", recording_extract)
-        for module in (grids, pipeline, curvature):
+        for module in (grids, tiling, pipeline, curvature):
             monkeypatch.setattr(module, "inner_distance", recording_inner)
-        monkeypatch.setattr(tiling, "inradius", recording_inradius)
 
         b = pipeline.SceneBundle(replace(get_preset("carpet").scene, delta=2.0**-8))
         b.content_table()
@@ -453,8 +449,11 @@ class TestBuiltOnce:
         # the curvature grid's thresholds, then boundary_null's 12
         assert sum(f is b.field_small for f in extracted) == len(b.grid_curv.eps) + 12
         t = b.tiling
-        assert [g.extents for g in inradius_grids] == [t.G.cropped(1).extents]
-        assert np.prod(t.G.cropped(1).extents) < np.prod(t.O.extents) / 8
+        G_box = t.G.cropped(4)
+        assert [g.extents for g in inner if g.extents == G_box.extents] == [t.G_inner.extents]
+        assert t.g == float(t.G_inner.values.max())
+        # G is O's middle ninth: its field (84 + 2 * 4 cells a side at 2^-8) is not on O's grid
+        assert np.prod(G_box.extents) < np.prod(t.O.extents) / 7
         # the one inner field on O's full grid is the tile union's, for V_T
         full = [g for g in inner if g.extents == t.O.extents]
         assert len(full) == 1 and full[0] is t.tile_union
