@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import ndimage
 
 from .curvature import samples_from_profile
 from .errors import ConfigError
-from .grids import DistanceField, Grid
+from .grids import DistanceField, Grid, morphology
 from .ifs import IFS, Similarity
 from .levelsets import LevelSetExtractor, contour_components
 from .tiling import _map_cells, axis_cells
@@ -61,13 +60,6 @@ class CheckReport:
         }
 
 
-def _erode(occ: np.ndarray, iterations: int = 1) -> np.ndarray:
-    return ndimage.binary_erosion(
-        occ, structure=ndimage.generate_binary_structure(occ.ndim, 1),
-        iterations=iterations, border_value=0,
-    )
-
-
 def map_images(ifs: IFS, O: Grid) -> list[np.ndarray]:
     """Occupancy of each S_i(O) on O's grid, in map order."""
     return [_map_cells(m, O, O) for m in ifs.maps]
@@ -89,7 +81,7 @@ def check_osc(ifs: IFS, O: Grid, images: list[np.ndarray]) -> CheckReport:
     for i, img in enumerate(images):
         outside = img & ~O.occupancy
         if outside.any():
-            hard = outside & ~_dilate_occ(O.occupancy)
+            hard = outside & ~morphology(O.occupancy)
             if hard.any():
                 return CheckReport(
                     "osc", "fail", delta,
@@ -113,7 +105,7 @@ def check_osc(ifs: IFS, O: Grid, images: list[np.ndarray]) -> CheckReport:
             overlap = images[i] & images[j]
             if not overlap.any():
                 continue
-            hard = _erode(images[i]) & _erode(images[j])
+            hard = morphology(images[i], erode=True) & morphology(images[j], erode=True)
             if hard.any():
                 return CheckReport(
                     "osc", "fail", delta,
@@ -138,20 +130,24 @@ def check_strong(O: Grid, F_field: DistanceField) -> CheckReport:
     indistinguishable from a genuine interior intersection.
     """
     delta = O.spacing
-    interior = _erode(O.occupancy, iterations=STRONG_INTERIOR_CELLS)
+    interior = morphology(O.occupancy, STRONG_INTERIOR_CELLS, erode=True)
     if not interior.any():
         return CheckReport(
             "strong", "fail", delta,
             {"reason": "no interior cells at this resolution"},
         )
-    dists = F_field.sample_cells(O, interior)
+    # the argmin runs on the field's own values on O's lattice: widening
+    # float32 to float keeps their order, so only the minimum is converted
+    sel = F_field.lattice_slice(O)
+    dists = F_field.values[sel][interior] if sel is not None else F_field.sample_cells(O, interior)
     best = int(np.argmin(dists))
+    dist = float(dists[best])
     at = [float(v) for v in O.cell_point(interior, best)]
-    if dists[best] <= delta:
+    if dist <= delta:
         return CheckReport("strong", "pass", delta, details={"witness_point": at})
     return CheckReport(
         "strong", "fail", delta,
-        {"min_distance_to_F": float(dists[best]), "at": at,
+        {"min_distance_to_F": dist, "at": at,
          "reason": "no interior cell within one cell of F"},
     )
 
@@ -290,8 +286,8 @@ def check_boundary_null(
     delta = O.spacing
     if O.dim == 1:
         return CheckReport("boundary_null", "pass", delta, None, {"note": "finite bd O in d=1"})
-    edge = O.boundary_cells() | (_dilate_occ(O.occupancy) & ~O.occupancy)
-    collar = _dilate_occ(edge, iterations=BOUNDARY_COLLAR_CELLS)
+    edge = O.boundary_cells() | (morphology(O.occupancy) & ~O.occupancy)
+    collar = morphology(edge, BOUNDARY_COLLAR_CELLS)
     collar = O.with_occupancy(collar).embed_into(F_field.origin, F_field.extents)
     eps = np.asarray(eps_samples, dtype=float)
     extractor.index(eps)
@@ -317,9 +313,3 @@ def check_boundary_null(
     if worst is not None:
         return CheckReport("boundary_null", "fail", delta, worst, {"k": k})
     return CheckReport("boundary_null", "pass", delta, None, {"k": k})
-
-
-def _dilate_occ(occ: np.ndarray, iterations: int = 1) -> np.ndarray:
-    return ndimage.binary_dilation(
-        occ, structure=np.ones((3,) * occ.ndim, bool), iterations=iterations
-    )

@@ -111,6 +111,30 @@ class Raster:
         return read_cells(cells, self.flat_cells(points), outside, dtype)
 
 
+def morphology(occ: np.ndarray, iterations: int = 1, erode: bool = False) -> np.ndarray:
+    """Binary dilation by the 3^d box, or erosion by the cross (erode=True,
+    cells outside the raster unset), iterations times, in any dimension.
+
+    Dilation ORs each cell with its two neighbours along one axis after the
+    other; erosion ANDs each cell with its two neighbours along every axis.
+    Equal to scipy.ndimage's binary_dilation / binary_erosion with those
+    structures and border_value 0.
+    """
+    out = np.array(occ, dtype=bool)
+    for _ in range(iterations):
+        src = out.copy() if erode else out
+        for ax in range(out.ndim):
+            a, b = np.moveaxis(out, ax, 0), np.moveaxis(src, ax, 0)
+            if erode:
+                a[1:] &= b[:-1]
+                a[:-1] &= b[1:]
+                a[:1] = a[-1:] = False
+            else:  # in place: the second OR reads the first one's result
+                a[1:] |= b[:-1]
+                a[:-1] |= b[1:]
+    return out
+
+
 def read_cells(cells: np.ndarray, located: tuple[np.ndarray, np.ndarray], outside, dtype) -> np.ndarray:
     """Entries of a per-cell array at points located by Raster.flat_cells; outside elsewhere."""
     ok, flat = located
@@ -179,16 +203,7 @@ class Grid(Raster):
 
     def boundary_cells(self) -> np.ndarray:
         """Occupied cells 4-adjacent to an unoccupied (or outside) cell."""
-        occ = self.occupancy
-        padded = np.pad(occ, 1, constant_values=False)
-        inner_all = np.ones_like(occ)
-        for ax in range(self.dim):
-            lo = [slice(1, -1)] * self.dim
-            hi = [slice(1, -1)] * self.dim
-            lo[ax] = slice(0, -2)
-            hi[ax] = slice(2, None)
-            inner_all &= padded[tuple(lo)] & padded[tuple(hi)]
-        return occ & ~inner_all
+        return self.occupancy & ~morphology(self.occupancy, erode=True)
 
     def to_pgm(self, path) -> None:
         """Binary PGM (P5), occupied = white. 1d grids export as a 1-row image."""

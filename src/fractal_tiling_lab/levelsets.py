@@ -13,6 +13,7 @@ Euler characteristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -35,7 +36,7 @@ _FIRST_ROW = (np.cumsum(_N_SEG) - _N_SEG).astype(np.uint8)
 _EDGE_CORNERS = np.array([[0, 1], [1, 2], [3, 2], [0, 3]])
 _EDGE_START = np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [0.5, 0.5]])
 _CORNER_BITS = np.array([[1], [2], [4], [8]], dtype=np.uint8)
-_STRIP_CELLS = 1 << 17  # dual cells per strip of the corner minima and of each sweep
+_STRIP_CELLS = 1 << 17  # dual cells per strip of each sweep
 
 
 @dataclass
@@ -58,10 +59,11 @@ class LevelSetExtractor:
 
     A dual cell crosses the threshold eps when fmin <= eps < fmax, its
     corner minimum and maximum compared in float32. The constructor keeps
-    fmin; index(eps) sweeps the cells once for a whole threshold list and
-    keeps each cell that crosses one of them once, keyed by the first
-    threshold it crosses, with its crossing count. extract() reads its band
-    from there; a threshold that was never indexed is swept on its own.
+    nothing per cell; index(eps) sweeps the cells once for a whole threshold
+    list, taking fmin and fmax strip by strip, and keeps each cell that
+    crosses one of them once, keyed by the first threshold it crosses, with
+    its crossing count. extract() reads its band from there; a threshold
+    that was never indexed is swept on its own.
     """
 
     def __init__(self, field: DistanceField):
@@ -70,10 +72,6 @@ class LevelSetExtractor:
         self.field = field
         f = field.values
         nx, ny = f.shape
-        self._fmin = np.empty((nx - 1, ny - 1), dtype=np.float32)
-        for s, fmin in self._strips():
-            pair = np.minimum(s[:-1], s[1:])
-            np.minimum(pair[:, :-1], pair[:, 1:], out=fmin)
         ring = np.concatenate([f[0, :], f[-1, :], f[:, 0], f[:, -1]])
         self._ring_min = float(ring.min())
         self._ring_max = float(ring.max())
@@ -82,12 +80,21 @@ class LevelSetExtractor:
         self._corner_offsets = np.array([0, ny, ny + 1, 1])[:, None]
         self._index = self._sweep(np.empty(0, np.float32))
 
+    @cached_property
+    def _fmin(self) -> np.ndarray:
+        """fmin of every dual cell, flat in row-major order, built when read. No
+        library path reads it; bench/tracer.py counts its size as cells scanned."""
+        return np.concatenate([fmin for fmin, _ in self._strips()])
+
     def _strips(self):
-        """(field rows, their fmin rows) for each strip of dual-cell rows, in order."""
+        """Flat float32 (fmin, fmax) of each strip of dual-cell rows, in order."""
         f = self.field.values
         rows = max(1, _STRIP_CELLS // max(f.shape[1] - 1, 1))
         for r0 in range(0, f.shape[0] - 1, rows):
-            yield f[r0 : r0 + rows + 1], self._fmin[r0 : r0 + rows]
+            s = f[r0 : r0 + rows + 1]
+            pairs = np.minimum(s[:-1], s[1:]), np.maximum(s[:-1], s[1:])
+            yield [op(p[:, :-1], p[:, 1:]).astype(np.float32, copy=False).ravel()
+                   for op, p in zip((np.minimum, np.maximum), pairs)]
 
     def index(self, eps) -> None:
         """Sweep the dual cells once for the thresholds eps, so extract() at any
@@ -103,10 +110,8 @@ class LevelSetExtractor:
         top = np.append(levels, np.float32(np.inf))
         key = np.min_scalar_type(levels.size)
         strips, sizes, off = [], np.zeros(levels.size, np.int64), 0
-        for s, fmin in self._strips() if levels.size else ():
-            pair = np.maximum(s[:-1], s[1:])
-            fmax = np.maximum(pair[:, :-1], pair[:, 1:]).astype(np.float32, copy=False).ravel()
-            lo = np.searchsorted(levels, fmin.ravel())  # the first level >= fmin
+        for fmin, fmax in self._strips() if levels.size else ():
+            lo = np.searchsorted(levels, fmin)  # the first level >= fmin
             k = np.flatnonzero(top[lo] < fmax)
             k = k[np.argsort(lo[k].astype(key), kind="stable")]  # by first level, then row-major
             first = lo[k]
@@ -160,8 +165,7 @@ class LevelSetExtractor:
         run = slice(starts[g], starts[t + 1])
         first = np.repeat(np.arange(g, t + 1), np.diff(starts[g : t + 2]))
         k = np.sort(cells[run][first + count[run] > t]).astype(np.intp)
-        i = k // (self.field.values.shape[1] - 1)
-        return i, k - i * (self.field.values.shape[1] - 1)
+        return np.divmod(k, self.field.values.shape[1] - 1)
 
     def extract(self, eps: float) -> LevelSet:
         """The segments of {f = eps}, ordered by case code, then segment slot, then row-major."""
@@ -277,12 +281,7 @@ def euler_characteristic(occ: np.ndarray) -> int:
     b = p[1:, :-1]
     c = p[1:, 1:]
     d = p[:-1, 1:]
-    s = (
-        a.astype(np.int8)
-        + b.astype(np.int8)
-        + c.astype(np.int8)
-        + d.astype(np.int8)
-    )
+    s = a.astype(np.int8) + b + c + d
     n1 = int(np.count_nonzero(s == 1))
     n3 = int(np.count_nonzero(s == 3))
     nd = int(np.count_nonzero((a & c & ~b & ~d) | (b & d & ~a & ~c)))

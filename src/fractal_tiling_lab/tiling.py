@@ -37,10 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, ResolutionError
-from .grids import DistanceField, Grid, Region, distance_transform, grid_from_bbox, inner_distance, rasterize
+from .grids import (DistanceField, Grid, Region, distance_transform, grid_from_bbox, inner_distance,
+                    morphology, rasterize)
 from .ifs import IFS, Similarity, WordTree, check_similarity_parts, words_up_to_ratio
 
 
@@ -275,7 +275,7 @@ def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
     for i, m in enumerate(ifs.maps):
         image_bits[i // 8] |= _map_cells(m, O, O).view(np.uint8) << (7 - i % 8)
     phi_open = image_bits.any(axis=0)
-    phi_closed = ndimage.binary_dilation(phi_open, structure=np.ones((3,) * O.dim, bool))
+    phi_closed = morphology(phi_open)
     G = O.with_occupancy(O.occupancy & ~phi_closed)
     Gamma = O.with_occupancy(O.occupancy & ~phi_open)
     if not G.occupancy.any():

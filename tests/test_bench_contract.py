@@ -10,6 +10,12 @@ caller and passed to measure_profiles), turns a renamed or deleted traced
 name, or a bundle path that bypasses one, into a failure here instead of
 a failed benchmark run. The
 subprocess keeps the wrappers out of this test session.
+
+No library path needs _fmin any more: the sweep takes the corner minima
+strip by strip, and the extractor builds _fmin only when it is read. It
+stays because the tracer counts levelsets.cells_scanned as _fmin.size per
+extract, so the koch-shaped pass pins that counter at dual cells times
+extract calls.
 """
 
 import json
@@ -54,6 +60,8 @@ print(json.dumps({"spans": sorted({s[0] for s in tracer.spans}),
                   "counters": dict(tracer.counters),
                   "koch_spans": sorted({s[0] for s in tracer.spans[first:]}),
                   "koch_counters": {k: v - before.get(k, 0) for k, v in tracer.counters.items()},
+                  "koch_extracts": sum(s[0] == "levelsets.extract" for s in tracer.spans[first:]),
+                  "dual_cells": (field.extents[0] - 1) * (field.extents[1] - 1),
                   "summary": tracer.summary(1.0)}))
 """
 
@@ -96,4 +104,6 @@ def test_tracer_installs_and_sees_every_layer():
     for name in ("levelsets.cells_scanned", "levelsets.segments"):
         assert doc["koch_counters"][name] > 0, name
     assert doc["koch_counters"]["curvature.measure_profiles.thresholds"] == 2
+    assert doc["koch_extracts"] > 0
+    assert doc["koch_counters"]["levelsets.cells_scanned"] == doc["dual_cells"] * doc["koch_extracts"]
     assert doc["summary"]["tiling.build_tiling.s"] > 0

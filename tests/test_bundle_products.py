@@ -54,6 +54,17 @@ def test_field_extractor_is_built_once():
     assert_built_once(fresh_bundle("carpet", 2.0**-7), "field_extractor")
 
 
+def test_bundle_paths_never_build_the_corner_minima():
+    # the extractor's _fmin is built only when read, for the benchmark's
+    # tracer; every table and check indexes its thresholds and sweeps
+    b = fresh_bundle("carpet", 2.0**-8)
+    b.content_table()
+    b.checks()
+    b.curvature_table(0)
+    b.curvature_table(1)
+    assert "_fmin" not in vars(b.field_extractor)
+
+
 @pytest.mark.parametrize("preset, delta", [("carpet", 2.0**-8), ("cantor", 2.0**-10)])
 def test_each_distance_field_built_once(preset, delta, monkeypatch):
     b = fresh_bundle(preset, delta)

@@ -324,21 +324,24 @@ class TestMemoryBounds:
 
     def test_extractor_init_bytes_per_dual_cell(self):
         # the bin index (16-bit keys, an int32 cell order and a sort chunk)
-        # peaked at 13.5 B per dual cell; the constructor now keeps only
-        # fmin (4 B), built one strip at a time
+        # peaked at 13.5 B per dual cell, and the corner minima kept for the
+        # sweep at 5 B; the constructor now reads only the border ring
+        # (0.019 B per dual cell here) and keeps nothing per cell
         n = 1024
         rng = np.random.default_rng(5)
         f = DistanceField(np.zeros(2), 1.0 / n, rng.random((n, n)).astype(np.float32))
         per_cell = traced_peak(LevelSetExtractor, f) / (n - 1) ** 2
-        assert per_cell <= 6
+        assert per_cell <= 0.05
 
-    @pytest.mark.parametrize("field, bound", [("points", 4.5), ("random", 9.0)])
+    @pytest.mark.parametrize("field, bound", [("points", 0.4), ("random", 3.8)])
     def test_swept_index_holds_each_cell_once(self, field, bound):
-        # after index() of 64 thresholds the extractor keeps fmin (4 B per
-        # dual cell) and, per band cell, one int32 cell and one uint8 crossing
-        # count: three points' distance field puts 7% of the dual cells in a
-        # band, the random field (no Lipschitz bound) nearly 70%, most of them
-        # crossing many thresholds, which a (cell, threshold) list would repeat
+        # after index() of 64 thresholds the extractor keeps, per band cell,
+        # one int32 cell and one uint8 crossing count, and nothing per dual
+        # cell (the corner minima are taken strip by strip in the sweep):
+        # three points' distance field puts 7% of the dual cells in a band
+        # (0.361 B per dual cell), the random field (no Lipschitz bound)
+        # nearly 70% (3.418 B), most of them crossing many thresholds, which
+        # a (cell, threshold) list would repeat
         n = 1024
         if field == "points":
             occ = np.zeros((n, n), dtype=bool)
@@ -358,5 +361,5 @@ class TestMemoryBounds:
             tracemalloc.stop()
         levels, cells, count, starts, widest = ex._index
         assert np.unique(cells).size == cells.size
-        assert resident <= 4 * ex._fmin.size + 5 * cells.size + (1 << 14)  # + object headers
+        assert resident <= 5 * cells.size + (1 << 14)  # + object headers
         assert resident / (n - 1) ** 2 <= bound

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from fractal_tiling_lab import grids
@@ -228,6 +229,35 @@ class TestExports:
         header, rest = data.split(b"\n255\n", 1)
         w, h = map(int, header.split(b"\n")[1].split())
         assert w * h == len(rest) == g.occupancy.size
+
+
+@st.composite
+def masks(draw):
+    """Random boolean rasters in d = 1 and 2, 1 to 39 cells per axis, sparse to full."""
+    dim = draw(st.integers(1, 2))
+    shape = tuple(draw(st.lists(st.integers(1, 39), min_size=dim, max_size=dim)))
+    density = draw(st.sampled_from([0.05, 0.5, 0.9, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random(shape) < density
+
+
+class TestMorphology:
+    """grids.morphology against scipy.ndimage on the structures the library uses."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(occ=masks(), iterations=st.integers(1, 4))
+    def test_equals_scipy(self, occ, iterations):
+        before = occ.copy()
+        box = np.ones((3,) * occ.ndim, bool)
+        cross = ndimage.generate_binary_structure(occ.ndim, 1)
+        dilated = grids.morphology(occ, iterations)
+        eroded = grids.morphology(occ, iterations, erode=True)
+        assert np.array_equal(dilated, ndimage.binary_dilation(occ, box, iterations))
+        assert np.array_equal(eroded, ndimage.binary_erosion(occ, cross, iterations, border_value=0))
+        assert dilated.dtype == eroded.dtype == bool
+        assert np.array_equal(occ, before)  # the input is not written
+        g = Grid(np.zeros(occ.ndim), 1.0, occ)
+        assert np.array_equal(g.boundary_cells(), occ & ~ndimage.binary_erosion(occ, cross))
 
 
 def bits(a):
