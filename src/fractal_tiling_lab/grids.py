@@ -78,8 +78,13 @@ class Raster:
         return np.floor((p - self.origin) / self.spacing).astype(np.int64)
 
     def cell_point(self, mask: np.ndarray, n: int) -> np.ndarray:
-        """Center of the mask's n-th cell in C order: cell_points(mask)[n]."""
-        return self.centers_at(np.array(np.unravel_index(np.flatnonzero(mask)[n], mask.shape)))
+        """Center of the mask's n-th cell in C order: cell_points(mask)[n], found
+        from the cells per row (a 1d mask is one row) and that row's index."""
+        rows = np.atleast_2d(mask)
+        ends = np.cumsum(rows.sum(axis=1))
+        i = int(np.searchsorted(ends, n, side="right"))
+        j = np.flatnonzero(rows[i])[n - (ends[i - 1] if i else 0)]
+        return self.centers_at(np.array((i, j)[-mask.ndim:]))
 
     def lattice_slice(self, other: "Raster") -> tuple[slice, ...] | None:
         """The cells of this raster that are other's cells, as one slice per axis,

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import ConfigError, FtlError
 
 ORTHO_TOL = 1e-12
+DIMENSION_TOL = 1e-12  # bracket width and residual bound of similarity_dimension's root
+LATTICE_TOL = 1e-9  # rational-approximation tolerance of is_lattice (error <= tol * |x| / q)
 LATTICE_Q_MAX = 10**6  # largest denominator of a rational relation is_lattice accepts
 WORD_MAX_LEN = 64  # depth guard of words_up_to_ratio's word tree
 
@@ -152,15 +154,13 @@ class DimensionData:
     note: str = ""
 
 
-def similarity_dimension(ifs: IFS, tol: float = 1e-12) -> float:
+def similarity_dimension(ifs: IFS) -> float:
     """Unique root of sum(r_i^s) = 1, by bisection plus a Newton polish.
 
     The map s -> sum r_i^s is strictly decreasing, so the bracket
     [0, 2d] is safe for contracting maps; non-convergence within 200
     bisection steps signals malformed ratios.
     """
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
     r = ifs.ratios
     lo, hi = 0.0, 2.0 * ifs.ambient_dim
 
@@ -179,7 +179,7 @@ def similarity_dimension(ifs: IFS, tol: float = 1e-12) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo < max(tol, 1e-15):
+        if hi - lo < DIMENSION_TOL:
             break
     s = 0.5 * (lo + hi)
     # Newton polish: f'(s) = sum r^s ln r
@@ -190,10 +190,10 @@ def similarity_dimension(ifs: IFS, tol: float = 1e-12) -> float:
             break
         step = fs / dfs
         s -= step
-        if abs(step) < tol / 4:
+        if abs(step) < DIMENSION_TOL / 4:
             break
-    if abs(f(s)) > max(tol, 64 * np.finfo(float).eps):
-        raise FtlError(f"dimension solver residual {f(s):.3e} exceeds tol {tol:.3e}")
+    if abs(f(s)) > DIMENSION_TOL:
+        raise FtlError(f"dimension solver residual {f(s):.3e} exceeds tol {DIMENSION_TOL:.3e}")
     return float(s)
 
 
@@ -203,21 +203,19 @@ def eta(ifs: IFS, D: float) -> float:
     return float(np.sum(r**D * np.abs(np.log(r))))
 
 
-def is_lattice(ifs: IFS, tol: float = 1e-9) -> tuple[bool, float | None]:
+def is_lattice(ifs: IFS) -> tuple[bool, float | None]:
     """Detect whether {-ln r_i} generate a discrete subgroup of R.
 
     Tests each ln(r_i)/ln(r_1) for a rational p/q with q <= LATTICE_Q_MAX via
-    continued fractions at tolerance tol. Floating ratios cannot prove
+    continued fractions at tolerance LATTICE_TOL. Floating ratios cannot prove
     irrationality, so a False verdict means "no rational relation found
     at this precision". When True, also returns the group generator h.
     """
-    if not (0 < tol <= 1e-6):
-        raise ConfigError("tol must lie in (0, 1e-6]")
     logs = -np.log(ifs.ratios)
     base_log = logs[0]
     fracs: list[Fraction] = []
     for x in logs / base_log:
-        frac = _rational_approx(float(x), tol)
+        frac = _rational_approx(float(x), LATTICE_TOL)
         if frac is None:
             return False, None
         fracs.append(frac)

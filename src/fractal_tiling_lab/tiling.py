@@ -94,6 +94,31 @@ def _stack(maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
+def _inverse(ratio: np.ndarray, Q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Linear parts (m, d, d) and offsets (m, d) of the inverses of stacked
+    maps, with the float operations of Similarity.inverse."""
+    qinv = np.swapaxes(Q, 1, 2)
+    return qinv / ratio[:, None, None], -(qinv @ t[:, :, None])[:, :, 0] / ratio[:, None]
+
+
+def _compose(parts, letters: np.ndarray, maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked maps parts[k] o maps[letters[k]], checked like Similarity checks one.
+
+    parts and maps are (ratios, orthogonal parts, translations) stacks; each
+    product uses the float operations of parent.compose(S_a), so a word's
+    map composed letter by letter is bit-identical to Word.map.
+    """
+    pr, pQ, pt = parts
+    r1, Q1, t1 = (m[letters] for m in maps)
+    ratio, Q = pr * r1, pQ @ Q1
+    if pt.shape[1] == 1:
+        t = (pr * pQ[:, 0, 0] * t1[:, 0] + pt[:, 0])[:, None]
+    else:
+        t = pr[:, None] * (t1[:, None, :] @ np.swapaxes(pQ, 1, 2))[:, 0] + pt
+    check_similarity_parts(ratio, Q)
+    return ratio, Q, t
+
+
 def _stamp_images(
     occ: np.ndarray, ratio: np.ndarray, Q: np.ndarray, t: np.ndarray, source: Grid, target: Grid
 ) -> None:
@@ -124,15 +149,13 @@ def _stamp_images(
     column is longer.
     """
     d = target.dim
-    qinv = np.swapaxes(Q, 1, 2)
-    A = qinv / ratio[:, None, None]
-    b = -(qinv @ t[:, :, None])[:, :, 0] / ratio[:, None]
+    A, b = _inverse(ratio, Q, t)
 
     if not source.occupancy.any():
         return
     box = source.cropped(0)
     corners = _box_corners(box.origin, box.origin + np.array(box.extents) * box.spacing)
-    img = ratio[:, None, None] * (corners @ qinv) + t[:, None, :]
+    img = ratio[:, None, None] * (corners @ np.swapaxes(Q, 1, 2)) + t[:, None, :]
     lo_i = np.floor((img.min(axis=1) - target.origin) / target.spacing).astype(np.int64) - 1
     hi_i = np.ceil((img.max(axis=1) - target.origin) / target.spacing).astype(np.int64) + 1
     lo_i = np.maximum(lo_i, 0)
@@ -214,31 +237,21 @@ def rasterize_tiles(ifs: IFS, words: WordTree, G: Grid, target: Grid) -> np.ndar
 
     The empty word, if the tree holds it, contributes G itself, which must
     then lie on target's grid. The tree is walked one length at a time from
-    its arrays. The composed maps of one length are stacked arrays, each
-    built from its parent's with the float operations of
-    parent.compose(S_a), so every map is bit-identical to Word.map. Each
-    length is checked like Similarity checks one map and rasterized in one
-    pass of _stamp_images, which samples only the images of G's occupied
-    box.
+    its arrays. The maps of one length are stacked arrays, each built from
+    its parent's by _compose, so every map is bit-identical to Word.map, and
+    rasterized in one pass of _stamp_images, which samples only the images
+    of G's occupied box.
     """
     occ = np.zeros(target.extents, dtype=bool)
     if words.ratio[0].size:
         occ |= G.occupancy
-    r1, Q1, t1 = _stack(ifs.maps)
+    maps = _stack(ifs.maps)
     for length in range(1, len(words.ratio)):
-        last, ratio = words.letter[length], words.ratio[length]
         if length == 1:
-            Q, t = Q1[last], t1[last]
+            parts = [m[words.letter[1]] for m in maps]
         else:
-            parent = words.parent[length]
-            pr, pQ, pt = words.ratio[length - 1][parent], Q[parent], t[parent]
-            Q = pQ @ Q1[last]
-            if ifs.ambient_dim == 1:
-                t = (pr * pQ[:, 0, 0] * t1[last, 0] + pt[:, 0])[:, None]
-            else:
-                t = pr[:, None] * (t1[last][:, None, :] @ np.swapaxes(pQ, 1, 2))[:, 0] + pt
-            check_similarity_parts(ratio, Q)
-        _stamp_images(occ, ratio, Q, t, G, target)
+            parts = _compose([p[words.parent[length]] for p in parts], words.letter[length], maps)
+        _stamp_images(occ, *parts, G, target)
     return occ
 
 
@@ -339,12 +352,9 @@ def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
     # Phi(bbox) in bbox guarantees containment for any seed; rotated or
     # reflected maps can fail it even when bbox contains the attractor, in
     # which case every orbit point is checked instead (the orbit lies in F).
-    corners = _box_corners(lo, hi)
-    invariant = True
-    for m in ifs.maps:
-        img = np.atleast_2d(m(corners) if g.dim > 1 else m(corners).reshape(-1, 1))
-        if (img < lo - 1e-9).any() or (img > hi + 1e-9).any():
-            invariant = False
+    ratio, Q, t = _stack(ifs.maps)
+    img = ratio[:, None, None] * (_box_corners(lo, hi) @ np.swapaxes(Q, 1, 2)) + t[:, None, :]
+    invariant = not ((img < lo - 1e-9).any() or (img > hi + 1e-9).any())
 
     # an orbit point this far outside the box has escaped it
     reach_lo, reach_hi = lo - 0.25 * delta, hi + 0.25 * delta
@@ -506,20 +516,25 @@ def relative_inradius(F_field: DistanceField, O: Grid) -> float:
     return float(vals.max())
 
 
+NEIGHBOR_WORD_LEN = 4  # letters of sigma and of omega in a neighbor map S_sigma^{-1} S_omega
+
+
 @dataclass
 class CentralOpenSet:
     grid: Grid
     neighbor_count: int
-    degenerate: bool
-    neighbor_cap: int
 
 
-def central_open_set(ifs: IFS, bbox, delta: float, neighbor_cap: int = 4) -> CentralOpenSet:
+def central_open_set(ifs: IFS, bbox, delta: float) -> CentralOpenSet:
     """Points strictly closer to the attractor than to every neighbor copy.
 
-    Neighbor maps h = S_sigma^{-1} S_omega (first letters distinct) are
-    enumerated with both word lengths capped at neighbor_cap, pruned to maps
-    whose image of the attractor bbox meets the working bbox, and deduped.
+    Neighbor maps h = S_sigma^{-1} S_omega pair words of one length up to
+    NEIGHBOR_WORD_LEN with distinct first letters. They are enumerated one
+    length at a time as stacked maps: the pairs of a length are every
+    two-letter extension of the previous length's kept pairs, composed by
+    _compose. A pair is kept when h maps the box of F's cells to within
+    half that box's diagonal of the working bbox; the distinct h (9-digit
+    rounding) are the neighbors, each taken from the first pair found.
     The result is resolution-faithful only: cells are kept when
     d(center, F) < d(center, H) - delta, F the attractor raster on bbox.
     """
@@ -533,67 +548,45 @@ def central_open_set(ifs: IFS, bbox, delta: float, neighbor_cap: int = 4) -> Cen
     f_lo = F.origin + occ_idx.min(axis=0) * F.spacing
     f_hi = F.origin + (occ_idx.max(axis=0) + 1) * F.spacing
     f_corners = _box_corners(f_lo, f_hi)
+    pad = 0.5 * float(np.linalg.norm(f_hi - f_lo))
 
-    def image_meets_bbox(sim_inv_pair):
-        inv_s, s_w = sim_inv_pair
-        img = inv_s(np.atleast_2d(s_w(f_corners)))
-        img = np.atleast_2d(img)
-        if img.shape[1] != g.dim:
-            img = img.reshape(-1, g.dim)
-        pad = 0.5 * float(np.linalg.norm(f_hi - f_lo))
-        return not ((img.max(axis=0) < lo - pad).any() or (img.min(axis=0) > hi + pad).any())
+    maps = _stack(ifs.maps)
+    first_s, first_w = np.nonzero(~np.eye(ifs.n, dtype=bool))
+    sig, om = [m[first_s] for m in maps], [m[first_w] for m in maps]
+    pairs, keys = [], []
+    for length in range(1, NEIGHBOR_WORD_LEN + 1):
+        if length > 1:
+            k, a, b = (x.ravel() for x in np.indices((sig[0].size, ifs.n, ifs.n)))
+            sig = _compose([p[k] for p in sig], a, maps)
+            om = _compose([p[k] for p in om], b, maps)
+        # h(corners) as sig.inverse()(om(corners)), and h's own parts
+        A, c = _inverse(*sig)
+        img = om[0][:, None, None] * (f_corners @ np.swapaxes(om[1], 1, 2)) + om[2][:, None, :]
+        img = img @ np.swapaxes(A, 1, 2) + c[:, None, :]
+        keep = ~((img.max(axis=1) < lo - pad).any(axis=1) | (img.min(axis=1) > hi + pad).any(axis=1))
+        sig, om, A, c = [p[keep] for p in sig], [p[keep] for p in om], A[keep], c[keep]
+        h_linear = (A @ (om[0][:, None, None] * om[1])).reshape(-1, g.dim**2)
+        h_offset = (om[2][:, None, :] @ np.swapaxes(A, 1, 2))[:, 0] + c
+        keys.append(np.round(np.concatenate([h_linear, h_offset], axis=1), 9) + 0.0)  # -0.0 keys as 0.0
+        pairs.append(sig + om)
 
-    # enumerate word pairs level-synchronously with dedupe on the composed map
-    neighbors: list[tuple] = []
-    seen: set = set()
-    level = [(ifs.maps[i], ifs.maps[j]) for i in range(ifs.n) for j in range(ifs.n) if i != j]
-    for _ in range(neighbor_cap):
-        keep = []
-        for s_sig, s_om in level:
-            inv = s_sig.inverse()
-            if not image_meets_bbox((inv, s_om)):
-                continue
-            key = _map_key(inv, s_om)
-            if key not in seen:
-                seen.add(key)
-                neighbors.append((s_sig, s_om))
-            keep.append((s_sig, s_om))
-        nxt = []
-        for s_sig, s_om in keep:
-            for a in ifs.maps:
-                for b in ifs.maps:
-                    nxt.append((s_sig.compose(a), s_om.compose(b)))
-        level = nxt
-
-    if not neighbors:
-        return CentralOpenSet(g.with_occupancy(np.ones(g.extents, bool)), 0, True, neighbor_cap)
+    first = np.sort(np.unique(np.concatenate(keys), axis=0, return_index=True)[1])
+    r_s, Q_s, t_s, r_o, Q_o, t_o = (np.concatenate(p)[first] for p in zip(*pairs))
+    A_o, c_o = _inverse(r_o, Q_o, t_o)
 
     centers = g.cell_points()
-    d_f = F_field.sample_cells(g)
 
     # d(x, h(F)) = (r_omega / r_sigma) * d(h^{-1} x, F) through the attractor
     # field; where h^{-1} x leaves the field, fall back to the distance to
     # F's bounding box (an underestimate, so V_c only shrinks)
     d_h = np.full(centers.shape[0], np.inf)
-    for s_sig, s_om in neighbors:
-        ratio_h = s_om.ratio / s_sig.ratio
-        pre = np.atleast_2d(s_om.inverse()(np.atleast_2d(s_sig(centers))))
-        pre = pre.reshape(-1, g.dim)
+    for n in range(first.size):
+        pre = (r_s[n] * (centers @ Q_s[n].T) + t_s[n]) @ A_o[n].T + c_o[n]
         val = F_field.sample_at(pre, outside=np.nan)
         nan = np.isnan(val)
-        if nan.any():
-            box_d = np.zeros(int(nan.sum()))
-            q = pre[nan]
-            for ax in range(g.dim):
-                box_d += np.maximum(np.maximum(f_lo[ax] - q[:, ax], q[:, ax] - f_hi[ax]), 0.0) ** 2
-            val[nan] = np.sqrt(box_d)
-        d_h = np.minimum(d_h, ratio_h * val)
+        q = pre[nan]
+        val[nan] = np.sqrt(np.sum(np.maximum(np.maximum(f_lo - q, q - f_hi), 0.0) ** 2, axis=1))
+        d_h = np.minimum(d_h, r_o[n] / r_s[n] * val)
 
-    occ = (d_f < d_h - delta).reshape(g.extents)
-    return CentralOpenSet(g.with_occupancy(occ), len(neighbors), False, neighbor_cap)
-
-
-def _map_key(inv, s_om) -> tuple:
-    m = np.round(inv.matrix @ (s_om.ratio * s_om.orthogonal_part), 9)
-    t = np.round(inv(s_om.translation), 9)
-    return (tuple(m.ravel()), tuple(np.atleast_1d(t).ravel()))
+    occ = (F_field.sample_cells(g) < d_h - delta).reshape(g.extents)
+    return CentralOpenSet(g.with_occupancy(occ), int(first.size))

@@ -1,12 +1,15 @@
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fractal_tiling_lab import pipeline
 from fractal_tiling_lab.cli import build_parser, load_scene, main
 from fractal_tiling_lab.pipeline import get_bundle
-from fractal_tiling_lab.presets import Preset
+from fractal_tiling_lab.presets import Preset, get_preset
+from fractal_tiling_lab.tiling import central_open_set
 
 
 def run(capsys, *argv):
@@ -295,6 +298,66 @@ class TestBundleCache:
             main(argv + ["--preset", "cantor", "--delta", repr(2.0**-10), "--format", "json"])
         capsys.readouterr()
         assert len(pipeline._BUNDLES) == 1
+
+
+# Scene files with region "central": a preset's maps at a coarse delta, with
+# its f_bbox except for cantor, whose box is widened to [-1/2, 3/2] so that
+# the working box reaches the two neighbour copies at x - 2 and x + 2.
+# (preset, delta, f_bbox, neighbor_count, SHA-256 of V_c's grid)
+CENTRAL_SCENES = [
+    ("cantor", 2.0**-10, [[-0.5], [1.5]], 2,
+     "791ee43afa80354a767e0422d2bf3c0dcfc159a706ef89f619788eac5762a527"),
+    ("gasket", 2.0**-8, None, 22, "b03c1fd0e4b73d1433298f8962f0dfdf8b6a0fc57e9a6df179dd830f9ef0d5ab"),
+    ("koch", 2.0**-8, None, 12, "745683741349b9127194502e29a351d58de442399a52d388f12bd6a38c18377e"),
+    ("carpet", 2.0**-7, None, 24, "52184182257235f91ac14181dd169641be25f2076103cf6e0045cfd5de11e87e"),
+]
+
+
+def central_scene(tmp_path, name, delta, f_bbox):
+    scene = get_preset(name).scene
+    maps = [{"ratio": m.ratio, "matrix": m.orthogonal_part.tolist(), "translation": m.translation.tolist()}
+            for m in scene.ifs.maps]
+    doc = {
+        "name": f"{name}_central",
+        "ifs": {"dim": scene.ifs.ambient_dim, "maps": maps},
+        "region": "central",
+        "delta": delta,
+        "f_bbox": f_bbox or [list(c) for c in scene.f_bbox],
+    }
+    path = tmp_path / f"{name}_central.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def grid_digest(g) -> str:
+    h = hashlib.sha256()
+    h.update(np.asarray(g.origin, dtype=float).tobytes())
+    h.update(np.float64(g.spacing).tobytes())
+    h.update(str(g.occupancy.shape).encode())
+    h.update(np.ascontiguousarray(g.occupancy).tobytes())
+    return h.hexdigest()
+
+
+class TestCentralScenes:
+    """A "central" scene runs end to end on the central open set V_c."""
+
+    @pytest.mark.parametrize("name, delta, f_bbox, neighbors, digest", CENTRAL_SCENES,
+                             ids=[c[0] for c in CENTRAL_SCENES])
+    def test_check_and_content_on_vc(self, capsys, tmp_path, monkeypatch, name, delta, f_bbox,
+                                     neighbors, digest):
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        built = []
+        monkeypatch.setattr(pipeline, "central_open_set",
+                            lambda *a: built.append(central_open_set(*a)) or built[-1])
+        path = central_scene(tmp_path, name, delta, f_bbox)
+        for cmd in ("check", "content"):
+            code, out = run(capsys, cmd, "--scene", path, "--format", "json")
+            assert code == 0
+            assert json.loads(out)["scene"] == f"{name}_central"
+        b = cli_bundle("content", "--scene", path)
+        assert len(built) == 1 and b.O is built[0].grid
+        assert built[0].neighbor_count == neighbors
+        assert grid_digest(b.O) == digest
 
 
 class TestRegionTypes:

@@ -322,6 +322,14 @@ class TestMemoryBounds:
         peak = traced_peak(attractor_raster, carpet_ifs(), ([0.0, 0.0], [1.0, 1.0]), 2.0**-9)
         assert peak <= 12e6
 
+    def test_cell_point_indexes_one_row(self):
+        # an index of every set cell peaked at 8 B per cell (33.6 MB here);
+        # per-row counts and one row's index are 16 KB each
+        n = 2048
+        full = np.ones((n, n), dtype=bool)
+        g = Grid(np.zeros(2), 1.0 / n, full)
+        assert traced_peak(g.cell_point, full, full.size - 1) <= 1e6
+
     def test_extractor_init_bytes_per_dual_cell(self):
         # the bin index (16-bit keys, an int32 cell order and a sort chunk)
         # peaked at 13.5 B per dual cell, and the corner minima kept for the

@@ -56,12 +56,8 @@ class TestSimilarityDimension:
 
     def test_residual_bound_on_presets(self):
         for ifs in (cantor_ifs(), carpet_ifs(), koch_ifs(), gasket_ifs(), cantor_pair_ifs()):
-            D = ftl.similarity_dimension(ifs, tol=1e-12)
+            D = ftl.similarity_dimension(ifs)
             assert abs(np.sum(ifs.ratios**D) - 1.0) <= 1e-12
-
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            ftl.similarity_dimension(cantor_ifs(), tol=0.0)
 
 
 class TestEta:
@@ -113,10 +109,6 @@ class TestLattice:
         for w in words:
             mult = -math.log(w.ratio(ifs)) / base
             assert abs(mult - round(mult)) < 1e-9
-
-    def test_tol_range(self):
-        with pytest.raises(ConfigError):
-            ftl.is_lattice(cantor_ifs(), tol=1e-3)
 
 
 class TestSimilarityType:

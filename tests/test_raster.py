@@ -306,6 +306,15 @@ class TestCellPoints:
         full = np.ones(g.extents, bool)
         assert bits(g.cell_points(full)) == bits(ref)
 
+    @settings(max_examples=200, deadline=None)
+    @given(occ=masks(), data=st.data())
+    def test_cell_point_is_the_nth_cell_point(self, occ, data):
+        if not occ.any():
+            return
+        g = Grid(ORIGINS[occ.ndim], SPACING, occ)
+        n = data.draw(st.integers(0, int(occ.sum()) - 1))
+        assert bits(g.cell_point(occ, n)) == bits(g.cell_points(occ)[n])
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_empty_mask(self, rng, dim):
         g = self.grid(rng, dim)

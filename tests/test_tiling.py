@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import fractal_tiling_lab as ftl
-from fractal_tiling_lab import pipeline, presets
+from fractal_tiling_lab import pipeline, presets, tiling
 from fractal_tiling_lab.errors import ConfigError, FtlError, ResolutionError
 from fractal_tiling_lab.grids import (
     ConvexPolygon,
     IntervalUnion,
     distance_transform,
+    grid_from_bbox,
     inner_parallel_volume,
     inradius,
     rasterize,
@@ -294,11 +295,68 @@ class TestRelativeInradius:
         assert 1.3 * b.g_tilde + 8 * b.delta > 0.25  # the first pad was rejected
 
 
+def reference_central_open_set(ifs, bbox, delta, word_len):
+    """central_open_set as a loop over Similarity pairs: each pair of one
+    length is extended letter by letter with Similarity.compose, pruned and
+    keyed one at a time, and the neighbors are sampled one at a time."""
+    F = attractor_raster(ifs, bbox, delta)
+    F_field = distance_transform(F)
+    g = grid_from_bbox(bbox, delta)
+    lo, hi = g.origin, g.origin + np.array(g.extents) * g.spacing
+    idx = np.argwhere(F.occupancy)
+    f_lo, f_hi = F.origin + idx.min(axis=0) * F.spacing, F.origin + (idx.max(axis=0) + 1) * F.spacing
+    corners = tiling._box_corners(f_lo, f_hi)
+    pad = 0.5 * float(np.linalg.norm(f_hi - f_lo))
+    neighbors, seen = [], set()
+    level = [(ifs.maps[i], ifs.maps[j]) for i in range(ifs.n) for j in range(ifs.n) if i != j]
+    for length in range(1, word_len + 1):
+        keep = []
+        for s_sig, s_om in level:
+            inv = s_sig.inverse()
+            img = inv(s_om(corners))
+            if (img.max(axis=0) < lo - pad).any() or (img.min(axis=0) > hi + pad).any():
+                continue
+            key = (tuple(np.round(inv.matrix @ (s_om.ratio * s_om.orthogonal_part), 9).ravel()),
+                   tuple(np.atleast_1d(np.round(inv(s_om.translation), 9))))
+            if key not in seen:
+                seen.add(key)
+                neighbors.append((s_sig, s_om))
+            keep.append((s_sig, s_om))
+        if length < word_len:
+            level = [(s.compose(a), w.compose(b)) for s, w in keep for a in ifs.maps for b in ifs.maps]
+    centers = g.cell_points()
+    d_h = np.full(centers.shape[0], np.inf)
+    for s_sig, s_om in neighbors:
+        pre = s_om.inverse()(s_sig(centers))
+        val = F_field.sample_at(pre, outside=np.nan)
+        nan = np.isnan(val)
+        box = np.zeros(int(nan.sum()))
+        for a in range(g.dim):
+            box += np.maximum(np.maximum(f_lo[a] - pre[nan, a], pre[nan, a] - f_hi[a]), 0.0) ** 2
+        val[nan] = np.sqrt(box)
+        d_h = np.minimum(d_h, s_om.ratio / s_sig.ratio * val)
+    occ = (F_field.sample_cells(g) < d_h - delta).reshape(g.extents)
+    return occ, len(neighbors)
+
+
 class TestCentralOpenSet:
+    @pytest.mark.parametrize("name, bbox, delta", [
+        ("cantor", ([-0.7], [1.7]), 2.0**-10),
+        ("cantor_pair", ([-0.5], [1.5]), 2.0**-10),
+        ("koch", ([-0.32, -0.32], [1.32, 0.62]), 2.0**-7),
+        ("gasket", ([-0.3, -0.3], [1.3, SQ3 / 2 + 0.3]), 2.0**-7),
+    ])
+    def test_stacked_maps_equal_the_pair_loop(self, name, bbox, delta):
+        ifs = presets.get_preset(name).scene.ifs
+        vc = central_open_set(ifs, bbox, delta)
+        occ, count = reference_central_open_set(ifs, bbox, delta, tiling.NEIGHBOR_WORD_LEN)
+        assert vc.neighbor_count == count > 0
+        assert np.array_equal(vc.grid.occupancy, occ)
+
     def test_cantor_vc_extent_and_strongness(self):
         delta = 2.0**-12
-        vc = central_open_set(cantor_ifs(), ([-0.7], [1.7]), delta, neighbor_cap=4)
-        assert not vc.degenerate and vc.neighbor_count >= 2
+        vc = central_open_set(cantor_ifs(), ([-0.7], [1.7]), delta)
+        assert vc.neighbor_count >= 2
         xs = vc.grid.centers(0)[vc.grid.occupancy]
         # brute-force oracle: V_c = (-1/2, 3/2) for the middle-thirds system
         assert xs.min() == pytest.approx(-0.5, abs=4 * delta)
@@ -327,8 +385,8 @@ class TestCentralOpenSet:
 
         delta = 2.0**-9
         ifs = carpet_ifs()
-        vc = central_open_set(ifs, ([-0.4, -0.4], [1.4, 1.4]), delta, neighbor_cap=3)
-        assert not vc.degenerate
+        vc = central_open_set(ifs, ([-0.4, -0.4], [1.4, 1.4]), delta)
+        assert vc.neighbor_count > 0
         F = attractor_raster(ifs, ([-0.4, -0.4], [1.4, 1.4]), delta)
         field = distance_transform(F)
         gt = relative_inradius(field, vc.grid)
@@ -338,7 +396,7 @@ class TestCentralOpenSet:
     def test_vc_meets_F_for_gasket(self):
         delta = 2.0**-9
         ifs = gasket_ifs()
-        vc = central_open_set(ifs, ([-0.3, -0.3], [1.3, SQ3 / 2 + 0.3]), delta, neighbor_cap=3)
+        vc = central_open_set(ifs, ([-0.3, -0.3], [1.3, SQ3 / 2 + 0.3]), delta)
         F = attractor_raster(ifs, ([0.0, 0.0], [1.0, SQ3 / 2]), delta)
         field = distance_transform(F)
         ii, jj = np.nonzero(vc.grid.occupancy)
@@ -347,3 +405,10 @@ class TestCentralOpenSet:
             vc.grid.origin[1] + (jj + 0.5) * delta,
         ])
         assert (field.sample_at(pts) <= delta).any()
+
+    def test_no_neighbor_leaves_the_whole_box(self):
+        # S_1^{-1} S_2 = x + 99 sends F's box far outside the working box
+        ifs = ftl.IFS((ftl.Similarity(0.01, np.eye(1), np.array([0.0])),
+                       ftl.Similarity(0.01, np.eye(1), np.array([0.99]))), 1)
+        vc = central_open_set(ifs, ([-0.2], [1.2]), 2.0**-8)
+        assert vc.neighbor_count == 0 and vc.grid.occupancy.all()
