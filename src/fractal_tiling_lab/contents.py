@@ -127,26 +127,25 @@ class PluriphaseData:
 # quadrature helpers
 
 
-def log_trapezoid(
-    eps: np.ndarray, integrand: np.ndarray, integrand_upper: np.ndarray | None = None
-) -> tuple[float, float]:
-    """integral of integrand d(eps) by trapezoid in ln(eps); (value, half-density delta).
+def renewal_integral(eps: np.ndarray, vals: np.ndarray, p: float, tol=None, jumps=None):
+    """(integral of eps^p vals d(eps), its half-density delta, integral of eps^p tol or 0.0)
+    by trapezoid in ln(eps). jumps are the right-limit increments at the nodes: renewal
+    differences jump at their gate radii and each interval uses the branch valid on it."""
+    def trapezoid(upper, lower, u):
+        return float(np.sum(0.5 * (upper[:-1] + lower[1:]) * np.diff(u)))
 
-    integrand_upper, when given, holds the right-limit values at each node;
-    renewal differences jump at their gate radii and each interval must use
-    the branch actually valid on it.
-    """
     u = np.log(eps)
-    du = np.diff(u)
-    wl = integrand * eps
-    wu = wl if integrand_upper is None else integrand_upper * eps
-    full = float(np.sum(0.5 * (wu[:-1] + wl[1:]) * du))
-    # half-density reference anchored at the top node so both cover the
-    # same interval
+    weight = eps**p
+    wl = weight * vals * eps
+    wu = wl if jumps is None else weight * (vals + jumps) * eps
+    full = trapezoid(wu, wl, u)
+    # half-density reference anchored at the top node: both cover the same interval
     idx = np.arange(u.size - 1, -1, -2)[::-1]
-    u2, wl2, wu2 = u[idx], wl[idx], wu[idx]
-    half = float(np.sum(0.5 * (wu2[:-1] + wl2[1:]) * np.diff(u2)))
-    return full, abs(full - half)
+    half = trapezoid(wu[idx], wl[idx], u[idx])
+    if tol is None:
+        return full, abs(full - half), 0.0
+    wt = weight * tol * eps
+    return full, abs(full - half), trapezoid(wt, wt, u)
 
 
 def power_fit(eps: np.ndarray, vals: np.ndarray, decades: float = 1.0):
@@ -158,14 +157,15 @@ def power_fit(eps: np.ndarray, vals: np.ndarray, decades: float = 1.0):
     return math.exp(lna), float(b)
 
 
-def _head_integral(eps0: float, a: float, b: float, p: float) -> float:
-    """integral_0^eps0 of a eps^(p+b) d(eps), requiring p + b > -1."""
+def power_head(eps: np.ndarray, vals: np.ndarray, p: float, decades: float = 1.0) -> float:
+    """integral_0^eps[0] of eps^p a eps^b d(eps) for the power fit a eps^b of vals;
+    0.0 without a fit or when q = p + b + 1 <= 0 makes it diverge."""
+    fit = power_fit(eps, vals, decades)
+    if fit is None:
+        return 0.0
+    a, b = fit
     q = p + b + 1.0
-    if q <= 0:
-        raise PreconditionError(
-            f"head exponent {b:.4f} makes eps^{p:.4f} * v non-integrable at 0"
-        )
-    return a * eps0**q / q
+    return a * eps[0] ** q / q if q > 0 else 0.0
 
 
 def require_checks(checks) -> None:
@@ -217,7 +217,7 @@ def generator_content(
     fit = power_fit(eps, vals)
     if fit is None:
         raise PreconditionError("tube volume vanishes on the smallest decade; cannot fit exponent")
-    a, b = fit
+    b = fit[1]
     if b < (d - D) + GAMMA_MIN:
         raise PreconditionError(
             f"tube-volume exponent {b:.4f} is below d - D + {GAMMA_MIN:g} = "
@@ -225,10 +225,9 @@ def generator_content(
             "the renewal hypothesis",
         )
     p = D - d - 1.0
-    integral, quad_err = log_trapezoid(eps, eps**p * vals)
-    head = _head_integral(eps[0], a, b, p)
+    integral, quad_err, tol_int = renewal_integral(eps, vals, p, tol)
+    head = power_head(eps, vals, p)
     tail = vals[-1] * eps[-1] ** (D - d) / (d - D)
-    tol_int, _ = log_trapezoid(eps, eps**p * tol)
     value = (integral + head + tail) / eta
     qerr = (2.0 * quad_err + 0.1 * head) / eta
     err = qerr + tol_int / eta
@@ -247,11 +246,8 @@ def tiling_content_via_h(
         raise PreconditionError("formula undefined for D >= d")
     eps, vals, tol, jumps = _restrict(h, g, lo=_difference_cutoff(h, d))
     p = D - d - 1.0
-    upper = None if jumps is None else eps**p * (vals + jumps)
-    integral, quad_err = log_trapezoid(eps, eps**p * vals, upper)
-    fit = power_fit(eps, vals, decades=1.5)
-    head = _head_integral(eps[0], *fit[:2], p) if fit and fit[1] > d - D else 0.0
-    tol_int, _ = log_trapezoid(eps, eps**p * tol)
+    integral, quad_err, tol_int = renewal_integral(eps, vals, p, tol, jumps)
+    head = power_head(eps, vals, p, decades=1.5)
     value = (integral + head) / eta
     err = (2.0 * quad_err + 0.2 * head + tol_int) / eta
     return ContentResult(
@@ -311,22 +307,16 @@ def gatzouras_content(
     """
     eps, vals, tol, jumps = _restrict(R_d, R_d.eps[-1], lo=_difference_cutoff(R_d, d))
     p = D - d - 1.0
-    upper = None if jumps is None else eps**p * (vals + jumps)
-    integral, quad_err = log_trapezoid(eps, eps**p * vals, upper)
-    head = 0.0
-    head_err = 0.0
-    low = eps <= eps[0] * 10
-    if np.any(np.abs(vals[low]) > 0):
-        fit = power_fit(eps, np.abs(vals))
-        if fit is not None and fit[1] > d - D:
-            mag = _head_integral(eps[0], *fit[:2], p)
-            signs = np.sign(vals[low][np.abs(vals[low]) > 0])
-            if signs.size and np.all(signs == signs[0]):
-                head = float(signs[0]) * mag
-                head_err = 0.5 * mag
-            else:
-                head_err = mag
-    tol_int, _ = log_trapezoid(eps, eps**p * tol)
+    integral, quad_err, tol_int = renewal_integral(eps, vals, p, tol, jumps)
+    head = head_err = 0.0
+    mag = power_head(eps, np.abs(vals), p)
+    if mag > 0:
+        low = vals[eps <= eps[0] * 10]
+        signs = np.sign(low[low != 0])
+        if np.all(signs == signs[0]):
+            head, head_err = float(signs[0]) * mag, 0.5 * mag
+        else:
+            head_err = mag
     value = (integral + head) / eta
     err = (2.0 * quad_err + head_err + tol_int) / eta
     if value <= 0 and value + err <= 0:
@@ -358,11 +348,9 @@ def relative_generator_content(
         )
     eps, vals, tol, _ = _restrict(F_on_Gamma, g_tilde)
     p = D - d - 1.0
-    integral, quad_err = log_trapezoid(eps, eps**p * vals)
-    fit = power_fit(eps, vals)
-    head = _head_integral(eps[0], *fit[:2], p) if fit and fit[1] > d - D else 0.0
+    integral, quad_err, tol_int = renewal_integral(eps, vals, p, tol)
+    head = power_head(eps, vals, p)
     tail = lambda_Gamma * eps[-1] ** (D - d) / (d - D)
-    tol_int, _ = log_trapezoid(eps, eps**p * tol)
     value = (integral + head + tail) / eta
     err = (2.0 * quad_err + 0.5 * head + tol_int) / eta
     return ContentResult(
@@ -384,10 +372,8 @@ def s_content(
         raise PreconditionError("surface formula needs D < d")
     eps, vals, tol, _ = _restrict(boundary_samples, g_tilde)
     p = D - d
-    integral, quad_err = log_trapezoid(eps, eps**p * vals)
-    fit = power_fit(eps, vals)
-    head = _head_integral(eps[0], *fit[:2], p) if fit and fit[1] > d - D - 1 else 0.0
-    tol_int, _ = log_trapezoid(eps, eps**p * tol)
+    integral, quad_err, tol_int = renewal_integral(eps, vals, p, tol)
+    head = power_head(eps, vals, p)
     norm = (d - D) * eta
     value = (integral + head) / norm
     err = (2.0 * quad_err + 0.5 * head + tol_int) / norm

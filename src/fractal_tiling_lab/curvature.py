@@ -21,10 +21,10 @@ from .errors import ConfigError, PreconditionError
 from .grids import DistanceField, Grid, inner_distance
 from .ifs import IFS
 from .levelsets import LevelSetExtractor
-from .volumes import EpsGrid
+from .volumes import EpsGrid, VolumeSamples, renewal_difference
 from .contents import (
-    GAMMA_MIN, ContentResult, log_trapezoid, power_fit, require_checks, _direct_estimates,
-    _head_integral,
+    GAMMA_MIN, ContentResult, power_fit, power_head, renewal_integral, require_checks,
+    _direct_estimates,
 )
 
 
@@ -184,23 +184,15 @@ def _curvature_quadrature(
     sel = samples.eps <= top * (1 + 1e-12)
     if sel.sum() < 8:
         raise PreconditionError("too few curvature samples below the integration top")
-    eps = samples.eps[sel]
-    vals = samples.values[sel]
-    var = samples.variation_values[sel]
+    eps, vals, var = samples.eps[sel], samples.values[sel], samples.variation_values[sel]
     p = D - k - 1.0
-    integral, quad_err = log_trapezoid(eps, eps**p * vals)
-    head = 0.0
-    head_err = 0.0
+    integral, quad_err, _ = renewal_integral(eps, vals, p)
     if k == d - 1 and np.all(vals[eps <= eps[0] * 10] >= 0):
-        fit = power_fit(eps, vals)
-        if fit is not None and fit[1] > k - D:
-            head = _head_integral(eps[0], *fit[:2], p)
-            head_err = 0.5 * head
+        head = power_head(eps, vals, p)
+        head_err = 0.5 * head
     else:
         # signed orders get no head value; bound the cutoff by the variation envelope
-        fit = power_fit(eps, var)
-        if fit is not None and fit[1] > k - D:
-            head_err = _head_integral(eps[0], *fit[:2], p)
+        head, head_err = 0.0, power_head(eps, var, p)
     value = (integral + head) / eta
     err = (2.0 * quad_err + head_err) / eta
     return ContentResult(
@@ -258,26 +250,19 @@ def curvature_renewal_difference(
 ) -> CurvatureSamples:
     """f(eps) - sum_i r_i^k f(eps / r_i) for curvature samples of a union set.
 
-    Every core is gone past the generator inradius g, where the samples
-    stop, so a lookup f(eps / r_i) beyond the last sample reads 0; the top
-    sample itself sits just below g, where the deepest core is still alive.
+    volumes.renewal_difference at weight k, the variations as tolerances,
+    cut off at the grid's top node: every core is gone past the generator
+    inradius g, where the samples stop, so a lookup f(eps / r_i) beyond the
+    last sample reads 0; the top sample itself sits just below g, where the
+    deepest core is still alive.
     """
-    if not np.allclose(samples.eps, grid.eps):
-        raise ConfigError("samples must live on the provided eps grid")
-    n = samples.eps.size
-    values = samples.values.copy()
-    var = samples.variation_values.copy()
-    vals0 = np.append(samples.values, 0.0)
-    var0 = np.append(samples.variation_values, 0.0)
-    for m in ifs.maps:
-        shift = grid.shift_for_ratio(m.ratio)
-        if shift is None:
-            raise ConfigError("curvature renewal needs a lattice-aligned eps grid")
-        idx = np.minimum(np.arange(n) + shift, n)
-        w = m.ratio**samples.k
-        values = values - w * vals0[idx]
-        var = var + w * var0[idx]
+    as_volume = VolumeSamples(
+        samples.eps, samples.values, "C_k", samples.delta, tolerance=samples.variation_values
+    )
+    diff = renewal_difference(as_volume, ifs, float(grid.eps[-1]), grid, samples.k, "C_k")
+    if diff.interpolated:
+        raise ConfigError("curvature renewal needs a lattice-aligned eps grid")
     return CurvatureSamples(
-        grid.eps, samples.k, values, np.maximum(var, np.abs(values)),
+        grid.eps, samples.k, diff.values, np.maximum(diff.tolerance, np.abs(diff.values)),
         samples.delta, samples.region_tag,
     )

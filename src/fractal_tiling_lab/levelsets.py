@@ -49,10 +49,6 @@ class LevelSet:
     eout: np.ndarray  # (m,) global edge id carrying the end crossing
     cell_ij: np.ndarray  # (m, 2) dual-cell index of each segment
 
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.hypot(*(self.p_out - self.p_in).T)
-
 
 class LevelSetExtractor:
     """Reusable marching-squares engine for one distance field.

@@ -6,10 +6,10 @@ Each sample carries a resolution tolerance, delta times the interface measure at
 (the cells whose half-cell uncertainty can flip the count), which consumers
 must fold into their error estimates.
 
-The renewal differences (h, phi, the Gatzouras difference) evaluate
-f(eps / r_i) through the scaling identities; on lattice-aligned geometric
-grids the lookup is an exact index shift, otherwise a monotone interpolant
-is used and the samples are flagged. That interpolant (_pchip) is the
+The renewal differences (h, phi, the Gatzouras difference, the curvature
+residual) evaluate f(eps / r_i) through the scaling identities; on
+lattice-aligned geometric grids the lookup is an exact index shift,
+otherwise a monotone interpolant is used and the samples are flagged. That interpolant (_pchip) is the
 piecewise cubic Hermite scheme of Fritsch & Butland, written here with the
 float operations of scipy's PchipInterpolator, so it gives the same bits
 without loading scipy.interpolate.
@@ -27,7 +27,7 @@ from .grids import DistanceField, Grid
 from .ifs import IFS
 
 _COUNT_STRIP = 1 << 20  # values sorted at a time when the samplers count them
-VOLUME_KINDS = ("V_G", "V_T", "F_eps_on_A", "F_eps", "h", "phi", "R_d", "surface")
+VOLUME_KINDS = ("V_G", "V_T", "F_eps_on_A", "F_eps", "h", "phi", "R_d", "surface", "C_k")
 
 
 @dataclass
@@ -239,8 +239,10 @@ def renewal_difference(
     """f(eps) - sum_i 1{eps <= r_i * cutoff} r_i^w f(eps / r_i).
 
     The common shape of the tube-function difference (w = d, cutoff = g),
-    the restricted-volume difference (w = d, cutoff = g_tilde) and the
-    Gatzouras difference (w = d, cutoff = the grid's top node a).
+    the restricted-volume difference (w = d, cutoff = g_tilde), the
+    Gatzouras difference (w = d, cutoff = the grid's top node a) and the
+    curvature residual (w = k, the same cutoff). A term is exactly 0.0
+    outside its gate.
     """
     if samples.eps.shape != grid.eps.shape or not np.allclose(samples.eps, grid.eps):
         raise ConfigError("samples must live on the provided eps grid")
@@ -252,8 +254,8 @@ def renewal_difference(
     for r, scaled, scaled_tol in zip(ratios, all_scaled, all_scaled_tol):
         gate = grid.eps <= r * cutoff + 1e-12 * cutoff
         w = r**weight_exponent
-        values = values - gate * w * scaled
-        tol = tol + gate * w * scaled_tol
+        values = values - np.where(gate, w * scaled, 0.0)
+        tol = tol + np.where(gate, w * scaled_tol, 0.0)
         # the subtracted term switches off just above its gate radius; record
         # the jump when that radius sits on the grid
         if gate.any():

@@ -473,3 +473,35 @@ class TestOscImagesOffGrid:
         assert osc["verdict"] == "fail"
         assert osc["witness"]["map"] == 2 and osc["witness"]["reason"] == "S_i O leaves O's grid"
         assert osc["witness"]["image"][1] > 0.5 + 2.0**-7
+
+
+# SHA-256 of the --format json output and the exit code of content, curvature
+# -k 0 and -k 1, recorded before the generator-type formulas shared
+# renewal_integral and power_head; koch at 2^-8 pins both exponent refusals
+# (the generator's tube volume, and -k 1's curvature variation)
+GOLDEN = {
+    ("cantor", None, "content"): ("7869f499ddc47a8ac59fb8f2e0ec77528106f3dc52a6bdec98146011a9a83b14", 0),
+    ("cantor", None, "k0"): ("15e8b094920694abaff648b60648de7dca5a398da2c8781613bccb9bf87be873", 0),
+    ("cantor_pair", None, "content"): ("2f986cf6b962bfb68e5ef6c067384c544cbbe5353e9dbdab542421c0956d95ba", 0),
+    ("cantor_pair", None, "k0"): ("ab9841e80cf3264ab1dcd96ec1b03ea5eeddf364ed3cc706bb7928404a95f57e", 0),
+    ("gasket", 2.0**-9, "content"): ("7c3d9f3f39c2eee75ee61a661b2c726986ffa3d46a09d49afd14e3866c81c147", 0),
+    ("gasket", 2.0**-9, "k0"): ("54daa65276e4285a45b177e8b45db38dea1351815e77660834718f0d609c0fc9", 0),
+    ("gasket", 2.0**-9, "k1"): ("daa14538cfc6758b10c725ef607f6d3422b4a3432c9528cb92a1cdb6f874b6b6", 0),
+    ("koch", 2.0**-8, "content"): ("b54378fe4c53b8eaca34858db802714bf238822df61c183e1ca544101f90a6e0", 0),
+    ("koch", 2.0**-8, "k0"): ("ff76a5254376afe7d3e124d40933113690805b52b737d38f02fa8efb3a7973f2", 0),
+    ("koch", 2.0**-8, "k1"): ("17f3edc62ee05d3c34fc38ce3bdb7f9ee56fe91df26dc17fb91a03f13b0bca47", 2),
+    ("carpet", 2.0**-9, "content"): ("c82b6035f31f7619dd6836322b1e2bbf7148388a19b27fc301866aa5c53830ac", 0),
+    ("carpet", 2.0**-9, "k0"): ("d93c29cd63f5edab45fbbdaba376b8613b82d43c324578fa8dbe331c31134b58", 0),
+    ("carpet", 2.0**-9, "k1"): ("22bc65e720a6e55bd42d145b262deea1e48c0647010de899877ed8b56a759a2e", 0),
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("preset,delta,command", list(GOLDEN))
+    def test_json_output_and_exit_code(self, capsys, preset, delta, command):
+        argv = ["content"] if command == "content" else ["curvature", "-k", command[1]]
+        argv += ["--preset", preset, "--format", "json"]
+        if delta is not None:
+            argv += ["--delta", repr(delta)]
+        code, out = run(capsys, *argv)
+        assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN[preset, delta, command]

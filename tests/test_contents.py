@@ -12,6 +12,7 @@ from fractal_tiling_lab.contents import (
     generator_content,
     monophase_content,
     pluriphase_content,
+    power_head,
     relative_generator_content,
 )
 from fractal_tiling_lab.errors import ConfigError, PreconditionError
@@ -245,6 +246,38 @@ class TestRefusals:
         b = cantor_bundle
         with pytest.raises(PreconditionError):
             generator_content(b.V_G, 1.0, LN3, 1, b.g)
+
+
+class TestPowerHead:
+    """power_head integrates eps^p times the power fit of vals from 0 to eps[0]."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.floats(1e-2, 1e2),
+        b=st.floats(-0.9, 3.0),
+        p=st.floats(-3.0, 0.5),
+        eps0=st.floats(1e-5, 1e-2),
+        decades=st.sampled_from([1.0, 1.5]),
+    )
+    def test_exact_power_law(self, a, b, p, eps0, decades):
+        q = p + b + 1.0
+        assume(q > 0.01)
+        eps = eps0 * np.logspace(0, 2, 129)
+        head = power_head(eps, a * eps**b, p, decades)
+        assert head == pytest.approx(a * eps0**q / q, rel=1e-12)
+
+    @pytest.mark.parametrize("b,p", [(0.5, -2.0), (0.2, -1.5), (-0.5, -0.6), (1.0, -3.0)])
+    def test_divergent_head_is_zero(self, b, p):
+        eps = 1e-3 * np.logspace(0, 2, 129)
+        assert power_head(eps, 2.0 * eps**b, p) == 0.0
+
+    @pytest.mark.parametrize("positive", [0, 1, 3])
+    def test_fewer_than_four_positive_points_is_zero(self, positive):
+        eps = 1e-3 * np.logspace(0, 2, 129)
+        vals = np.zeros_like(eps)
+        vals[1 : 1 + positive] = 1.0
+        vals[eps > 1e-2] = 1.0  # above the fitted decade: not counted
+        assert power_head(eps, vals, -0.5) == 0.0
 
 
 class TestDirectContent:

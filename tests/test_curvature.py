@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractal_tiling_lab import curvature, grids, levelsets, pipeline, presets
 from fractal_tiling_lab.curvature import (
+    CurvatureSamples,
     curvature_renewal_difference,
     direct_fractal_curvature,
     generator_curvature,
@@ -23,8 +25,9 @@ from fractal_tiling_lab.grids import (
     inradius,
     rasterize,
 )
+from fractal_tiling_lab.ifs import IFS
 from fractal_tiling_lab.levelsets import euler_and_turning
-from fractal_tiling_lab.presets import D_KOCH
+from fractal_tiling_lab.presets import D_KOCH, translation_map
 from fractal_tiling_lab.volumes import make_eps_grid
 
 
@@ -404,6 +407,28 @@ class TestProfilePath:
             b.relative_curvature(0)
 
 
+def reference_renewal_difference(samples, ifs, grid):
+    """(values, variation) of the residual by one index shift per map; lookups past the last sample read 0."""
+    n = samples.eps.size
+    values = samples.values.copy()
+    var = samples.variation_values.copy()
+    vals0 = np.append(samples.values, 0.0)
+    var0 = np.append(samples.variation_values, 0.0)
+    for m in ifs.maps:
+        shift = grid.shift_for_ratio(m.ratio)
+        assert shift is not None
+        idx = np.minimum(np.arange(n) + shift, n)
+        w = m.ratio**samples.k
+        values = values - w * vals0[idx]
+        var = var + w * var0[idx]
+    return values, np.maximum(var, np.abs(values))
+
+
+def assert_bit_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
 class TestRenewalDifference:
     """Lookups f(eps / r_i) past the last sample read 0: every core is gone past g."""
 
@@ -425,3 +450,52 @@ class TestRenewalDifference:
         top = (resid.eps > b.g / 3) & (resid.eps <= b.g)
         assert top.sum() >= 8
         assert np.all(resid.values[top] == -1.0)
+
+    # curvature_renewal_difference is volumes.renewal_difference at weight k,
+    # cut off at the top node: the index-shift loop's values and variations, bit for bit
+    @pytest.mark.parametrize("name,delta,k", [
+        ("cantor", 2.0**-12, 0),
+        ("cantor_pair", None, 0),
+        ("carpet", 2.0**-9, 0),
+        ("carpet", 2.0**-9, 1),
+        ("gasket", None, 0),
+        ("gasket", None, 1),
+    ])
+    def test_presets(self, name, delta, k):
+        b = pipeline.get_bundle(name, delta=delta)
+        Ts = tile_union_samples(b, k)
+        resid = curvature_renewal_difference(Ts, b.ifs, b.grid_curv_G)
+        values, var = reference_renewal_difference(Ts, b.ifs, b.grid_curv_G)
+        assert_bit_equal(resid.values, values)
+        assert_bit_equal(resid.variation_values, var)
+        assert_bit_equal(resid.eps, b.grid_curv_G.eps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.floats(0.1, 2.5),
+        powers=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+        per_decade=st.integers(8, 64),
+        top=st.floats(0.05, 2.0),
+        k=st.sampled_from([0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_lattice_grids(self, base, powers, per_decade, top, k, seed):
+        grid = make_eps_grid(top * 1e-3, top, per_decade, lattice_base=base)
+        ifs = IFS(tuple(translation_map(math.exp(-j * base), [0.0]) for j in powers), 1)
+        rng = np.random.default_rng(seed)
+        n = grid.eps.size
+        values = rng.normal(size=n) * rng.integers(0, 2, n)
+        values[rng.random(n) < 0.2] = -0.0
+        variation = np.abs(values) + rng.exponential(size=n) * rng.integers(0, 2, n)
+        samples = CurvatureSamples(grid.eps, k, values, variation, 1e-3 * top)
+        resid = curvature_renewal_difference(samples, ifs, grid)
+        ref_values, ref_var = reference_renewal_difference(samples, ifs, grid)
+        assert_bit_equal(resid.values, ref_values)
+        assert_bit_equal(resid.variation_values, ref_var)
+
+    def test_off_lattice_grid_refused(self):
+        grid = make_eps_grid(1e-3, 0.5, 32, lattice_base=math.log(3))
+        ifs = IFS((translation_map(1 / 3, [0.0]), translation_map(0.5, [0.5])), 1)
+        samples = CurvatureSamples(grid.eps, 0, np.ones(grid.eps.size), np.ones(grid.eps.size), 1e-3)
+        with pytest.raises(ConfigError, match="lattice-aligned eps grid"):
+            curvature_renewal_difference(samples, ifs, grid)
