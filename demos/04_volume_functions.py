@@ -8,6 +8,7 @@ which is the identity the whole approach rests on.
 import numpy as np
 
 from fractal_tiling_lab.pipeline import get_bundle
+from fractal_tiling_lab.volumes import phi_function
 
 b = get_bundle("cantor")
 h, vg = b.h, b.V_G
@@ -18,7 +19,7 @@ for i in sel:
     flag = "  <- gate region" if h.eps[i] > b.g / 3 else ""
     print(f"{h.eps[i]:.6f}   {h.values[i]: .6f}        {vg.values[i]:.6f}{flag}")
 
-phi = b.phi
+phi = phi_function(b.F_on_O, b.ifs, b.g_tilde, b.grid_rel)
 print("\nphi saturates at lambda(O) above g~:", phi.values[-1], "vs lambda(O) =", b.O.area())
 
 rd = b.R_d

@@ -57,7 +57,6 @@ from .contents import (
 )
 from .curvature import (
     CurvatureSamples,
-    curvature_renewal_difference,
     direct_fractal_curvature,
     generator_curvature,
     inner_curvature_samples,

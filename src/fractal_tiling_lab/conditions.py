@@ -175,7 +175,6 @@ def check_compatibility(G: Grid, F_field: DistanceField) -> CheckReport:
 
 def check_projection(
     ifs: IFS, O: Grid, images: list[np.ndarray], F_field: DistanceField, g_tilde: float,
-    eps_samples: np.ndarray | None = None,
 ) -> CheckReport:
     """Projection condition, tested through the parallel-set identity.
 
@@ -193,14 +192,10 @@ def check_projection(
         d_F = F_field.sample_cells(O, img)
         d_SiF = m.ratio * _sample_preimages(m, O, img, F_field)
         top = m.ratio * g_tilde
-        if eps_samples is None:
-            lo = 4 * delta
-            if top <= lo * 1.05:
-                continue
-            eps_i = np.geomspace(lo, top, 24)
-        else:
-            eps_i = np.asarray(eps_samples, dtype=float)
-            eps_i = eps_i[eps_i <= top]
+        lo = 4 * delta
+        if top <= lo * 1.05:
+            continue
+        eps_i = np.geomspace(lo, top, 24)
         # #(d_F <= e and d_SiF > e) = #(d_F <= e) - #(max(d_F, d_SiF) <= e)
         s_F = np.sort(d_F)
         defects = np.searchsorted(s_F, eps_i, side="right") - np.searchsorted(

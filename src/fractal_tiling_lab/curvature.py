@@ -19,9 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, PreconditionError
 from .grids import DistanceField, Grid, inner_distance
-from .ifs import IFS
 from .levelsets import LevelSetExtractor
-from .volumes import EpsGrid, VolumeSamples, renewal_difference
+from .volumes import EpsGrid
 from .contents import (
     GAMMA_MIN, ContentResult, power_fit, power_head, renewal_integral, require_checks,
     _direct_estimates,
@@ -242,27 +241,4 @@ def direct_fractal_curvature(
     return _direct_estimates(
         samples, np.zeros_like(samples.values), D, k, window, lattice_base, lattice_note,
         "lattice system: oscillation band, not a limit", {"k": k},
-    )
-
-
-def curvature_renewal_difference(
-    samples: CurvatureSamples, ifs: IFS, grid: EpsGrid
-) -> CurvatureSamples:
-    """f(eps) - sum_i r_i^k f(eps / r_i) for curvature samples of a union set.
-
-    volumes.renewal_difference at weight k, the variations as tolerances,
-    cut off at the grid's top node: every core is gone past the generator
-    inradius g, where the samples stop, so a lookup f(eps / r_i) beyond the
-    last sample reads 0; the top sample itself sits just below g, where the
-    deepest core is still alive.
-    """
-    as_volume = VolumeSamples(
-        samples.eps, samples.values, "C_k", samples.delta, tolerance=samples.variation_values
-    )
-    diff = renewal_difference(as_volume, ifs, float(grid.eps[-1]), grid, samples.k, "C_k")
-    if diff.interpolated:
-        raise ConfigError("curvature renewal needs a lattice-aligned eps grid")
-    return CurvatureSamples(
-        grid.eps, samples.k, diff.values, np.maximum(diff.tolerance, np.abs(diff.values)),
-        samples.delta, samples.region_tag,
     )

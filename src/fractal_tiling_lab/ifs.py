@@ -35,6 +35,8 @@ class Similarity:
         t = np.atleast_1d(np.asarray(self.translation, dtype=float))
         if q.shape[0] != q.shape[1] or q.shape[0] != t.shape[0]:
             raise ConfigError("orthogonal part and translation dimensions differ")
+        if not np.isfinite(t).all():
+            raise ConfigError(f"translation must be finite, got {t.tolist()}")
         check_similarity_parts(np.array([self.ratio]), q[None])
         object.__setattr__(self, "orthogonal_part", q)
         object.__setattr__(self, "translation", t)

@@ -221,10 +221,6 @@ class SceneBundle:
         return volumes.sample_restricted_volume(self.field_small, self.tiling.Gamma, self.grid_rel, "Gamma")
 
     @_product
-    def phi(self) -> volumes.VolumeSamples:
-        return volumes.phi_function(self.F_on_O, self.ifs, self.g_tilde, self.grid_rel)
-
-    @_product
     def F_volumes(self) -> volumes.VolumeSamples:
         """lambda_d(F_eps) on grid_F."""
         return volumes.sample_parallel_volume(self.field_small, self.grid_F)

@@ -5,7 +5,10 @@ union of the closed images S_i(cl O); the tiles are the images S_sigma(G)
 over all finite words. Rasters resolve tiles down to a few cells and merge
 everything smaller into a residual mask (those tiles are entirely within
 any sampled eps of their own boundary, so cell counting stays exact for
-eps at or above the resolution floor).
+eps at or above the resolution floor). build_tiling builds O, the images,
+G, Gamma and G's inner field; the word tree, the tile union and the
+residual are built on first read of TilingData's tile_words and
+tile_union, which only the tiling_via_h row and rendering read.
 
 Tiles are built one word length at a time (rasterize_tiles) from the
 arrays of the word tree: the composed maps S_sigma of all words of one
@@ -34,6 +37,7 @@ conditions.check_projection.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,17 +50,16 @@ from .ifs import IFS, Similarity, WordTree, check_similarity_parts, words_up_to_
 
 @dataclass
 class TilingData:
+    """O, the images S_i(O), the generator G, Gamma = O minus Phi(O) and G's
+    inner field; the tiles are derived from these on first read."""
+
     ifs: IFS
     O: Grid
     G: Grid
     G_inner: DistanceField  # inner_distance of G cropped to its cells plus 4: V_G, G_-eps and g
     Gamma: Grid
     g: float
-    tile_words: WordTree
-    tile_union: Grid
-    residual: Grid
     image_bits: np.ndarray  # S_i(O) on O's grid, packed along axis 0 as np.packbits packs
-    g_tilde: float | None = None
 
     @property
     def delta(self) -> float:
@@ -67,12 +70,29 @@ class TilingData:
         """S_i(O) on O's grid, one raster per map, in map order."""
         return list(np.unpackbits(self.image_bits, axis=0, count=self.ifs.n).view(bool))
 
+    @functools.cached_property
+    def tile_words(self) -> WordTree:
+        """The resolved words: r_sigma * diam(O's raster) > RESOLVE_CELLS * delta."""
+        O = self.O
+        lo, hi = O.origin, O.origin + np.array(O.extents) * O.spacing
+        return words_up_to_ratio(self.ifs, RESOLVE_CELLS * O.spacing / float(np.linalg.norm(hi - lo)))
+
+    @functools.cached_property
+    def tile_union(self) -> Grid:
+        """The union of the resolved tiles S_sigma(G), within O."""
+        occ = rasterize_tiles(self.ifs, self.tile_words, self.G, self.O)
+        return self.O.with_occupancy(occ & self.O.occupancy)
+
+    @property
+    def residual(self) -> Grid:
+        """The cells of O outside every resolved tile: the sub-cell tiles."""
+        return self.O.with_occupancy(self.O.occupancy & ~self.tile_union.occupancy)
+
     def manifest(self) -> dict:
-        """JSON-ready summary: resolved words with ratios, g, g~, masses."""
+        """JSON-ready summary: resolved words with ratios, g, masses."""
         return {
             "delta": self.delta,
             "g": self.g,
-            "g_tilde": self.g_tilde,
             "lambda_O": self.O.area(),
             "lambda_G": self.G.area(),
             "lambda_Gamma": self.Gamma.area(),
@@ -258,21 +278,18 @@ def rasterize_tiles(ifs: IFS, words: WordTree, G: Grid, target: Grid) -> np.ndar
 def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
     """Construct the tiling of a feasible open set at resolution delta.
 
-    A Region is rasterized on its bbox grown by two cells per side. Tiles
-    are resolved for every word with r_sigma * diam(O) > RESOLVE_CELLS *
-    delta; deeper (sub-cell) tiles land in the residual mask. An empty
-    generator raster is refused with sum r_i^d: a ConfigError when the
-    scene has no tiling, for a full-dimensional attractor (sum 1) or
+    A Region is rasterized on its bbox grown by two cells per side. An
+    empty generator raster is refused with sum r_i^d: a ConfigError when
+    the scene has no tiling, for a full-dimensional attractor (sum 1) or
     overlapping maps (above 1), and a ResolutionError when the sum is
-    below 1 and the images S_i(O) cover O at this resolution.
-    tile_words is the tree of resolved words; the tile union is rasterized
-    one word length at a time by rasterize_tiles, which composes each tile
-    map once from its parent's. Each image S_i(O) is sampled once; Phi(O) is
-    their union, and the images stay on the result (image_bits) for the
-    structural checks. G's one inner distance field, G_inner, is taken on G
-    cropped to its cells plus 4 (cells outside the raster count as
-    complement, so the crop changes no distance inside G), and g is its
-    maximum, the inradius.
+    below 1 and the images S_i(O) cover O at this resolution. Each image
+    S_i(O) is sampled once; Phi(O) is their union, and the images stay on
+    the result (image_bits) for the structural checks. G's one inner
+    distance field, G_inner, is taken on G cropped to its cells plus 4
+    (cells outside the raster count as complement, so the crop changes no
+    distance inside G), and g is its maximum, the inradius. No tile is
+    built here: TilingData resolves the words and rasterizes their union
+    on first read.
     """
     if isinstance(O_region, Grid):
         O = O_region
@@ -299,12 +316,6 @@ def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
         error = ConfigError if total > 1 - 1e-9 else ResolutionError
         raise error(f"empty generator: {why} (sum r_i^d = {total:.6g}), no tiling exists")
 
-    lo, hi = O.origin, O.origin + np.array(O.extents) * O.spacing
-    words = words_up_to_ratio(ifs, RESOLVE_CELLS * delta / float(np.linalg.norm(hi - lo)))
-
-    tile_occ = rasterize_tiles(ifs, words, G, O) & O.occupancy
-    tile_union = O.with_occupancy(tile_occ)
-    residual = O.with_occupancy(O.occupancy & ~tile_occ)
     G_inner = inner_distance(G.cropped(4))
 
     return TilingData(
@@ -314,9 +325,6 @@ def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
         G_inner=G_inner,
         Gamma=Gamma,
         g=float(G_inner.values.max()),
-        tile_words=words,
-        tile_union=tile_union,
-        residual=residual,
         image_bits=image_bits,
     )
 

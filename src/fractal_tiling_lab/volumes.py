@@ -68,7 +68,6 @@ class EpsGrid:
 
     eps: np.ndarray
     log_step: float
-    lattice_base: float | None = None
 
     def shift_for_ratio(self, r: float) -> int | None:
         """Index shift s with eps[i]/r = eps[i+s], or None if off-grid."""
@@ -95,7 +94,7 @@ def make_eps_grid(
         step = lattice_base / m
     n = int(math.floor(math.log(top / lo) / step))
     eps = top * np.exp(-step * np.arange(n, -1, -1))
-    return EpsGrid(eps=eps, log_step=step, lattice_base=lattice_base)
+    return EpsGrid(eps=eps, log_step=step)
 
 
 def _count_values(vals: np.ndarray, eps: np.ndarray, delta: float, dim: int):

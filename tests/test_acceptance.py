@@ -14,11 +14,7 @@ from scipy import ndimage
 
 import fractal_tiling_lab as ftl
 from fractal_tiling_lab.contents import MonophaseData, PluriphaseData, monophase_content, pluriphase_content, generator_content
-from fractal_tiling_lab.curvature import (
-    curvature_renewal_difference,
-    inner_curvature_samples,
-    relative_generator_curvature,
-)
+from fractal_tiling_lab.curvature import inner_curvature_samples, relative_generator_curvature
 from fractal_tiling_lab.errors import PreconditionError
 from fractal_tiling_lab.grids import (
     ConvexPolygon,
@@ -34,7 +30,7 @@ from fractal_tiling_lab.ifs import words_up_to_ratio
 from fractal_tiling_lab.levelsets import euler_and_turning
 from fractal_tiling_lab.presets import CANTOR_CONTENT_CLOSED_FORM, D_KOCH, carpet_ifs
 from fractal_tiling_lab.tiling import attractor_raster, rasterize_tiles
-from fractal_tiling_lab.volumes import make_eps_grid, sample_inner_volume
+from fractal_tiling_lab.volumes import VolumeSamples, make_eps_grid, renewal_difference, sample_inner_volume
 from fractal_tiling_lab.conditions import check_strong
 
 RESULTS = []
@@ -192,7 +188,9 @@ def test_criterion_07_renewal_residuals(cantor_bundle, carpet_bundle, koch_bundl
     for k in (0, 1):
         Ts = inner_curvature_samples(b.tiling.tile_union, k, b.grid_curv_G, "T_core")
         Gs = b.generator_curvature_samples(k)
-        resid = curvature_renewal_difference(Ts, b.ifs, b.grid_curv_G)
+        # f(eps) - sum_i r_i^k f(eps / r_i), the variations as tolerances, cut off at the top node
+        as_volume = VolumeSamples(Ts.eps, Ts.values, "C_k", Ts.delta, tolerance=Ts.variation_values)
+        resid = renewal_difference(as_volume, b.ifs, float(b.grid_curv_G.eps[-1]), b.grid_curv_G, k, "C_k")
         eps = resid.eps
         regular = (
             (np.min(np.abs(eps[:, None] - crit[None, :]), axis=1) >= 6 * b.delta)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fractal_tiling_lab import pipeline
+from fractal_tiling_lab import pipeline, tiling
 from fractal_tiling_lab.cli import build_parser, load_scene, main
 from fractal_tiling_lab.pipeline import get_bundle
 from fractal_tiling_lab.presets import Preset, get_preset
@@ -414,6 +414,19 @@ class TestSceneFileValidation:
         assert err.startswith("configuration error: empty generator: the maps overlap")
         assert "(sum r_i^d = 1.2)" in err
 
+    @pytest.mark.parametrize("value, shown", [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+    ], ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_translation_refused(self, capsys, tmp_path, monkeypatch, value, shown):
+        # json writes and reads these as NaN, Infinity and -Infinity
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        path = unnamed_scene(tmp_path, "bad.json", [dict(CANTOR_MAPS[0], translation=[value]), CANTOR_MAPS[1]])
+        assert main(["content", "--scene", path, "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: translation must be finite, got [{shown}]\n"
+        assert pipeline._BUNDLES == {}
+
 
 class TestResolutionValues:
     """delta and eps_per_decade follow one rule (Scene.validate) whether they come
@@ -505,3 +518,32 @@ class TestGoldenDigests:
             argv += ["--delta", repr(delta)]
         code, out = run(capsys, *argv)
         assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN[preset, delta, command]
+
+
+class TestTilesOnlyForTheRowsThatReadThem:
+    """curvature and check build no tile; content grows the word tree and
+    rasterizes the tile union once per bundle, for its tiling_via_h row."""
+
+    @pytest.mark.parametrize("preset,delta", list(dict.fromkeys((p, d) for p, d, _ in GOLDEN)))
+    def test_tile_builds_per_command(self, capsys, monkeypatch, preset, delta):
+        calls = dict.fromkeys(("words_up_to_ratio", "rasterize_tiles"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(tiling, name, counting(name, getattr(tiling, name)))
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        flags = ["--preset", preset, "--format", "json"]
+        if delta is not None:
+            flags += ["--delta", repr(delta)]
+        assert main(["curvature", "-k", "0", *flags]) == 0
+        assert main(["check", *flags]) == 0
+        assert calls == {"words_up_to_ratio": 0, "rasterize_tiles": 0}
+        assert main(["content", *flags]) == 0
+        assert calls == {"words_up_to_ratio": 1, "rasterize_tiles": 1}
+        assert len(pipeline._BUNDLES) == 1
+        capsys.readouterr()

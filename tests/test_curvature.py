@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from fractal_tiling_lab import curvature, grids, levelsets, pipeline, presets
 from fractal_tiling_lab.curvature import (
     CurvatureSamples,
-    curvature_renewal_difference,
     direct_fractal_curvature,
     generator_curvature,
     inner_curvature_samples,
@@ -28,7 +27,7 @@ from fractal_tiling_lab.grids import (
 from fractal_tiling_lab.ifs import IFS
 from fractal_tiling_lab.levelsets import euler_and_turning
 from fractal_tiling_lab.presets import D_KOCH, translation_map
-from fractal_tiling_lab.volumes import make_eps_grid
+from fractal_tiling_lab.volumes import VolumeSamples, make_eps_grid, renewal_difference
 
 
 def disk_field(delta=2.0**-9, bbox=([-2.0, -2.0], [2.0, 2.0])):
@@ -180,7 +179,7 @@ class TestCompatibleCarpet:
         for k, tol in ((1, 0.05), (0, 0.05)):
             Ts = tile_union_samples(b, k)
             Gs = b.generator_curvature_samples(k)
-            resid = curvature_renewal_difference(Ts, b.ifs, b.grid_curv_G)
+            resid = renewal_residual(Ts, b.ifs, b.grid_curv_G)
             eps = resid.eps
             regular = (
                 (np.min(np.abs(eps[:, None] - crit[None, :]), axis=1) >= 6 * b.delta)
@@ -298,6 +297,14 @@ def tile_union_samples(b, k):
     return inner_curvature_samples(b.tiling.tile_union, k, b.grid_curv_G, "T_core")
 
 
+def renewal_residual(samples, ifs, grid):
+    """f(eps) - sum_i r_i^k f(eps / r_i) of C_k samples: volumes.renewal_difference at
+    weight k, the variations as tolerances, cut off at the grid's top node (every core
+    is gone past g, where the samples stop)."""
+    as_volume = VolumeSamples(samples.eps, samples.values, "C_k", samples.delta, tolerance=samples.variation_values)
+    return renewal_difference(as_volume, ifs, float(grid.eps[-1]), grid, samples.k, "C_k")
+
+
 def assert_same_samples(a, b):
     assert (a.k, a.region_tag, a.delta) == (b.k, b.region_tag, b.delta)
     for name in ("eps", "values", "variation_values"):
@@ -408,7 +415,7 @@ class TestProfilePath:
 
 
 def reference_renewal_difference(samples, ifs, grid):
-    """(values, variation) of the residual by one index shift per map; lookups past the last sample read 0."""
+    """(values, tolerance) of the residual by one index shift per map; lookups past the last sample read 0."""
     n = samples.eps.size
     values = samples.values.copy()
     var = samples.variation_values.copy()
@@ -421,7 +428,7 @@ def reference_renewal_difference(samples, ifs, grid):
         w = m.ratio**samples.k
         values = values - w * vals0[idx]
         var = var + w * var0[idx]
-    return values, np.maximum(var, np.abs(values))
+    return values, var
 
 
 def assert_bit_equal(a, b):
@@ -434,7 +441,7 @@ class TestRenewalDifference:
 
     def test_cantor_residual_is_the_generator_at_regular_eps(self):
         b = fresh_bundle("cantor", 2.0**-12)
-        resid = curvature_renewal_difference(tile_union_samples(b, 0), b.ifs, b.grid_curv_G)
+        resid = renewal_residual(tile_union_samples(b, 0), b.ifs, b.grid_curv_G)
         Gs = b.generator_curvature_samples(0)
         crit = np.array([b.g * 3.0**-j for j in range(14)])
         eps = resid.eps
@@ -446,13 +453,13 @@ class TestRenewalDifference:
 
     def test_carpet_k0_residual_is_minus_one_in_the_top_third(self):
         b = pipeline.get_bundle("carpet", delta=2.0**-9)
-        resid = curvature_renewal_difference(tile_union_samples(b, 0), b.ifs, b.grid_curv_G)
+        resid = renewal_residual(tile_union_samples(b, 0), b.ifs, b.grid_curv_G)
         top = (resid.eps > b.g / 3) & (resid.eps <= b.g)
         assert top.sum() >= 8
         assert np.all(resid.values[top] == -1.0)
 
-    # curvature_renewal_difference is volumes.renewal_difference at weight k,
-    # cut off at the top node: the index-shift loop's values and variations, bit for bit
+    # volumes.renewal_difference at weight k, cut off at the top node: the
+    # index-shift loop's values and tolerances, bit for bit
     @pytest.mark.parametrize("name,delta,k", [
         ("cantor", 2.0**-12, 0),
         ("cantor_pair", None, 0),
@@ -464,10 +471,11 @@ class TestRenewalDifference:
     def test_presets(self, name, delta, k):
         b = pipeline.get_bundle(name, delta=delta)
         Ts = tile_union_samples(b, k)
-        resid = curvature_renewal_difference(Ts, b.ifs, b.grid_curv_G)
+        resid = renewal_residual(Ts, b.ifs, b.grid_curv_G)
         values, var = reference_renewal_difference(Ts, b.ifs, b.grid_curv_G)
+        assert not resid.interpolated
         assert_bit_equal(resid.values, values)
-        assert_bit_equal(resid.variation_values, var)
+        assert_bit_equal(resid.tolerance, var)
         assert_bit_equal(resid.eps, b.grid_curv_G.eps)
 
     @settings(max_examples=200, deadline=None)
@@ -488,14 +496,15 @@ class TestRenewalDifference:
         values[rng.random(n) < 0.2] = -0.0
         variation = np.abs(values) + rng.exponential(size=n) * rng.integers(0, 2, n)
         samples = CurvatureSamples(grid.eps, k, values, variation, 1e-3 * top)
-        resid = curvature_renewal_difference(samples, ifs, grid)
+        resid = renewal_residual(samples, ifs, grid)
         ref_values, ref_var = reference_renewal_difference(samples, ifs, grid)
+        assert not resid.interpolated
         assert_bit_equal(resid.values, ref_values)
-        assert_bit_equal(resid.variation_values, ref_var)
+        assert_bit_equal(resid.tolerance, ref_var)
 
-    def test_off_lattice_grid_refused(self):
+    def test_off_lattice_grid_interpolated(self):
+        # the ratio 1/2 is off the log(3) lattice: f(eps / r) is interpolated, not read at a node
         grid = make_eps_grid(1e-3, 0.5, 32, lattice_base=math.log(3))
         ifs = IFS((translation_map(1 / 3, [0.0]), translation_map(0.5, [0.5])), 1)
         samples = CurvatureSamples(grid.eps, 0, np.ones(grid.eps.size), np.ones(grid.eps.size), 1e-3)
-        with pytest.raises(ConfigError, match="lattice-aligned eps grid"):
-            curvature_renewal_difference(samples, ifs, grid)
+        assert renewal_residual(samples, ifs, grid).interpolated

@@ -33,10 +33,6 @@ KEEP = {
         "the tests' shared bundles of a preset at a coarser delta (conftest.py's "
         "carpet_coarse_bundle, test_curvature.py); the CLI puts --delta into the scene it passes"
     ),
-    "conditions.check_projection(eps_samples)": (
-        "test_conditions.py checks the report on explicit eps lists against the "
-        "per-map loop it replaced"
-    ),
     "curvature.sample_curvature(mask)": (
         "test_curvature.py samples C_k restricted to a region against the bundle's "
         "profiles; the function goes with ROADMAP item 9"

@@ -24,11 +24,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PKG = ROOT / "src" / "fractal_tiling_lab"
 
 KEEP = {
-    "curvature_renewal_difference": (
-        "tests compare against it: the paper's curvature renewal identity, asserted by "
-        "test_acceptance.py::test_criterion_07_renewal_residuals, and the per-map "
-        "index-shift reference of test_curvature.py::TestRenewalDifference"
-    ),
     "Region.contains": (
         "tests compare against it: test_raster.py's point-wise reference for rasterize"
     ),

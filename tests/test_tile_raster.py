@@ -35,6 +35,8 @@ COARSE_DELTA = {
 
 # SHA-256 of O, G, Gamma, tile_union, residual (grid_digest) and of the
 # manifest JSON at COARSE_DELTA, as the per-word tile loop produced them
+# (the manifest's digests are those of its JSON without the key g_tilde,
+# which rendering adds from the bundle)
 TILING_SHA256 = {
     "cantor": {
         "O": "f5498a76ac88f421948ce9c22cc8b33ddfd81acbe4e70cf6a5410e9d4c28f6bd",
@@ -42,7 +44,7 @@ TILING_SHA256 = {
         "Gamma": "dbf8b8eab3de082190a52b01ac6f6a67e3200428d7287a23d310f5d989d2256b",
         "tile_union": "c93cd9989ac1686689e8cece9c0ac9682bfa82d1b78b27bef32d275922dbfd25",
         "residual": "b4d80b38baa5dc47e365de25499d4e14be203d80a9936d32ec4d85046f750c60",
-        "manifest": "e448a9bfd26e9acffbf893574a4a908ea4b2f0e0cb446ad75d1c2acf604ff079",
+        "manifest": "dfe8d5cf9cbbd67ebb3e4fa3f6f554ec5dc670b36789c55c39c113b3d3cf3769",
     },
     "cantor_pair": {
         "O": "f5498a76ac88f421948ce9c22cc8b33ddfd81acbe4e70cf6a5410e9d4c28f6bd",
@@ -50,7 +52,7 @@ TILING_SHA256 = {
         "Gamma": "5837d3c94526f18df689bb75d74bd8601e2be2752d0bfae70c65f8f9275d1e97",
         "tile_union": "611aa8931ac3a0f06c3d490893fc92977e9413cd9c8914259f20f7099c5d20b2",
         "residual": "253db5ddd4ad66601504cf6585d6c622573acee4778bedd1e4ee120c5e4766f6",
-        "manifest": "e5bb1077045fe9a8d76b987d0e0be88b9898359b345566bb74cb4fb9bb3d7808",
+        "manifest": "33466966a69d8053a19e5d399887c5df1efa5c50371b4ff08a00705947c44fbe",
     },
     "carpet": {
         "O": "a89a7cebf453170fda806fba1388561878760abbc619a01961b052a36e5c5883",
@@ -58,7 +60,7 @@ TILING_SHA256 = {
         "Gamma": "7824594fad1d02decd4c6e8be3c0ae29029e3ee2a34a9100bb8ac883fa0b3085",
         "tile_union": "fa79602d3e498ce87bfd9402b9ad2711315e1479d47767b2d4c866c6b43e3b26",
         "residual": "78156361fd75e674d55eceb06c4a63b7b447af85a1709c828b74c436cd0a072d",
-        "manifest": "c40e8bc2bf2afd70970e02b2dc6c757c505c099d50167bcf6ad99d9c9a816e30",
+        "manifest": "fc0f5c7ab8020b1536e58ca899104b83bf8b571a5e5e2f2c79186e63ecca1073",
     },
     "koch": {
         "O": "8d928cb998dd8c7018f626980cb91a0a152d330545685a948cc68ed7513dbd1a",
@@ -66,7 +68,7 @@ TILING_SHA256 = {
         "Gamma": "9f5477007a2e94879b872dd98196efc1b889d7e1c3d151149e0cecb393c1f4c6",
         "tile_union": "7b872edd1600b82444bf3e5f025159056096e9b4e4234ed7f0ce6e19231add9b",
         "residual": "d3aefe83795218cf9fc274f706ce2f290983a7cac58c95bc9714887df4731c7c",
-        "manifest": "a48d43ed9b55f86c4806397659ef0a51453f024d0b2f4236398ad7088223a1eb",
+        "manifest": "9d3f6a25dde80230b11096834ac2c924017adfdd2654a8d9d621597fff798335",
     },
     "gasket": {
         "O": "34b7a71b44694d412ff82ed8a7bc6ec21eeb0e171d6496d3e8e695205dc2e676",
@@ -74,7 +76,7 @@ TILING_SHA256 = {
         "Gamma": "c00d48016156be26ba1a04b67909d9375a4311adc6307bb5dd7ab9870140e1be",
         "tile_union": "49bc7d071094ef62c4ec5b4dff47a5cba1dfef28d1799f2a3cf7121a25f171c2",
         "residual": "20d8b355595e9bc2b34f16822dee41ef6d6371ed62720ac2b3caf6af4ee3d782",
-        "manifest": "d88c08adb20602bee1ccddbbb4fb78a0e34ebdc1f1d73df3a8f8761efa58d8b7",
+        "manifest": "b81a77a36da1698b8047a46e8c14d54521fdc250d205a7de974a7e40a04f2878",
     },
 }
 

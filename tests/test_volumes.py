@@ -19,6 +19,7 @@ from fractal_tiling_lab.volumes import (
     EpsGrid,
     gatzouras_rd,
     make_eps_grid,
+    phi_function,
     sample_inner_volume,
     sample_parallel_volume,
     sample_restricted_volume,
@@ -191,18 +192,23 @@ class TestHFunction:
         assert np.allclose(rebuilt[sel], h.values[sel], atol=1e-12)
 
 
+def phi_of(b):
+    """The renewal difference of lambda(F_eps ^ O) on the bundle's relative grid."""
+    return phi_function(b.F_on_O, b.ifs, b.g_tilde, b.grid_rel)
+
+
 class TestPhiFunction:
     def test_phi_saturates_to_lambda_O(self, cantor_bundle):
         # above all gates phi(eps) = lambda(F_eps ^ O) with no subtraction,
         # which saturates at lambda(O)
         b = cantor_bundle
-        phi = b.phi
+        phi = phi_of(b)
         top = phi.eps > b.g_tilde * 0.999
         assert phi.values[top][-1] == pytest.approx(b.O.area(), abs=8 * b.delta)
 
     def test_phi_equals_gamma_volume_at_small_eps(self, cantor_bundle):
         b = cantor_bundle
-        phi, fog = b.phi, b.F_on_Gamma
+        phi, fog = phi_of(b), b.F_on_Gamma
         rmin = float(b.ifs.ratios.min())
         sel = (phi.eps <= rmin * b.g_tilde * 0.999) & (phi.eps >= 8 * b.delta)
         resid = np.abs(phi.values[sel] - fog.values[sel])
@@ -212,7 +218,7 @@ class TestPhiFunction:
         # under the projection condition:
         # phi = lambda(F_eps ^ Gamma) + lambda(O) sum r^d 1_(r g~, g~]
         b = cantor_bundle
-        phi, fog = b.phi, b.F_on_Gamma
+        phi, fog = phi_of(b), b.F_on_Gamma
         extra = np.zeros_like(phi.values)
         for m in b.ifs.maps:
             gate = (phi.eps > m.ratio * b.g_tilde) & (phi.eps <= b.g_tilde * (1 + 1e-12))
