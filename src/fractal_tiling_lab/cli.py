@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import curvature as curvmod
 from .errors import ConfigError, FtlError, PreconditionError
 from .grids import ConvexPolygon, Grid, IntervalUnion, PolygonUnion, Region
-from .ifs import load_ifs
+from .ifs import _check_keys, _is_number, load_ifs
 from .pipeline import CONTENT_METHODS, SceneBundle, get_bundle
 from .presets import PRESETS, Preset, Scene, get_preset
 
@@ -46,19 +45,10 @@ def _region_from_json(doc) -> Region | str:
 SCENE_KEYS = ("ifs", "region", "f_bbox", "delta", "eps_per_decade", "name")
 
 
-def _is_number(x) -> bool:
-    return type(x) in (int, float) and math.isfinite(x)
-
-
 def _scene_from_json(doc) -> Scene:
     """The scene a scene file describes. Its keys, their types and the dimension
     of maps, region and f_bbox are checked before anything is built."""
-    faults = [f"unknown key {k!r}" for k in sorted(set(doc) - set(SCENE_KEYS))]
-    faults += [f"missing key {k!r}" for k in SCENE_KEYS[:3] if k not in doc]
-    if faults:
-        raise ConfigError("scene file: " + ", ".join(faults))
-    if not isinstance(doc["ifs"], dict):
-        raise ConfigError("scene file: 'ifs' must be an object")
+    _check_keys(doc, SCENE_KEYS, SCENE_KEYS[:3], "scene file")
     ifs = load_ifs(doc["ifs"])
     d = ifs.ambient_dim
     region = _region_from_json(doc["region"])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .curvature import samples_from_profile
 from .errors import ConfigError
-from .grids import DistanceField, Grid, morphology
+from .grids import DistanceField, Grid, morphology, occupied_box
 from .ifs import IFS, Similarity
 from .levelsets import LevelSetExtractor, contour_components
 from .tiling import _map_cells, axis_cells
@@ -201,13 +201,13 @@ def check_projection(
         defects = np.searchsorted(s_F, eps_i, side="right") - np.searchsorted(
             np.sort(np.maximum(d_F, d_SiF)), eps_i, side="right")
         near = delta * math.sqrt(d)
+        # the half-cell noise floor scales with the eps-interface inside
+        # S_i O, not with its perimeter: compare against the collar-end
+        # cell count #(|d_F - e| <= near) at each eps
+        interfaces = _count_near(s_F, eps_i, near)
         fail_eps = []
-        for e, n_defect in zip(eps_i, defects):
+        for e, n_defect, interface in zip(eps_i, defects, interfaces):
             defect = float(n_defect) * delta**d
-            # the half-cell noise floor scales with the eps-interface inside
-            # S_i O, not with its perimeter: compare against the collar-end
-            # cell count #(|d_F - e| <= near) at this eps, one run of s_F
-            interface = _first_above(s_F, e, near, True) - _first_above(s_F, e, -near, False)
             tol = PROJECTION_SEAM_FACTOR * delta * max(interface, 4) * delta ** (d - 1)
             if defect > tol:
                 fail_eps.append((float(e), defect, tol))
@@ -238,10 +238,7 @@ def _sample_preimages(m: Similarity, O: Grid, img: np.ndarray, F_field: Distance
     A, d = inv.matrix, O.dim
     if np.any(A[~np.eye(d, dtype=bool)] != 0):
         return F_field.sample_at(inv(O.cell_points(img)))
-    box = []
-    for a in range(d):
-        rows = np.flatnonzero(img.any(axis=tuple(b for b in range(d) if b != a)))
-        box.append(slice(rows[0], rows[-1] + 1))
+    box = occupied_box(img)
     cells, inside = zip(*(
         axis_cells(A[a, a] * O.centers(a)[box[a]] + inv.offset[a], F_field, a) for a in range(d)
     ))
@@ -251,19 +248,12 @@ def _sample_preimages(m: Similarity, O: Grid, img: np.ndarray, F_field: Distance
     return vals[img[tuple(box)]]
 
 
-def _first_above(s: np.ndarray, e: float, bound: float, strict: bool) -> int:
-    """First index of the sorted s from which s - e, as rounded, is > bound (>= if not strict).
-
-    The rounded difference is monotone in s, so a binary search guesses the
-    index and a walk over whole runs of ties fixes it with the predicate.
-    """
-    above = (lambda x: x - e > bound) if strict else (lambda x: x - e >= bound)
-    g = int(np.searchsorted(s, e + bound, side="right" if strict else "left"))
-    while g > 0 and above(s[g - 1]):
-        g = int(np.searchsorted(s, s[g - 1], side="left"))
-    while g < s.size and not above(s[g]):
-        g = int(np.searchsorted(s, s[g], side="right"))
-    return g
+def _count_near(s: np.ndarray, eps: np.ndarray, near: float) -> list[int]:
+    """#(|x - e| <= near) over the sorted s for each e in eps, x - e as rounded:
+    every value off [e - 2 near, e + 2 near] has |fl(x - e)| > near, so only
+    that run of s is compared."""
+    lo, hi = np.searchsorted(s, eps - 2 * near, "left"), np.searchsorted(s, eps + 2 * near, "right")
+    return [int(np.count_nonzero(np.abs(s[a:b] - e) <= near)) for a, b, e in zip(lo, hi, eps)]
 
 
 def check_boundary_null(
@@ -288,8 +278,7 @@ def check_boundary_null(
     extractor.index(eps)
     # a segment's dual cell lies at most one cell below its midpoint's, so the
     # collar's bounding box grown by one cell holds every contour cell counted
-    hits = [np.flatnonzero(collar.any(axis=1 - ax)) for ax in (0, 1)]
-    box = tuple(slice(max(h[0] - 1, 0), h[-1] + 2) if h.size else slice(0, 0) for h in hits)
+    box = occupied_box(collar, 1)
     profile = np.zeros((eps.size, 3))
     ncomp = []
     for i, e in enumerate(eps):

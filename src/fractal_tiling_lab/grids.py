@@ -110,11 +110,6 @@ class Raster:
             ok &= (idx[:, ax] >= 0) & (idx[:, ax] < self.extents[ax])
         return ok, np.ravel_multi_index(tuple(idx[ok].T), self.extents)
 
-    def values_at(self, cells: np.ndarray, points: np.ndarray, outside, dtype) -> np.ndarray:
-        """Entries of a per-cell array (shaped like this raster) at the cells
-        holding the points; outside for points that leave the raster."""
-        return read_cells(cells, self.flat_cells(points), outside, dtype)
-
 
 def morphology(occ: np.ndarray, iterations: int = 1, erode: bool = False) -> np.ndarray:
     """Binary dilation by the 3^d box, or erosion by the cross (erode=True,
@@ -138,6 +133,17 @@ def morphology(occ: np.ndarray, iterations: int = 1, erode: bool = False) -> np.
                 a[1:] |= b[:-1]
                 a[:-1] |= b[1:]
     return out
+
+
+def occupied_box(occ: np.ndarray, margin: int = 0) -> tuple[slice, ...]:
+    """Per axis, the slice of occ's set cells grown by margin cells and clipped
+    to the array; empty slices when no cell is set."""
+    box = []
+    for ax in range(occ.ndim):
+        hit = np.flatnonzero(occ.any(axis=tuple(a for a in range(occ.ndim) if a != ax)))
+        box.append(slice(max(hit[0] - margin, 0), min(hit[-1] + 1 + margin, occ.shape[ax]))
+                   if hit.size else slice(0, 0))
+    return tuple(box)
 
 
 def read_cells(cells: np.ndarray, located: tuple[np.ndarray, np.ndarray], outside, dtype) -> np.ndarray:
@@ -181,7 +187,7 @@ class Grid(Raster):
 
     def lookup(self, points: np.ndarray) -> np.ndarray:
         """Occupancy at the cells containing the given points (False outside)."""
-        return self.values_at(self.occupancy, points, False, bool)
+        return read_cells(self.occupancy, self.flat_cells(points), False, bool)
 
     def with_occupancy(self, occ: np.ndarray) -> "Grid":
         return Grid(self.origin, self.spacing, occ)
@@ -198,13 +204,9 @@ class Grid(Raster):
     def cropped(self, margin: int) -> "Grid":
         """The box of the occupied cells grown by margin cells (clipped to the
         raster), on the same lattice."""
-        lo, hi = [], []
-        for ax in range(self.dim):
-            hit = np.flatnonzero(self.occupancy.any(axis=tuple(a for a in range(self.dim) if a != ax)))
-            lo.append(max(hit[0] - margin, 0))
-            hi.append(min(hit[-1] + 1 + margin, self.extents[ax]))
-        sel = tuple(map(slice, lo, hi))
-        return Grid(self.origin + np.array(lo) * self.spacing, self.spacing, self.occupancy[sel])
+        sel = occupied_box(self.occupancy, margin)
+        return Grid(self.origin + np.array([s.start for s in sel]) * self.spacing, self.spacing,
+                    self.occupancy[sel])
 
     def boundary_cells(self) -> np.ndarray:
         """Occupied cells 4-adjacent to an unoccupied (or outside) cell."""
@@ -356,7 +358,7 @@ class DistanceField(Raster):
 
     def sample_at(self, points: np.ndarray, outside=np.inf) -> np.ndarray:
         """Nearest-cell lookup of the field at arbitrary points."""
-        return self.values_at(self.values, points, outside, float)
+        return read_cells(self.values, self.flat_cells(points), outside, float)
 
     def sample_cells(self, grid: Raster, mask: np.ndarray | None = None, outside=np.inf) -> np.ndarray:
         """The field at the centers of grid's cells where mask is set (all cells

@@ -385,29 +385,71 @@ def rotation(angle_deg: float) -> np.ndarray:
     return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
 
 
+IFS_KEYS = ("dim", "maps")
+MAP_KEYS = ("ratio", "translation", "matrix", "angle", "reflect")  # the first two are required
+
+
+def _is_number(x) -> bool:
+    """A finite JSON number; a bool is not one."""
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _check_keys(obj, allowed, required, where: str) -> None:
+    """Refuse obj unless it is a dict with every required key and no key outside allowed."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
+    faults = [f"unknown key {k!r}" for k in sorted(set(obj) - set(allowed))]
+    faults += [f"missing key {k!r}" for k in required if k not in obj]
+    if faults:
+        raise ConfigError(f"{where}: " + ", ".join(faults))
+
+
 def load_ifs(doc: dict) -> IFS:
     """Build an IFS from a parsed JSON document.
 
-    Schema: {"dim": d, "maps": [{"ratio": r, "matrix": [[..]] | "angle": deg
-    [, "reflect": true], "translation": [..]}, ...]}. "angle"/"reflect" are
-    d=2 conveniences; omitted matrix means identity.
+    Schema: {"dim": 1 | 2, "maps": [{"ratio": r, "translation": [..], and
+    "matrix": [[..]] or "angle": deg [, "reflect": true]}, ...]}. "angle" and
+    "reflect" are d=2 conveniences; an omitted matrix means the identity.
+    An unknown or missing key, and a value of the wrong type, is refused
+    with a ConfigError that names the key. Numbers are finite ints or
+    floats, never bools; a translation's finiteness is Similarity's check.
     """
-    try:
-        d = int(doc["dim"])
-        maps = []
-        for m in doc["maps"]:
+    _check_keys(doc, IFS_KEYS, IFS_KEYS, "ifs")
+    d = doc["dim"]
+    if type(d) is not int or d not in (1, 2):
+        raise ConfigError(f"ifs: 'dim' must be the integer 1 or 2, got {d!r}")
+    if not isinstance(doc["maps"], list):
+        raise ConfigError(f"ifs: 'maps' must be a list, got {doc['maps']!r}")
+
+    def is_list(x, item) -> bool:
+        return isinstance(x, list) and len(x) == d and all(map(item, x))
+
+    rules = (  # (key, valid, what it must be); a translation may hold a non-finite float
+        ("ratio", _is_number, "a finite number"),
+        ("translation", lambda t: is_list(t, lambda x: type(x) in (int, float)), f"a list of {d} numbers"),
+        ("matrix", lambda q: is_list(q, lambda r: is_list(r, _is_number)), f"{d} lists of {d} numbers"),
+        ("angle", _is_number, "a finite number"),
+        ("reflect", lambda x: type(x) is bool, "true or false"),
+    )
+    maps = []
+    for i, m in enumerate(doc["maps"]):
+        where = f"ifs map {i}"
+        _check_keys(m, MAP_KEYS, MAP_KEYS[:2], where)
+        for key, valid, expected in rules:
+            if key in m and not valid(m[key]):
+                raise ConfigError(f"{where}: {key!r} must be {expected}, got {m[key]!r}")
+        if "angle" in m:
             if "matrix" in m:
-                q = np.asarray(m["matrix"], dtype=float)
-            elif "angle" in m:
-                if d != 2:
-                    raise ConfigError("angle rotations are only defined for dim 2")
-                q = rotation(float(m["angle"]))
-                if m.get("reflect"):
-                    q = q @ np.diag([1.0, -1.0])
-            else:
-                q = np.eye(d)
-            t = np.atleast_1d(np.asarray(m["translation"], dtype=float))
-            maps.append(Similarity(float(m["ratio"]), q, t))
-        return IFS(tuple(maps), d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed IFS description: {exc}") from exc
+                raise ConfigError(f"{where}: give 'matrix' or 'angle', not both")
+            if d != 2:
+                raise ConfigError(f"{where}: 'angle' rotations are only defined for dim 2")
+            q = rotation(float(m["angle"]))
+            if m.get("reflect"):
+                q = q @ np.diag([1.0, -1.0])
+        elif "reflect" in m:
+            raise ConfigError(f"{where}: 'reflect' needs 'angle'")
+        else:
+            q = np.asarray(m["matrix"], dtype=float) if "matrix" in m else np.eye(d)
+        t = np.asarray(m["translation"], dtype=float)
+        maps.append(Similarity(float(m["ratio"]), q, t))
+    return IFS(tuple(maps), d)

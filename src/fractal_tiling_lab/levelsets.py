@@ -249,7 +249,7 @@ class LevelSetExtractor:
             keep = np.ones(ls.cell_ij.shape[0], dtype=bool)
             m = _as_mask(mask, self.field)
             if m is not None:
-                keep = self.field.values_at(m, 0.5 * (ls.p_in + ls.p_out), False, bool)
+                keep = read_cells(m, self.field.flat_cells(0.5 * (ls.p_in + ls.p_out)), False, bool)
             out[ls.cell_ij[keep, 0], ls.cell_ij[keep, 1]] = True
         return out
 

@@ -93,6 +93,11 @@ class SceneBundle:
             lo, hi = np.asarray(self.scene.f_bbox[0], float), np.asarray(self.scene.f_bbox[1], float)
             pad = 0.3 * float(np.linalg.norm(hi - lo))
             vc = central_open_set(self.ifs, (lo - pad, hi + pad), self.delta)
+            if vc.neighbor_count == 0:
+                raise ConfigError(
+                    f"the central open set's working box {(lo - pad).tolist()} to {(hi + pad).tolist()} "
+                    "reaches no neighbour copy of the attractor; widen f_bbox"
+                )
             return build_tiling(self.ifs, vc.grid, self.delta)
         return build_tiling(self.ifs, region, self.delta)
 
@@ -199,14 +204,13 @@ class SceneBundle:
 
     @_product
     def V_G(self) -> volumes.VolumeSamples:
-        return volumes.sample_inner_volume(self.tiling.G_inner, self.grid_G, "V_G", "G")
+        return volumes.sample_inner_volume(self.tiling.G_inner, self.grid_G)
 
     @_product
     def V_T(self) -> volumes.VolumeSamples:
         t = self.tiling
-        return volumes.sample_inner_volume(
-            inner_distance(t.tile_union), self.grid_G, "V_T", "T", extra_area=t.residual.area()
-        )
+        union = inner_distance(t.tile_union)
+        return volumes.sample_inner_volume(union, self.grid_G, extra_area=t.residual.area())
 
     @_product
     def h(self) -> volumes.VolumeSamples:
@@ -214,11 +218,11 @@ class SceneBundle:
 
     @_product
     def F_on_O(self) -> volumes.VolumeSamples:
-        return volumes.sample_restricted_volume(self.field_small, self.O, self.grid_rel, "O")
+        return volumes.sample_restricted_volume(self.field_small, self.O, self.grid_rel)
 
     @_product
     def F_on_Gamma(self) -> volumes.VolumeSamples:
-        return volumes.sample_restricted_volume(self.field_small, self.tiling.Gamma, self.grid_rel, "Gamma")
+        return volumes.sample_restricted_volume(self.field_small, self.tiling.Gamma, self.grid_rel)
 
     @_product
     def F_volumes(self) -> volumes.VolumeSamples:
@@ -306,7 +310,7 @@ class SceneBundle:
     def surface_samples(self) -> volumes.VolumeSamples:
         """H^{d-1}(bd F_eps ^ G) on the curvature grid (full length, not halved)."""
         rel = self.relative_curvature(self.d - 1)
-        return volumes.VolumeSamples(rel.eps, 2.0 * rel.values, "surface", self.delta, "G")
+        return volumes.VolumeSamples(rel.eps, 2.0 * rel.values, self.delta)
 
     # -- contents and curvatures -------------------------------------------------
 

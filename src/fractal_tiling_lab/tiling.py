@@ -30,21 +30,22 @@ The attractor raster (attractor_raster) walks the word orbit of a fixed
 point on integer cell keys. The same per-axis argument gives a diagonal
 2-d map its child cells from one table per axis, built once per raster;
 a map with a rotation, and every 1-d map, maps cell centers and floors
-them. axis_cells, the index of the cell holding a coordinate on one axis,
-is shared by _stamp_images, the orbit tables and
-conditions.check_projection.
+them, one block of candidates (the finished cells, or one map's children)
+at a time. axis_cells, the index of the cell holding a coordinate on one
+axis, is shared by _stamp_images, the orbit tables and check_projection.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ResolutionError
 from .grids import (DistanceField, Grid, Region, distance_transform, grid_from_bbox, inner_distance,
-                    morphology, rasterize)
+                    morphology, occupied_box, rasterize)
 from .ifs import IFS, Similarity, WordTree, check_similarity_parts, words_up_to_ratio
 
 
@@ -345,10 +346,11 @@ def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
     fixed point itself. After that, a 2-d map with a diagonal linear part
     reads its child keys from per-axis tables that hold the image cell of
     every cell center (_orbit_tables); other maps, and every 1-d map, map
-    the centers of the active cells and floor them. Candidates are made
-    ATTRACTOR_CHUNK at a time and fold into a per-cell array of first
+    the centers of the active cells and floor them. Candidates are made one
+    block (the finished cells, or one map's children) at a time, in slices
+    of ATTRACTOR_CHUNK, and each slice folds into a per-cell array of first
     candidate positions with np.minimum.at, so a generation holds its
-    survivors, one chunk and that array; the survivors come out of it in
+    survivors, one slice and that array; the survivors come out of it in
     key order, and their ratios are looked up ATTRACTOR_CHUNK at a time.
     A table map takes the cell indices of each slice of active keys it
     reads; only the other maps need the active cells' centers. Branches
@@ -373,9 +375,7 @@ def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
     def keys_of(p):
         if not invariant and ((p < reach_lo).any() or (p > reach_hi).any()):
             raise escape()
-        idx = g.indices_of(p)
-        for ax in range(g.dim):
-            np.clip(idx[:, ax], 0, g.extents[ax] - 1, out=idx[:, ax])
+        idx = np.minimum(np.maximum(g.indices_of(p), 0), np.array(g.extents) - 1)  # clipped into g
         return idx[:, 0] if g.dim == 1 else idx[:, 0] * g.extents[1] + idx[:, 1]
 
     diam = float(np.linalg.norm(hi - lo))
@@ -402,43 +402,33 @@ def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
         del keys, rs, active  # held as fin, act and parent_rs
         # candidate c lies in block j when starts[j] <= c < starts[j + 1]:
         # the finished cells, then one block per map
+        sizes = [n_fin] + [n_act] * ifs.n
         starts = [0] + [n_fin + n_act * i for i in range(ifs.n)]
         total = n_fin + n_act * ifs.n
 
-        def chunk_keys(c0, c1):
-            # runs of mapped points are floored together, one keys_of per run
-            parts, run = [], []
-            for j in range(ifs.n + 1):
-                a = max(c0 - starts[j], 0)
-                b = min(c1 - starts[j], n_fin if j == 0 else n_act)
-                if a >= b:
-                    continue
-                if j > 0 and (act is None or tables[j - 1] is None):
-                    run.append(_map_rows(ifs.maps[j - 1], act_pts, a, b))
-                    continue
-                if run:
-                    parts.append(keys_of(np.concatenate(run)))
-                    run = []
-                if j == 0:
-                    parts.append(fin[a:b])
-                    continue
-                (cx, ex), (cy, ey) = tables[j - 1]
-                ix, iy = np.divmod(act[a:b], g.extents[1])
-                if not invariant and (ex[ix].any() or ey[iy].any()):
-                    raise escape()
-                parts.append(cx[ix] * g.extents[1] + cy[iy])
-            if run:
-                parts.append(keys_of(np.concatenate(run)))
-            return np.concatenate(parts)
+        def block_keys(j, a, b):
+            # the keys of candidates a ... b - 1 of block j
+            if j == 0:
+                return fin[a:b]
+            if act is None or tables[j - 1] is None:
+                return keys_of(_map_rows(ifs.maps[j - 1], act_pts, a, b))
+            (cx, ex), (cy, ey) = tables[j - 1]
+            ix, iy = np.divmod(act[a:b], g.extents[1])
+            if not invariant and (ex[ix].any() or ey[iy].any()):
+                raise escape()
+            return cx[ix] * g.extents[1] + cy[iy]
 
         if total <= ATTRACTOR_CHUNK:
             # one chunk: a stable sort finds the first candidate per cell
-            keys, pos = np.unique(chunk_keys(0, total), return_index=True)
+            keys, pos = np.unique(np.concatenate([block_keys(j, 0, n) for j, n in enumerate(sizes)]),
+                                  return_index=True)
         else:
             first = np.full(g.occupancy.size, total, dtype=np.min_scalar_type(total))
-            for c0 in range(0, total, ATTRACTOR_CHUNK):
-                key = chunk_keys(c0, c0 + ATTRACTOR_CHUNK)
-                np.minimum.at(first, key, np.arange(c0, c0 + key.size, dtype=first.dtype))
+            for j, n in enumerate(sizes):
+                for a in range(0, n, ATTRACTOR_CHUNK):
+                    key = block_keys(j, a, min(a + ATTRACTOR_CHUNK, n))
+                    c0 = starts[j] + a
+                    np.minimum.at(first, key, np.arange(c0, c0 + key.size, dtype=first.dtype))
             keys = np.flatnonzero(first != total)
             pos = first[keys]
             del first
@@ -509,9 +499,8 @@ def _map_rows(m: Similarity, p: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 def _box_corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    if lo.shape[0] == 1:
-        return np.array([lo, hi]).reshape(-1, 1)
-    return np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
+    """The 2^d corners of the box [lo, hi], shape (2^d, d), in no set order."""
+    return np.array(list(itertools.product(*zip(lo, hi))))
 
 
 def relative_inradius(F_field: DistanceField, O: Grid) -> float:
@@ -552,9 +541,9 @@ def central_open_set(ifs: IFS, bbox, delta: float) -> CentralOpenSet:
     lo, hi = g.origin, g.origin + np.array(g.extents) * g.spacing
 
     # F's own bounding box (occupied extent), for pruning
-    occ_idx = np.argwhere(F.occupancy)
-    f_lo = F.origin + occ_idx.min(axis=0) * F.spacing
-    f_hi = F.origin + (occ_idx.max(axis=0) + 1) * F.spacing
+    box = occupied_box(F.occupancy)
+    f_lo = F.origin + np.array([s.start for s in box]) * F.spacing
+    f_hi = F.origin + np.array([s.stop for s in box]) * F.spacing
     f_corners = _box_corners(f_lo, f_hi)
     pad = 0.5 * float(np.linalg.norm(f_hi - f_lo))
 

@@ -4,7 +4,9 @@ All samplers share one recipe: sort the relevant distance values in strips,
 answer every threshold with a binary search per strip, and sum the counts.
 Each sample carries a resolution tolerance, delta times the interface measure at that threshold
 (the cells whose half-cell uncertainty can flip the count), which consumers
-must fold into their error estimates.
+must fold into their error estimates. A VolumeSamples is just that: the
+radii, the values, delta and the tolerances (and, for a renewal difference,
+whether it interpolated and its jumps at the gate radii).
 
 The renewal differences (h, phi, the Gatzouras difference, the curvature
 residual) evaluate f(eps / r_i) through the scaling identities; on
@@ -27,16 +29,13 @@ from .grids import DistanceField, Grid
 from .ifs import IFS
 
 _COUNT_STRIP = 1 << 20  # values sorted at a time when the samplers count them
-VOLUME_KINDS = ("V_G", "V_T", "F_eps_on_A", "F_eps", "h", "phi", "R_d", "surface", "C_k")
 
 
 @dataclass
 class VolumeSamples:
     eps: np.ndarray
     values: np.ndarray
-    kind: str
     delta: float
-    region_tag: str = ""
     tolerance: np.ndarray | None = None
     interpolated: bool = False
     # right-limit increments at indicator-gate radii: value just above eps[i]
@@ -51,8 +50,6 @@ class VolumeSamples:
             raise ConfigError("eps and values must be equal-length 1d arrays")
         if np.any(np.diff(self.eps) <= 0) or np.any(self.eps <= 0):
             raise ConfigError("eps grid must be strictly increasing and positive")
-        if self.kind not in VOLUME_KINDS:
-            raise ConfigError(f"unknown sample kind {self.kind!r}")
         if self.tolerance is None:
             self.tolerance = np.zeros_like(self.values)
 
@@ -114,10 +111,7 @@ def _count_values(vals: np.ndarray, eps: np.ndarray, delta: float, dim: int):
     return below, near * delta**dim
 
 
-def sample_inner_volume(
-    inner: DistanceField, grid: EpsGrid, kind: str = "V_G", region_tag: str = "",
-    extra_area: float = 0.0,
-) -> VolumeSamples:
+def sample_inner_volume(inner: DistanceField, grid: EpsGrid, extra_area: float = 0.0) -> VolumeSamples:
     """V(U, eps): volume of the inner eps-collar of U on the eps grid, from inner = inner_distance(U).
 
     U's cells are exactly those where inner is positive. extra_area is added
@@ -129,17 +123,15 @@ def sample_inner_volume(
         raise ConfigError("inner volume of an empty region")
     below, tol = _count_values(vals, grid.eps, inner.spacing, inner.dim)
     values = below * inner.spacing**inner.dim + extra_area
-    return VolumeSamples(grid.eps, values, kind, inner.spacing, region_tag, tol)
+    return VolumeSamples(grid.eps, values, inner.spacing, tol)
 
 
-def sample_restricted_volume(
-    F_field: DistanceField, A: Grid, grid: EpsGrid, region_tag: str = ""
-) -> VolumeSamples:
+def sample_restricted_volume(F_field: DistanceField, A: Grid, grid: EpsGrid) -> VolumeSamples:
     """lambda_d(F_eps intersect A) from the attractor's distance field."""
     vals = F_field.sample_cells(A, A.occupancy)
     below, tol = _count_values(vals, grid.eps, A.spacing, A.dim)
     values = below * A.cell_volume
-    return VolumeSamples(grid.eps, values, "F_eps_on_A", A.spacing, region_tag, tol)
+    return VolumeSamples(grid.eps, values, A.spacing, tol)
 
 
 def sample_parallel_volume(F_field: DistanceField, grid: EpsGrid) -> VolumeSamples:
@@ -149,7 +141,7 @@ def sample_parallel_volume(F_field: DistanceField, grid: EpsGrid) -> VolumeSampl
         raise ConfigError("parallel set reaches the bbox at the top eps; enlarge the padding")
     below, tol = _count_values(F_field.values.ravel(), grid.eps, F_field.spacing, d)
     values = below * F_field.spacing**d
-    return VolumeSamples(grid.eps, values, "F_eps", F_field.spacing, "F", tol)
+    return VolumeSamples(grid.eps, values, F_field.spacing, tol)
 
 
 def _pchip_end(h0, h1, m0, m1) -> np.ndarray:
@@ -233,7 +225,6 @@ def renewal_difference(
     cutoff: float,
     grid: EpsGrid,
     weight_exponent: int | float,
-    kind: str,
 ) -> VolumeSamples:
     """f(eps) - sum_i 1{eps <= r_i * cutoff} r_i^w f(eps / r_i).
 
@@ -261,20 +252,17 @@ def renewal_difference(
             last = int(np.nonzero(gate)[0][-1])
             if abs(grid.eps[last] - r * cutoff) <= 1e-9 * cutoff:
                 jumps[last] += w * scaled[last]
-    return VolumeSamples(
-        grid.eps, values, kind, samples.delta, samples.region_tag, tol,
-        interpolated, upper_jumps=jumps,
-    )
+    return VolumeSamples(grid.eps, values, samples.delta, tol, interpolated, upper_jumps=jumps)
 
 
 def h_function(V_T: VolumeSamples, ifs: IFS, g: float, grid: EpsGrid) -> VolumeSamples:
     """Tube-function renewal difference of the tiling's union set."""
-    return renewal_difference(V_T, ifs, g, grid, ifs.ambient_dim, "h")
+    return renewal_difference(V_T, ifs, g, grid, ifs.ambient_dim)
 
 
 def phi_function(F_on_O: VolumeSamples, ifs: IFS, g_tilde: float, grid: EpsGrid) -> VolumeSamples:
     """Renewal difference of lambda_d(F_eps intersect O), cutoff at g_tilde."""
-    return renewal_difference(F_on_O, ifs, g_tilde, grid, ifs.ambient_dim, "phi")
+    return renewal_difference(F_on_O, ifs, g_tilde, grid, ifs.ambient_dim)
 
 
 def gatzouras_rd(F_vols: VolumeSamples, ifs: IFS, grid: EpsGrid) -> VolumeSamples:
@@ -285,4 +273,4 @@ def gatzouras_rd(F_vols: VolumeSamples, ifs: IFS, grid: EpsGrid) -> VolumeSample
     d = ifs.ambient_dim
     if np.sum(ifs.ratios**d) >= 1.0 - 1e-12:
         raise ConfigError("full-dimensional attractor: the content difference is degenerate")
-    return renewal_difference(F_vols, ifs, float(grid.eps[-1]), grid, d, "R_d")
+    return renewal_difference(F_vols, ifs, float(grid.eps[-1]), grid, d)

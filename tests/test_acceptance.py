@@ -53,7 +53,7 @@ def region_content(bundle, lo, hi):
     G = rasterize(axis_square(lo, hi), ([lo - pad, lo - pad], [hi + pad, hi + pad]), bundle.delta)
     g = inradius(G)
     grid = make_eps_grid(bundle.delta, g, 64, dd.lattice_base)
-    vg = sample_inner_volume(inner_distance(G), grid, "V_G")
+    vg = sample_inner_volume(inner_distance(G), grid)
     return generator_content(vg, dd.D, dd.eta, 2, g)
 
 
@@ -189,8 +189,8 @@ def test_criterion_07_renewal_residuals(cantor_bundle, carpet_bundle, koch_bundl
         Ts = inner_curvature_samples(b.tiling.tile_union, k, b.grid_curv_G, "T_core")
         Gs = b.generator_curvature_samples(k)
         # f(eps) - sum_i r_i^k f(eps / r_i), the variations as tolerances, cut off at the top node
-        as_volume = VolumeSamples(Ts.eps, Ts.values, "C_k", Ts.delta, tolerance=Ts.variation_values)
-        resid = renewal_difference(as_volume, b.ifs, float(b.grid_curv_G.eps[-1]), b.grid_curv_G, k, "C_k")
+        as_volume = VolumeSamples(Ts.eps, Ts.values, Ts.delta, tolerance=Ts.variation_values)
+        resid = renewal_difference(as_volume, b.ifs, float(b.grid_curv_G.eps[-1]), b.grid_curv_G, k)
         eps = resid.eps
         regular = (
             (np.min(np.abs(eps[:, None] - crit[None, :]), axis=1) >= 6 * b.delta)
@@ -264,7 +264,7 @@ def test_criterion_09_condition_checks(carpet_bundle):
     tth = rasterize(teeth, ([-0.01, -0.01], [1.01, 1.01]), delta)
     comb = sq.with_occupancy(sq.occupancy & ~tth.occupancy)
     grid = make_eps_grid(delta, inradius(comb), 64)
-    vg = sample_inner_volume(inner_distance(comb), grid, "V_G")
+    vg = sample_inner_volume(inner_distance(comb), grid)
     try:
         generator_content(vg, D_KOCH, math.log(3) / 2, 2, inradius(comb))
         refusal = False

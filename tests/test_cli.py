@@ -359,6 +359,19 @@ class TestCentralScenes:
         assert built[0].neighbor_count == neighbors
         assert grid_digest(b.O) == digest
 
+    def test_no_neighbour_copy_refused(self, capsys, tmp_path, monkeypatch):
+        # cantor with its own f_bbox [0, 1]: the working box [-0.3, 1.3] holds
+        # neither neighbour copy, and V_c would be the whole box
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        path = central_scene(tmp_path, "cantor", 2.0**-10, None)
+        for cmd in ("check", "content"):
+            assert main([cmd, "--scene", path, "--format", "json"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "configuration error: the central open set's working box [-0.3] to [1.3] "
+                "reaches no neighbour copy of the attractor; widen f_bbox\n")
+
 
 class TestRegionTypes:
     def test_halfspaces_region_refused(self, capsys, tmp_path):
@@ -425,6 +438,38 @@ class TestSceneFileValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"configuration error: translation must be finite, got [{shown}]\n"
+        assert pipeline._BUNDLES == {}
+
+    @pytest.mark.parametrize("dim, maps, extra, named", [
+        (2, [dict(KOCH_MAPS[0], rotation=90), KOCH_MAPS[1]], {}, "ifs map 0: unknown key 'rotation'"),
+        (1, [dict(CANTOR_MAPS[0], ratio="0.3333333333333333"), CANTOR_MAPS[1]], {},
+         "ifs map 0: 'ratio' must be a finite number, got '0.3333333333333333'"),
+        (1, [dict(CANTOR_MAPS[0], ratio=True), CANTOR_MAPS[1]], {},
+         "ifs map 0: 'ratio' must be a finite number, got True"),
+        (1, [CANTOR_MAPS[0], dict(CANTOR_MAPS[1], translation=["0.5"])], {},
+         "ifs map 1: 'translation' must be a list of 1 numbers, got ['0.5']"),
+        (2, [dict(KOCH_MAPS[0], angle="30"), KOCH_MAPS[1]], {},
+         "ifs map 0: 'angle' must be a finite number, got '30'"),
+        (2, [dict(KOCH_MAPS[0], reflect="no"), KOCH_MAPS[1]], {},
+         "ifs map 0: 'reflect' must be true or false, got 'no'"),
+        (2, [{"ratio": 3**-0.5, "reflect": True, "translation": [0.0, 0.0]}, KOCH_MAPS[1]], {},
+         "ifs map 0: 'reflect' needs 'angle'"),
+        (2.7, KOCH_MAPS, {}, "ifs: 'dim' must be the integer 1 or 2, got 2.7"),
+        (1, CANTOR_MAPS, {"scale": 2}, "ifs: unknown key 'scale'"),
+    ], ids=["rotation_key", "ratio_string", "ratio_bool", "translation_string", "angle_string",
+            "reflect_string", "reflect_without_angle", "dim_float", "unknown_ifs_key"])
+    def test_ifs_value_refused(self, capsys, tmp_path, monkeypatch, dim, maps, extra, named):
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        d = len(maps[-1]["translation"])
+        region = ({"type": "intervals", "intervals": [[0.0, 1.0]]} if d == 1 else
+                  {"type": "polygon", "vertices": [[0, 0], [1, 0], [0.5, 0.3]]})
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"ifs": {"dim": dim, "maps": maps, **extra}, "region": region,
+                                    "f_bbox": [[0.0] * d, [1.0] * d]}))
+        assert main(["content", "--scene", str(path), "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {named}\n"
         assert pipeline._BUNDLES == {}
 
 

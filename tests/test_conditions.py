@@ -291,23 +291,18 @@ class TestProjectionBySorting:
 
     def test_run_ends_walk_over_ties(self, rng):
         s = np.array([0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0, np.inf])
-        for e in (-1.0, 0.5, 1.0, 1.5, 2.0, 2.9999999999999996, 3.0, 10.0):
-            for near in (0.0, 0.5, 1.0, 1.0000000000000002):
-                lo = conditions._first_above(s, e, -near, False)
-                hi = conditions._first_above(s, e, near, True)
-                assert hi - lo == int(np.count_nonzero(np.abs(s - e) <= near))
+        eps = np.array([-1.0, 0.5, 1.0, 1.5, 2.0, 2.9999999999999996, 3.0, 10.0])
+        for near in (0.0, 0.5, 1.0, 1.0000000000000002):
+            assert conditions._count_near(s, eps, near) == [
+                int(np.count_nonzero(np.abs(s - e) <= near)) for e in eps]
         # values within a few ulps of e -/+ near, where the rounded e + near
-        # and the rounded s - e disagree, so the binary-search guess is off
-        walked = 0
+        # and the rounded s - e disagree, in runs of ties
         for e, near in zip(rng.random(300), rng.random(300)):
             ends = np.array([e - near, e + near])
             s = np.sort(np.repeat(np.concatenate(
                 [np.nextafter(ends, ends + k) if k else ends for k in (-2, -1, 0, 1, 2)]), 2))
-            lo = conditions._first_above(s, e, -near, False)
-            hi = conditions._first_above(s, e, near, True)
-            assert hi - lo == int(np.count_nonzero(np.abs(s - e) <= near))
-            walked += hi != np.searchsorted(s, e + near, side="right")
-        assert walked > 0
+            count = int(np.count_nonzero(np.abs(s - e) <= near))
+            assert conditions._count_near(s, np.array([e]), near) == [count]
 
 
 class TestBoundaryNull:

@@ -36,7 +36,7 @@ def region_generator_content(region, delta, D, eta, d, lattice_base, bbox):
     G = rasterize(region, bbox, delta)
     g = inradius(G)
     grid = make_eps_grid(delta, g, 64, lattice_base)
-    vg = sample_inner_volume(inner_distance(G), grid, "V_G")
+    vg = sample_inner_volume(inner_distance(G), grid)
     return generator_content(vg, D, eta, d, g)
 
 
@@ -177,7 +177,7 @@ class TestCarpetCrossMethods:
         # re-run the quadrature at doubled sample density
         g = inradius(b.tiling.G)
         grid2 = make_eps_grid(b.delta, g, 128, dd.lattice_base)
-        vg2 = sample_inner_volume(inner_distance(b.tiling.G), grid2, "V_G")
+        vg2 = sample_inner_volume(inner_distance(b.tiling.G), grid2)
         res2 = generator_content(vg2, dd.D, dd.eta, 2, g)
         assert abs(res2.value - res.value) <= max(res.error_estimate, 1e-6)
 
@@ -318,7 +318,7 @@ class TestDirectContent:
         hi = lo * 10.0**decades * (1 + 1e-12)
         nodes = grid.eps[(grid.eps >= lo) & (grid.eps <= hi)]
         assume(nodes.size >= 16)
-        samples = VolumeSamples(grid.eps, np.ones_like(grid.eps), "F_eps", 2.0**-12)
+        samples = VolumeSamples(grid.eps, np.ones_like(grid.eps), 2.0**-12)
         _, average = direct_content(samples, 0.5, 1, window=(lo, hi), lattice_base=base)
         used = average.extra["window"]
         span = math.log(used[1] / used[0])
@@ -335,7 +335,7 @@ class TestDirectContent:
         assert round(base / grid.log_step) == 8
         lo, hi = grid.eps[7], grid.eps[31]
         assert math.log(hi / lo) / base < 3
-        samples = VolumeSamples(grid.eps, np.ones_like(grid.eps), "F_eps", 2.0**-20)
+        samples = VolumeSamples(grid.eps, np.ones_like(grid.eps), 2.0**-20)
         _, average = direct_content(samples, 0.5, 1, window=(lo, hi), lattice_base=base)
         assert average.extra["window"] == (lo, hi)
 
@@ -346,7 +346,7 @@ class TestDirectContent:
         grid = make_eps_grid(2.0**-10, 0.5, 32, base)
         eps, D = grid.eps, 1.6
         vals = eps ** (2 - D) * (1.0 + 0.2 * np.sin(2 * math.pi * np.log(eps) / math.log(3)))
-        volume = VolumeSamples(eps, vals, "F_eps", 2.0**-10)
+        volume = VolumeSamples(eps, vals, 2.0**-10)
         curv = CurvatureSamples(eps, 2, vals, vals, 2.0**-10)
         window = (8 * 2.0**-10, 0.4)
         rows_c = direct_content(volume, D, 2, window, lattice_base=base)

@@ -272,7 +272,7 @@ class TestCbc:
         tth = rasterize(teeth, ([-0.01, -0.01], [1.01, 1.01]), delta)
         comb = sq.with_occupancy(sq.occupancy & ~tth.occupancy)
         grid = make_eps_grid(delta, inradius(comb), 64)
-        vg = sample_inner_volume(grids.inner_distance(comb), grid, "V_G")
+        vg = sample_inner_volume(grids.inner_distance(comb), grid)
         with pytest.raises(PreconditionError):
             generator_content(vg, D_KOCH, math.log(3) / 2, 2, inradius(comb))
 
@@ -301,8 +301,8 @@ def renewal_residual(samples, ifs, grid):
     """f(eps) - sum_i r_i^k f(eps / r_i) of C_k samples: volumes.renewal_difference at
     weight k, the variations as tolerances, cut off at the grid's top node (every core
     is gone past g, where the samples stop)."""
-    as_volume = VolumeSamples(samples.eps, samples.values, "C_k", samples.delta, tolerance=samples.variation_values)
-    return renewal_difference(as_volume, ifs, float(grid.eps[-1]), grid, samples.k, "C_k")
+    as_volume = VolumeSamples(samples.eps, samples.values, samples.delta, tolerance=samples.variation_values)
+    return renewal_difference(as_volume, ifs, float(grid.eps[-1]), grid, samples.k)
 
 
 def assert_same_samples(a, b):

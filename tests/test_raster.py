@@ -18,8 +18,10 @@ from fractal_tiling_lab.grids import (
     grid_from_bbox,
     inner_parallel_volume,
     inradius,
+    occupied_box,
     parallel_volume,
     rasterize,
+    read_cells,
 )
 from fractal_tiling_lab.pipeline import SceneBundle
 from fractal_tiling_lab.presets import get_preset
@@ -260,6 +262,35 @@ class TestMorphology:
         assert np.array_equal(g.boundary_cells(), occ & ~ndimage.binary_erosion(occ, cross))
 
 
+class TestOccupiedBox:
+    """grids.occupied_box against the box of np.argwhere's cells."""
+
+    @staticmethod
+    def reference(occ, margin):
+        idx = np.argwhere(occ)
+        if not idx.size:
+            return (slice(0, 0),) * occ.ndim
+        lo = np.maximum(idx.min(axis=0) - margin, 0)
+        hi = np.minimum(idx.max(axis=0) + 1 + margin, occ.shape)
+        return tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("margin", [0, 1, 4])
+    def test_equals_argwhere_box(self, rng, dim, margin):
+        cases = [np.zeros((9,) * dim, bool), np.ones((3,) * dim, bool)]
+        for _ in range(40):
+            shape = tuple(rng.integers(1, 25, dim))
+            cases.append(rng.random(shape) < rng.choice([0.02, 0.2, 0.9]))
+        for corner in ((0,) * dim, (-1,) * dim, (0, -1)[:dim]):
+            one = np.zeros((11,) * dim, bool)
+            one[corner] = True  # a box that clips at the array's edges
+            cases.append(one)
+        for occ in cases:
+            box = occupied_box(occ, margin)
+            assert box == self.reference(occ, margin)
+            assert occ[box].sum() == occ.sum()
+
+
 def bits(a):
     a = np.ascontiguousarray(a, dtype=float)
     return a.shape, a.tobytes()
@@ -330,7 +361,7 @@ class TestCellPoints:
 
 
 def reference_lookup(origin, spacing, cells, points, outside, dtype):
-    """The per-class point->cell code that Raster.values_at replaced."""
+    """The per-class point->cell code that Raster.flat_cells and read_cells replaced."""
     p = np.asarray(points, dtype=float)
     if cells.ndim == 1 and p.ndim == 1:
         p = p[:, None]
@@ -373,7 +404,7 @@ class TestPointLookup:
         assert f.sample_at(pts).dtype == np.float64
         assert not ref_occ[-2:].any() and np.isinf(ref_val[-2:]).all()
         if dim == 2:
-            assert np.array_equal(f.values_at(g.occupancy, pts, False, bool), ref_occ)
+            assert np.array_equal(read_cells(g.occupancy, f.flat_cells(pts), False, bool), ref_occ)
 
     def test_1d_flat_points(self, rng):
         g, f = self.rasters(rng, 1)

@@ -50,7 +50,7 @@ class TestInnerVolumeSamples:
         sq = ConvexPolygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float))
         G = rasterize(sq, ([-0.05, -0.05], [1.05, 1.05]), delta)
         grid = make_eps_grid(delta, 0.5, 64)
-        vs = sample_inner_volume(inner_distance(G), grid, "V_G")
+        vs = sample_inner_volume(inner_distance(G), grid)
         assert vs.values[np.argmin(np.abs(vs.eps - 0.1))] == pytest.approx(0.36, abs=16 * delta)
         assert np.all(np.diff(vs.values) >= 0)
         assert vs.values[-1] == pytest.approx(1.0, abs=16 * delta)
@@ -63,7 +63,7 @@ class TestInnerVolumeSamples:
         from fractal_tiling_lab.contents import power_fit
 
         grid = make_eps_grid(delta, inradius(G), 64)
-        vs = sample_inner_volume(inner_distance(G), grid, "V_G")
+        vs = sample_inner_volume(inner_distance(G), grid)
         _, slope = power_fit(vs.eps, vs.values, decades=1.0)
         assert abs(slope - 1.0) <= 0.05
 
@@ -263,10 +263,10 @@ class TestSharedInterpolant:
         rng = np.random.default_rng(seed)
         values = np.cumsum(rng.random(grid.eps.size)) * rng.uniform(1e-4, 10.0)
         tolerance = rng.random(grid.eps.size) * rng.uniform(1e-6, 1.0)
-        samples = VolumeSamples(grid.eps, values, "V_T", 2.0**-12, "", tolerance)
+        samples = VolumeSamples(grid.eps, values, 2.0**-12, tolerance)
         maps = tuple(Similarity(r, np.eye(dim), np.zeros(dim)) for r in ratios)
         cutoff = float(rng.uniform(0.05, 0.5))
-        got = volumes.renewal_difference(samples, IFS(maps, dim), cutoff, grid, dim, "h")
+        got = volumes.renewal_difference(samples, IFS(maps, dim), cutoff, grid, dim)
         ref_values, ref_tol = renewal_difference_per_map(samples, IFS(maps, dim), cutoff, grid, dim)
         assert np.array_equal(got.values, ref_values)
         assert np.array_equal(got.tolerance, ref_tol)
@@ -385,7 +385,7 @@ class TestGatzourasDifference:
             1,
         )
         grid = make_eps_grid(2.0**-10, 1.0, 32)
-        fake = ftl.VolumeSamples(grid.eps, np.ones_like(grid.eps), "F_eps", 2.0**-10)
+        fake = ftl.VolumeSamples(grid.eps, np.ones_like(grid.eps), 2.0**-10)
         with pytest.raises(ConfigError):
             gatzouras_rd(fake, ifs, grid)
 
