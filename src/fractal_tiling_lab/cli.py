@@ -29,17 +29,25 @@ def _region_from_json(doc) -> Region | str:
     if kind not in ("intervals", "polygon", "polygons"):
         raise ConfigError(f"unknown region type {kind!r}")
     key = "intervals" if kind == "intervals" else "vertices"
-    try:
-        parts = doc[key]
-        if not parts:
-            raise ConfigError(f"the {kind!r} region has no {key}")
-        if kind == "intervals":
-            return IntervalUnion(tuple((float(a), float(b)) for a, b in parts))
-        if kind == "polygon":
-            return ConvexPolygon(np.asarray(parts, dtype=float))
-        return PolygonUnion(tuple(ConvexPolygon(np.asarray(v, float)) for v in parts))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed {kind!r} region: {exc!r}") from None
+    where = f"the {kind!r} region"
+    _check_keys(doc, ("type", key), ("type", key), where)
+
+    def listed(parts) -> list:
+        if not isinstance(parts, list) or not parts:
+            raise ConfigError(f"{where}: {key!r} must be a non-empty list, got {parts!r}")
+        return parts
+
+    def pairs(parts) -> list:
+        for p in listed(parts):
+            if not (isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))):
+                raise ConfigError(f"{where}: {key!r} entry {p!r} is not a pair of finite numbers")
+        return parts
+
+    if kind == "intervals":
+        return IntervalUnion(tuple((float(a), float(b)) for a, b in pairs(doc[key])))
+    if kind == "polygon":
+        return ConvexPolygon(np.asarray(pairs(doc[key]), dtype=float))
+    return PolygonUnion(tuple(ConvexPolygon(np.asarray(pairs(v), float)) for v in listed(doc[key])))
 
 
 SCENE_KEYS = ("ifs", "region", "f_bbox", "delta", "eps_per_decade", "name")

@@ -9,14 +9,42 @@ the region (open-set semantics).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, ResolutionError
 
 MAX_CELLS = 1 << 27  # ~134M cells; rasterize refuses beyond this
+
+
+def _load_ndimage_kernel(name: str):
+    """scipy's compiled ndimage module `name`, loaded from its file without
+    running scipy/ndimage/__init__.py (whose imports, scipy.special and
+    numpy.f2py among them, cost more than half of a command's start-up), and
+    registered under its own dotted name."""
+    folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "ndimage")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, name + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        from importlib.metadata import version
+
+        raise ImportError(f"scipy's compiled {name} is missing from {folder} (scipy {version('scipy')})")
+    fullname = f"scipy.ndimage.{name}"
+    spec = importlib.util.spec_from_loader(fullname, importlib.machinery.ExtensionFileLoader(fullname, path))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sys.modules.setdefault(fullname, module)
+
+
+_nd_image = _load_ndimage_kernel("_nd_image")
+_ni_label = _load_ndimage_kernel("_ni_label")
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +415,17 @@ def _edt(background: np.ndarray, spacing: float, pad: int = 0) -> np.ndarray:
     """float32 distances from each cell of background, less pad cells on every
     side, to the nearest 0 cell of background, times spacing.
 
-    scipy's exact feature transform ft is computed once. The distances are
+    The exact feature transform ft is computed once, by scipy's compiled
+    _nd_image.euclidean_feature_transform called as distance_transform_edt
+    calls it (int8 input, no sampling, a zeroed int32 ft). The distances are
     then taken one strip of rows (about EDT_STRIP_CELLS cells) at a time in
     buffers of one strip, with the float64 operations scipy's
     distance_transform_edt applies to the whole array (integer offsets,
     squares, their sum, sqrt), so every value is bit-identical to
     (distance_transform_edt(background) * spacing).astype(float32) cropped.
     """
-    ft = ndimage.distance_transform_edt(background, return_distances=False, return_indices=True)
+    ft = np.zeros((background.ndim,) + background.shape, dtype=np.int32)
+    _nd_image.euclidean_feature_transform(background.view(np.int8), None, ft)
     if pad:
         ft = ft[(slice(None),) + (slice(pad, -pad),) * background.ndim]
     out = np.empty(ft.shape[1:], dtype=np.float32)
@@ -422,13 +453,14 @@ def distance_transform(grid: Grid) -> DistanceField:
     """Exact EDT: distance from every cell center to the nearest occupied one.
 
     Matches the all-pairs brute force exactly (integer-squared arithmetic
-    inside scipy's exact transform). Values are stored as float32 (~1e-7
-    relative, far below the half-cell tolerances; it halves the footprint of
-    the large padded fields). Memory: scipy's int32 feature transform (4
-    bytes per cell per axis) and its int8 copy of the input live through the
-    call, and the float64 distances are taken one strip of rows at a time
-    (_edt), so a 2-d transform peaks at about 13 bytes per cell with the
-    output.
+    inside scipy's compiled exact feature transform,
+    _nd_image.euclidean_feature_transform). Values are stored as float32
+    (~1e-7 relative, far below the half-cell tolerances; it halves the
+    footprint of the large padded fields). Memory: the int32 feature
+    transform (4 bytes per cell per axis) and the boolean background, which
+    the kernel reads as int8 without a copy, live through the call, and the
+    float64 distances are taken one strip of rows at a time (_edt), so a 2-d
+    transform peaks at about 13 bytes per cell with the output.
     """
     if not grid.occupancy.any():
         raise ResolutionError("distance transform of an empty grid")

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ResolutionError
-from .grids import DistanceField, Grid, read_cells
+from .grids import DistanceField, Grid, _ni_label, read_cells
 
 # Per-case directed segments (in_edge -> out_edge), edges B=0, R=1, T=2, L=3.
 # Corner bits: 1 = (i,j), 2 = (i+1,j), 4 = (i+1,j+1), 8 = (i,j+1).
@@ -303,8 +302,11 @@ def euler_and_turning(
 
 
 def contour_components(cells: np.ndarray) -> int:
-    """Connected components (8-connected) of a boolean raster of contour cells."""
+    """Connected components (8-connected) of a boolean raster of contour cells.
+
+    scipy's compiled _ni_label._label, called as ndimage.label calls it with
+    the 3x3 structure; an int32 output holds any label count below MAX_CELLS.
+    """
     if not cells.any():
         return 0
-    _, n = ndimage.label(cells, structure=np.ones((3, 3), dtype=int))
-    return int(n)
+    return int(_ni_label._label(cells, np.ones((3, 3), dtype=bool), np.empty(cells.shape, np.int32)))

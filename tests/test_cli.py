@@ -472,6 +472,45 @@ class TestSceneFileValidation:
         assert captured.err == f"configuration error: {named}\n"
         assert pipeline._BUNDLES == {}
 
+    TRIANGLE = [[0, 0], [1, 0], [0.5, 0.3]]
+
+    @pytest.mark.parametrize("region, named", [
+        ({"type": "intervals", "intervals": [["0", 1.0]]},
+         "the 'intervals' region: 'intervals' entry ['0', 1.0] is not a pair of finite numbers"),
+        ({"type": "intervals", "intervals": [[0.0, True]]},
+         "the 'intervals' region: 'intervals' entry [0.0, True] is not a pair of finite numbers"),
+        ({"type": "intervals", "intervals": [[math.nan, 1.0]]},
+         "the 'intervals' region: 'intervals' entry [nan, 1.0] is not a pair of finite numbers"),
+        ({"type": "intervals", "intervals": [["0", True]], "extra": 5},
+         "the 'intervals' region: unknown key 'extra'"),
+        ({"type": "polygon", "vertices": [[0, 0], [1, "0"], [0.5, 0.3]]},
+         "the 'polygon' region: 'vertices' entry [1, '0'] is not a pair of finite numbers"),
+        ({"type": "polygon", "vertices": [[0, 0], [1, 0], [0.5, True]]},
+         "the 'polygon' region: 'vertices' entry [0.5, True] is not a pair of finite numbers"),
+        ({"type": "polygon", "vertices": [[0, 0], [1, 0], [math.nan, 0.3]]},
+         "the 'polygon' region: 'vertices' entry [nan, 0.3] is not a pair of finite numbers"),
+        ({"type": "polygon", "vertices": TRIANGLE, "closed": True},
+         "the 'polygon' region: unknown key 'closed'"),
+        ({"type": "polygons", "vertices": [TRIANGLE, [[0, 0], ["1", 0], [0.5, 0.3]]]},
+         "the 'polygons' region: 'vertices' entry ['1', 0] is not a pair of finite numbers"),
+        ({"type": "polygons", "vertices": []},
+         "the 'polygons' region: 'vertices' must be a non-empty list, got []"),
+    ], ids=["intervals_string", "intervals_bool", "intervals_nan", "intervals_unknown_key",
+            "polygon_string", "polygon_bool", "polygon_nan", "polygon_unknown_key",
+            "polygons_string", "polygons_empty"])
+    def test_region_value_refused(self, capsys, tmp_path, monkeypatch, region, named):
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        maps, d = (CANTOR_MAPS, 1) if region["type"] == "intervals" else (KOCH_MAPS, 2)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"ifs": {"dim": d, "maps": maps}, "region": region,
+                                    "f_bbox": [[0.0] * d, [1.0] * d]}))
+        for cmd in ("dim", "content"):
+            assert main([cmd, "--scene", str(path), "--format", "json"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"configuration error: {named}\n"
+        assert pipeline._BUNDLES == {}
+
 
 class TestResolutionValues:
     """delta and eps_per_decade follow one rule (Scene.validate) whether they come

@@ -3,10 +3,11 @@
 `attractor_raster` carries each breadth-first generation as cell keys,
 reads axis-aligned maps' child keys from per-axis image tables and keeps
 the first candidate per cell through a per-cell array of first positions,
-chunk by chunk; `distance_transform` and `inner_distance` turn scipy's
-feature transform into distances one strip of rows at a time. Both must
-reproduce, bit for bit, what the whole-generation float orbit and the
-whole-array EDT gave, and both must stay below a fixed peak of traced
+chunk by chunk; `distance_transform` and `inner_distance` turn the feature
+transform of scipy's compiled kernel (`_nd_image.euclidean_feature_transform`,
+called without the `scipy.ndimage` package) into distances one strip of rows
+at a time. Both must reproduce, bit for bit, what the whole-generation float
+orbit and `scipy.ndimage.distance_transform_edt`'s whole-array EDT gave, and both must stay below a fixed peak of traced
 allocations (numpy reports its buffers to tracemalloc), as must a field
 read at a region's cells and the level-set extractor's index.
 """
@@ -293,7 +294,8 @@ class TestMemoryBounds:
     def test_distance_transform_bytes_per_cell(self):
         # whole-array distances peaked at 33 B per cell (int32 feature
         # transform, np.indices, the int32 difference and float64 copies);
-        # strips leave the feature transform, scipy's input and the output
+        # strips leave the feature transform of _nd_image's kernel, the
+        # boolean background it reads as int8 (no copy) and the output
         n = 1024
         occ = np.zeros((n, n), dtype=bool)
         occ[::37, ::41] = True

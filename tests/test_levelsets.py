@@ -5,7 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import ndimage
 
 from fractal_tiling_lab import conditions, curvature, grids, levelsets, pipeline, presets
@@ -20,6 +21,7 @@ from fractal_tiling_lab.grids import (
 )
 from fractal_tiling_lab.levelsets import (
     LevelSetExtractor,
+    contour_components,
     euler_and_turning,
     euler_characteristic,
 )
@@ -113,6 +115,22 @@ class TestEulerAndTurning:
             _, nbg = ndimage.label(~np.pad(occ, 1), structure=np.ones((3, 3), int))
             holes = nbg - 1  # 8-connected background minus the outside
             assert chi == ncomp - holes
+
+
+class TestContourComponents:
+    """contour_components calls scipy's compiled label kernel directly; it
+    counts what ndimage.label counts with the 8-connected structure."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24)), flip=st.booleans())
+    @example(m=np.zeros((5, 7), bool), flip=False)
+    @example(m=np.ones((5, 7), bool), flip=False)
+    @example(m=np.array([[True, False, True, True, False, True]]), flip=False)
+    @example(m=np.array([[True], [False], [True], [True]]), flip=False)
+    @example(m=np.eye(6, dtype=bool), flip=True)
+    def test_matches_ndimage_label(self, m, flip):
+        m = m.T if flip else m  # a strided view, as the boundary-null check passes crops
+        assert contour_components(m) == ndimage.label(m, structure=np.ones((3, 3), int))[1]
 
 
 class TestLocality:

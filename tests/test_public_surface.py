@@ -6,7 +6,8 @@ body and __init__.py), in bench/ or in demos/. A reference to a function
 or class is its name as a whole word outside a def or class line, so
 bench/tracer.py's wrapping of a function by its name counts; a reference to
 a class member is an attribute access `.name`, so a local variable of the
-same name does not count. That match is by name only: a common name (a
+same name does not count, and a plain (undecorated) method counts only
+when called, `.name(`. That match is by name only: a common name (a
 method called `index`, a product called `phi`) can be matched by an
 unrelated attribute, so a pass is necessary, not sufficient. Each exported
 name is checked too.
@@ -35,6 +36,14 @@ KEEP = {
         "tests compare against it: test_tile_raster.py composes reference tile maps "
         "one letter at a time"
     ),
+    "Word.ratio": (
+        "tests compare against it: test_ifs.py's reference for a word's ratio "
+        "(multiplicities, the product of its letters' ratios)"
+    ),
+    "Word.map": (
+        "tests compare against it: test_ifs.py's and test_tile_raster.py's reference "
+        "for a word's composed map"
+    ),
 }
 
 
@@ -48,8 +57,9 @@ def exported_names() -> list[str]:
 
 
 def definitions() -> dict[str, tuple[str, str, range]]:
-    """{label: (file, name, its own lines)} for every top-level def and class
-    and every non-dunder method in src/; a method's label is Class.method."""
+    """{label: (file, name, its own lines, kind)} for every top-level def and
+    class and every non-dunder method in src/; a method's label is
+    Class.method. kind is how a user names it (see has_user)."""
     out = {}
     for path in sorted(PKG.glob("*.py")):
         if path.name == "__init__.py":
@@ -58,12 +68,13 @@ def definitions() -> dict[str, tuple[str, str, range]]:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            out[node.name] = (rel, node.name, range(node.lineno - 1, node.end_lineno))
+            out[node.name] = (rel, node.name, range(node.lineno - 1, node.end_lineno), "name")
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef) and not re.fullmatch(r"__\w+__", sub.name):
                         own = range(sub.lineno - 1, sub.end_lineno)
-                        out[f"{node.name}.{sub.name}"] = (rel, sub.name, own)
+                        kind = "attribute" if sub.decorator_list else "call"
+                        out[f"{node.name}.{sub.name}"] = (rel, sub.name, own, kind)
     return out
 
 
@@ -74,13 +85,17 @@ def user_text() -> dict[str, list[str]]:
     return {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8").splitlines() for p in files}
 
 
+USE = {"name": r"\b{}\b", "attribute": r"\.{}\b", "call": r"\.{}\("}
+
+
 def has_user(
-    name: str, files, own_file: str | None = None, own: range = range(0), member: bool = False,
+    name: str, files, own_file: str | None = None, own: range = range(0), kind: str = "name",
 ) -> bool:
-    """Whether a line outside the definition's own body names it, as an
-    attribute `.name` when it is a class member; a def or class line of the
-    same name elsewhere (an override) is not a user."""
-    word = re.compile(rf"\.{re.escape(name)}\b" if member else rf"\b{re.escape(name)}\b")
+    """Whether a line outside the definition's own body names it: as a whole
+    word (kind "name"), as an attribute `.name` (a decorated class member) or
+    as a call `.name(` (a plain method); a def or class line of the same name
+    elsewhere (an override) is not a user."""
+    word = re.compile(USE[kind].format(re.escape(name)))
     define = re.compile(rf"^\s*(def|class) {re.escape(name)}\b")
     return any(
         word.search(line) and not define.match(line)
@@ -97,20 +112,20 @@ DEFINITIONS = definitions()
 def test_keep_list_names_are_definitions_without_users():
     for label in KEEP:
         assert label in DEFINITIONS, f"{label} is kept but not defined in src/"
-        own_file, name, own = DEFINITIONS[label]
-        assert not has_user(name, FILES, own_file, own, "." in label), (
+        own_file, name, own, kind = DEFINITIONS[label]
+        assert not has_user(name, FILES, own_file, own, kind), (
             f"{label} has a user now: drop it from KEEP")
 
 
 @pytest.mark.parametrize("name", sorted(set(exported_names()) - set(KEEP)))
 def test_export_has_a_user(name):
-    own_file, _, own = DEFINITIONS.get(name, (None, name, range(0)))
+    own_file, _, own, _ = DEFINITIONS.get(name, (None, name, range(0), "name"))
     assert has_user(name, FILES, own_file, own), (
         f"{name} is exported but nothing in src/, bench/ or demos/ uses it")
 
 
 @pytest.mark.parametrize("label", sorted(set(DEFINITIONS) - set(KEEP)))
 def test_definition_has_a_user(label):
-    own_file, name, own = DEFINITIONS[label]
-    assert has_user(name, FILES, own_file, own, "." in label), (
+    own_file, name, own, kind = DEFINITIONS[label]
+    assert has_user(name, FILES, own_file, own, kind), (
         f"{label} ({own_file}) has no user in src/, bench/ or demos/ outside its own body")

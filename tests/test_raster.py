@@ -99,12 +99,13 @@ class TestDistanceTransform:
             distance_transform(g)
 
     def test_matches_brute_force_random_grids(self, rng):
-        for _ in range(30):
-            shape = tuple(rng.integers(4, 65, size=2))
+        # distance_transform itself, in cells (spacing 1), on 1-d and 2-d grids
+        for dim in np.repeat((1, 2), 30):
+            shape = tuple(rng.integers(4, 65, size=dim))
             occ = rng.random(shape) < 0.15
             if not occ.any():
-                occ[0, 0] = True
-            f = ndimage.distance_transform_edt(~occ)
+                occ.flat[0] = True
+            f = distance_transform(Grid(np.zeros(dim), 1.0, occ)).values.astype(float)
             assert np.array_equal(np.round(f**2).astype(np.int64), brute_force_edt(occ))
 
     def test_lipschitz_between_neighbors(self, rng):
