@@ -205,19 +205,16 @@ def check_projection(
         # S_i O, not with its perimeter: compare against the collar-end
         # cell count #(|d_F - e| <= near) at each eps
         interfaces = _count_near(s_F, eps_i, near)
-        fail_eps = []
-        for e, n_defect, interface in zip(eps_i, defects, interfaces):
-            defect = float(n_defect) * delta**d
-            tol = PROJECTION_SEAM_FACTOR * delta * max(interface, 4) * delta ** (d - 1)
-            if defect > tol:
-                fail_eps.append((float(e), defect, tol))
-        if fail_eps:
-            peak = max(f[1] for f in fail_eps)
+        defect = defects * delta**d
+        tol = PROJECTION_SEAM_FACTOR * delta * np.maximum(interfaces, 4) * delta ** (d - 1)
+        fail = defect > tol
+        if fail.any():
+            peak = float(defect[fail].max())
             cand = {
                 "map": i,
-                "eps_interval": [fail_eps[0][0], fail_eps[-1][0]],
+                "eps_interval": [float(eps_i[fail][0]), float(eps_i[fail][-1])],
                 "max_defect": peak,
-                "tolerance": max(f[2] for f in fail_eps),
+                "tolerance": float(tol[fail].max()),
             }
             if worst is None or peak > worst["max_defect"]:
                 worst = cand
@@ -253,7 +250,11 @@ def _count_near(s: np.ndarray, eps: np.ndarray, near: float) -> list[int]:
     every value off [e - 2 near, e + 2 near] has |fl(x - e)| > near, so only
     that run of s is compared."""
     lo, hi = np.searchsorted(s, eps - 2 * near, "left"), np.searchsorted(s, eps + 2 * near, "right")
-    return [int(np.count_nonzero(np.abs(s[a:b] - e) <= near)) for a, b, e in zip(lo, hi, eps)]
+    # every run gathered at once: entry p of run k is s[lo[k] + p]
+    n = hi - lo
+    k = np.repeat(np.arange(eps.size), n)
+    pos = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+    return np.bincount(k[np.abs(s[pos] - eps[k]) <= near], minlength=eps.size).tolist()
 
 
 def check_boundary_null(

@@ -9,6 +9,7 @@ the region (open-set semantics).
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -22,11 +23,14 @@ from .errors import ConfigError, ResolutionError
 MAX_CELLS = 1 << 27  # ~134M cells; rasterize refuses beyond this
 
 
+@functools.cache
 def _load_ndimage_kernel(name: str):
     """scipy's compiled ndimage module `name`, loaded from its file without
     running scipy/ndimage/__init__.py (whose imports, scipy.special and
     numpy.f2py among them, cost more than half of a command's start-up), and
-    registered under its own dotted name."""
+    registered under its own dotted name. Loaded on first use: _nd_image at
+    the first 2-d EDT, _ni_label (which imports the top-level scipy package)
+    at the first count of contour components, so no 1-d command loads scipy."""
     folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "ndimage")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(folder, name + suffix)
@@ -41,10 +45,6 @@ def _load_ndimage_kernel(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return sys.modules.setdefault(fullname, module)
-
-
-_nd_image = _load_ndimage_kernel("_nd_image")
-_ni_label = _load_ndimage_kernel("_ni_label")
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +295,11 @@ class IntervalUnion(Region):
     intervals: tuple[tuple[float, float], ...]
     dim = 1
 
+    def __post_init__(self):
+        for a, b in self.intervals:
+            if not a < b:
+                raise ConfigError(f"interval ({a!r}, {b!r}) is empty or reversed: need left end < right end")
+
     def contains_axes(self, x):
         out = np.zeros(np.shape(x), dtype=bool)
         for a, b in self.intervals:
@@ -413,19 +418,28 @@ EDT_STRIP_CELLS = 1 << 13  # cells per strip of rows when distances are taken fr
 
 def _edt(background: np.ndarray, spacing: float, pad: int = 0) -> np.ndarray:
     """float32 distances from each cell of background, less pad cells on every
-    side, to the nearest 0 cell of background, times spacing.
+    side, to the nearest 0 cell of background, times spacing: bit-identical
+    to (distance_transform_edt(background) * spacing).astype(float32) cropped.
 
-    The exact feature transform ft is computed once, by scipy's compiled
+    In 1-d the nearest 0 cell on each side is a running max and a running
+    min of the 0 cells' indices; scipy's sqrt(float64(dx**2)) is |dx|
+    exactly, whichever of two equally near 0 cells it picks. In 2-d the
+    exact feature transform ft is computed once, by scipy's compiled
     _nd_image.euclidean_feature_transform called as distance_transform_edt
     calls it (int8 input, no sampling, a zeroed int32 ft). The distances are
     then taken one strip of rows (about EDT_STRIP_CELLS cells) at a time in
     buffers of one strip, with the float64 operations scipy's
     distance_transform_edt applies to the whole array (integer offsets,
-    squares, their sum, sqrt), so every value is bit-identical to
-    (distance_transform_edt(background) * spacing).astype(float32) cropped.
+    squares, their sum, sqrt).
     """
+    if background.ndim == 1:
+        i = np.arange(background.size, dtype=np.int32)
+        far = np.int32(1 << 30)  # beyond any index: MAX_CELLS < 2**30
+        left = np.maximum.accumulate(np.where(background, -far, i))
+        right = np.minimum.accumulate(np.where(background, far, i)[::-1])[::-1]
+        return (np.minimum(i - left, right - i)[pad : background.size - pad] * spacing).astype(np.float32)
     ft = np.zeros((background.ndim,) + background.shape, dtype=np.int32)
-    _nd_image.euclidean_feature_transform(background.view(np.int8), None, ft)
+    _load_ndimage_kernel("_nd_image").euclidean_feature_transform(background.view(np.int8), None, ft)
     if pad:
         ft = ft[(slice(None),) + (slice(pad, -pad),) * background.ndim]
     out = np.empty(ft.shape[1:], dtype=np.float32)
@@ -452,9 +466,9 @@ def _edt(background: np.ndarray, spacing: float, pad: int = 0) -> np.ndarray:
 def distance_transform(grid: Grid) -> DistanceField:
     """Exact EDT: distance from every cell center to the nearest occupied one.
 
-    Matches the all-pairs brute force exactly (integer-squared arithmetic
-    inside scipy's compiled exact feature transform,
-    _nd_image.euclidean_feature_transform). Values are stored as float32
+    Matches the all-pairs brute force exactly (integer cell offsets: a
+    running max and min of the 0 cells' indices in 1-d, scipy's compiled
+    exact feature transform in 2-d; see _edt). Values are stored as float32
     (~1e-7 relative, far below the half-cell tolerances; it halves the
     footprint of the large padded fields). Memory: the int32 feature
     transform (4 bytes per cell per axis) and the boolean background, which

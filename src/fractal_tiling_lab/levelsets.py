@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ResolutionError
-from .grids import DistanceField, Grid, _ni_label, read_cells
+from .grids import DistanceField, Grid, _load_ndimage_kernel, read_cells
 
 # Per-case directed segments (in_edge -> out_edge), edges B=0, R=1, T=2, L=3.
 # Corner bits: 1 = (i,j), 2 = (i+1,j), 4 = (i+1,j+1), 8 = (i,j+1).
@@ -309,4 +309,5 @@ def contour_components(cells: np.ndarray) -> int:
     """
     if not cells.any():
         return 0
-    return int(_ni_label._label(cells, np.ones((3, 3), dtype=bool), np.empty(cells.shape, np.int32)))
+    label = _load_ndimage_kernel("_ni_label")._label
+    return int(label(cells, np.ones((3, 3), dtype=bool), np.empty(cells.shape, np.int32)))

@@ -10,21 +10,22 @@ G, Gamma and G's inner field; the word tree, the tile union and the
 residual are built on first read of TilingData's tile_words and
 tile_union, which only the tiling_via_h row and rendering read.
 
-Tiles are built one word length at a time (rasterize_tiles) from the
-arrays of the word tree: the composed maps S_sigma of all words of one
-length are stacked arrays, each made from its parent's map with one
-composition, and all tiles of that length are inverse-sampled inside the
-images of G's occupied box in one pass of _stamp_images.
-That pass has two preimage paths. An axis-aligned map (diagonal inverse
-linear part: every 1-d map, the carpet and gasket maps) has preimages whose
-coordinate on each axis depends on that axis alone, so they are computed
-once per column and once per row of the box, and the source is gathered by
-broadcasting the two. A map with a rotation takes every cell center through
-a matrix product. The two agree to the bit: for a diagonal part the
-product's off-diagonal term is an exact 0 * y, and fl(a * x + 0 * y) =
-fl(a * x) with or without a fused multiply-add. The images S_i(O) are
-built once per map and kept on TilingData, one bit per map and cell; their
-union is Phi(O).
+Tiles are built from the arrays of the word tree (rasterize_tiles): the
+composed maps S_sigma of all words of one length are stacked arrays, each
+made from its parent's map with one composition, and the tiles of every
+length are stamped inside the images of G's occupied box in one pass of
+_stamp_images. In 1-d every tile and image is a finite union of intervals:
+the cells whose preimages fall in one run of occupied source cells form one
+run, whose ends are found exactly (_stamp_runs). In 2-d an axis-aligned map
+(diagonal inverse linear part: the carpet and gasket maps) has preimages
+whose coordinate on each axis depends on that axis alone, so they are
+computed once per column and once per row of the box, and the source is
+gathered by broadcasting the two. A map with a rotation takes every cell
+center through a matrix product. The two agree to the bit: for a diagonal
+part the product's off-diagonal term is an exact 0 * y, and
+fl(a * x + 0 * y) = fl(a * x) with or without a fused multiply-add. The
+images S_i(O) are built once per map and kept on TilingData, one bit per
+map and cell; their union is Phi(O).
 
 The attractor raster (attractor_raster) walks the word orbit of a fixed
 point on integer cell keys. The same per-axis argument gives a diagonal
@@ -147,27 +148,27 @@ def _stamp_images(
 
     A target cell is marked iff S_k^{-1}(center) lies in an occupied source
     cell. Only cells in the image under S_k of the box of source's occupied
-    cells, grown by one cell, are sampled: every other cell maps outside
-    that box. The
-    inverse maps and the sampled points use the float operations of
+    cells, grown by one cell, are considered: every other cell maps outside
+    that box. The inverse maps and the preimages use the float operations of
     Similarity.inverse and AffineMap.__call__ on one map at a time, so the
     result is bit-identical to sampling each map on its own. Preimages take
-    one of two paths:
+    one of three paths:
 
-    - Axis-aligned maps, whose inverse linear part A_k is diagonal (every
-      map in 1-d): the preimage coordinate on axis a is A_k[a, a] * x_a +
-      b_k[a], so it and its source index are computed once per column and
-      once per row of the image box. The columns of all boxes of one height
-      are one run; a block of them is gathered from the source by
-      broadcasting each column's source index against its box's row
-      indices. AffineMap's matrix product gives fl(a * x + 0 * y) =
-      fl(a * x), fused multiply-add or not, so dropping the exact-zero term
-      changes no bit.
-    - Maps with a rotation (2-d only): every cell center goes through one
-      matrix product per distinct linear part.
+    - 1-d maps: the cells mapping into one run of occupied source cells form
+      one run of target cells, whose ends _stamp_runs finds exactly.
+    - 2-d axis-aligned maps, whose inverse linear part A_k is diagonal: the
+      preimage coordinate on axis a is A_k[a, a] * x_a + b_k[a], so it and
+      its source index are computed once per column and once per row of the
+      image box. The columns of all boxes of one height are one run; a block
+      of them is gathered from the source by broadcasting each column's
+      source index against its box's row indices. AffineMap's matrix product
+      gives fl(a * x + 0 * y) = fl(a * x), fused multiply-add or not, so
+      dropping the exact-zero term changes no bit.
+    - Maps with a rotation: every cell center goes through one matrix
+      product per distinct linear part.
 
-    A block holds at most CHUNK_CELLS cells, or one column of a box when a
-    column is longer.
+    A 2-d block holds at most CHUNK_CELLS cells, or one column of a box when
+    a column is longer.
     """
     d = target.dim
     A, b = _inverse(ratio, Q, t)
@@ -182,6 +183,9 @@ def _stamp_images(
     lo_i = np.maximum(lo_i, 0)
     shape = np.maximum(np.minimum(hi_i, target.extents) - lo_i, 0)
     live = shape.prod(axis=1) > 0
+    if d == 1:
+        lo = lo_i[live, 0]
+        return _stamp_runs(occ, A[live, 0, 0], b[live, 0], lo, lo + shape[live, 0], source, target)
     aligned = live & np.all(A[:, ~np.eye(d, dtype=bool)] == 0, axis=1)
 
     def axis_preimages(k, a, idx):
@@ -189,27 +193,22 @@ def _stamp_images(
         return A[k, a, a] * target.centers_at(idx, a) + b[k, a]
 
     ks = np.flatnonzero(aligned)
-    height = shape[ks, 1:].prod(axis=1)  # cells per column: 1 in 1-d
+    height = shape[ks, 1]  # cells per column
     for n_y in np.unique(height):
         kg = ks[height == n_y]
         # the columns (box, index on axis 0) of these boxes, box by box
         widths = shape[kg, 0]
         starts = np.cumsum(widths) - widths
         n_cols = int(widths.sum())
-        if d == 2:
-            iy = lo_i[kg, 1, None] + np.arange(n_y)
-            sy, oky = axis_cells(axis_preimages(kg[:, None], 1, iy), source, 1)
+        iy = lo_i[kg, 1, None] + np.arange(n_y)
+        sy, oky = axis_cells(axis_preimages(kg[:, None], 1, iy), source, 1)
         step = max(1, CHUNK_CELLS // int(n_y))
         for c0 in range(0, n_cols, step):
             pos = np.arange(c0, min(c0 + step, n_cols))
             t = np.searchsorted(starts, pos, side="right") - 1
             k = kg[t]
             ix = lo_i[k, 0] + (pos - starts[t])
-            px = axis_preimages(k, 0, ix)
-            if d == 1:
-                occ[ix[source.lookup(px)]] = True
-                continue
-            sx, okx = axis_cells(px, source, 0)
+            sx, okx = axis_cells(axis_preimages(k, 0, ix), source, 0)
             hit = okx[:, None] & oky[t] & source.occupancy[sx[:, None], sy[t]]
             u, v = np.nonzero(hit)
             occ[ix[u], iy[t[u], v]] = True
@@ -246,8 +245,50 @@ def _stamp_images(
         occ[tuple(idx[hit].T)] = True
 
 
+def _stamp_runs(occ: np.ndarray, a, b, lo, hi, source: Grid, target: Grid) -> None:
+    """Mark in the 1-d occ the cells i in [lo_k, hi_k) whose preimage
+    a_k * c_i + b_k lies in an occupied source cell, c_i the center of cell i.
+
+    The preimage's cell s_k(i) = floor((a_k c_i + b_k - o_s) / h_s), taken
+    with the float operations of centers_at, AffineMap and indices_of, is
+    monotone in i (each rounded operation is): non-decreasing for a_k > 0,
+    non-increasing under a reflection. So the cells mapping into a run
+    [r0, r1) of occupied source cells are one run of target cells, whose ends
+    are where s_k crosses r0 and r1. Each end is found by evaluating s_k on a
+    window around where real arithmetic puts it, wider than the rounding
+    error of both, and the window's bracketing of the end is asserted. The
+    runs, clipped to [lo_k, hi_k), are marked through a difference array
+    over the span of those boxes.
+    """
+    if not a.size:
+        return
+    # the occupied source runs [r0, r1): set and unset cells alternate there
+    edges = np.flatnonzero(np.diff(source.occupancy, prepend=False, append=False))
+    r0, r1 = edges[::2], edges[1::2]
+    k, j = (np.tile(x.ravel(), 2) for x in np.indices((a.size, r0.size)))
+    ak, bk, up = a[k], b[k], a[k] > 0
+    # the source edge e of every run's start, then of every run's stop; the
+    # end is the first i with (s_k(i) >= e) == up
+    e = np.where((np.arange(k.size) < k.size // 2) == up, r0[j], r1[j])
+    o_s, h_s, o_t, h_t = source.origin[0], source.spacing, target.origin[0], target.spacing
+    mid = np.floor(np.clip(((o_s + e * h_s - bk) / ak - o_t) / h_t - 0.5, lo[k] - 1, hi[k]))
+    # rounding, in mid and in s_k, moves the end off [mid, mid + 1] by at most
+    # ceil(16 eps * size / (|a| h_t)) <= w cells, size bounding the terms
+    size = np.abs(ak) * (abs(o_t) + (np.abs(mid) + 1) * h_t) + np.abs(bk) + abs(o_s) + (e + 1) * h_s
+    w = 1 + int(np.max(16 * np.finfo(float).eps * size / (np.abs(ak) * h_t)))
+    idx = mid.astype(np.int64)[:, None] + np.arange(-w, w + 2)
+    hit = (np.floor((ak[:, None] * target.centers_at(idx, 0) + bk[:, None] - o_s) / h_s) >= e[:, None]) == up[:, None]
+    assert np.all((~hit[:, 0] | (idx[:, 0] <= lo[k])) & (hit[:, -1] | (idx[:, -1] >= hi[k] - 1)))
+    base, n = lo.min(), hi.max() - lo.min()
+    ends = np.clip(idx[:, 0] + np.count_nonzero(~hit, axis=1), lo[k], hi[k]) - base
+    start, stop = ends[: k.size // 2], ends[k.size // 2 :]
+    keep = start < stop
+    runs = np.bincount(start[keep], minlength=n + 1) - np.bincount(stop[keep], minlength=n + 1)
+    occ[base : base + n] |= np.cumsum(runs[:-1]) > 0
+
+
 def _map_cells(sim: Similarity, source: Grid, target: Grid) -> np.ndarray:
-    """Occupancy of S(source-region) on the target grid, by inverse sampling."""
+    """Occupancy of S(source-region) on the target grid (_stamp_images)."""
     occ = np.zeros(target.extents, dtype=bool)
     _stamp_images(occ, *_stack([sim]), source, target)
     return occ
@@ -259,20 +300,23 @@ def rasterize_tiles(ifs: IFS, words: WordTree, G: Grid, target: Grid) -> np.ndar
     The empty word, if the tree holds it, contributes G itself, which must
     then lie on target's grid. The tree is walked one length at a time from
     its arrays. The maps of one length are stacked arrays, each built from
-    its parent's by _compose, so every map is bit-identical to Word.map, and
-    rasterized in one pass of _stamp_images, which samples only the images
-    of G's occupied box.
+    its parent's by _compose, so every map is bit-identical to Word.map. The
+    maps of all lengths are rasterized in one pass of _stamp_images, which
+    looks only at the images of G's occupied box.
     """
     occ = np.zeros(target.extents, dtype=bool)
     if words.ratio[0].size:
         occ |= G.occupancy
     maps = _stack(ifs.maps)
+    levels = []
     for length in range(1, len(words.ratio)):
         if length == 1:
             parts = [m[words.letter[1]] for m in maps]
         else:
             parts = _compose([p[words.parent[length]] for p in parts], words.letter[length], maps)
-        _stamp_images(occ, *parts, G, target)
+        levels.append(parts)
+    if levels:
+        _stamp_images(occ, *(np.concatenate(p) for p in zip(*levels)), G, target)
     return occ
 
 

@@ -4,11 +4,12 @@ bench/tracer.py wraps module functions (tiling._map_cells,
 tiling.relative_inradius, ...), Grid.lookup, the LevelSetExtractor methods
 and the SceneBundle products by name at run time, and reads
 LevelSetExtractor._fmin. Installing it in a fresh interpreter and tracing
-one small 1-d scene (its content and k = 0 curvature tables) and one small
-2-d field, also in koch_direct's call shape (an extractor built by the
-caller and passed to measure_profiles), turns a renamed or deleted traced
-name, or a bundle path that bypasses one, into a failure here instead of
-a failed benchmark run. The
+one small 1-d scene (its content and k = 0 curvature tables), one image of
+a rotated 2-d map (1-d images are stamped as runs and never reach
+Grid.lookup) and one small 2-d field, also in koch_direct's call shape (an
+extractor built by the caller and passed to measure_profiles), turns a
+renamed or deleted traced name, or a bundle path that bypasses one, into a
+failure here instead of a failed benchmark run. The
 subprocess keeps the wrappers out of this test session.
 
 No library path needs _fmin any more: the sweep takes the corner minima
@@ -51,6 +52,11 @@ occ = np.zeros(g.extents, bool)
 occ[tuple(g.indices_of(np.zeros((1, 2)))[0])] = True
 field = grids.distance_transform(g.with_occupancy(occ))
 curvature.measure_profiles(field, np.array([0.2, 0.5]))
+# 1-d images are stamped as runs of cells; a rotated 2-d map (koch's first)
+# still inverse-samples cell centers through Grid.lookup
+from fractal_tiling_lab import tiling
+koch = presets.get_preset("koch").scene
+tiling._map_cells(koch.ifs.maps[0], grids.rasterize(koch.region, koch.f_bbox, 2.0**-6), g)
 # koch_direct's call shape: an extractor built by the caller, handed in unindexed
 from fractal_tiling_lab import levelsets
 first, before = len(tracer.spans), dict(tracer.counters)

@@ -483,6 +483,10 @@ class TestSceneFileValidation:
          "the 'intervals' region: 'intervals' entry [nan, 1.0] is not a pair of finite numbers"),
         ({"type": "intervals", "intervals": [["0", True]], "extra": 5},
          "the 'intervals' region: unknown key 'extra'"),
+        ({"type": "intervals", "intervals": [[1.0, 0.0], [0.0, 1.0]]},
+         "interval (1.0, 0.0) is empty or reversed: need left end < right end"),
+        ({"type": "intervals", "intervals": [[0.5, 0.5]]},
+         "interval (0.5, 0.5) is empty or reversed: need left end < right end"),
         ({"type": "polygon", "vertices": [[0, 0], [1, "0"], [0.5, 0.3]]},
          "the 'polygon' region: 'vertices' entry [1, '0'] is not a pair of finite numbers"),
         ({"type": "polygon", "vertices": [[0, 0], [1, 0], [0.5, True]]},
@@ -496,6 +500,7 @@ class TestSceneFileValidation:
         ({"type": "polygons", "vertices": []},
          "the 'polygons' region: 'vertices' must be a non-empty list, got []"),
     ], ids=["intervals_string", "intervals_bool", "intervals_nan", "intervals_unknown_key",
+            "intervals_reversed", "intervals_empty",
             "polygon_string", "polygon_bool", "polygon_nan", "polygon_unknown_key",
             "polygons_string", "polygons_empty"])
     def test_region_value_refused(self, capsys, tmp_path, monkeypatch, region, named):

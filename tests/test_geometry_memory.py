@@ -278,6 +278,26 @@ class TestEdtParity:
             )
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 400), fill=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+           pad=st.sampled_from([0, 1]), spacing=st.sampled_from([1.0, 0.0137, 2.0**-14, 1 / 3]))
+    def test_1d_numpy_branch_matches_the_feature_transform(self, n, fill, seed, pad, spacing):
+        # the 1-d branch of _edt takes no kernel; it must give the distances
+        # that scipy's feature transform gives, taken as scipy takes them
+        rng = np.random.default_rng(seed)
+        background = rng.random(n) < fill
+        background[rng.integers(n)] = False  # at least one 0 cell
+        if pad:
+            background = np.pad(background, 1)
+        ft = np.zeros((1,) + background.shape, dtype=np.int32)
+        grids._load_ndimage_kernel("_nd_image").euclidean_feature_transform(background.view(np.int8), None, ft)
+        dx = (ft[0] - np.arange(background.size)).astype(float)
+        want = (np.sqrt(dx * dx) * spacing).astype(np.float32)[pad : background.size - pad]
+        got = grids._edt(background, spacing, pad)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 def traced_peak(fn, *args) -> int:
     """Peak bytes of traced allocations while fn(*args) runs."""
     tracemalloc.start()

@@ -42,9 +42,11 @@ def test_cli_import_leaves_scipy_ndimage_unloaded():
 
 def test_check_commands_run_both_kernels_without_scipy_ndimage():
     # whole checks take the EDTs and count contour components; no code path
-    # may bring the ndimage package back lazily. Gasket's level sets never
-    # reach its boundary collar (every count is of an empty raster), koch's
-    # do, so koch's check is what runs the label kernel
+    # may bring the ndimage package back lazily. Every kernel call goes
+    # through grids._load_ndimage_kernel, so a loader that wraps what it
+    # loads counts them all. Gasket's level sets never reach its boundary
+    # collar (every count is of an empty raster), koch's do, so koch's check
+    # is what runs the label kernel
     code = f"""
 import contextlib, io, json, types
 from fractal_tiling_lab import cli, conditions, grids, levelsets
@@ -54,9 +56,13 @@ def counted(key, fn):
         calls[key] += 1
         return fn(*args)
     return wrapped
-grids._nd_image = types.SimpleNamespace(
-    euclidean_feature_transform=counted("edt", grids._nd_image.euclidean_feature_transform))
-levelsets._ni_label = types.SimpleNamespace(_label=counted("label", levelsets._ni_label._label))
+load = grids._load_ndimage_kernel
+def counting_load(name):
+    kernel = load(name)
+    if name == "_nd_image":
+        return types.SimpleNamespace(euclidean_feature_transform=counted("edt", kernel.euclidean_feature_transform))
+    return types.SimpleNamespace(_label=counted("label", kernel._label))
+grids._load_ndimage_kernel = levelsets._load_ndimage_kernel = counting_load
 conditions.contour_components = counted("components", conditions.contour_components)
 out = {{}}
 for preset in ("gasket", "koch"):
@@ -73,6 +79,19 @@ print(json.dumps(dict(out, loaded=[m for m in {HEAVY!r} if m in sys.modules])))
     assert out["loaded"] == []
 
 
+def test_1d_content_loads_no_scipy():
+    # a 1-d command takes its distances in numpy and counts no contour
+    # components, so it loads neither kernel and no scipy module at all
+    code = """
+import contextlib, io
+from fractal_tiling_lab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["content", "--preset", "cantor"])
+print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    assert run_fresh(code).splitlines()[-1] == "0 []"
+
+
 def test_missing_kernel_file_named(monkeypatch, tmp_path):
     import scipy
 
@@ -80,6 +99,6 @@ def test_missing_kernel_file_named(monkeypatch, tmp_path):
     spec = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
     monkeypatch.setattr(grids.importlib.util, "find_spec", lambda name: spec)
     with pytest.raises(ImportError) as info:
-        grids._load_ndimage_kernel("_nd_image")
+        grids._load_ndimage_kernel.__wrapped__("_nd_image")  # past the loader's cache
     assert str(info.value) == (
         f"scipy's compiled _nd_image is missing from {tmp_path / 'ndimage'} (scipy {scipy.__version__})")

@@ -9,11 +9,13 @@ depth-first stack walk over `Word` objects gave.
 """
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fractal_tiling_lab import tiling
 from fractal_tiling_lab import ifs as ifs_module
@@ -22,7 +24,8 @@ from fractal_tiling_lab.grids import Grid, IntervalUnion, grid_from_bbox
 from fractal_tiling_lab.ifs import (
     IFS, Similarity, Word, WordTree, check_similarity_parts, rotation, words_up_to_ratio,
 )
-from fractal_tiling_lab.presets import get_preset
+from fractal_tiling_lab.pipeline import SceneBundle
+from fractal_tiling_lab.presets import Scene, get_preset
 from fractal_tiling_lab.tiling import _map_cells, build_tiling, rasterize_tiles
 
 COARSE_DELTA = {
@@ -473,3 +476,120 @@ def test_stamp_generator_of_separated_1d_gaps():
     occ = ((x > 0.1) & (x < 0.15)) | ((x > 0.42) & (x < 0.45)) | ((x > 0.8) & (x < 0.84))
     maps = tuple(Similarity(r, np.eye(1), np.array([t])) for r, t in ((0.1, 0.0), (0.27, 0.15), (0.3, 0.45), (0.16, 0.84)))
     _stamp_check(IFS(maps, 1), O.with_occupancy(occ), 0.002)
+
+
+# ---------------------------------------------------------------------------
+# 1-d images and tiles stamped as runs of cells, against per-cell sampling
+
+SPACINGS = st.sampled_from([2.0**-9, 2.0**-8, 1 / 300, 0.0031, 3 * 2.0**-10])
+
+
+def _ifs_from_scene_file(maps) -> IFS:
+    """A 1-d IFS as a scene file gives it; a reflection is "matrix": [[-1]]."""
+    return ifs_module.load_ifs({"dim": 1, "maps": [
+        {"ratio": r, "matrix": [[q]], "translation": [t]} for r, q, t in maps]})
+
+
+@st.composite
+def stamp_1d(draw):
+    """Maps, a source raster and a prefilled target on its own lattice."""
+    ratios = st.one_of(RATIOS, st.floats(0.05, 0.95))
+    offsets = st.one_of(OFFSETS, st.floats(-0.5, 1.5))
+    ifs = _ifs_from_scene_file(
+        [(draw(ratios), draw(SIGNS), draw(offsets)) for _ in range(draw(st.integers(2, 4)))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    occ = rng.random(draw(st.integers(1, 400))) < draw(st.floats(0.02, 0.9))
+    # sources whose runs reach one or both raster edges
+    edges = draw(st.sampled_from([(), (0,), (-1,), (0, -1)]))
+    occ[list(edges)] = True
+    source = Grid(np.array([draw(st.floats(-0.3, 0.3))]), draw(SPACINGS), occ)
+    origin = draw(st.one_of(st.just(float(source.origin[0])), st.floats(-0.6, 0.3)))
+    target = Grid(np.array([origin]), draw(st.one_of(st.just(source.spacing), SPACINGS)),
+                  rng.random(draw(st.integers(1, 600))) < 0.1)
+    return ifs, source, target
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=stamp_1d())
+def test_1d_stamp_runs_match_per_cell_sampling(case):
+    """Reflections, runs touching the source's edges, and targets whose
+    origin and spacing differ from the source's; stamping ORs into occ."""
+    ifs, source, target = case
+    got = target.occupancy.copy()
+    tiling._stamp_images(got, *tiling._stack(ifs.maps), source, target)
+    want = target.occupancy.copy()
+    for m in ifs.maps:
+        want |= reference_map_cells(m, source, target)
+    assert np.array_equal(got, want)
+    # the tiles of all word lengths in one stamp, against one word at a time
+    # (no empty word: source is not on target's lattice)
+    words = list(words_up_to_ratio(ifs, 0.99 * max(ifs.ratios) ** 3))[1:]
+    _check_against_reference(ifs, words, source, target, tiling.CHUNK_CELLS)
+
+
+CANTOR = [(1 / 3, 1.0, 0.0), (1 / 3, 1.0, 2 / 3)]
+REFLECTED_CANTOR = [(1 / 3, -1.0, 1 / 3), (1 / 3, 1.0, 2 / 3)]
+TWO_GAPS = IntervalUnion(((0.0, 1 / 3), (2 / 3, 1.0)))
+SCENES_1D = {
+    "cantor_two_intervals": Scene(_ifs_from_scene_file(CANTOR), TWO_GAPS, 2.0**-12, ([0.0], [1.0])),
+    "reflected_two_intervals": Scene(_ifs_from_scene_file(REFLECTED_CANTOR), TWO_GAPS, 2.0**-12, ([0.0], [1.0])),
+    "reflected_three_maps": Scene(_ifs_from_scene_file([(0.3, -1.0, 0.3), (0.2, 1.0, 0.4), (0.25, -1.0, 1.0)]),
+                                  IntervalUnion(((0.0, 1.0),)), 2.0**-13, ([0.0], [1.0])),
+    "cantor_central": Scene(_ifs_from_scene_file(CANTOR), "central", 2.0**-10, ([-0.5], [1.5])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENES_1D))
+def test_1d_scene_tilings_match_per_cell_sampling(name):
+    """Multi-interval O, reflected maps and a central open set: the images
+    S_i(O) and the tile union of a whole scene, through the bundle."""
+    t = SceneBundle(SCENES_1D[name]).tiling
+    assert t.O.occupancy.any() and len(t.tile_words) > 3
+    for m, img in zip(t.ifs.maps, t.map_images, strict=True):
+        assert np.array_equal(img, reference_map_cells(m, t.O, t.O))
+    ref = reference_tiles(t.ifs, t.tile_words, t.G, t.O)
+    assert np.array_equal(t.tile_union.occupancy, ref & t.O.occupancy)
+
+
+# SHA-256 over the benchmark's 300 rand1d catalogue draws (bench/workloads.py)
+# of each draw's O, G, Gamma and tile_union (grid_digest) and image_bits, as
+# per-cell sampling of every 1-d image and tile produced them
+RAND1D_TILINGS_SHA256 = "afc3e6067ccefe1c7f2c0cf51dac8c9b03c645bc2b191be34e3c0752661a4f9b"
+
+
+def test_rand1d_catalogue_tilings_digest():
+    spec = importlib.util.spec_from_file_location(
+        "rand1d_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    h = hashlib.sha256()
+    for slot in range(wl.RAND1D_SLOTS):
+        for variant in range(wl.RAND1D_VARIANTS):
+            scene = wl.rand1d_scene(wl.rand1d_draw(slot, variant))
+            t = build_tiling(scene.ifs, scene.region, scene.delta)
+            for g in (t.O, t.G, t.Gamma, t.tile_union):
+                h.update(grid_digest(g).encode())
+            h.update(str(t.image_bits.shape).encode() + t.image_bits.tobytes())
+    assert h.hexdigest() == RAND1D_TILINGS_SHA256
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratio=st.floats(0.05, 0.95), sign=SIGNS, t=st.floats(-0.5, 1.5), i=st.integers(0, 199),
+       r0=st.integers(6, 300), start=st.booleans())
+def test_1d_stamp_preimage_on_a_cell_edge(ratio, sign, t, i, r0, start):
+    """A target center whose preimage lands exactly on the edge where a run of
+    source cells starts (or stops): the last bit of each float operation
+    decides the cell, so the run ends must take AffineMap's and indices_of's."""
+    m = _ifs_from_scene_file([(ratio, sign, t), (0.5, 1.0, 0.0)]).maps[0]
+    target = Grid(np.zeros(1), 0.0031, np.zeros(200, dtype=bool))
+    p = m.inverse()(target.centers(0))[i]
+    h = 2.0**-9
+    origin = p - r0 * h
+    assume((p - origin) / h == r0)
+    occ = np.zeros(r0 + 6, dtype=bool)
+    occ[r0 : r0 + 5] = start
+    occ[r0 - 5 : r0] = not start
+    source = Grid(np.array([origin]), h, occ)
+    img = _map_cells(m, source, target)
+    assert img[i] == start
+    assert np.array_equal(img, reference_map_cells(m, source, target))
