@@ -18,6 +18,7 @@ from . import curvature as curvmod
 from .errors import ConfigError, FtlError, PreconditionError
 from .grids import ConvexPolygon, Grid, IntervalUnion, PolygonUnion, Region
 from .ifs import _check_keys, _is_number, load_ifs
+from .levelsets import LevelSetExtractor
 from .pipeline import CONTENT_METHODS, SceneBundle, get_bundle
 from .presets import PRESETS, Preset, Scene, get_preset
 
@@ -277,8 +278,8 @@ def cmd_render(args) -> int:
 
 
 def _render_svg(bundle: SceneBundle, eps: float, path: Path) -> None:
-    ex = bundle.field_extractor
-    ls = ex.extract(eps)
+    # the whole contour: the bundle's extractor sees only O's window
+    ls = LevelSetExtractor(bundle.field_small).extract(eps)
     lo = bundle.field_small.origin
     scale = 1000.0
     lines = []

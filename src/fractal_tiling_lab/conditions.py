@@ -236,9 +236,9 @@ def _sample_preimages(m: Similarity, O: Grid, img: np.ndarray, F_field: Distance
     if np.any(A[~np.eye(d, dtype=bool)] != 0):
         return F_field.sample_at(inv(O.cell_points(img)))
     box = occupied_box(img)
-    cells, inside = zip(*(
-        axis_cells(A[a, a] * O.centers(a)[box[a]] + inv.offset[a], F_field, a) for a in range(d)
-    ))
+    # the centres of the box's cells only: O.centers(a) is centers_at(arange)
+    centers = [O.centers_at(np.arange(box[a].start, box[a].stop), a) for a in range(d)]
+    cells, inside = zip(*(axis_cells(A[a, a] * centers[a] + inv.offset[a], F_field, a) for a in range(d)))
     vals = F_field.values[np.ix_(*cells)].astype(float)
     ok = inside[0] if d == 1 else inside[0][:, None] & inside[1][None, :]
     vals[~ok] = np.inf
@@ -267,7 +267,8 @@ def check_boundary_null(
     contributes a full stretch of boundary and fails. d=1 boundaries are
     finite point sets, so the check passes trivially and reads neither the
     radii nor the extractor (None there). In d=2 `extractor` is F_field's
-    LevelSetExtractor.
+    LevelSetExtractor; a windowed one must hold the collar, as the
+    bundle's window around O does.
     """
     delta = O.spacing
     if O.dim == 1:

@@ -182,6 +182,15 @@ def read_cells(cells: np.ndarray, located: tuple[np.ndarray, np.ndarray], outsid
     return out
 
 
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) for a 1-d array without NaNs, by a sort and a compare
+    (np.unique imports numpy.ma on first use, a fixed cost of every pass)."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 @dataclass(frozen=True)
 class Grid(Raster):
     """Uniform binary raster."""

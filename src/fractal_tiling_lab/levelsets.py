@@ -8,6 +8,15 @@ counterclockwise loop (component) and -2pi per clockwise loop (hole);
 Saddles always disconnect the inside diagonal (set 4-connected, complement
 8-connected), keeping the polygon topology consistent with the quad-count
 Euler characteristic.
+
+An extractor may be confined to a window of dual cells (one row slice and
+one column slice). It sweeps, indexes and extracts only those cells, but
+keeps every index in the field's frame, so each segment it returns is the
+full-field extract's segment with the same points, edge ids and order, and
+a masked sum over segments that all lie in the window has the float
+operations of the full-field one. A chain may then leave the window: it
+is open at the window's edge, a mask that selects an open segment is
+refused, and so is a whole-field sum (mask=None).
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ResolutionError
-from .grids import DistanceField, Grid, _load_ndimage_kernel, read_cells
+from .grids import DistanceField, Grid, _load_ndimage_kernel, read_cells, sorted_unique
 
 # Per-case directed segments (in_edge -> out_edge), edges B=0, R=1, T=2, L=3.
 # Corner bits: 1 = (i,j), 2 = (i+1,j), 4 = (i+1,j+1), 8 = (i,j+1).
@@ -59,9 +68,15 @@ class LevelSetExtractor:
     crosses one of them once, keyed by the first threshold it crosses, with
     its crossing count. extract() reads its band from there; a threshold
     that was never indexed is swept on its own.
+
+    window, a (rows, columns) pair of slices of dual cells, confines the
+    sweep, the index and extract() to those cells (the module docstring
+    gives the rules); None is the whole field. The contact check reads the
+    whole field's border either way. The index holds window-flat cells;
+    _band returns them in the field's frame.
     """
 
-    def __init__(self, field: DistanceField):
+    def __init__(self, field: DistanceField, window: tuple[slice, slice] | None = None):
         if field.dim != 2:
             raise ResolutionError("level sets are only defined on 2d fields")
         self.field = field
@@ -73,17 +88,24 @@ class LevelSetExtractor:
         self._n_xedges = (nx - 1) * ny
         # flat offsets of the corners (bit order) from a dual cell's first corner
         self._corner_offsets = np.array([0, ny, ny + 1, 1])[:, None]
+        if window is None:
+            window = (slice(None), slice(None))
+        # (first, stop) of the window's dual-cell rows, then of its columns
+        self._window = tuple(s.indices(n - 1)[:2] for s, n in zip(window, f.shape))
+        self._windowed = self._window != ((0, nx - 1), (0, ny - 1))
         self._index = self._sweep(np.empty(0, np.float32))
 
     @cached_property
     def _fmin(self) -> np.ndarray:
-        """fmin of every dual cell, flat in row-major order, built when read. No
-        library path reads it; bench/tracer.py counts its size as cells scanned."""
+        """fmin of every dual cell of the window, flat in row-major order, built
+        when read. No library path reads it; bench/tracer.py counts its size as
+        cells scanned, which on a bundle's extractor is O's window."""
         return np.concatenate([fmin for fmin, _ in self._strips()])
 
     def _strips(self):
-        """Flat float32 (fmin, fmax) of each strip of dual-cell rows, in order."""
-        f = self.field.values
+        """Flat float32 (fmin, fmax) of each strip of the window's dual-cell rows, in order."""
+        (r0, r1), (c0, c1) = self._window
+        f = self.field.values[r0 : r1 + 1, c0 : c1 + 1]
         rows = max(1, _STRIP_CELLS // max(f.shape[1] - 1, 1))
         for r0 in range(0, f.shape[0] - 1, rows):
             s = f[r0 : r0 + rows + 1]
@@ -94,14 +116,16 @@ class LevelSetExtractor:
     def index(self, eps) -> None:
         """Sweep the dual cells once for the thresholds eps, so extract() at any
         of them reads its band; the thresholds indexed before stay indexed."""
-        levels = np.unique(np.float32([self._nudge(float(e)) for e in np.ravel(eps)]))
-        if not np.isin(levels, self._index[0]).all():
-            self._index = self._sweep(np.union1d(levels, self._index[0]))
+        known = self._index[0]
+        new = np.float32([self._nudge(float(e)) for e in np.ravel(eps)])
+        levels = sorted_unique(np.concatenate([new, known]))
+        if levels.size > known.size:
+            self._index = self._sweep(levels)
 
     def _sweep(self, levels: np.ndarray):
         """(levels, band cells, crossing counts, group starts, widest count) for
-        the sorted float32 thresholds levels: the flat dual cells that cross one,
-        grouped by the first one they cross, row-major within a group."""
+        the sorted float32 thresholds levels: the window-flat dual cells that
+        cross one, grouped by the first one they cross, row-major within a group."""
         top = np.append(levels, np.float32(np.inf))
         key = np.min_scalar_type(levels.size)
         strips, sizes, off = [], np.zeros(levels.size, np.int64), 0
@@ -148,7 +172,8 @@ class LevelSetExtractor:
         return np.take(self.field.values, q + self._corner_offsets)
 
     def _band(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """Row-major (i, j) of the dual cells with fmin <= eps < fmax, as np.nonzero gives them."""
+        """Row-major (i, j) in the field's frame of the window's dual cells with
+        fmin <= eps < fmax, as np.nonzero gives them."""
         e = np.float32(eps)
         levels, cells, count, starts, widest = self._index
         t = int(np.searchsorted(levels, e))
@@ -160,7 +185,9 @@ class LevelSetExtractor:
         run = slice(starts[g], starts[t + 1])
         first = np.repeat(np.arange(g, t + 1), np.diff(starts[g : t + 2]))
         k = np.sort(cells[run][first + count[run] > t]).astype(np.intp)
-        return np.divmod(k, self.field.values.shape[1] - 1)
+        (r0, _), (c0, c1) = self._window
+        i, j = np.divmod(k, c1 - c0)
+        return i + r0, j + c0
 
     def extract(self, eps: float) -> LevelSet:
         """The segments of {f = eps}, ordered by case code, then segment slot, then row-major."""
@@ -208,9 +235,13 @@ class LevelSetExtractor:
 
         The segments are matched and their turning angles taken once; the
         cells holding the midpoints and the start points are located once,
-        and each mask is one gather at them.
+        and each mask is one gather at them. In a window, a chain may open
+        only at the window's edge, and a mask that selects an open segment
+        (by its midpoint or its start) is refused, as is mask=None.
         """
         ms = [_as_mask(m, self.field) for m in masks]
+        if self._windowed and any(m is None for m in ms):
+            raise ResolutionError("a windowed level-set extractor measures only inside a mask")
         if ls.ein.size == 0:
             return [(0.0, 0.0, 0.0)] * len(ms)
         seg_vec = ls.p_out - ls.p_in
@@ -219,8 +250,9 @@ class LevelSetExtractor:
         # match: the segment entering edge e is the one with eout == e
         order = np.argsort(ls.eout)
         eout_sorted = ls.eout[order]
-        pos = np.searchsorted(eout_sorted, ls.ein)
-        if pos.max(initial=-1) >= order.size or not np.array_equal(eout_sorted[pos], ls.ein):
+        pos = np.minimum(np.searchsorted(eout_sorted, ls.ein), order.size - 1)
+        opened = eout_sorted[pos] != ls.ein
+        if opened.any() and not np.all(self._on_window_edge(ls.ein[opened])):
             raise ResolutionError("open level-set chain (grid boundary contact?)")
         d_in = np.take(seg_vec, order[pos], axis=0)
         d_out = seg_vec
@@ -236,17 +268,34 @@ class LevelSetExtractor:
             if m is None:
                 out.append((float(lengths.sum()), float(ang.sum()), float(np.abs(ang).sum())))
                 continue
-            a = ang[read_cells(m, starts, False, bool)]
-            out.append((float(lengths[read_cells(m, mids, False, bool)].sum()),
-                        float(a.sum()), float(np.abs(a).sum())))
+            by_mid, by_start = read_cells(m, mids, False, bool), read_cells(m, starts, False, bool)
+            if np.any((by_mid | by_start) & opened):
+                raise ResolutionError("a mask reaches the level-set extractor's window edge")
+            a = ang[by_start]
+            out.append((float(lengths[by_mid].sum()), float(a.sum()), float(np.abs(a).sum())))
         return out
 
+    def _on_window_edge(self, eid: np.ndarray) -> np.ndarray:
+        """Whether each edge id is an edge between a window cell and a field
+        cell outside the window (never on a whole-field extractor)."""
+        nx, ny = self.field.values.shape
+        (r0, r1), (c0, c1) = self._window
+        # x-edge (i, j) joins dual cells (i, j - 1) and (i, j); y-edge (i, j)
+        # joins (i - 1, j) and (i, j)
+        x = eid < self._n_xedges
+        at = np.where(x, eid % ny, (eid - self._n_xedges) // (ny - 1))
+        lo, hi, n = np.where(x, c0, r0), np.where(x, c1, r1), np.where(x, ny - 1, nx - 1)
+        return ((at == lo) & (lo > 0)) | ((at == hi) & (hi < n))
+
     def level_set_cells(self, ls: LevelSet, mask: np.ndarray | Grid | None = None) -> np.ndarray:
-        """Boolean raster of the dual cells carrying segments (mask-filtered by midpoint)."""
+        """Boolean raster of the dual cells carrying segments (mask-filtered by
+        midpoint); a windowed extractor needs the mask."""
+        m = _as_mask(mask, self.field)
+        if self._windowed and m is None:
+            raise ResolutionError("a windowed level-set extractor marks cells only inside a mask")
         out = np.zeros(self.field.values.shape, dtype=bool)
         if ls.cell_ij.size:
             keep = np.ones(ls.cell_ij.shape[0], dtype=bool)
-            m = _as_mask(mask, self.field)
             if m is not None:
                 keep = read_cells(m, self.field.flat_cells(0.5 * (ls.p_in + ls.p_out)), False, bool)
             out[ls.cell_ij[keep, 0], ls.cell_ij[keep, 1]] = True
@@ -293,7 +342,8 @@ def euler_and_turning(
 
     The two agree by the polygonal Gauss-Bonnet theorem, up to interpolation
     noise; the comparison is the structural self-test of the curvature
-    pipeline.
+    pipeline. The turning is the whole field's, so a windowed extractor is
+    refused.
     """
     ex = extractor or LevelSetExtractor(f)
     _, turn, _ = ex.measure(eps)

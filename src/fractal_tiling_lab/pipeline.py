@@ -261,11 +261,20 @@ class SceneBundle:
 
     @_product
     def field_extractor(self) -> LevelSetExtractor | None:
-        """field_small's level sets, swept once for grid_curv and the boundary_null
-        radii; None in d=1, where boundaries are point sets."""
+        """field_small's level sets inside O's window, swept once for grid_curv and
+        the boundary_null radii; None in d=1, where boundaries are point sets.
+
+        Every mask it measures (G, O and the boundary_null collar) lies on O's
+        grid, so the window is O's raster box in field_small's frame grown by
+        2 dual cells: a segment that a mask cell selects lies in the dual cells
+        one below it, and a chain that leaves the window does so outside every
+        mask. field_small's pad beyond that serves F_volumes alone.
+        """
         if self.d == 1:
             return None
-        ex = LevelSetExtractor(self.field_small)
+        box = self.field_small.lattice_slice(self.O)
+        window = tuple(slice(max(s.start - 2, 0), s.stop + 2) for s in box)
+        ex = LevelSetExtractor(self.field_small, window)
         ex.index(np.concatenate([self.grid_curv.eps, self.eps_boundary_null]))
         return ex
 

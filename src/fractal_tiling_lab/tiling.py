@@ -24,8 +24,8 @@ gathered by broadcasting the two. A map with a rotation takes every cell
 center through a matrix product. The two agree to the bit: for a diagonal
 part the product's off-diagonal term is an exact 0 * y, and
 fl(a * x + 0 * y) = fl(a * x) with or without a fused multiply-add. The
-images S_i(O) are built once per map and kept on TilingData, one bit per
-map and cell; their union is Phi(O).
+images S_i(O) are stamped in one call, one layer per map, and kept on
+TilingData, one bit per map and cell; their union is Phi(O).
 
 The attractor raster (attractor_raster) walks the word orbit of a fixed
 point on integer cell keys. The same per-axis argument gives a diagonal
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError, ResolutionError
 from .grids import (DistanceField, Grid, Region, distance_transform, grid_from_bbox, inner_distance,
-                    morphology, occupied_box, rasterize)
+                    morphology, occupied_box, rasterize, sorted_unique)
 from .ifs import IFS, Similarity, WordTree, check_similarity_parts, words_up_to_ratio
 
 
@@ -103,7 +103,9 @@ class TilingData:
         }
 
 
-CHUNK_CELLS = 1 << 20  # target cells inverse-sampled per Grid.lookup call
+# target cells per 2-d stamping block; a block's index arrays take about 30
+# bytes per cell, and one block may span the images of every map
+CHUNK_CELLS = 1 << 18
 RESOLVE_CELLS = 4.0  # tiles are resolved while r_sigma * diam(O) exceeds this many cells
 
 
@@ -142,9 +144,14 @@ def _compose(parts, letters: np.ndarray, maps) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _stamp_images(
-    occ: np.ndarray, ratio: np.ndarray, Q: np.ndarray, t: np.ndarray, source: Grid, target: Grid
+    occ: np.ndarray, ratio: np.ndarray, Q: np.ndarray, t: np.ndarray, source: Grid, target: Grid,
+    layer: np.ndarray | None = None,
 ) -> None:
-    """Mark in occ (target's shape) the cells of S_k(source-region) for stacked maps S_k.
+    """Mark in occ the cells of S_k(source-region) for stacked maps S_k.
+
+    occ has target's shape and every map marks it; or, given layer (one
+    index per map), occ is a stack of target-shaped layers and S_k marks
+    occ[layer[k]].
 
     A target cell is marked iff S_k^{-1}(center) lies in an occupied source
     cell. Only cells in the image under S_k of the box of source's occupied
@@ -161,9 +168,10 @@ def _stamp_images(
       its source index are computed once per column and once per row of the
       image box. The columns of all boxes of one height are one run; a block
       of them is gathered from the source by broadcasting each column's
-      source index against its box's row indices. AffineMap's matrix product
-      gives fl(a * x + 0 * y) = fl(a * x), fused multiply-add or not, so
-      dropping the exact-zero term changes no bit.
+      source index against its box's row indices, and the hits are marked
+      by their flat index in occ. AffineMap's matrix product gives
+      fl(a * x + 0 * y) = fl(a * x), fused multiply-add or not, so dropping
+      the exact-zero term changes no bit.
     - Maps with a rotation: every cell center goes through one matrix
       product per distinct linear part.
 
@@ -172,6 +180,8 @@ def _stamp_images(
     """
     d = target.dim
     A, b = _inverse(ratio, Q, t)
+    if layer is None:
+        occ, layer = occ[None], np.zeros(ratio.size, dtype=np.intp)
 
     if not source.occupancy.any():
         return
@@ -185,7 +195,8 @@ def _stamp_images(
     live = shape.prod(axis=1) > 0
     if d == 1:
         lo = lo_i[live, 0]
-        return _stamp_runs(occ, A[live, 0, 0], b[live, 0], lo, lo + shape[live, 0], source, target)
+        return _stamp_runs(occ, A[live, 0, 0], b[live, 0], lo, lo + shape[live, 0], layer[live],
+                           source, target)
     aligned = live & np.all(A[:, ~np.eye(d, dtype=bool)] == 0, axis=1)
 
     def axis_preimages(k, a, idx):
@@ -194,7 +205,7 @@ def _stamp_images(
 
     ks = np.flatnonzero(aligned)
     height = shape[ks, 1]  # cells per column
-    for n_y in np.unique(height):
+    for n_y in sorted_unique(height):
         kg = ks[height == n_y]
         # the columns (box, index on axis 0) of these boxes, box by box
         widths = shape[kg, 0]
@@ -211,7 +222,9 @@ def _stamp_images(
             sx, okx = axis_cells(axis_preimages(k, 0, ix), source, 0)
             hit = okx[:, None] & oky[t] & source.occupancy[sx[:, None], sy[t]]
             u, v = np.nonzero(hit)
-            occ[ix[u], iy[t[u], v]] = True
+            # the flat index in occ of each column's first cell, then of each hit
+            first = (layer[k] * target.extents[0] + ix) * target.extents[1] + lo_i[k, 1]
+            np.put(occ, first[u] + v, True)
 
     rot = np.flatnonzero(live & ~aligned)
     if not rot.size:
@@ -242,12 +255,13 @@ def _stamp_images(
             pre[r0:r1] = (rows @ A[k[r0]].T)[: r1 - r0]
         pre += b[k]
         hit = source.lookup(pre)
-        occ[tuple(idx[hit].T)] = True
+        occ[(layer[k[hit]], *idx[hit].T)] = True
 
 
-def _stamp_runs(occ: np.ndarray, a, b, lo, hi, source: Grid, target: Grid) -> None:
-    """Mark in the 1-d occ the cells i in [lo_k, hi_k) whose preimage
-    a_k * c_i + b_k lies in an occupied source cell, c_i the center of cell i.
+def _stamp_runs(occ: np.ndarray, a, b, lo, hi, layer, source: Grid, target: Grid) -> None:
+    """Mark in layer layer_k of the stacked 1-d occ the cells i in [lo_k, hi_k)
+    whose preimage a_k * c_i + b_k lies in an occupied source cell, c_i the
+    center of cell i.
 
     The preimage's cell s_k(i) = floor((a_k c_i + b_k - o_s) / h_s), taken
     with the float operations of centers_at, AffineMap and indices_of, is
@@ -257,8 +271,8 @@ def _stamp_runs(occ: np.ndarray, a, b, lo, hi, source: Grid, target: Grid) -> No
     are where s_k crosses r0 and r1. Each end is found by evaluating s_k on a
     window around where real arithmetic puts it, wider than the rounding
     error of both, and the window's bracketing of the end is asserted. The
-    runs, clipped to [lo_k, hi_k), are marked through a difference array
-    over the span of those boxes.
+    runs, clipped to [lo_k, hi_k), are marked through one difference array
+    per layer over the span of those boxes.
     """
     if not a.size:
         return
@@ -283,8 +297,10 @@ def _stamp_runs(occ: np.ndarray, a, b, lo, hi, source: Grid, target: Grid) -> No
     ends = np.clip(idx[:, 0] + np.count_nonzero(~hit, axis=1), lo[k], hi[k]) - base
     start, stop = ends[: k.size // 2], ends[k.size // 2 :]
     keep = start < stop
-    runs = np.bincount(start[keep], minlength=n + 1) - np.bincount(stop[keep], minlength=n + 1)
-    occ[base : base + n] |= np.cumsum(runs[:-1]) > 0
+    row = layer[k[: k.size // 2][keep]] * (n + 1)  # each layer's difference array follows the last
+    size = occ.shape[0] * (n + 1)
+    runs = np.bincount(row + start[keep], minlength=size) - np.bincount(row + stop[keep], minlength=size)
+    occ[:, base : base + n] |= np.cumsum(runs.reshape(-1, n + 1)[:, :-1], axis=1) > 0
 
 
 def _map_cells(sim: Similarity, source: Grid, target: Grid) -> np.ndarray:
@@ -345,10 +361,15 @@ def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
     if not O.occupancy.any():
         raise ConfigError("feasible set rasterized to nothing; check the region/bbox")
 
-    # S_i(O) one map at a time, into bit 7 - i % 8 of byte i // 8 (np.packbits order)
+    # every S_i(O) in one stamp, map i into layer i, then into bit 7 - i % 8 of
+    # byte i // 8: np.packbits order, without its axis-0 pass (five times
+    # slower on carpet's eight layers)
+    layers = np.zeros((ifs.n,) + O.extents, dtype=bool)
+    _stamp_images(layers, *_stack(ifs.maps), O, O, np.arange(ifs.n))
     image_bits = np.zeros((-(-ifs.n // 8),) + O.extents, dtype=np.uint8)
-    for i, m in enumerate(ifs.maps):
-        image_bits[i // 8] |= _map_cells(m, O, O).view(np.uint8) << (7 - i % 8)
+    for i, layer in enumerate(layers):
+        image_bits[i // 8] |= layer.view(np.uint8) << (7 - i % 8)
+    del layers
     phi_open = image_bits.any(axis=0)
     phi_closed = morphology(phi_open)
     G = O.with_occupancy(O.occupancy & ~phi_closed)
@@ -390,15 +411,17 @@ def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
     fixed point itself. After that, a 2-d map with a diagonal linear part
     reads its child keys from per-axis tables that hold the image cell of
     every cell center (_orbit_tables); other maps, and every 1-d map, map
-    the centers of the active cells and floor them. Candidates are made one
-    block (the finished cells, or one map's children) at a time, in slices
-    of ATTRACTOR_CHUNK, and each slice folds into a per-cell array of first
-    candidate positions with np.minimum.at, so a generation holds its
-    survivors, one slice and that array; the survivors come out of it in
-    key order, and their ratios are looked up ATTRACTOR_CHUNK at a time.
-    A table map takes the cell indices of each slice of active keys it
-    reads; only the other maps need the active cells' centers. Branches
-    stop once r_sigma * diam(bbox) <= ATTRACTOR_STOP_CELLS * delta.
+    the centers of the active cells and floor them. Candidates are made in
+    slices of ATTRACTOR_CHUNK: the finished cells, then each slice of
+    active cells under every map in turn. Each slice folds into a per-cell
+    array of first candidate positions with np.minimum.at at its explicit
+    positions, so the fold does not depend on the slice order, and a
+    generation holds its survivors, one slice of candidates and that
+    array; the survivors come out of it in key order, and their ratios are
+    looked up ATTRACTOR_CHUNK at a time. The cell indices of a slice of active keys
+    are computed once for all table maps; only the other maps need the
+    active cells' centers. Branches stop once
+    r_sigma * diam(bbox) <= ATTRACTOR_STOP_CELLS * delta.
     """
     g = grid_from_bbox(bbox, delta)
     lo = g.origin
@@ -425,6 +448,7 @@ def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
     diam = float(np.linalg.norm(hi - lo))
     thresh = ATTRACTOR_STOP_CELLS * delta / diam
     tables = _orbit_tables(ifs, g, reach_lo, reach_hi)
+    any_table = any(tab is not None for tab in tables)
     factors = np.array([1.0] + [m.ratio for m in ifs.maps])
     keys = None  # the first generation's one active point is the fixed point, not a cell
     act_pts = ifs.maps[0].fixed_point().reshape(1, -1)
@@ -446,33 +470,37 @@ def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
         del keys, rs, active  # held as fin, act and parent_rs
         # candidate c lies in block j when starts[j] <= c < starts[j + 1]:
         # the finished cells, then one block per map
-        sizes = [n_fin] + [n_act] * ifs.n
         starts = [0] + [n_fin + n_act * i for i in range(ifs.n)]
         total = n_fin + n_act * ifs.n
 
-        def block_keys(j, a, b):
-            # the keys of candidates a ... b - 1 of block j
-            if j == 0:
-                return fin[a:b]
-            if act is None or tables[j - 1] is None:
-                return keys_of(_map_rows(ifs.maps[j - 1], act_pts, a, b))
-            (cx, ex), (cy, ey) = tables[j - 1]
-            ix, iy = np.divmod(act[a:b], g.extents[1])
-            if not invariant and (ex[ix].any() or ey[iy].any()):
-                raise escape()
-            return cx[ix] * g.extents[1] + cy[iy]
+        def child_keys(a, b):
+            # per map, the keys of the children of active cells a ... b - 1; the
+            # table maps share one divmod of the slice
+            if act is not None and any_table:
+                ix, iy = np.divmod(act[a:b], g.extents[1])
+            for m, tab in zip(ifs.maps, tables):
+                if act is None or tab is None:
+                    yield keys_of(_map_rows(m, act_pts, a, b))
+                    continue
+                (cx, ex), (cy, ey) = tab
+                if not invariant and (ex[ix].any() or ey[iy].any()):
+                    raise escape()
+                yield cx[ix] * g.extents[1] + cy[iy]
 
         if total <= ATTRACTOR_CHUNK:
             # one chunk: a stable sort finds the first candidate per cell
-            keys, pos = np.unique(np.concatenate([block_keys(j, 0, n) for j, n in enumerate(sizes)]),
-                                  return_index=True)
+            keys, pos = np.unique(np.concatenate([fin, *child_keys(0, n_act)]), return_index=True)
         else:
             first = np.full(g.occupancy.size, total, dtype=np.min_scalar_type(total))
-            for j, n in enumerate(sizes):
-                for a in range(0, n, ATTRACTOR_CHUNK):
-                    key = block_keys(j, a, min(a + ATTRACTOR_CHUNK, n))
-                    c0 = starts[j] + a
-                    np.minimum.at(first, key, np.arange(c0, c0 + key.size, dtype=first.dtype))
+
+            def fold(key, c0):
+                np.minimum.at(first, key, np.arange(c0, c0 + key.size, dtype=first.dtype))
+
+            for a in range(0, n_fin, ATTRACTOR_CHUNK):
+                fold(fin[a : a + ATTRACTOR_CHUNK], a)
+            for a in range(0, n_act, ATTRACTOR_CHUNK):
+                for j, key in enumerate(child_keys(a, min(a + ATTRACTOR_CHUNK, n_act)), start=1):
+                    fold(key, starts[j] + a)
             keys = np.flatnonzero(first != total)
             pos = first[keys]
             del first

@@ -336,14 +336,15 @@ class TestBoundaryNull:
 class TestMapImages:
     @pytest.mark.parametrize("preset, delta", [("carpet", 2.0**-7), ("cantor", 2.0**-10)])
     def test_bundle_samples_each_image_once(self, preset, delta, monkeypatch):
-        # the tiling's images serve Phi(O) and both checks: one sampling per map in all
+        # the tiling's images serve Phi(O) and both checks: one stamping call
+        # for all maps in all; the one-map wrapper is not called
         b = pipeline.SceneBundle(replace(presets.get_preset(preset).scene, delta=delta))
         calls = []
-        sample = tiling._map_cells
-        for module in (tiling, conditions):
-            monkeypatch.setattr(module, "_map_cells", lambda *a: calls.append(a) or sample(*a))
+        stamp, sample = tiling._stamp_images, tiling._map_cells
+        monkeypatch.setattr(tiling, "_stamp_images", lambda *a: calls.append(a) or stamp(*a))
+        monkeypatch.setattr(conditions, "_map_cells", lambda *a: calls.append(a) or sample(*a))
         reports = b.checks()
-        assert len(calls) == b.ifs.n
+        assert len(calls) == 1 and calls[0][1].size == b.ifs.n
         fresh = conditions.map_images(b.ifs, b.O)
         assert len(b.tiling.map_images) == len(fresh) == b.ifs.n
         assert all(np.array_equal(a, c) for a, c in zip(b.tiling.map_images, fresh))

@@ -365,9 +365,13 @@ class TestBandIndex:
         b = coarse_bundle
         field, eps = b.field_small, b.grid_curv.eps
         mask = b.O.embed_into(field.origin, field.extents)
-        for m in (None, mask):
+        # the bundle's extractor sees only O's window, so the whole-field sum
+        # reads a full-field extractor swept for the bundle's thresholds
+        whole = LevelSetExtractor(field)
+        whole.index(np.concatenate([eps, b.eps_boundary_null]))
+        for m, ex in ((None, whole), (mask, b.field_extractor)):
             fresh = curvature.measure_profiles(field, eps, m, LevelSetExtractor(field))
-            swept = curvature.measure_profiles(field, eps, m, b.field_extractor)
+            swept = curvature.measure_profiles(field, eps, m, ex)
             assert all(x.tobytes() == y.tobytes() for x, y in zip(fresh, swept))
 
     def test_mask_profiles_digest(self, coarse_bundle):
@@ -493,3 +497,90 @@ class TestCaseTable:
             ls = new.extract(e)
             assert_same_level_set(ls, ref.extract(e))
             assert new.measure_masks(ls, [None, mask]) == [ref.measure(e), ref.measure(e, mask)]
+
+
+def collar_mask(b, field):
+    """check_boundary_null's collar of bd O, rebuilt as the check builds it."""
+    O = b.O
+    edge = O.boundary_cells() | (grids.morphology(O.occupancy) & ~O.occupancy)
+    return O.with_occupancy(grids.morphology(edge, conditions.BOUNDARY_COLLAR_CELLS)).embed_into(
+        field.origin, field.extents)
+
+
+def disk_field(delta=0.05):
+    """The distance field of one point in [-2, 2]^2; {f = 1} is a circle of 126 segments."""
+    return point_field([[0.0, 0.0]], ([-2.0, -2.0], [2.0, 2.0]), delta)
+
+
+class TestWindow:
+    """An extractor confined to a window of dual cells gives the full field's
+    bits for every mask inside it, and refuses what it cannot see."""
+
+    def test_bundle_window_matches_full_field(self, coarse_bundle):
+        b = coarse_bundle
+        field, ex = b.field_small, b.field_extractor
+        full = LevelSetExtractor(field)
+        masks = [getattr(b.tiling, r).embed_into(field.origin, field.extents) for r in ("G", "O")]
+        masks.append(collar_mask(b, field))
+        # the window is O's box in field_small's frame grown by 2 dual cells,
+        # well inside field_small's pad
+        box = field.lattice_slice(b.O)
+        assert ex._window == tuple((s.start - 2, s.stop + 2) for s in box)
+        assert ex._fmin.size < full._fmin.size
+        for e in np.concatenate([b.grid_curv.eps, b.eps_boundary_null]):
+            ls, ref = ex.extract(float(e)), full.extract(float(e))
+            assert ex.measure_masks(ls, masks) == full.measure_masks(ref, masks)
+            assert np.array_equal(ex.level_set_cells(ls, masks[2]), full.level_set_cells(ref, masks[2]))
+            # the window's segments are the full extract's segments in its cells, in order
+            (r0, r1), (c0, c1) = ex._window
+            i, j = ref.cell_ij.T
+            inside = (i >= r0) & (i < r1) & (j >= c0) & (j < c1)
+            assert_same_level_set(ls, levelsets.LevelSet(
+                ref.p_in[inside], ref.p_out[inside], ref.ein[inside], ref.eout[inside], ref.cell_ij[inside]))
+
+    def test_chain_open_inside_a_mask_is_refused(self):
+        f = disk_field()
+        ex = LevelSetExtractor(f, (slice(0, 40), slice(None)))  # cuts the circle at x ~ 0
+        everywhere = np.ones(f.extents, bool)
+        with pytest.raises(ResolutionError, match="window edge"):
+            ex.measure(1.0, everywhere)
+        # a mask that keeps off the cut measures what the full field measures
+        left = np.zeros(f.extents, bool)
+        left[:30] = True
+        assert ex.measure(1.0, left) == LevelSetExtractor(f).measure(1.0, left)
+        assert ex.measure(1.0, left)[0] > 0
+
+    def test_whole_field_sums_refused(self):
+        f = disk_field()
+        ex = LevelSetExtractor(f, (slice(10, 70), slice(10, 70)))
+        ls = ex.extract(1.0)
+        for call in (lambda: ex.measure(1.0), lambda: ex.measure_masks(ls, [None]),
+                     lambda: ex.level_set_cells(ls), lambda: euler_and_turning(f, 1.0, ex)):
+            with pytest.raises(ResolutionError, match="windowed"):
+                call()
+        # a window that covers every dual cell is the whole field
+        whole = LevelSetExtractor(f, (slice(0, None), slice(None, 10**6)))
+        assert whole.measure(1.0) == LevelSetExtractor(f).measure(1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(field=fields(), data=st.data())
+    def test_random_windows_bitwise(self, field, data):
+        nx, ny = field.values.shape
+        r0, r1 = sorted(data.draw(st.lists(st.integers(0, nx - 1), min_size=2, max_size=2, unique=True)))
+        c0, c1 = sorted(data.draw(st.lists(st.integers(0, ny - 1), min_size=2, max_size=2, unique=True)))
+        ex = LevelSetExtractor(field, (slice(r0, r1), slice(c0, c1)))
+        full = LevelSetExtractor(field)
+        # a mask two cells inside the window: an open segment starts in field
+        # cell r0 or r1 and has its midpoint one cell further in at most
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        mask = np.zeros(field.values.shape, bool)
+        mask[r0 + 2 : r1 - 1, c0 + 2 : c1 - 1] = rng.random((nx, ny))[r0 + 2 : r1 - 1, c0 + 2 : c1 - 1] < 0.7
+        vals = np.unique(field.values)
+        for e in [float(v) for v in vals[:4]] + [0.5 * float(vals[0] + vals[-1])]:
+            ex.index([e])
+            ls, ref = outcome(ex.extract, e), outcome(full.extract, e)
+            if isinstance(ref, tuple):
+                assert ls == ref
+                continue
+            assert outcome(ex.measure_masks, ls, [mask]) == outcome(full.measure_masks, ref, [mask])
+            assert np.array_equal(ex.level_set_cells(ls, mask), full.level_set_cells(ref, mask))

@@ -79,6 +79,28 @@ print(json.dumps(dict(out, loaded=[m for m in {HEAVY!r} if m in sys.modules])))
     assert out["loaded"] == []
 
 
+def test_2d_commands_leave_numpy_ma_unloaded():
+    # np.unique, np.isin and np.union1d import numpy.ma on first use (about
+    # 15 ms); the level-set index and the image stamps sort and compare
+    # instead. Each command builds its own bundle, so each runs its whole path
+    code = f"""
+import contextlib, io, json
+from fractal_tiling_lab import cli, pipeline
+out = []
+for preset in ("carpet", "koch"):
+    for command in (["content"], ["curvature", "-k", "1"], ["check"]):
+        pipeline._BUNDLES.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(command + ["--preset", preset, "--delta", repr(2.0**-7)])
+        out.append([preset, command[0], code, "numpy.ma" in sys.modules])
+print(json.dumps(out))
+"""
+    out = json.loads(run_fresh(code).splitlines()[-1])
+    # curvature exits 2 at this delta: its rows are refused, after the level sets ran
+    assert [row[2] for row in out] == [0, 2, 0] * 2
+    assert [row for row in out if row[3]] == []
+
+
 def test_1d_content_loads_no_scipy():
     # a 1-d command takes its distances in numpy and counts no contour
     # components, so it loads neither kernel and no scipy module at all

@@ -241,9 +241,13 @@ def _check_against_reference(ifs, words, G, target, chunk):
         mp.setattr(tiling, "CHUNK_CELLS", chunk)
         got = rasterize_tiles(ifs, tree, G, target)
         maps_got = [_map_cells(m, G, target) for m in ifs.maps]
+        # every map in one stamp, each into its own layer, as build_tiling stamps
+        layers = np.zeros((ifs.n,) + target.extents, dtype=bool)
+        tiling._stamp_images(layers, *tiling._stack(ifs.maps), G, target, np.arange(ifs.n))
     assert np.array_equal(got, ref)
-    for m, img in zip(ifs.maps, maps_got):
-        assert np.array_equal(img, reference_map_cells(m, G, target))
+    for m, img, layer in zip(ifs.maps, maps_got, layers, strict=True):
+        want = reference_map_cells(m, G, target)
+        assert np.array_equal(img, want) and np.array_equal(layer, want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -311,14 +315,14 @@ def test_random_2d_one_rotated_map_matches_reference(ifs, seed, chunk):
     _check_2d_clipped(ifs, seed, chunk)
 
 
-@pytest.mark.parametrize("chunk", [1, tiling.CHUNK_CELLS])
+@pytest.mark.parametrize("chunk", [1, tiling.CHUNK_CELLS, 1 << 20])
 def test_cell_edge_follows_the_matrix_product(chunk):
     """A tile point that lands on an edge of G's cells.
 
     Which cell it falls in is decided by the last bit of the product that
     AffineMap takes through BLAS (a fused multiply-add on many hosts), which
     an unfused elementwise sum can miss. Chunks of one cell take every row
-    on its own.
+    on its own; chunks of 2**20 cells take the whole box in one block.
     """
     sim = Similarity(0.5, rotation(2.0), np.array([0.25, 0.25]))
     ifs = IFS((sim, Similarity(0.5, np.eye(2), np.zeros(2))), 2)
