@@ -68,6 +68,13 @@ def _scene_from_json(doc) -> Scene:
         isinstance(c, list) and len(c) == d and all(map(_is_number, c)) for c in f_bbox
     )):
         raise ConfigError(f"scene file: f_bbox must be two corners [lo, hi] of dimension {d}, the maps' dimension")
+    # f_bbox must hold the attractor, so each map's fixed point
+    lo, hi = np.array(f_bbox, dtype=float)
+    if not np.all(lo < hi):
+        raise ConfigError(f"scene file: f_bbox {f_bbox} must have lo < hi on every axis")
+    for i, p in enumerate(m.fixed_point() for m in ifs.maps):
+        if np.any((p < lo - 1e-9 * (hi - lo)) | (p > hi + 1e-9 * (hi - lo))):
+            raise ConfigError(f"scene file: f_bbox {f_bbox} does not hold map {i}'s fixed point {p.tolist()}")
     name = doc.get("name", "scene")
     if not isinstance(name, str):
         raise ConfigError(f"scene file: name must be a string, got {name!r}")

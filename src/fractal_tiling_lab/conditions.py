@@ -136,10 +136,7 @@ def check_strong(O: Grid, F_field: DistanceField) -> CheckReport:
             "strong", "fail", delta,
             {"reason": "no interior cells at this resolution"},
         )
-    # the argmin runs on the field's own values on O's lattice: widening
-    # float32 to float keeps their order, so only the minimum is converted
-    sel = F_field.lattice_slice(O)
-    dists = F_field.values[sel][interior] if sel is not None else F_field.sample_cells(O, interior)
+    dists = F_field.sample_cells(O, interior)
     best = int(np.argmin(dists))
     dist = float(dists[best])
     at = [float(v) for v in O.cell_point(interior, best)]
@@ -268,7 +265,9 @@ def check_boundary_null(
     finite point sets, so the check passes trivially and reads neither the
     radii nor the extractor (None there). In d=2 `extractor` is F_field's
     LevelSetExtractor; a windowed one must hold the collar, as the
-    bundle's window around O does.
+    bundle's window around O does. A collar that lies inside every F_eps
+    (F lines bd O, as on carpet and gasket) carries no curvature mass: it
+    passes by containment, read from the field, without a level set.
     """
     delta = O.spacing
     if O.dim == 1:
@@ -277,10 +276,17 @@ def check_boundary_null(
     collar = morphology(edge, BOUNDARY_COLLAR_CELLS)
     collar = O.with_occupancy(collar).embed_into(F_field.origin, F_field.extents)
     eps = np.asarray(eps_samples, dtype=float)
-    extractor.index(eps)
     # a segment's dual cell lies at most one cell below its midpoint's, so the
-    # collar's bounding box grown by one cell holds every contour cell counted
+    # collar's bounding box grown by one cell holds every contour cell counted,
+    # and the collar grown by one cell the corners of every dual cell it
+    # selects: when none of those exceeds the smallest radius, none crosses one
     box = occupied_box(collar, 1)
+    reach = F_field.values[box][morphology(collar[box])].astype(np.float32, copy=False)
+    if reach.max(initial=-np.inf) <= np.float32(extractor._nudge(float(eps.min()))):
+        for e in eps:
+            extractor._check_contact(extractor._nudge(float(e)))
+        return CheckReport("boundary_null", "pass", delta, None, {"k": k})
+    extractor.index(eps)
     profile = np.zeros((eps.size, 3))
     ncomp = []
     for i, e in enumerate(eps):

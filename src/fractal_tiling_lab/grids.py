@@ -436,10 +436,11 @@ def _edt(background: np.ndarray, spacing: float, pad: int = 0) -> np.ndarray:
     exact feature transform ft is computed once, by scipy's compiled
     _nd_image.euclidean_feature_transform called as distance_transform_edt
     calls it (int8 input, no sampling, a zeroed int32 ft). The distances are
-    then taken one strip of rows (about EDT_STRIP_CELLS cells) at a time in
-    buffers of one strip, with the float64 operations scipy's
-    distance_transform_edt applies to the whole array (integer offsets,
-    squares, their sum, sqrt).
+    then taken one strip of rows (about EDT_STRIP_CELLS cells) at a time from
+    the integer offsets ft - index, squared and summed in int64, with one
+    float64 sqrt and scale. scipy's float64 squares and sum give the same
+    float64: under MAX_CELLS, dx**2 + dy**2 < 2**53 is exact in both, except
+    on an unpadded grid one cell across, where dy = 0 and both round dx**2 once.
     """
     if background.ndim == 1:
         i = np.arange(background.size, dtype=np.int32)
@@ -452,23 +453,11 @@ def _edt(background: np.ndarray, spacing: float, pad: int = 0) -> np.ndarray:
     if pad:
         ft = ft[(slice(None),) + (slice(pad, -pad),) * background.ndim]
     out = np.empty(ft.shape[1:], dtype=np.float32)
-    row_cells = max(1, int(np.prod(out.shape[1:])))
-    rows = max(1, min(out.shape[0], EDT_STRIP_CELLS // row_cells))
-    # indices of the first strip's cells in background's frame; the strip at
-    # row r0 subtracts r0 more along axis 0
-    idx = np.indices((rows,) + out.shape[1:], dtype=np.int32) + pad
-    dt = np.empty(idx.shape)
-    dist = np.empty(idx.shape[1:])
-    for r0 in range(0, out.shape[0], rows):
-        n = min(rows, out.shape[0] - r0)
-        d, s = dt[:, :n], dist[:n]
-        np.subtract(ft[:, r0 : r0 + n], idx[:, :n], out=d)
-        d[0] -= r0
-        np.multiply(d, d, out=d)
-        np.add.reduce(d, axis=0, out=s)
-        np.sqrt(s, out=s)
-        np.multiply(s, spacing, out=s)
-        out[r0 : r0 + n] = s
+    rows = max(1, min(out.shape[0], EDT_STRIP_CELLS // max(out.shape[1], 1)))
+    i, j = (np.arange(pad, pad + n, dtype=np.int32) for n in out.shape)
+    for r in range(0, out.shape[0], rows):
+        dx, dy = ft[0, r : r + rows] - i[r : r + rows, None], ft[1, r : r + rows] - j
+        out[r : r + rows] = np.sqrt(np.square(dx, dtype=np.int64) + np.square(dy, dtype=np.int64)) * spacing
     return out
 
 

@@ -64,10 +64,10 @@ class LevelSetExtractor:
     A dual cell crosses the threshold eps when fmin <= eps < fmax, its
     corner minimum and maximum compared in float32. The constructor keeps
     nothing per cell; index(eps) sweeps the cells once for a whole threshold
-    list, taking fmin and fmax strip by strip, and keeps each cell that
-    crosses one of them once, keyed by the first threshold it crosses, with
-    its crossing count. extract() reads its band from there; a threshold
-    that was never indexed is swept on its own.
+    list, counting strip by strip the thresholds below each corner, and
+    keeps each cell that crosses one of them once, keyed by the first
+    threshold it crosses, with the one after its last. extract() reads its
+    band from there; a threshold that was never indexed is swept on its own.
 
     window, a (rows, columns) pair of slices of dual cells, confines the
     sweep, the index and extract() to those cells (the module docstring
@@ -97,21 +97,14 @@ class LevelSetExtractor:
 
     @cached_property
     def _fmin(self) -> np.ndarray:
-        """fmin of every dual cell of the window, flat in row-major order, built
-        when read. No library path reads it; bench/tracer.py counts its size as
-        cells scanned, which on a bundle's extractor is O's window."""
-        return np.concatenate([fmin for fmin, _ in self._strips()])
-
-    def _strips(self):
-        """Flat float32 (fmin, fmax) of each strip of the window's dual-cell rows, in order."""
+        """float32 fmin of every dual cell of the window, flat in row-major
+        order, built when read. No library path reads it; bench/tracer.py
+        counts its size as cells scanned, which on a bundle's extractor is O's
+        window."""
         (r0, r1), (c0, c1) = self._window
         f = self.field.values[r0 : r1 + 1, c0 : c1 + 1]
-        rows = max(1, _STRIP_CELLS // max(f.shape[1] - 1, 1))
-        for r0 in range(0, f.shape[0] - 1, rows):
-            s = f[r0 : r0 + rows + 1]
-            pairs = np.minimum(s[:-1], s[1:]), np.maximum(s[:-1], s[1:])
-            yield [op(p[:, :-1], p[:, 1:]).astype(np.float32, copy=False).ravel()
-                   for op, p in zip((np.minimum, np.maximum), pairs)]
+        m = np.minimum(f[:-1], f[1:])
+        return np.minimum(m[:, :-1], m[:, 1:]).astype(np.float32, copy=False).ravel()
 
     def index(self, eps) -> None:
         """Sweep the dual cells once for the thresholds eps, so extract() at any
@@ -123,32 +116,31 @@ class LevelSetExtractor:
             self._index = self._sweep(levels)
 
     def _sweep(self, levels: np.ndarray):
-        """(levels, band cells, crossing counts, group starts, widest count) for
-        the sorted float32 thresholds levels: the window-flat dual cells that
-        cross one, grouped by the first one they cross, row-major within a group."""
-        top = np.append(levels, np.float32(np.inf))
+        """(levels, band cells, last levels, group starts, widest count) for the
+        sorted float32 thresholds levels: the window-flat dual cells that cross
+        one, grouped by the first one they cross, row-major within a group.
+
+        Each corner counts the levels below its float32 value, so a dual cell
+        crosses (fmin <= level < fmax) exactly the levels first .. last - 1,
+        first and last its corners' smallest and largest counts."""
+        (r0, r1), (c0, c1) = self._window
+        f = self.field.values[r0 : r1 + 1, c0 : c1 + 1]
         key = np.min_scalar_type(levels.size)
-        strips, sizes, off = [], np.zeros(levels.size, np.int64), 0
-        for fmin, fmax in self._strips() if levels.size else ():
-            lo = np.searchsorted(levels, fmin)  # the first level >= fmin
-            k = np.flatnonzero(top[lo] < fmax)
-            k = k[np.argsort(lo[k].astype(key), kind="stable")]  # by first level, then row-major
-            first = lo[k]
-            n = np.bincount(first, minlength=levels.size)
-            strips.append(((k + off).astype(np.int32),  # int32 holds any MAX_CELLS grid
-                           (np.searchsorted(levels, fmax[k]) - first).astype(key), n))
-            sizes += n
-            off += fmin.size
-        # each strip's groups go after the same groups of the strips before it
+        rows = max(1, _STRIP_CELLS // max(f.shape[1] - 1, 1))
+        cells, first, last = [np.empty(0, np.int32)], [np.empty(0, key)], [np.empty(0, key)]
+        for r in range(0, f.shape[0] - 1, rows) if levels.size else ():
+            n = np.searchsorted(levels, f[r : r + rows + 1].astype(np.float32, copy=False)).astype(key)
+            lo, hi = np.minimum(n[:-1], n[1:]), np.maximum(n[:-1], n[1:])
+            lo, hi = np.minimum(lo[:, :-1], lo[:, 1:]).ravel(), np.maximum(hi[:, :-1], hi[:, 1:]).ravel()
+            k = np.flatnonzero(lo < hi)
+            cells.append((k + r * (f.shape[1] - 1)).astype(np.int32))  # int32 holds any MAX_CELLS grid
+            first.append(lo[k])
+            last.append(hi[k])
+        cells, first, last = map(np.concatenate, (cells, first, last))
+        order = np.argsort(first, kind="stable")  # by first level, then row-major
         starts = np.zeros(levels.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=starts[1:])
-        cells, count = np.empty(starts[-1], np.int32), np.empty(starts[-1], key)
-        fill = starts[:-1].copy()
-        for c, m, n in strips:
-            dest = np.repeat(fill - (np.cumsum(n) - n), n) + np.arange(c.size)
-            cells[dest], count[dest] = c, m
-            fill += n
-        return levels, cells, count, starts, int(count.max(initial=1))
+        np.cumsum(np.bincount(first, minlength=levels.size), out=starts[1:])
+        return levels, cells[order], last[order], starts, int((last - first).max(initial=1))
 
     def _check_contact(self, eps: float) -> None:
         # {f = eps} runs past the raster when the border lies partly in
@@ -175,16 +167,14 @@ class LevelSetExtractor:
         """Row-major (i, j) in the field's frame of the window's dual cells with
         fmin <= eps < fmax, as np.nonzero gives them."""
         e = np.float32(eps)
-        levels, cells, count, starts, widest = self._index
+        levels, cells, last, starts, widest = self._index
         t = int(np.searchsorted(levels, e))
         if t == levels.size or levels[t] != e:
-            levels, cells, count, starts, widest = self._sweep(np.array([e]))
+            levels, cells, last, starts, widest = self._sweep(np.array([e]))
             t = 0
-        # a cell keyed by level g crosses levels g .. g + count - 1
-        g = max(0, t + 1 - widest)
-        run = slice(starts[g], starts[t + 1])
-        first = np.repeat(np.arange(g, t + 1), np.diff(starts[g : t + 2]))
-        k = np.sort(cells[run][first + count[run] > t]).astype(np.intp)
+        # a cell keyed by level g crosses levels g .. last - 1, at most widest of them
+        run = slice(starts[max(0, t + 1 - widest)], starts[t + 1])
+        k = np.sort(cells[run][last[run] > t]).astype(np.intp)
         (r0, _), (c0, c1) = self._window
         i, j = np.divmod(k, c1 - c0)
         return i + r0, j + c0

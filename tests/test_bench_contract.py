@@ -12,8 +12,8 @@ renamed or deleted traced name, or a bundle path that bypasses one, into a
 failure here instead of a failed benchmark run. The
 subprocess keeps the wrappers out of this test session.
 
-No library path needs _fmin any more: the sweep takes the corner minima
-strip by strip, and the extractor builds _fmin only when it is read. It
+No library path needs _fmin any more: the sweep counts thresholds per
+corner strip by strip, and the extractor builds _fmin only when it is read. It
 stays because the tracer counts levelsets.cells_scanned as _fmin.size per
 extract, so the koch-shaped pass pins that counter at dual cells times
 extract calls.

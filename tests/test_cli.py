@@ -407,7 +407,15 @@ class TestSceneFileValidation:
         (json.dumps({"ifs": {"dim": 2, "maps": CARPET_MAPS},
                      "region": {"type": "polygon", "vertices": [[0, 0], [1, 0], [0.5, 0.2], [1, 1], [0, 1]]},
                      "f_bbox": [[0.0, 0.0], [1.0, 1.0]]}), "do not bound a convex polygon"),
-    ], ids=["no_ifs_key", "not_json", "intervals_region_2d_maps", "2d_f_bbox_1d_maps", "non_convex_polygon"])
+        # a finite translation far past f_bbox, whose image boxes overflowed the cell indices
+        (json.dumps({"ifs": {"dim": 1, "maps": [CANTOR_MAPS[0], dict(CANTOR_MAPS[1], translation=[1e300])]},
+                     "region": {"type": "intervals", "intervals": [[0.0, 1.0]]},
+                     "f_bbox": [[0.0], [1.0]]}), "f_bbox [[0.0], [1.0]] does not hold map 1's fixed point [1.4999999999999998e+300]"),
+        # a box of no width, on which the central open set's attractor raster divided by zero
+        (json.dumps({"ifs": {"dim": 1, "maps": CANTOR_MAPS}, "region": "central", "delta": 1e-300,
+                     "f_bbox": [[0.0], [0.0]]}), "f_bbox [[0.0], [0.0]] must have lo < hi on every axis"),
+    ], ids=["no_ifs_key", "not_json", "intervals_region_2d_maps", "2d_f_bbox_1d_maps", "non_convex_polygon",
+            "fixed_point_off_f_bbox", "f_bbox_without_width"])
     def test_refused_with_exit_3(self, capsys, tmp_path, monkeypatch, text, named):
         monkeypatch.setattr(pipeline, "_BUNDLES", {})
         path = tmp_path / "scene.json"

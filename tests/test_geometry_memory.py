@@ -278,6 +278,22 @@ class TestEdtParity:
             )
 
 
+    @pytest.mark.parametrize("pad", (0, 1))
+    @pytest.mark.parametrize("spacing", (1 / 3, 0.0137))
+    @pytest.mark.parametrize("shape", ((20000, 3), (3, 20000)), ids=str)
+    def test_long_thin_grid(self, shape, spacing, pad):
+        # 0 cells only at the two ends of a long strip: offsets in the middle
+        # reach about 10**4, past 2**13, in strips of one row or of many
+        background = np.ones(shape, bool)
+        background.flat[[0, -1, -2]] = False
+        whole = ndimage.distance_transform_edt(background)
+        assert whole.max() > 2**13
+        crop = tuple(slice(pad, n - pad) for n in shape)
+        want = (whole * spacing).astype(np.float32)[crop]
+        got = grids._edt(background, spacing, pad)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 400), fill=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
            pad=st.sampled_from([0, 1]), spacing=st.sampled_from([1.0, 0.0137, 2.0**-14, 1 / 3]))

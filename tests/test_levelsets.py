@@ -291,9 +291,11 @@ MASK_PROFILE_DIGESTS = {
 
 
 def assert_index_holds_each_cell_once(ex):
-    levels, cells, count, starts, widest = ex._index
+    levels, cells, last, starts, widest = ex._index
     assert np.unique(cells).size == cells.size
-    assert starts[-1] == cells.size and count.size == cells.size
+    assert starts[-1] == cells.size and last.size == cells.size
+    # a cell keyed by level g crosses g .. last - 1
+    count = last - np.repeat(np.arange(levels.size), np.diff(starts))
     assert cells.size == 0 or (count.min() >= 1 and count.max() == widest)
 
 
@@ -348,6 +350,37 @@ class TestBandIndex:
                 assert outcome(new.measure, e) == outcome(ref.measure, e)
         assert_index_holds_each_cell_once(new)
 
+    @settings(max_examples=150, deadline=None)
+    @given(field=fields(), data=st.data())
+    def test_sweep_groups_match_a_scan_per_level(self, field, data):
+        # each level's group holds, row-major, the window's dual cells whose
+        # first crossed level it is, by fmin <= L < fmax in float32, and each
+        # keeps one past its last crossed level
+        nx, ny = field.values.shape
+        rows, cols = (sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+                      for n in (nx, ny))
+        window = data.draw(st.sampled_from([None, (slice(*rows), slice(*cols))]))
+        vals = np.unique(field.values.astype(np.float32))
+        pool = [*vals, *np.nextafter(vals, np.float32(-np.inf)), vals[0] - 1, vals[-1] + 1]
+        levels = grids.sorted_unique(np.float32(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))))
+        ex = LevelSetExtractor(field, window)
+        with mock.patch.object(levelsets, "_STRIP_CELLS", data.draw(st.sampled_from([7, 64, 1 << 20]))):
+            got, cells, last, starts, widest = ex._sweep(levels)
+        assert got is levels and cells.dtype == np.int32
+        (r0, r1), (c0, c1) = ex._window
+        fmin, fmax = (a[r0:r1, c0:c1].ravel() for a in FullScanExtractor(field).corner_extremes())
+        crosses = (fmin <= levels[:, None]) & (levels[:, None] < fmax)  # (level, cell)
+        hit = crosses.any(axis=0)
+        first = np.argmax(crosses, axis=0)
+        for t in range(levels.size):
+            want = np.flatnonzero(hit & (first == t)).astype(np.int32)
+            assert cells[starts[t] : starts[t + 1]].tobytes() == want.tobytes()
+        assert starts[-1] == np.count_nonzero(hit)
+        after = levels.size - np.argmax(crosses[::-1], axis=0)
+        assert np.array_equal(last.astype(np.int64), after[cells])
+        assert np.array_equal(crosses.sum(axis=0)[cells], after[cells] - first[cells])
+        assert widest == max(1, int(crosses.sum(axis=0).max(initial=0)))
+
     def test_width_is_measured(self):
         # a non-Lipschitz field: one spike 40 cells high in a flat field; its
         # four dual cells cross every threshold and are kept once each
@@ -387,15 +420,15 @@ class TestBandIndex:
         b = pipeline.SceneBundle(replace(presets.get_preset(preset).scene, delta=COARSE))
         O, field, eps = b.O, b.field_small, b.eps_boundary_null
         ref = FullScanExtractor(field)
-        # the check's collar, rebuilt as check_boundary_null builds it
-        edge = O.boundary_cells() | (grids.morphology(O.occupancy) & ~O.occupancy)
-        collar = O.with_occupancy(grids.morphology(edge, 2)).embed_into(
-            field.origin, field.extents)
+        collar = collar_mask(O, field)
         for e in eps:
             ls = b.field_extractor.extract(float(e))
             assert b.field_extractor.measure_masks(ls, [collar])[0] == ref.measure(float(e), collar)
             cells = b.field_extractor.level_set_cells(ls, collar)
             assert np.array_equal(cells, ref.level_set_cells(ref.extract(float(e)), collar))
+            # the collar lies inside every F_eps, as the check's containment pass reads
+            # from the field: no segment, length or turning there at any radius
+            assert ref.measure(float(e), collar) == (0.0, 0.0, 0.0) and not cells.any()
         for k in (0, 1):
             banded = conditions.check_boundary_null(O, field, k, eps, extractor=b.field_extractor)
             scanned = conditions.check_boundary_null(O, field, k, eps, extractor=ref)
@@ -420,6 +453,29 @@ class TestBandIndex:
             scanned = conditions.check_boundary_null(O, field, k, eps, extractor=ref)
             assert banded.to_dict() == scanned.to_dict()
         assert banded.verdict == "fail"
+
+    def test_boundary_null_containment_reads_the_smallest_radius(self):
+        # a small O above a segment of F: {f = h} runs along O's bottom edge
+        # and fails the check, although the field on the collar grown by one
+        # cell stays below the largest radius, 40 cells
+        delta, h = 2.0**-8, 12 * 2.0**-8
+        g = grid_from_bbox(([-0.25, -0.25], [1.25, 0.5]), delta)
+        occ = np.zeros(g.extents, bool)
+        xs = g.centers(0)
+        occ[(xs >= 0) & (xs <= 1), g.indices_of(np.zeros((1, 2)))[0, 1]] = True
+        field = distance_transform(g.with_occupancy(occ))
+        top = h + 8 * delta
+        O = rasterize(ConvexPolygon(np.array([[0.4, h], [0.6, h], [0.6, top], [0.4, top]])),
+                      ([0.375, 0.0], [0.625, 0.125]), delta)
+        collar = collar_mask(O, field)
+        reach = field.values[grids.morphology(collar)].max()
+        assert 6 * delta < reach < 40 * delta
+        eps = np.array([h / 2, h, 40 * delta])
+        assert conditions.check_boundary_null(O, field, 1, eps, LevelSetExtractor(field)).verdict == "fail"
+        # from the largest radius alone, the collar lies inside every F_eps
+        report = conditions.check_boundary_null(O, field, 1, eps[2:], LevelSetExtractor(field))
+        assert report.to_dict() == {"name": "boundary_null", "verdict": "pass", "resolution": delta,
+                                    "witness": None, "details": {"k": 1}}
 
 
 def corner_pattern_fields(dtype):
@@ -499,9 +555,8 @@ class TestCaseTable:
             assert new.measure_masks(ls, [None, mask]) == [ref.measure(e), ref.measure(e, mask)]
 
 
-def collar_mask(b, field):
+def collar_mask(O, field):
     """check_boundary_null's collar of bd O, rebuilt as the check builds it."""
-    O = b.O
     edge = O.boundary_cells() | (grids.morphology(O.occupancy) & ~O.occupancy)
     return O.with_occupancy(grids.morphology(edge, conditions.BOUNDARY_COLLAR_CELLS)).embed_into(
         field.origin, field.extents)
@@ -521,7 +576,7 @@ class TestWindow:
         field, ex = b.field_small, b.field_extractor
         full = LevelSetExtractor(field)
         masks = [getattr(b.tiling, r).embed_into(field.origin, field.extents) for r in ("G", "O")]
-        masks.append(collar_mask(b, field))
+        masks.append(collar_mask(b.O, field))
         # the window is O's box in field_small's frame grown by 2 dual cells,
         # well inside field_small's pad
         box = field.lattice_slice(b.O)

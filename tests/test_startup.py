@@ -44,9 +44,9 @@ def test_check_commands_run_both_kernels_without_scipy_ndimage():
     # whole checks take the EDTs and count contour components; no code path
     # may bring the ndimage package back lazily. Every kernel call goes
     # through grids._load_ndimage_kernel, so a loader that wraps what it
-    # loads counts them all. Gasket's level sets never reach its boundary
-    # collar (every count is of an empty raster), koch's do, so koch's check
-    # is what runs the label kernel
+    # loads counts them all. Gasket's boundary collar lies inside every
+    # F_eps, so its check passes by containment and counts no component;
+    # koch's level sets reach its collar, so koch's check runs the label kernel
     code = f"""
 import contextlib, io, json, types
 from fractal_tiling_lab import cli, conditions, grids, levelsets
@@ -72,10 +72,11 @@ for preset in ("gasket", "koch"):
 print(json.dumps(dict(out, loaded=[m for m in {HEAVY!r} if m in sys.modules])))
 """
     out = json.loads(run_fresh(code).splitlines()[-1])
-    assert out["gasket"] == {"code": 0, "edt": out["gasket"]["edt"], "label": 0, "components": 12}
+    assert out["gasket"] == {"code": 0, "edt": out["gasket"]["edt"], "label": 0, "components": 0}
     assert out["gasket"]["edt"] > 0
     assert out["koch"]["code"] == 0 and out["koch"]["edt"] > out["gasket"]["edt"]
-    assert out["koch"]["components"] == 24 and out["koch"]["label"] == 12
+    # the counts run on from gasket's: koch counts 12 components, one label each
+    assert out["koch"]["components"] == 12 and out["koch"]["label"] == 12
     assert out["loaded"] == []
 
 

@@ -423,7 +423,7 @@ class TestBuiltOnce:
     def test_carpet_words_tiles_and_level_sets_built_once(self, monkeypatch):
         """The word tree is grown once, G's one inner field (on G cropped to its
         cells) gives g, and each field_small threshold is extracted once for G
-        and O together."""
+        and O together, and never for boundary_null."""
         counts = {"words": 0}
         extracted, inner = [], []
 
@@ -452,8 +452,10 @@ class TestBuiltOnce:
             for k in (0, 1):
                 b.relative_curvature(k, region)
         assert counts["words"] == 1
-        # the curvature grid's thresholds, then boundary_null's 12
-        assert sum(f is b.field_small for f in extracted) == len(b.grid_curv.eps) + 12
+        # the curvature grid's thresholds only: carpet's boundary collar lies
+        # inside every F_eps, so boundary_null passes by containment, unextracted
+        assert sum(f is b.field_small for f in extracted) == len(b.grid_curv.eps)
+        assert b.checks()["boundary_null"].passed
         t = b.tiling
         G_box = t.G.cropped(4)
         assert [g.extents for g in inner if g.extents == G_box.extents] == [t.G_inner.extents]
