@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from .grids import ConvexPolygon, Grid, IntervalUnion, PolygonUnion, Region
 from .ifs import _check_keys, _is_number, load_ifs
 from .levelsets import LevelSetExtractor
 from .pipeline import CONTENT_METHODS, SceneBundle, get_bundle
-from .presets import PRESETS, Preset, Scene, get_preset
+from .presets import PRESETS, Scene, get_preset
 
 
 def _region_from_json(doc) -> Region | str:
@@ -55,26 +56,17 @@ SCENE_KEYS = ("ifs", "region", "f_bbox", "delta", "eps_per_decade", "name")
 
 
 def _scene_from_json(doc) -> Scene:
-    """The scene a scene file describes. Its keys, their types and the dimension
-    of maps, region and f_bbox are checked before anything is built."""
+    """The scene a scene file describes: its keys and their JSON types are
+    checked, then the scene rule (Scene.validate), before any flag replaces a value."""
     _check_keys(doc, SCENE_KEYS, SCENE_KEYS[:3], "scene file")
     ifs = load_ifs(doc["ifs"])
     d = ifs.ambient_dim
     region = _region_from_json(doc["region"])
-    if region != "central" and region.dim != d:
-        raise ConfigError(f"scene file: the region is {region.dim}-d but the maps are {d}-d")
     f_bbox = doc["f_bbox"]
     if not (isinstance(f_bbox, list) and len(f_bbox) == 2 and all(
         isinstance(c, list) and len(c) == d and all(map(_is_number, c)) for c in f_bbox
     )):
         raise ConfigError(f"scene file: f_bbox must be two corners [lo, hi] of dimension {d}, the maps' dimension")
-    # f_bbox must hold the attractor, so each map's fixed point
-    lo, hi = np.array(f_bbox, dtype=float)
-    if not np.all(lo < hi):
-        raise ConfigError(f"scene file: f_bbox {f_bbox} must have lo < hi on every axis")
-    for i, p in enumerate(m.fixed_point() for m in ifs.maps):
-        if np.any((p < lo - 1e-9 * (hi - lo)) | (p > hi + 1e-9 * (hi - lo))):
-            raise ConfigError(f"scene file: f_bbox {f_bbox} does not hold map {i}'s fixed point {p.tolist()}")
     name = doc.get("name", "scene")
     if not isinstance(name, str):
         raise ConfigError(f"scene file: name must be a string, got {name!r}")
@@ -84,7 +76,8 @@ def _scene_from_json(doc) -> Scene:
     return scene
 
 
-def load_scene(args) -> tuple[str, Scene]:
+def load_scene(args) -> Scene:
+    """The scene of --scene or --preset, with --delta and --eps-per-decade applied."""
     if args.scene:
         try:
             doc = json.loads(Path(args.scene).read_text(encoding="utf-8"))
@@ -95,21 +88,18 @@ def load_scene(args) -> tuple[str, Scene]:
         if "preset" in doc:
             if set(doc) != {"preset"} or not isinstance(doc["preset"], str):
                 raise ConfigError("a preset scene file holds only the key 'preset', a name")
-            preset = get_preset(doc["preset"])
-            name, scene = preset.name, preset.scene
+            scene = get_preset(doc["preset"]).scene
         else:
             scene = _scene_from_json(doc)
-            name = scene.name
     elif args.preset:
-        preset = get_preset(args.preset)
-        name, scene = preset.name, preset.scene
+        scene = get_preset(args.preset).scene
     else:
         raise ConfigError("pass --preset NAME or --scene FILE")
-    delta = scene.delta if args.delta is None else args.delta
-    ppd = scene.eps_per_decade if args.eps_per_decade is None else args.eps_per_decade
-    scene = Scene(scene.ifs, scene.region, float(delta), scene.f_bbox, ppd, name)
-    scene.validate()
-    return name, scene
+    if args.delta is not None:
+        scene = replace(scene, delta=args.delta)
+    if args.eps_per_decade is not None:
+        scene = replace(scene, eps_per_decade=args.eps_per_decade)
+    return scene
 
 
 def _emit(doc: dict, args) -> None:
@@ -167,13 +157,13 @@ def _print_csv(doc: dict) -> None:
 
 
 def cmd_dim(args) -> int:
-    name, scene = load_scene(args)
-    bundle = get_bundle(Preset(name, scene))
+    scene = load_scene(args)
+    bundle = get_bundle(scene)
     dd = bundle.dim_data
     doc = {
         "command": "dim",
-        "scene": name,
-        "delta": scene.delta,
+        "scene": scene.name,
+        "delta": bundle.delta,
         "rows": {
             "D": {"value": dd.D},
             "eta": {"value": dd.eta},
@@ -186,24 +176,22 @@ def cmd_dim(args) -> int:
 
 
 def cmd_content(args) -> int:
-    name, scene = load_scene(args)
-    bundle = get_bundle(Preset(name, scene))
+    scene = load_scene(args)
+    bundle = get_bundle(scene)
     methods = args.methods.split(",") if args.methods else list(CONTENT_METHODS)
-    table = bundle.content_table(methods)
-    rows = {m: r if isinstance(r, dict) else r.to_dict() for m, r in table.items()}
+    rows = bundle.content_table(methods)
     all_refused = all("refused" in r for r in rows.values())
     tiling_only = set()
     if not bundle.checks()["compatible"].passed:
         # the tiling's own content is well defined but does not estimate the
         # set's content without a compatible tiling
         for m in ("generator_integral", "tiling_via_h"):
-            if m in rows and "value" in rows.get(m, {}):
+            if "value" in rows.get(m, {}):
                 rows[m]["note"] = "not applicable to the set (no compatible tiling); tiling content only"
                 tiling_only.add(m)
     values = {
         m: r["value"] for m, r in rows.items()
-        if isinstance(r, dict) and "value" in r and m != "direct_limit"
-        and m not in tiling_only
+        if "value" in r and m != "direct_limit" and m not in tiling_only
     }
     agreement = {}
     names = sorted(values)
@@ -214,8 +202,8 @@ def cmd_content(args) -> int:
             agreement[f"{a}~{b}"] = round(rel, 6)
     doc = {
         "command": "content",
-        "scene": name,
-        "delta": scene.delta,
+        "scene": scene.name,
+        "delta": bundle.delta,
         "checks": {k: v.to_dict() for k, v in bundle.checks().items()},
         "rows": rows,
         "pairwise_relative_difference": agreement,
@@ -225,25 +213,25 @@ def cmd_content(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    name, scene = load_scene(args)
+    scene = load_scene(args)
     d = scene.ifs.ambient_dim
     k = d - 1 if args.k is None else args.k
     curvmod.check_order(k, d)  # refuse before any bundle is built
-    table = get_bundle(Preset(name, scene)).curvature_table(k)
-    rows = {m: r if isinstance(r, dict) else r.to_dict() for m, r in table.items()}
-    doc = {"command": "curvature", "scene": name, "delta": scene.delta, "k": k, "rows": rows}
+    bundle = get_bundle(scene)
+    rows = bundle.curvature_table(k)
+    doc = {"command": "curvature", "scene": scene.name, "delta": bundle.delta, "k": k, "rows": rows}
     _emit(doc, args)
     return 2 if all("refused" in r for r in rows.values()) else 0
 
 
 def cmd_check(args) -> int:
-    name, scene = load_scene(args)
-    bundle = get_bundle(Preset(name, scene))
+    scene = load_scene(args)
+    bundle = get_bundle(scene)
     reports = bundle.checks()
     doc = {
         "command": "check",
-        "scene": name,
-        "delta": scene.delta,
+        "scene": scene.name,
+        "delta": bundle.delta,
         "rows": {k: v.to_dict() for k, v in reports.items()},
     }
     _emit(doc, args)
@@ -251,8 +239,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_render(args) -> int:
-    name, scene = load_scene(args)
-    bundle = get_bundle(Preset(name, scene))
+    scene = load_scene(args)
+    bundle = get_bundle(scene)
+    name = scene.name
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     t = bundle.tiling
@@ -265,7 +254,7 @@ def cmd_render(args) -> int:
         encoding="utf-8",
     )
     field = bundle.field_small
-    eps_list = [8 * scene.delta, bundle.g_tilde / 2, bundle.g_tilde]
+    eps_list = [8 * bundle.delta, bundle.g_tilde / 2, bundle.g_tilde]
     made = []
     for i, eps in enumerate(eps_list):
         layer = Grid(field.origin, field.spacing, field.values <= eps)
@@ -277,7 +266,7 @@ def cmd_render(args) -> int:
     doc = {
         "command": "render",
         "scene": name,
-        "delta": scene.delta,
+        "delta": bundle.delta,
         "rows": {"files": made + [f"{name}_G.pgm", f"{name}_Gamma.pgm", f"{name}_tiles.pgm"]},
     }
     _emit(doc, args)

@@ -24,7 +24,7 @@ from .errors import ConfigError, PreconditionError
 from .grids import DistanceField, Grid, distance_transform, grid_from_bbox, inner_distance
 from .ifs import DimensionData, dimension_data
 from .levelsets import LevelSetExtractor
-from .presets import Preset, Scene, get_preset
+from .presets import Scene, get_preset
 from .tiling import TilingData, attractor_raster, build_tiling, central_open_set, relative_inradius
 
 CONTENT_METHODS = (
@@ -56,7 +56,7 @@ class SceneBundle:
         scene.validate()
         self.scene = scene
         self.ifs = scene.ifs
-        self.delta = scene.delta
+        self.delta = float(scene.delta)
         self.d = scene.ifs.ambient_dim
         self._cache: dict = {}
 
@@ -82,7 +82,7 @@ class SceneBundle:
 
     @property
     def lattice_base(self) -> float | None:
-        return self.dim_data.lattice_base if self.dim_data.lattice else None
+        return self.dim_data.lattice_base
 
     # -- rasters and fields -------------------------------------------------
 
@@ -140,9 +140,9 @@ class SceneBundle:
         return float(coarse.values[o].max()) + 3 * math.sqrt(self.d) * self.delta
 
     @_product
-    def _small_field(self) -> tuple[DistanceField, float]:
-        """(field, g_tilde on it): F_tight's one distance field, on the box around
-        O and F_tight grown by the pad max(1.3 g^, the window's g~-free top) + 8 delta.
+    def field_small(self) -> DistanceField:
+        """The attractor's distance field: F_tight's one EDT, on the box around O
+        and F_tight grown by the pad max(1.3 g^, the window's g~-free top) + 8 delta.
 
         g^ >= g~ is the bound of _g_tilde_bound, so the pad reaches past
         1.3 g~ + 8 delta and the direct window top (the rest of the top,
@@ -153,21 +153,15 @@ class SceneBundle:
         pad = max(self._window_without_g()[1], 1.3 * self._g_tilde_bound()) + 8 * self.delta
         margin = (int(math.ceil(pad / self.delta)) + 1) * self.delta
         grid = grid_from_bbox((box_lo - margin, box_hi + margin), self.delta)
-        field = distance_transform(grid.with_occupancy(self.F_tight.embed_into(grid.origin, grid.extents)))
-        return field, relative_inradius(field, self.O)
+        return distance_transform(grid.with_occupancy(self.F_tight.embed_into(grid.origin, grid.extents)))
 
-    @property
-    def field_small(self) -> DistanceField:
-        """The attractor's distance field: reaches past 1.3 g~ and the direct window."""
-        return self._small_field[0]
+    @_product
+    def g_tilde(self) -> float:
+        return relative_inradius(self.field_small, self.O)
 
     @property
     def g(self) -> float:
         return self.tiling.g
-
-    @property
-    def g_tilde(self) -> float:
-        return self._small_field[1]
 
     # -- eps grids ------------------------------------------------------------
 
@@ -404,12 +398,12 @@ class SceneBundle:
             top = max(top, 0.3 * float(np.ptp(np.asarray(self.scene.f_bbox, float))))
         return lo, top
 
-    def content_table(self, methods=CONTENT_METHODS) -> dict[str, object]:
-        """One row per method; refusals become rows with the failure reason."""
+    def content_table(self, methods=CONTENT_METHODS) -> dict[str, dict]:
+        """One JSON-ready row per method; refusals become rows with the failure reason."""
         return _refusal_rows(self.content, methods)
 
-    def curvature_table(self, k: int) -> dict[str, object]:
-        """One row per curvature method at order k; refusals become rows."""
+    def curvature_table(self, k: int) -> dict[str, dict]:
+        """One JSON-ready row per curvature method at order k; refusals become rows."""
         return _refusal_rows(lambda m: self._curvature(k, m), CURVATURE_METHODS)
 
 
@@ -421,12 +415,12 @@ def _block_any(occ: np.ndarray, b: int) -> np.ndarray:
     return occ.reshape(blocks).any(axis=tuple(range(1, 2 * occ.ndim, 2)))
 
 
-def _refusal_rows(row, methods) -> dict[str, object]:
-    """{method: row(method)}, with a PreconditionError as {"refused": reason}."""
+def _refusal_rows(row, methods) -> dict[str, dict]:
+    """{method: row(method).to_dict()}, with a PreconditionError as {"refused": reason}."""
     rows = {}
     for m in methods:
         try:
-            rows[m] = row(m)
+            rows[m] = row(m).to_dict()
         except PreconditionError as exc:
             rows[m] = {"refused": str(exc)}
     return rows
@@ -447,11 +441,7 @@ def _canonical(obj):
 _BUNDLES: dict = {}
 
 
-def get_bundle(preset: str | Preset, delta: float | None = None) -> SceneBundle:
-    """Shared bundle of a preset's scene (at delta, if given), keyed by SceneBundle.key."""
-    p = get_preset(preset) if isinstance(preset, str) else preset
-    scene = p.scene
-    if delta is not None and delta != scene.delta:
-        scene = Scene(scene.ifs, scene.region, delta, scene.f_bbox, scene.eps_per_decade, scene.name)
-    bundle = SceneBundle(scene)
+def get_bundle(scene: str | Scene) -> SceneBundle:
+    """Shared bundle of a preset (by name) or a scene, keyed by SceneBundle.key."""
+    bundle = SceneBundle(get_preset(scene).scene if isinstance(scene, str) else scene)
     return _BUNDLES.setdefault(bundle.key, bundle)

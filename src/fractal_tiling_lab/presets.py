@@ -32,11 +32,27 @@ class Scene:
     name: str = ""
 
     def validate(self):
+        """The one scene rule, for presets, scene files, the --delta /
+        --eps-per-decade flags and scenes built in Python."""
+        d = self.ifs.ambient_dim
         if not isinstance(self.region, (Region, str)):
             raise ConfigError("region must be a Region or 'central'")
         if isinstance(self.region, str) and self.region != "central":
             raise ConfigError(f"unknown region spec {self.region!r}")
-        # one rule for presets, scene files and the --delta / --eps-per-decade flags
+        if isinstance(self.region, Region) and self.region.dim != d:
+            raise ConfigError(f"the region is {self.region.dim}-d but the maps are {d}-d")
+        # f_bbox must hold the attractor, so each map's fixed point
+        box = np.asarray(self.f_bbox, dtype=float)
+        if box.shape != (2, d):
+            raise ConfigError(f"f_bbox must be two corners [lo, hi] of dimension {d}, the maps' dimension")
+        lo, hi = box
+        if not np.all(lo < hi):
+            raise ConfigError(f"f_bbox {box.tolist()} must have lo < hi on every axis")
+        if not np.linalg.norm(hi - lo) > 0:
+            raise ConfigError(f"f_bbox {box.tolist()} is too small: the length of its diagonal underflows to 0")
+        for i, p in enumerate(m.fixed_point() for m in self.ifs.maps):
+            if np.any((p < lo - 1e-9 * (hi - lo)) | (p > hi + 1e-9 * (hi - lo))):
+                raise ConfigError(f"f_bbox {box.tolist()} does not hold map {i}'s fixed point {p.tolist()}")
         delta, ppd = self.delta, self.eps_per_decade
         number = isinstance(delta, numbers.Real) and not isinstance(delta, bool)
         if not (number and math.isfinite(delta) and delta > 0):

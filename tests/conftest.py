@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fractal_tiling_lab.pipeline import get_bundle
+from fractal_tiling_lab.presets import get_preset
 
 
 @pytest.fixture(scope="session")
@@ -16,7 +19,7 @@ def carpet_bundle():
 
 @pytest.fixture(scope="session")
 def carpet_coarse_bundle():
-    return get_bundle("carpet", delta=2.0**-10)
+    return get_bundle(replace(get_preset("carpet").scene, delta=2.0**-10))
 
 
 @pytest.fixture(scope="session")

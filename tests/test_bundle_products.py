@@ -14,7 +14,7 @@ from fractal_tiling_lab import grids, pipeline
 from fractal_tiling_lab.presets import get_preset
 
 PRODUCTS = (
-    "dim_data", "tiling", "F_tight", "_small_field",
+    "dim_data", "tiling", "F_tight", "field_small", "g_tilde",
     "grid_G", "grid_rel", "grid_F", "grid_curv", "grid_curv_G",
     "V_G", "V_T", "h", "F_on_O", "F_on_Gamma", "F_volumes", "R_d",
     "eps_boundary_null", "field_extractor", "surface_samples",

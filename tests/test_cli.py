@@ -1,14 +1,16 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fractal_tiling_lab import pipeline, tiling
 from fractal_tiling_lab.cli import build_parser, load_scene, main
+from fractal_tiling_lab.errors import ConfigError
 from fractal_tiling_lab.pipeline import get_bundle
-from fractal_tiling_lab.presets import Preset, get_preset
+from fractal_tiling_lab.presets import get_preset
 from fractal_tiling_lab.tiling import central_open_set
 
 
@@ -261,7 +263,7 @@ def unnamed_scene(tmp_path, fname, maps, region=None):
 
 
 def cli_bundle(*argv):
-    return get_bundle(Preset(*load_scene(build_parser().parse_args(list(argv)))))
+    return get_bundle(load_scene(build_parser().parse_args(list(argv))))
 
 
 class TestBundleCache:
@@ -290,7 +292,7 @@ class TestBundleCache:
 
     def test_cli_reuses_the_preset_bundle(self, cantor_bundle):
         assert cli_bundle("content", "--preset", "cantor") is cantor_bundle
-        assert get_bundle(Preset("renamed", cantor_bundle.scene)) is cantor_bundle
+        assert get_bundle(replace(cantor_bundle.scene, name="renamed")) is cantor_bundle
 
     def test_one_bundle_across_commands(self, capsys, monkeypatch):
         monkeypatch.setattr(pipeline, "_BUNDLES", {})
@@ -414,8 +416,14 @@ class TestSceneFileValidation:
         # a box of no width, on which the central open set's attractor raster divided by zero
         (json.dumps({"ifs": {"dim": 1, "maps": CANTOR_MAPS}, "region": "central", "delta": 1e-300,
                      "f_bbox": [[0.0], [0.0]]}), "f_bbox [[0.0], [0.0]] must have lo < hi on every axis"),
+        # a one-point attractor in a box one subnormal wide: the attractor raster's
+        # stopping ratio divided by the box diagonal, whose norm underflows to 0
+        (json.dumps({"ifs": {"dim": 1, "maps": [{"ratio": 1 / 3, "translation": [0]},
+                                                 {"ratio": 0.25, "translation": [0]}]},
+                     "region": "central", "delta": 5e-324, "f_bbox": [[0], [5e-324]]}),
+         "f_bbox [[0.0], [5e-324]] is too small: the length of its diagonal underflows to 0"),
     ], ids=["no_ifs_key", "not_json", "intervals_region_2d_maps", "2d_f_bbox_1d_maps", "non_convex_polygon",
-            "fixed_point_off_f_bbox", "f_bbox_without_width"])
+            "fixed_point_off_f_bbox", "f_bbox_without_width", "one_point_subnormal_box"])
     def test_refused_with_exit_3(self, capsys, tmp_path, monkeypatch, text, named):
         monkeypatch.setattr(pipeline, "_BUNDLES", {})
         path = tmp_path / "scene.json"
@@ -525,6 +533,35 @@ class TestSceneFileValidation:
         assert pipeline._BUNDLES == {}
 
 
+class TestSceneRuleInPython:
+    """A scene built in Python meets the scene file's rule: SceneBundle refuses
+    it with a ConfigError before any product is built."""
+
+    @pytest.mark.parametrize("change, named", [
+        ({"f_bbox": ([1.0], [0.0])}, "f_bbox [[1.0], [0.0]] must have lo < hi on every axis"),
+        ({"f_bbox": ([0.0], [0.5])}, "f_bbox [[0.0], [0.5]] does not hold map 1's fixed point [0.999"),
+        ({"region": get_preset("carpet").scene.region}, "the region is 2-d but the maps are 1-d"),
+    ], ids=["reversed_f_bbox", "fixed_point_off_f_bbox", "region_of_another_dimension"])
+    def test_refused_by_the_bundle(self, monkeypatch, change, named):
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        scene = replace(get_preset("cantor").scene, **change)
+        with pytest.raises(ConfigError) as info:
+            pipeline.SceneBundle(scene)
+        assert str(info.value).startswith(named)
+        with pytest.raises(ConfigError):
+            get_bundle(scene)
+        assert pipeline._BUNDLES == {}
+
+
+class TestTableRows:
+    def test_rows_are_json_and_the_cli_prints_them(self, capsys, cantor_bundle):
+        for argv, rows in ((["content"], cantor_bundle.content_table()),
+                           (["curvature", "-k", "0"], cantor_bundle.curvature_table(0))):
+            code, out = run(capsys, *argv, "--preset", "cantor", "--format", "json")
+            assert code == 0
+            assert json.loads(json.dumps(rows)) == json.loads(out)["rows"]
+
+
 class TestResolutionValues:
     """delta and eps_per_decade follow one rule (Scene.validate) whether they come
     from a flag, a scene file or a preset: exit 3, typed, before any bundle."""
@@ -592,24 +629,29 @@ class TestOscImagesOffGrid:
 GOLDEN = {
     ("cantor", None, "content"): ("7869f499ddc47a8ac59fb8f2e0ec77528106f3dc52a6bdec98146011a9a83b14", 0),
     ("cantor", None, "k0"): ("15e8b094920694abaff648b60648de7dca5a398da2c8781613bccb9bf87be873", 0),
+    ("cantor", None, "check"): ("c53f6c86a45c894f4a328929ab603b068dfe8c373f43be458480a0d6933f84e5", 0),
     ("cantor_pair", None, "content"): ("2f986cf6b962bfb68e5ef6c067384c544cbbe5353e9dbdab542421c0956d95ba", 0),
     ("cantor_pair", None, "k0"): ("ab9841e80cf3264ab1dcd96ec1b03ea5eeddf364ed3cc706bb7928404a95f57e", 0),
+    ("cantor_pair", None, "check"): ("c651131017cb811069d45010525cc1316ff2ab389bb7f32315d9ad5ce40640ae", 0),
     ("gasket", 2.0**-9, "content"): ("7c3d9f3f39c2eee75ee61a661b2c726986ffa3d46a09d49afd14e3866c81c147", 0),
     ("gasket", 2.0**-9, "k0"): ("54daa65276e4285a45b177e8b45db38dea1351815e77660834718f0d609c0fc9", 0),
     ("gasket", 2.0**-9, "k1"): ("daa14538cfc6758b10c725ef607f6d3422b4a3432c9528cb92a1cdb6f874b6b6", 0),
+    ("gasket", 2.0**-9, "check"): ("3af179d84c420942443d809506307aa444a6c72655eaf639897c248e9e95e202", 0),
     ("koch", 2.0**-8, "content"): ("b54378fe4c53b8eaca34858db802714bf238822df61c183e1ca544101f90a6e0", 0),
     ("koch", 2.0**-8, "k0"): ("ff76a5254376afe7d3e124d40933113690805b52b737d38f02fa8efb3a7973f2", 0),
     ("koch", 2.0**-8, "k1"): ("17f3edc62ee05d3c34fc38ce3bdb7f9ee56fe91df26dc17fb91a03f13b0bca47", 2),
+    ("koch", 2.0**-8, "check"): ("fbe24d3e25764c4dbac20d98447e24fc4bd2ff70469b51098acc442c44268777", 0),
     ("carpet", 2.0**-9, "content"): ("c82b6035f31f7619dd6836322b1e2bbf7148388a19b27fc301866aa5c53830ac", 0),
     ("carpet", 2.0**-9, "k0"): ("d93c29cd63f5edab45fbbdaba376b8613b82d43c324578fa8dbe331c31134b58", 0),
     ("carpet", 2.0**-9, "k1"): ("22bc65e720a6e55bd42d145b262deea1e48c0647010de899877ed8b56a759a2e", 0),
+    ("carpet", 2.0**-9, "check"): ("c47d86d7dba46d46ce412da213caf636140a3f4bf42dba32921aa4eb719c5add", 0),
 }
 
 
 class TestGoldenDigests:
     @pytest.mark.parametrize("preset,delta,command", list(GOLDEN))
     def test_json_output_and_exit_code(self, capsys, preset, delta, command):
-        argv = ["content"] if command == "content" else ["curvature", "-k", command[1]]
+        argv = [command] if command in ("content", "check") else ["curvature", "-k", command[1]]
         argv += ["--preset", preset, "--format", "json"]
         if delta is not None:
             argv += ["--delta", repr(delta)]

@@ -406,11 +406,12 @@ class TestProfilePath:
 
     def test_d1_parallel_set_touching_the_field_border_refused(self):
         b = fresh_bundle("cantor", 2.0**-10)
-        field, g_tilde = b._small_field
+        field = b.field_small
+        b.g_tilde  # read on the whole field, before the substitution
         # a field cropped to F_tight's box: the top eps reaches its border
-        sel = b.field_small.lattice_slice(b.F_tight)
+        sel = field.lattice_slice(b.F_tight)
         cropped = grids.DistanceField(b.F_tight.origin, field.spacing, field.values[sel])
-        b._cache["_small_field"] = (cropped, g_tilde)
+        b._cache["field_small"] = cropped
         with pytest.raises(ConfigError, match="1d parallel set touches the grid boundary"):
             b.relative_curvature(0)
 
@@ -453,7 +454,7 @@ class TestRenewalDifference:
         assert np.array_equal(resid.values[regular], Gs.values[regular])
 
     def test_carpet_k0_residual_is_minus_one_in_the_top_third(self):
-        b = pipeline.get_bundle("carpet", delta=2.0**-9)
+        b = pipeline.get_bundle(replace(presets.get_preset("carpet").scene, delta=2.0**-9))
         resid = renewal_residual(tile_union_samples(b, 0), b.ifs, b.grid_curv_G)
         top = (resid.eps > b.g / 3) & (resid.eps <= b.g)
         assert top.sum() >= 8
@@ -470,7 +471,8 @@ class TestRenewalDifference:
         ("gasket", None, 1),
     ])
     def test_presets(self, name, delta, k):
-        b = pipeline.get_bundle(name, delta=delta)
+        scene = presets.get_preset(name).scene
+        b = pipeline.get_bundle(scene if delta is None else replace(scene, delta=delta))
         Ts = tile_union_samples(b, k)
         resid = renewal_residual(Ts, b.ifs, b.grid_curv_G)
         values, var = reference_renewal_difference(Ts, b.ifs, b.grid_curv_G)

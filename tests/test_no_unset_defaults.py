@@ -29,10 +29,6 @@ CALLER_DIRS = ("src", "bench", "demos")
 ALL = "*"  # a `**` splat of unknown keywords
 
 KEEP = {
-    "pipeline.get_bundle(delta)": (
-        "the tests' shared bundles of a preset at a coarser delta (conftest.py's "
-        "carpet_coarse_bundle, test_curvature.py); the CLI puts --delta into the scene it passes"
-    ),
     "curvature.sample_curvature(mask)": (
         "test_curvature.py samples C_k restricted to a region against the bundle's "
         "profiles; the function goes with ROADMAP item 9"

@@ -1,6 +1,6 @@
 """field_small is sized by its readers: one EDT at the start pad, a crop of any larger field.
 
-SceneBundle._small_field takes the pad max(1.3 g^, window top) + 8 delta,
+SceneBundle.field_small takes the pad max(1.3 g^, window top) + 8 delta,
 where g^ (SceneBundle._g_tilde_bound, one EDT at 4 delta) bounds the relative
 inradius g~ from above, so the pad covers 1.3 g~ + 8 delta and one fine field
 is built. Every F_tight cell lies in the box the pad grows, so the field's
