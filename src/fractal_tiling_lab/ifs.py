@@ -7,6 +7,7 @@ the code-space word tree. Ambient dimension d is 1 or 2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -390,8 +391,13 @@ MAP_KEYS = ("ratio", "translation", "matrix", "angle", "reflect")  # the first t
 
 
 def _is_number(x) -> bool:
-    """A finite JSON number; a bool is not one."""
-    return type(x) in (int, float) and math.isfinite(x)
+    """A real number that a float holds finitely; a bool is not one."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def _check_keys(obj, allowed, required, where: str) -> None:
@@ -426,7 +432,7 @@ def load_ifs(doc: dict) -> IFS:
 
     rules = (  # (key, valid, what it must be); a translation may hold a non-finite float
         ("ratio", _is_number, "a finite number"),
-        ("translation", lambda t: is_list(t, lambda x: type(x) in (int, float)), f"a list of {d} numbers"),
+        ("translation", lambda t: is_list(t, lambda x: type(x) is float or _is_number(x)), f"a list of {d} numbers"),
         ("matrix", lambda q: is_list(q, lambda r: is_list(r, _is_number)), f"{d} lists of {d} numbers"),
         ("angle", _is_number, "a finite number"),
         ("reflect", lambda x: type(x) is bool, "true or false"),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import ConvexPolygon, IntervalUnion, Region
-from .ifs import IFS, Similarity
+from .ifs import IFS, Similarity, _is_number
 
 SQ3 = math.sqrt(3.0)
 
@@ -54,12 +54,13 @@ class Scene:
             if np.any((p < lo - 1e-9 * (hi - lo)) | (p > hi + 1e-9 * (hi - lo))):
                 raise ConfigError(f"f_bbox {box.tolist()} does not hold map {i}'s fixed point {p.tolist()}")
         delta, ppd = self.delta, self.eps_per_decade
-        number = isinstance(delta, numbers.Real) and not isinstance(delta, bool)
-        if not (number and math.isfinite(delta) and delta > 0):
+        if not (_is_number(delta) and delta > 0):
             raise ConfigError(f"delta must be a positive finite number, got {delta!r}")
         integer = isinstance(ppd, numbers.Integral) and not isinstance(ppd, bool)
         if not (integer and ppd > 0):
             raise ConfigError(f"eps_per_decade must be a positive integer, got {ppd!r}")
+        if not _is_number(ppd):
+            raise ConfigError(f"eps_per_decade must be an integer that a float holds, got {ppd!r}")
 
 
 @dataclass(frozen=True)

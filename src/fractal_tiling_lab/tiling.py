@@ -31,8 +31,8 @@ The attractor raster (attractor_raster) walks the word orbit of a fixed
 point on integer cell keys. The same per-axis argument gives a diagonal
 2-d map its child cells from one table per axis, built once per raster;
 a map with a rotation, and every 1-d map, maps cell centers and floors
-them, one block of candidates (the finished cells, or one map's children)
-at a time. axis_cells, the index of the cell holding a coordinate on one
+them. Finished cells leave the orbit for a raster that is the result.
+axis_cells, the index of the cell holding a coordinate on one
 axis, is shared by _stamp_images, the orbit tables and check_projection.
 """
 
@@ -402,26 +402,24 @@ ATTRACTOR_STOP_CELLS = 0.5  # an orbit branch stops once r_sigma * diam(bbox) is
 def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
     """Raster of the attractor: cells hit by the word orbit of the first map's fixed point.
 
-    Breadth-first over code space. A generation's candidates are the
-    finished cells, then every active cell under map 0, map 1, and so on;
-    the first candidate in a cell claims it and survives, and the next
-    generation maps the cell's center (accumulated snapping error below ~2
-    cells in Hausdorff distance). A generation is carried as its sorted
-    C-order cell keys and their ratios. The first generation maps the
-    fixed point itself. After that, a 2-d map with a diagonal linear part
-    reads its child keys from per-axis tables that hold the image cell of
-    every cell center (_orbit_tables); other maps, and every 1-d map, map
-    the centers of the active cells and floor them. Candidates are made in
-    slices of ATTRACTOR_CHUNK: the finished cells, then each slice of
-    active cells under every map in turn. Each slice folds into a per-cell
-    array of first candidate positions with np.minimum.at at its explicit
-    positions, so the fold does not depend on the slice order, and a
-    generation holds its survivors, one slice of candidates and that
-    array; the survivors come out of it in key order, and their ratios are
-    looked up ATTRACTOR_CHUNK at a time. The cell indices of a slice of active keys
-    are computed once for all table maps; only the other maps need the
-    active cells' centers. Branches stop once
-    r_sigma * diam(bbox) <= ATTRACTOR_STOP_CELLS * delta.
+    Breadth-first over code space. A generation is its active cells,
+    carried as sorted C-order cell keys and their ratios r_sigma; the first
+    generation is the fixed point itself. With n active cells, candidate
+    j * n + i is active cell i's child under map j, and the first candidate
+    in a cell outside the raster `done` claims it with ratio r_j * rs[i].
+    A claim with r_sigma * diam(bbox) <= ATTRACTOR_STOP_CELLS * delta is
+    finished: it keeps its cell for good, so it goes into `done`, which is
+    the result, and leaves the orbit. The next generation maps the active
+    cells' centers (accumulated snapping error below ~2 cells in Hausdorff
+    distance). A 2-d map with a diagonal linear part reads its child keys
+    from per-axis tables that hold the image cell of every cell center
+    (_orbit_tables), with one divmod of the keys for all such maps; other
+    maps, and every 1-d map, map the centers and floor them. Up to
+    ATTRACTOR_CHUNK candidates, one stable sort finds the first candidate
+    per cell. Past it, candidates are made for slices of ATTRACTOR_CHUNK
+    active cells under every map in turn, and each slice folds into a
+    per-cell array of first candidate positions with np.minimum.at at its
+    explicit positions, so the fold does not depend on the slice order.
     """
     g = grid_from_bbox(bbox, delta)
     lo = g.origin
@@ -449,37 +447,23 @@ def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
     thresh = ATTRACTOR_STOP_CELLS * delta / diam
     tables = _orbit_tables(ifs, g, reach_lo, reach_hi)
     any_table = any(tab is not None for tab in tables)
-    factors = np.array([1.0] + [m.ratio for m in ifs.maps])
+    done = np.zeros(g.occupancy.size, dtype=bool)
     keys = None  # the first generation's one active point is the fixed point, not a cell
     act_pts = ifs.maps[0].fixed_point().reshape(1, -1)
     rs = np.ones(1)
-    while True:
-        active = rs > thresh
-        if not active.any():
-            break
-        if keys is None:
-            fin, act = np.zeros(0, dtype=np.int64), None
-        else:
-            fin, act = keys[~active], keys[active]
-            if None in tables:
-                # the active cells' centers, for the maps without tables
-                act_pts = g.centers_at(np.column_stack(np.unravel_index(act, g.extents)))
-        # the parents' ratios in candidate order: finished cells, then active
-        parent_rs = np.concatenate([rs[~active], rs[active]])
-        n_fin, n_act = fin.size, int(active.sum())
-        del keys, rs, active  # held as fin, act and parent_rs
-        # candidate c lies in block j when starts[j] <= c < starts[j + 1]:
-        # the finished cells, then one block per map
-        starts = [0] + [n_fin + n_act * i for i in range(ifs.n)]
-        total = n_fin + n_act * ifs.n
+    while rs.size:
+        n = rs.size
+        if keys is not None and None in tables:
+            # the active cells' centers, for the maps without tables
+            act_pts = g.centers_at(np.column_stack(np.unravel_index(keys, g.extents)))
 
         def child_keys(a, b):
             # per map, the keys of the children of active cells a ... b - 1; the
             # table maps share one divmod of the slice
-            if act is not None and any_table:
-                ix, iy = np.divmod(act[a:b], g.extents[1])
+            if keys is not None and any_table:
+                ix, iy = np.divmod(keys[a:b], g.extents[1])
             for m, tab in zip(ifs.maps, tables):
-                if act is None or tab is None:
+                if keys is None or tab is None:
                     yield keys_of(_map_rows(m, act_pts, a, b))
                     continue
                 (cx, ex), (cy, ey) = tab
@@ -487,38 +471,34 @@ def attractor_raster(ifs: IFS, bbox, delta: float) -> Grid:
                     raise escape()
                 yield cx[ix] * g.extents[1] + cy[iy]
 
+        total = n * ifs.n
         if total <= ATTRACTOR_CHUNK:
             # one chunk: a stable sort finds the first candidate per cell
-            keys, pos = np.unique(np.concatenate([fin, *child_keys(0, n_act)]), return_index=True)
+            claimed, pos = np.unique(np.concatenate([*child_keys(0, n)]), return_index=True)
+            free = ~done[claimed]
+            claimed, pos = claimed[free], pos[free]
         else:
             first = np.full(g.occupancy.size, total, dtype=np.min_scalar_type(total))
-
-            def fold(key, c0):
-                np.minimum.at(first, key, np.arange(c0, c0 + key.size, dtype=first.dtype))
-
-            for a in range(0, n_fin, ATTRACTOR_CHUNK):
-                fold(fin[a : a + ATTRACTOR_CHUNK], a)
-            for a in range(0, n_act, ATTRACTOR_CHUNK):
-                for j, key in enumerate(child_keys(a, min(a + ATTRACTOR_CHUNK, n_act)), start=1):
-                    fold(key, starts[j] + a)
-            keys = np.flatnonzero(first != total)
-            pos = first[keys]
+            for a in range(0, n, ATTRACTOR_CHUNK):
+                for j, key in enumerate(child_keys(a, min(a + ATTRACTOR_CHUNK, n))):
+                    c0 = j * n + a
+                    np.minimum.at(first, key, np.arange(c0, c0 + key.size, dtype=first.dtype))
+            first[done] = total
+            claimed = np.flatnonzero(first != total)
+            pos = first[claimed]
             del first
-        # each survivor's ratio is its claiming candidate's: the parent's
-        # ratio times its map's, or unchanged for a finished cell
-        bounds = np.array(starts)
-        rs = np.empty(keys.size)
-        for s0 in range(0, keys.size, ATTRACTOR_CHUNK):
-            p = pos[s0 : s0 + ATTRACTOR_CHUNK].astype(np.int64)
-            j = np.searchsorted(bounds, p, side="right") - 1
-            parent = p - bounds[j]
-            parent[j > 0] += n_fin
-            rs[s0 : s0 + ATTRACTOR_CHUNK] = factors[j] * parent_rs[parent]
-        del pos, parent_rs
-
-    occ = np.zeros(g.occupancy.size, dtype=bool)
-    occ[keys] = True
-    return g.with_occupancy(occ.reshape(g.extents))
+        # each claim's ratio is its map's times its parent's; a generation
+        # carries only keys and rs, so the rest is freed as soon as it is read
+        j, i = np.divmod(pos, n)
+        del keys, pos
+        rs = rs[i]
+        rs *= ratio[j]
+        del j, i
+        fin = rs <= thresh
+        done[claimed[fin]] = True
+        keys, rs = claimed[~fin], rs[~fin]
+        del claimed, fin
+    return g.with_occupancy(done.reshape(g.extents))
 
 
 def _orbit_tables(ifs: IFS, g: Grid, lo: np.ndarray, hi: np.ndarray) -> list:

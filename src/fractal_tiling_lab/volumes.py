@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .grids import DistanceField, Grid
+from .errors import ConfigError, ResolutionError
+from .grids import MAX_CELLS, DistanceField, Grid
 from .ifs import IFS
 
 _COUNT_STRIP = 1 << 20  # values sorted at a time when the samplers count them
@@ -89,7 +89,10 @@ def make_eps_grid(
     if lattice_base is not None:
         m = max(1, round(lattice_base / step))
         step = lattice_base / m
-    n = int(math.floor(math.log(top / lo) / step))
+    span = math.log(top / lo) / step  # the node count is checked in float, before any allocation
+    if not span + 1 <= MAX_CELLS:
+        raise ResolutionError(f"eps grid of {span + 1:.6g} nodes exceeds the cap of {MAX_CELLS}")
+    n = math.floor(span)
     eps = top * np.exp(-step * np.arange(n, -1, -1))
     return EpsGrid(eps=eps, log_step=step)
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fractal_tiling_lab import pipeline, tiling
+from fractal_tiling_lab import grids, pipeline, tiling
 from fractal_tiling_lab.cli import build_parser, load_scene, main
 from fractal_tiling_lab.errors import ConfigError
 from fractal_tiling_lab.pipeline import get_bundle
@@ -390,6 +390,7 @@ KOCH_MAPS = [
 ]
 CARPET_MAPS = [{"ratio": 1 / 3, "translation": [i / 3, j / 3]}
                for i in range(3) for j in range(3) if (i, j) != (1, 1)]
+BIG = 10**400  # a JSON integer that no float holds
 
 
 class TestSceneFileValidation:
@@ -531,6 +532,48 @@ class TestSceneFileValidation:
             assert captured.out == ""
             assert captured.err == f"configuration error: {named}\n"
         assert pipeline._BUNDLES == {}
+
+    @pytest.mark.parametrize("path, value, named", [
+        (("delta",), BIG, "delta must be a positive finite number, got 1000"),
+        (("f_bbox", 1), [BIG], "scene file: f_bbox must be two corners [lo, hi] of dimension 1"),
+        (("ifs", "maps", 0, "ratio"), BIG, "ifs map 0: 'ratio' must be a finite number, got 1000"),
+        (("ifs", "maps", 0, "translation"), [BIG], "ifs map 0: 'translation' must be a list of 1 numbers, got [1000"),
+        (("eps_per_decade",), BIG, "eps_per_decade must be an integer that a float holds, got 1000"),
+        (("ifs", "maps", 0, "matrix"), [[BIG]], "ifs map 0: 'matrix' must be 1 lists of 1 numbers, got [[1000"),
+        (("region", "intervals", 0), [0.0, BIG], "the 'intervals' region: 'intervals' entry [0.0, 1000"),
+    ], ids=["delta", "f_bbox", "ratio", "translation", "eps_per_decade", "matrix", "intervals"])
+    def test_integer_past_the_float_range_refused(self, capsys, tmp_path, monkeypatch, path, value, named):
+        # json reads 1 followed by 400 zeros as an int, which float() overflows on
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        doc = {"ifs": {"dim": 1, "maps": [dict(m) for m in CANTOR_MAPS]},
+               "region": {"type": "intervals", "intervals": [[0.0, 1.0]]}, "delta": 2.0**-8,
+               "f_bbox": [[0.0], [1.0]]}
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        for cmd in ("dim", "content"):
+            assert main([cmd, "--scene", str(scene), "--format", "json"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"configuration error: {named}")
+        assert pipeline._BUNDLES == {}
+
+    def test_eps_grid_past_the_cell_cap_refused(self, capsys, tmp_path, monkeypatch):
+        # 10^20 points per decade: the grid's node count is refused before np.arange allocates it
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"ifs": {"dim": 1, "maps": CANTOR_MAPS},
+                                    "region": {"type": "intervals", "intervals": [[0.0, 1.0]]},
+                                    "delta": 2.0**-8, "f_bbox": [[0.0], [1.0]], "eps_per_decade": 10**20}))
+        assert main(["content", "--scene", str(path), "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: eps grid of ")
+        assert captured.err.endswith(f" nodes exceeds the cap of {grids.MAX_CELLS}\n")
 
 
 class TestSceneRuleInPython:

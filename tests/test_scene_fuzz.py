@@ -27,9 +27,11 @@ from fractal_tiling_lab.grids import IntervalUnion
 from fractal_tiling_lab.presets import PRESETS
 
 TYPED = re.compile(r"(precondition failed|configuration error|error): \S")
-# values of every JSON type, numbers out of range and non-finite ones among them
+# values of every JSON type, numbers out of range and non-finite ones among them,
+# with an int past the float range (10**400) and one whose eps grid, as
+# eps_per_decade, is past the cell cap (10**20)
 ODD_VALUES = ("x", "", True, None, [], {}, 0, -1, 1.5, 1e300, math.nan, math.inf, [0.5],
-              [[0.0, 1.0]], {"type": "polygon"})
+              [[0.0, 1.0]], {"type": "polygon"}, 10**400, 10**20)
 
 
 def scene_document(name: str, delta: float) -> dict:
