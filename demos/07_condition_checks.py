@@ -6,12 +6,10 @@ projection condition fails with a defect on an eps-interval -- exactly the
 witness shape a genuine failure must produce.
 """
 
-from fractal_tiling_lab.conditions import (
-    check_compatibility, check_osc, check_projection, check_strong, map_images,
-)
+from fractal_tiling_lab.conditions import check_compatibility, check_osc, check_projection, check_strong
 from fractal_tiling_lab.grids import IntervalUnion, distance_transform, rasterize
 from fractal_tiling_lab.presets import cantor_ifs
-from fractal_tiling_lab.tiling import attractor_raster, relative_inradius
+from fractal_tiling_lab.tiling import attractor_raster, map_images, relative_inradius
 
 delta = 2.0**-13
 ifs = cantor_ifs()

@@ -60,17 +60,11 @@ def _scene_from_json(doc) -> Scene:
     checked, then the scene rule (Scene.validate), before any flag replaces a value."""
     _check_keys(doc, SCENE_KEYS, SCENE_KEYS[:3], "scene file")
     ifs = load_ifs(doc["ifs"])
-    d = ifs.ambient_dim
     region = _region_from_json(doc["region"])
-    f_bbox = doc["f_bbox"]
-    if not (isinstance(f_bbox, list) and len(f_bbox) == 2 and all(
-        isinstance(c, list) and len(c) == d and all(map(_is_number, c)) for c in f_bbox
-    )):
-        raise ConfigError(f"scene file: f_bbox must be two corners [lo, hi] of dimension {d}, the maps' dimension")
     name = doc.get("name", "scene")
     if not isinstance(name, str):
         raise ConfigError(f"scene file: name must be a string, got {name!r}")
-    scene = Scene(ifs, region, doc.get("delta", 2.0**-9), tuple(list(map(float, c)) for c in f_bbox),
+    scene = Scene(ifs, region, doc.get("delta", 2.0**-9), doc["f_bbox"],
                   doc.get("eps_per_decade", 64), name)
     scene.validate()
     return scene
@@ -126,13 +120,7 @@ def _json_default(obj):
 
 def _print_table(doc: dict) -> None:
     print(f"# {doc['command']} {doc['scene']} (delta={doc.get('delta')})")
-    rows = doc.get("rows", {})
-    if not rows:
-        for k, v in doc.items():
-            if k not in ("command", "scene", "rows"):
-                print(f"{k:24s} {v}")
-        return
-    for key, row in rows.items():
+    for key, row in doc["rows"].items():
         if isinstance(row, dict) and "refused" in row:
             print(f"{key:24s} REFUSED: {row['refused']}")
         elif isinstance(row, dict):
@@ -145,9 +133,8 @@ def _print_table(doc: dict) -> None:
 
 
 def _print_csv(doc: dict) -> None:
-    rows = doc.get("rows", {})
     print("key,value,error,details")
-    for key, row in rows.items():
+    for key, row in doc["rows"].items():
         if isinstance(row, dict) and "refused" in row:
             print(f"{key},,,REFUSED: {row['refused']}")
         elif isinstance(row, dict):

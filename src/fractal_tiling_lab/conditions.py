@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .grids import DistanceField, Grid, morphology, occupied_box
 from .ifs import IFS, Similarity
 from .levelsets import LevelSetExtractor, contour_components
-from .tiling import _map_cells, axis_cells
+from .tiling import axis_cells
 
 CHECK_NAMES = ("osc", "strong", "compatible", "projection", "boundary_null")
 STRONG_INTERIOR_CELLS = 4  # erosion depth of O's interior in check_strong
@@ -60,12 +60,7 @@ class CheckReport:
         }
 
 
-def map_images(ifs: IFS, O: Grid) -> list[np.ndarray]:
-    """Occupancy of each S_i(O) on O's grid, in map order."""
-    return [_map_cells(m, O, O) for m in ifs.maps]
-
-
-def check_osc(ifs: IFS, O: Grid, images: list[np.ndarray]) -> CheckReport:
+def check_osc(ifs: IFS, O: Grid, images: np.ndarray) -> CheckReport:
     """Open set condition: S_i O inside O, images pairwise disjoint.
 
     Containment and overlaps are judged up to a one-cell seam: an image cell
@@ -73,8 +68,8 @@ def check_osc(ifs: IFS, O: Grid, images: list[np.ndarray]) -> CheckReport:
     survives a one-cell erosion, is a hard fail; leakage into the seam and
     seam-only contact are inconclusive. The images are sampled on O's grid
     only, so a boundary cell of O whose centre S_i sends more than one cell
-    beyond that grid is a hard fail too. `images` are map_images(ifs, O),
-    which a tiling holds as TilingData.map_images.
+    beyond that grid is a hard fail too. `images` are tiling.map_images(ifs,
+    O), which a tiling holds as TilingData.map_images.
     """
     delta = O.spacing
     seam_leak = False
@@ -171,14 +166,14 @@ def check_compatibility(G: Grid, F_field: DistanceField) -> CheckReport:
 
 
 def check_projection(
-    ifs: IFS, O: Grid, images: list[np.ndarray], F_field: DistanceField, g_tilde: float,
+    ifs: IFS, O: Grid, images: np.ndarray, F_field: DistanceField, g_tilde: float,
 ) -> CheckReport:
     """Projection condition, tested through the parallel-set identity.
 
     For each map the defect volume lambda((F_eps \\ (S_i F)_eps) ^ S_i O)
     must stay at seam scale for all sampled eps <= r_i g~; a genuine failure
     produces a defect bounded below on an eps interval, which is returned as
-    the witness. `images` are map_images(ifs, O), as for check_osc.
+    the witness. `images` are tiling.map_images(ifs, O), as for check_osc.
     """
     delta = O.spacing
     d = O.dim

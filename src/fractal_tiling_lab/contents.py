@@ -172,9 +172,7 @@ def require_checks(checks) -> None:
     """Refuse, naming the check, when any structural check report failed."""
     for rep in checks:
         if getattr(rep, "verdict", "pass") == "fail":
-            raise PreconditionError(
-                f"structural check {rep.name!r} failed: {rep.witness}", report=rep
-            )
+            raise PreconditionError(f"structural check {rep.name!r} failed: {rep.witness}")
 
 
 def _restrict(samples: VolumeSamples, top: float, lo: float = 0.0):

@@ -10,11 +10,7 @@ class ConfigError(FtlError):
 
 
 class PreconditionError(FtlError):
-    """A formula's structural hypothesis failed; carries the diagnostic."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A formula's structural hypothesis failed; the message is the diagnostic."""
 
 
 class ResolutionError(FtlError):

@@ -267,9 +267,14 @@ def grid_from_bbox(bbox, delta: float) -> Grid:
     """
     lo = np.atleast_1d(np.asarray(bbox[0], dtype=float))
     hi = np.atleast_1d(np.asarray(bbox[1], dtype=float))
-    n = np.maximum(1, np.round((hi - lo) / delta))
-    cells = float(np.prod(n))
-    if not cells <= MAX_CELLS:  # also refuses an inf or nan count
+    width = hi - lo
+    # an axis of more than 2 * MAX_CELLS cells is refused before its count is
+    # formed, so no count that decides overflows (the one shown may read inf)
+    fits = np.all(width / (2 * MAX_CELLS) <= delta)  # False for a nan width too
+    with np.errstate(over="ignore"):
+        n = np.maximum(1, np.round(width / delta))
+        cells = float(np.prod(n))
+    if not (fits and cells <= MAX_CELLS):
         raise ResolutionError(f"grid of {cells:.6g} cells exceeds the cap of {MAX_CELLS}")
     return Grid(lo, delta, np.zeros(tuple(n.astype(int)), dtype=bool))
 

@@ -42,13 +42,17 @@ class Scene:
         if isinstance(self.region, Region) and self.region.dim != d:
             raise ConfigError(f"the region is {self.region.dim}-d but the maps are {d}-d")
         # f_bbox must hold the attractor, so each map's fixed point
-        box = np.asarray(self.f_bbox, dtype=float)
-        if box.shape != (2, d):
+        box = np.asarray(self.f_bbox, dtype=object).tolist()  # nested lists of the entries as given
+        if not (isinstance(box, list) and len(box) == 2 and all(
+            isinstance(c, list) and len(c) == d and all(map(_is_number, c)) for c in box
+        )):
             raise ConfigError(f"f_bbox must be two corners [lo, hi] of dimension {d}, the maps' dimension")
+        box = np.asarray(box, dtype=float)
         lo, hi = box
         if not np.all(lo < hi):
             raise ConfigError(f"f_bbox {box.tolist()} must have lo < hi on every axis")
-        if not np.linalg.norm(hi - lo) > 0:
+        # the diagonal's sum of squares is 0 iff that of min(hi - lo, 1) is, which cannot overflow
+        if not np.linalg.norm(np.minimum(hi - lo, 1.0)) > 0:
             raise ConfigError(f"f_bbox {box.tolist()} is too small: the length of its diagonal underflows to 0")
         for i, p in enumerate(m.fixed_point() for m in self.ifs.maps):
             if np.any((p < lo - 1e-9 * (hi - lo)) | (p > hi + 1e-9 * (hi - lo))):

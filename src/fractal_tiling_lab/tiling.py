@@ -61,16 +61,16 @@ class TilingData:
     G_inner: DistanceField  # inner_distance of G cropped to its cells plus 4: V_G, G_-eps and g
     Gamma: Grid
     g: float
-    image_bits: np.ndarray  # S_i(O) on O's grid, packed along axis 0 as np.packbits packs
+    image_bits: np.ndarray  # map_images(ifs, O), packed by np.packbits along O's last axis
 
     @property
     def delta(self) -> float:
         return self.O.spacing
 
     @property
-    def map_images(self) -> list[np.ndarray]:
-        """S_i(O) on O's grid, one raster per map, in map order."""
-        return list(np.unpackbits(self.image_bits, axis=0, count=self.ifs.n).view(bool))
+    def map_images(self) -> np.ndarray:
+        """S_i(O) on O's grid, layer i of an (n, *O.extents) stack (map_images)."""
+        return np.unpackbits(self.image_bits, axis=-1, count=self.O.extents[-1]).view(bool)
 
     @functools.cached_property
     def tile_words(self) -> WordTree:
@@ -303,6 +303,13 @@ def _stamp_runs(occ: np.ndarray, a, b, lo, hi, layer, source: Grid, target: Grid
     occ[:, base : base + n] |= np.cumsum(runs.reshape(-1, n + 1)[:, :-1], axis=1) > 0
 
 
+def map_images(ifs: IFS, O: Grid) -> np.ndarray:
+    """S_i(O) on O's grid, layer i of an (n, *O.extents) stack, all in one _stamp_images call."""
+    layers = np.zeros((ifs.n,) + O.extents, dtype=bool)
+    _stamp_images(layers, *_stack(ifs.maps), O, O, np.arange(ifs.n))
+    return layers
+
+
 def _map_cells(sim: Similarity, source: Grid, target: Grid) -> np.ndarray:
     """Occupancy of S(source-region) on the target grid (_stamp_images)."""
     occ = np.zeros(target.extents, dtype=bool)
@@ -344,13 +351,13 @@ def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
     the scene has no tiling, for a full-dimensional attractor (sum 1) or
     overlapping maps (above 1), and a ResolutionError when the sum is
     below 1 and the images S_i(O) cover O at this resolution. Each image
-    S_i(O) is sampled once; Phi(O) is their union, and the images stay on
-    the result (image_bits) for the structural checks. G's one inner
-    distance field, G_inner, is taken on G cropped to its cells plus 4
-    (cells outside the raster count as complement, so the crop changes no
-    distance inside G), and g is its maximum, the inradius. No tile is
-    built here: TilingData resolves the words and rasterizes their union
-    on first read.
+    S_i(O) is sampled once (map_images); Phi(O) is their union, and the
+    images stay on the result, packed (image_bits), for the structural
+    checks. G's one inner distance field, G_inner, is taken on G cropped
+    to its cells plus 4 (cells outside the raster count as complement, so
+    the crop changes no distance inside G), and g is its maximum, the
+    inradius. No tile is built here: TilingData resolves the words and
+    rasterizes their union on first read.
     """
     if isinstance(O_region, Grid):
         O = O_region
@@ -361,16 +368,10 @@ def build_tiling(ifs: IFS, O_region: Region | Grid, delta: float) -> TilingData:
     if not O.occupancy.any():
         raise ConfigError("feasible set rasterized to nothing; check the region/bbox")
 
-    # every S_i(O) in one stamp, map i into layer i, then into bit 7 - i % 8 of
-    # byte i // 8: np.packbits order, without its axis-0 pass (five times
-    # slower on carpet's eight layers)
-    layers = np.zeros((ifs.n,) + O.extents, dtype=bool)
-    _stamp_images(layers, *_stack(ifs.maps), O, O, np.arange(ifs.n))
-    image_bits = np.zeros((-(-ifs.n // 8),) + O.extents, dtype=np.uint8)
-    for i, layer in enumerate(layers):
-        image_bits[i // 8] |= layer.view(np.uint8) << (7 - i % 8)
+    layers = map_images(ifs, O)
+    image_bits = np.packbits(layers, axis=-1)
+    phi_open = layers.any(axis=0)
     del layers
-    phi_open = image_bits.any(axis=0)
     phi_closed = morphology(phi_open)
     G = O.with_occupancy(O.occupancy & ~phi_closed)
     Gamma = O.with_occupancy(O.occupancy & ~phi_open)

@@ -9,6 +9,7 @@ import pytest
 from fractal_tiling_lab import grids, pipeline, tiling
 from fractal_tiling_lab.cli import build_parser, load_scene, main
 from fractal_tiling_lab.errors import ConfigError
+from fractal_tiling_lab.grids import ConvexPolygon
 from fractal_tiling_lab.pipeline import get_bundle
 from fractal_tiling_lab.presets import get_preset
 from fractal_tiling_lab.tiling import central_open_set
@@ -383,6 +384,33 @@ class TestRegionTypes:
             assert main([cmd, "--scene", path, "--format", "json"]) == 3
             assert "unknown region type 'halfspaces'" in capsys.readouterr().err
 
+    def test_polygons_region_with_a_clockwise_piece(self, capsys, tmp_path):
+        # the unit square as two halves, the left one given clockwise: ConvexPolygon
+        # reverses it, PolygonUnion.bbox is the square's, and no cell centre lies on
+        # x = 1/2, so the raster, and every check row, is the carpet preset's
+        left_cw = [[0.0, 0.0], [0.0, 1.0], [0.5, 1.0], [0.5, 0.0]]
+        right_ccw = [[0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 1.0]]
+        assert ConvexPolygon(np.array(left_cw)).vertices.tolist() == left_cw[::-1]
+        path = tmp_path / "halves.json"
+        path.write_text(json.dumps({"ifs": {"dim": 2, "maps": CARPET_MAPS},
+                                    "region": {"type": "polygons", "vertices": [left_cw, right_ccw]},
+                                    "delta": 2.0**-7, "f_bbox": [[0.0, 0.0], [1.0, 1.0]]}))
+        code, out = run(capsys, "check", "--scene", str(path), "--format", "json")
+        assert code == 0
+        preset_code, preset_out = run(capsys, "check", "--preset", "carpet", "--delta", repr(2.0**-7),
+                                      "--format", "json")
+        assert preset_code == 0
+        assert json.loads(out)["rows"] == json.loads(preset_out)["rows"]
+
+    def test_preset_scene_file(self, capsys, tmp_path):
+        # a scene file may name a preset, as the README documents
+        path = tmp_path / "preset.json"
+        path.write_text(json.dumps({"preset": "cantor_pair"}))
+        for cmd in ("dim", "check"):
+            by_file = run(capsys, cmd, "--scene", str(path), "--delta", repr(2.0**-10), "--format", "json")
+            by_flag = run(capsys, cmd, "--preset", "cantor_pair", "--delta", repr(2.0**-10), "--format", "json")
+            assert by_file == by_flag and by_file[0] == 0
+
 
 KOCH_MAPS = [
     {"ratio": 3**-0.5, "angle": 30.0, "reflect": True, "translation": [0.0, 0.0]},
@@ -535,7 +563,7 @@ class TestSceneFileValidation:
 
     @pytest.mark.parametrize("path, value, named", [
         (("delta",), BIG, "delta must be a positive finite number, got 1000"),
-        (("f_bbox", 1), [BIG], "scene file: f_bbox must be two corners [lo, hi] of dimension 1"),
+        (("f_bbox", 1), [BIG], "f_bbox must be two corners [lo, hi] of dimension 1"),
         (("ifs", "maps", 0, "ratio"), BIG, "ifs map 0: 'ratio' must be a finite number, got 1000"),
         (("ifs", "maps", 0, "translation"), [BIG], "ifs map 0: 'translation' must be a list of 1 numbers, got [1000"),
         (("eps_per_decade",), BIG, "eps_per_decade must be an integer that a float holds, got 1000"),
@@ -584,7 +612,12 @@ class TestSceneRuleInPython:
         ({"f_bbox": ([1.0], [0.0])}, "f_bbox [[1.0], [0.0]] must have lo < hi on every axis"),
         ({"f_bbox": ([0.0], [0.5])}, "f_bbox [[0.0], [0.5]] does not hold map 1's fixed point [0.999"),
         ({"region": get_preset("carpet").scene.region}, "the region is 2-d but the maps are 1-d"),
-    ], ids=["reversed_f_bbox", "fixed_point_off_f_bbox", "region_of_another_dimension"])
+        # numpy would read the string as 1.0, and the infinite corner would serve a grid of inf cells
+        ({"f_bbox": ([0.0], ["1"])}, "f_bbox must be two corners [lo, hi] of dimension 1"),
+        ({"f_bbox": ([0.0], [math.inf])}, "f_bbox must be two corners [lo, hi] of dimension 1"),
+        ({"f_bbox": ([0.0], [10**400])}, "f_bbox must be two corners [lo, hi] of dimension 1"),
+    ], ids=["reversed_f_bbox", "fixed_point_off_f_bbox", "region_of_another_dimension",
+            "f_bbox_string", "f_bbox_inf", "f_bbox_past_the_float_range"])
     def test_refused_by_the_bundle(self, monkeypatch, change, named):
         monkeypatch.setattr(pipeline, "_BUNDLES", {})
         scene = replace(get_preset("cantor").scene, **change)
@@ -700,6 +733,21 @@ class TestGoldenDigests:
             argv += ["--delta", repr(delta)]
         code, out = run(capsys, *argv)
         assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN[preset, delta, command]
+
+
+# SHA-256 of the table and csv output of content --preset cantor_pair --delta 2^-10
+TEXT_FORMATS = {
+    "table": "07a8d15b549ee12f62703fa619546d4125a4b4a8c109d18a2d2f8d4c75c4f007",
+    "csv": "4ed9d45d7cdcd3d633bc51f81f3e9849fa95ae7a81cbe8bc3366e975f258cf15",
+}
+
+
+class TestTextFormats:
+    @pytest.mark.parametrize("fmt", list(TEXT_FORMATS))
+    def test_content_output_bytes(self, capsys, fmt):
+        code, out = run(capsys, "content", "--preset", "cantor_pair", "--delta", repr(2.0**-10), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == TEXT_FORMATS[fmt]
 
 
 class TestTilesOnlyForTheRowsThatReadThem:

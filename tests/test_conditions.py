@@ -50,17 +50,17 @@ class TestOsc:
     def test_cantor_unit_interval(self, cantor_field):
         delta, field = cantor_field
         O = rasterize(IntervalUnion(((0.0, 1.0),)), ([-2 * delta], [1 + 2 * delta]), delta)
-        assert check_osc(cantor_ifs(), O, conditions.map_images(cantor_ifs(), O)).verdict == "pass"
+        assert check_osc(cantor_ifs(), O, tiling.map_images(cantor_ifs(), O)).verdict == "pass"
 
     def test_carpet_unit_square(self, carpet_field):
         delta, _ = carpet_field
         O = rasterize(unit_square(), ([-2 * delta, -2 * delta], [1 + 2 * delta, 1 + 2 * delta]), delta)
-        assert check_osc(carpet_ifs(), O, conditions.map_images(carpet_ifs(), O)).verdict == "pass"
+        assert check_osc(carpet_ifs(), O, tiling.map_images(carpet_ifs(), O)).verdict == "pass"
 
     def test_small_square_fails_with_witness(self, carpet_field):
         delta, _ = carpet_field
         O = rasterize(axis_square(0.0, 0.9), ([-0.01, -0.01], [0.95, 0.95]), delta)
-        rep = check_osc(carpet_ifs(), O, conditions.map_images(carpet_ifs(), O))
+        rep = check_osc(carpet_ifs(), O, tiling.map_images(carpet_ifs(), O))
         assert rep.verdict == "fail"
         assert rep.witness is not None and "cell" in rep.witness
 
@@ -83,7 +83,7 @@ class TestOsc:
             1,
         )
         O = rasterize(IntervalUnion(((0.0, 1.0),)), ([-2 * delta], [1 + 2 * delta]), delta)
-        rep = check_osc(ifs, O, conditions.map_images(ifs, O))
+        rep = check_osc(ifs, O, tiling.map_images(ifs, O))
         assert rep.verdict == "fail"
 
 
@@ -141,7 +141,7 @@ class TestProjection:
         delta, field = cantor_field
         O = rasterize(IntervalUnion(((0.1, 1.0),)), ([0.1 - 2 * delta], [1 + 2 * delta]), delta)
         gt = relative_inradius(field, O)
-        images = conditions.map_images(cantor_ifs(), O)
+        images = tiling.map_images(cantor_ifs(), O)
         assert check_projection(cantor_ifs(), O, images, field, gt).verdict == "pass"
 
     def test_no_defect_oracle_for_skewed_interval(self):
@@ -157,7 +157,7 @@ class TestProjection:
         delta, field = cantor_field
         O = rasterize(IntervalUnion(((-0.6, 1.0),)), ([-0.6 - 2 * delta], [1 + 2 * delta]), delta)
         gt = relative_inradius(field, O)
-        rep = check_projection(cantor_ifs(), O, conditions.map_images(cantor_ifs(), O), field, gt)
+        rep = check_projection(cantor_ifs(), O, tiling.map_images(cantor_ifs(), O), field, gt)
         assert rep.verdict == "fail"
         lo, hi = rep.witness["eps_interval"]
         # the analytic defect interval is [~0.1467, ~0.1867)
@@ -187,7 +187,7 @@ class TestProjection:
 def check_projection_loop(ifs, O, F_field, g_tilde, seam_factor=4.0, images=None):
     """Reference: check_projection with one full pass over the cells per eps."""
     delta, d = O.spacing, O.dim
-    images = conditions.map_images(ifs, O) if images is None else images
+    images = tiling.map_images(ifs, O) if images is None else images
     worst = None
     for i, (m, img) in enumerate(zip(ifs.maps, images)):
         if not img.any():
@@ -284,7 +284,7 @@ class TestProjectionBySorting:
         delta, field = cantor_field
         O = rasterize(IntervalUnion(((-0.6, 1.0),)), ([-0.6 - 2 * delta], [1 + 2 * delta]), delta)
         gt = relative_inradius(field, O)
-        images = conditions.map_images(cantor_ifs(), O)
+        images = tiling.map_images(cantor_ifs(), O)
         rep = check_projection(cantor_ifs(), O, images, field, gt)
         assert rep.verdict == "fail"
         assert rep.to_dict() == check_projection_loop(cantor_ifs(), O, field, gt).to_dict()
@@ -342,10 +342,10 @@ class TestMapImages:
         calls = []
         stamp, sample = tiling._stamp_images, tiling._map_cells
         monkeypatch.setattr(tiling, "_stamp_images", lambda *a: calls.append(a) or stamp(*a))
-        monkeypatch.setattr(conditions, "_map_cells", lambda *a: calls.append(a) or sample(*a))
+        monkeypatch.setattr(tiling, "_map_cells", lambda *a: calls.append(a) or sample(*a))
         reports = b.checks()
         assert len(calls) == 1 and calls[0][1].size == b.ifs.n
-        fresh = conditions.map_images(b.ifs, b.O)
+        fresh = tiling.map_images(b.ifs, b.O)
         assert len(b.tiling.map_images) == len(fresh) == b.ifs.n
         assert all(np.array_equal(a, c) for a, c in zip(b.tiling.map_images, fresh))
         assert reports["osc"].to_dict() == check_osc(b.ifs, b.O, fresh).to_dict()

@@ -31,14 +31,14 @@ ALL = "*"  # a `**` splat of unknown keywords
 KEEP = {
     "curvature.sample_curvature(mask)": (
         "test_curvature.py samples C_k restricted to a region against the bundle's "
-        "profiles; the function goes with ROADMAP item 9"
+        "profiles; the function goes with ROADMAP item 12"
     ),
     "curvature.sample_curvature(region_tag)": (
         "as sample_curvature(mask): the tag names the restricted region in those tests"
     ),
     "curvature.inner_curvature_samples(region_tag)": (
         "the tile-union cores of the renewal tests are tagged T_core; the function "
-        "goes with ROADMAP item 9"
+        "goes with ROADMAP item 12"
     ),
     "levelsets.euler_and_turning(extractor)": (
         "the Gauss-Bonnet self-tests (test_curvature.py, test_acceptance.py) pass "

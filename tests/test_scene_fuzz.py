@@ -19,12 +19,15 @@ import math
 import re
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fractal_tiling_lab import pipeline
 from fractal_tiling_lab.cli import main
 from fractal_tiling_lab.grids import IntervalUnion
 from fractal_tiling_lab.presets import PRESETS
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")  # no refusal may rest on an overflow
 
 TYPED = re.compile(r"(precondition failed|configuration error|error): \S")
 # values of every JSON type, numbers out of range and non-finite ones among them,

@@ -180,10 +180,10 @@ def test_presets_tiling_digests(coarse_tiling):
 
 
 def test_images_of_more_than_eight_maps():
-    """TilingData packs S_i(O) one bit per map: ten maps take two bytes per cell."""
+    """TilingData packs S_i(O) one bit per cell along O's last axis: ten maps take ten rows."""
     maps = tuple(Similarity(0.09, np.eye(1), np.array([0.1 * i])) for i in range(10))
     t = build_tiling(IFS(maps, 1), IntervalUnion(((0.0, 1.0),)), 2.0**-10)
-    assert t.image_bits.shape == (2,) + t.O.extents
+    assert t.image_bits.shape == (10, -(-t.O.extents[0] // 8))
     union = np.zeros(t.O.extents, dtype=bool)
     for m, img in zip(maps, t.map_images, strict=True):
         ref = reference_map_cells(m, t.O, t.O)
@@ -556,7 +556,8 @@ def test_1d_scene_tilings_match_per_cell_sampling(name):
 
 
 # SHA-256 over the benchmark's 300 rand1d catalogue draws (bench/workloads.py)
-# of each draw's O, G, Gamma and tile_union (grid_digest) and image_bits, as
+# of each draw's O, G, Gamma and tile_union (grid_digest) and its images packed
+# one bit per map (np.packbits along the map axis), as
 # per-cell sampling of every 1-d image and tile produced them
 RAND1D_TILINGS_SHA256 = "afc3e6067ccefe1c7f2c0cf51dac8c9b03c645bc2b191be34e3c0752661a4f9b"
 
@@ -573,7 +574,8 @@ def test_rand1d_catalogue_tilings_digest():
             t = build_tiling(scene.ifs, scene.region, scene.delta)
             for g in (t.O, t.G, t.Gamma, t.tile_union):
                 h.update(grid_digest(g).encode())
-            h.update(str(t.image_bits.shape).encode() + t.image_bits.tobytes())
+            bits = np.packbits(np.array(t.map_images), axis=0)
+            h.update(str(bits.shape).encode() + bits.tobytes())
     assert h.hexdigest() == RAND1D_TILINGS_SHA256
 
 

@@ -381,7 +381,8 @@ class TestCentralOpenSet:
         assert np.array_equal(vc.grid.occupancy[~fuzzy], expected[~fuzzy])
 
     def test_carpet_vc_passes_projection(self):
-        from fractal_tiling_lab.conditions import check_projection, map_images
+        from fractal_tiling_lab.conditions import check_projection
+        from fractal_tiling_lab.tiling import map_images
 
         delta = 2.0**-9
         ifs = carpet_ifs()
