@@ -80,7 +80,7 @@ def check_osc(ifs: IFS, O: Grid, images: np.ndarray) -> CheckReport:
             if hard.any():
                 return CheckReport(
                     "osc", "fail", delta,
-                    {"map": i, "cell": O.cell_points(hard)[0].tolist(), "reason": "S_i O leaves O"},
+                    {"map": i, "cell": O.cell_point(hard, 0).tolist(), "reason": "S_i O leaves O"},
                 )
             seam_leak = True
     edge = O.cell_points(O.boundary_cells())
@@ -104,7 +104,7 @@ def check_osc(ifs: IFS, O: Grid, images: np.ndarray) -> CheckReport:
             if hard.any():
                 return CheckReport(
                     "osc", "fail", delta,
-                    {"maps": [i, j], "cell": O.cell_points(hard)[0].tolist(),
+                    {"maps": [i, j], "cell": O.cell_point(hard, 0).tolist(),
                      "overlap_cells": int(overlap.sum()), "reason": "interior overlap"},
                 )
             seam_only = True

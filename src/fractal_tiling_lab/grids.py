@@ -259,15 +259,9 @@ class Grid(Raster):
             fh.write(data.tobytes())
 
 
-def grid_from_bbox(bbox, delta: float) -> Grid:
-    """Empty grid covering bbox = (lo, hi) with uniform spacing delta.
-
-    Refuses grids of more than MAX_CELLS cells; the count is checked in
-    float, before the cast to int could overflow.
-    """
-    lo = np.atleast_1d(np.asarray(bbox[0], dtype=float))
-    hi = np.atleast_1d(np.asarray(bbox[1], dtype=float))
-    width = hi - lo
+def cell_counts(width: np.ndarray, delta: float) -> np.ndarray:
+    """Cells per axis, as floats, of a box of the given widths at spacing delta;
+    past MAX_CELLS cells, refused in float, before a cast to int could overflow."""
     # an axis of more than 2 * MAX_CELLS cells is refused before its count is
     # formed, so no count that decides overflows (the one shown may read inf)
     fits = np.all(width / (2 * MAX_CELLS) <= delta)  # False for a nan width too
@@ -276,7 +270,13 @@ def grid_from_bbox(bbox, delta: float) -> Grid:
         cells = float(np.prod(n))
     if not (fits and cells <= MAX_CELLS):
         raise ResolutionError(f"grid of {cells:.6g} cells exceeds the cap of {MAX_CELLS}")
-    return Grid(lo, delta, np.zeros(tuple(n.astype(int)), dtype=bool))
+    return n
+
+
+def grid_from_bbox(bbox, delta: float) -> Grid:
+    """Empty grid covering bbox = (lo, hi) with uniform spacing delta (cell_counts)."""
+    lo, hi = (np.atleast_1d(np.asarray(c, dtype=float)) for c in bbox)
+    return Grid(lo, delta, np.zeros(tuple(cell_counts(hi - lo, delta).astype(int)), dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -318,22 +318,20 @@ class WordTree:
     def preorder(self) -> np.ndarray:
         """Indices into the concatenated levels in depth-first pre-order, highest letter first.
 
-        A word's position is its parent's plus one plus the subtree sizes of
-        its later siblings in the level (same parent, higher letters), which
-        the walk visits first.
+        That is the order of the words' negated letters, letter by letter (one
+        lexsort); a word's missing letters sort below every letter, so it
+        comes before its extensions.
         """
-        size = [np.ones(r.size, np.int64) for r in self.ratio]
-        for length in range(len(size) - 1, 1, -1):
-            np.add.at(size[length - 1], self.parent[length], size[length])
-        pos = [np.zeros(self.ratio[0].size, np.int64)]
-        up = pos[0] if self.ratio[0].size else np.full(1, -1)  # a root that is not stored sits at -1
-        for p, s in zip(self.parent[1:], size[1:]):
-            later = np.append(np.cumsum(s[::-1])[::-1], 0)  # later[i]: subtree sizes of words i, i + 1, ...
-            up = up[p] + 1 + later[1:] - later[np.searchsorted(p, p, side="right")]
-            pos.append(up)
-        order = np.empty(len(self), np.int64)
-        order[np.concatenate(pos)] = np.arange(len(self))
-        return order
+        if len(self.ratio) == 1:
+            return np.arange(len(self))
+        # a word's column holds minus its letters, first letter on top, and int64's min past its end
+        level = np.full((len(self.ratio) - 1, 1), np.iinfo(np.int64).min)
+        key = [level[:, : self.ratio[0].size]]  # the root, if stored
+        for row, (p, a) in enumerate(zip(self.parent[1:], self.letter[1:])):
+            level = level[:, p]
+            level[row] = -a
+            key.append(level)
+        return np.lexsort(np.hstack(key)[::-1])
 
     @classmethod
     def from_words(cls, ifs: IFS, words) -> "WordTree":

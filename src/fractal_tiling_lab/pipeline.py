@@ -21,7 +21,7 @@ import numpy as np
 
 from . import conditions, contents, curvature, volumes
 from .errors import ConfigError, PreconditionError
-from .grids import DistanceField, Grid, distance_transform, grid_from_bbox, inner_distance
+from .grids import DistanceField, Grid, cell_counts, distance_transform, grid_from_bbox, inner_distance
 from .ifs import DimensionData, dimension_data
 from .levelsets import LevelSetExtractor
 from .presets import Scene, get_preset
@@ -108,8 +108,8 @@ class SceneBundle:
     @_product
     def F_tight(self) -> Grid:
         o = self.O
-        lo = np.asarray(self.scene.f_bbox[0], float)
-        hi = np.asarray(self.scene.f_bbox[1], float)
+        lo, hi = np.asarray(self.scene.f_bbox, float)
+        cell_counts(hi - lo, self.delta)  # a box past the cell cap is refused before the snap divides
         # snap outward onto O's cell lattice so every grid here is aligned
         lo_s = o.origin + (np.floor((lo - o.origin) / self.delta) - 1) * self.delta
         hi_s = o.origin + (np.ceil((hi - o.origin) / self.delta) + 1) * self.delta

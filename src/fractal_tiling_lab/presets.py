@@ -51,11 +51,14 @@ class Scene:
         lo, hi = box
         if not np.all(lo < hi):
             raise ConfigError(f"f_bbox {box.tolist()} must have lo < hi on every axis")
+        # halves cannot overflow: hi - lo is a float iff hi / 2 - lo / 2 <= max / 2
+        if not np.all(hi / 2 - lo / 2 <= np.finfo(float).max / 2):
+            raise ConfigError(f"f_bbox {box.tolist()} is too wide: its width hi - lo passes the float range")
         # the diagonal's sum of squares is 0 iff that of min(hi - lo, 1) is, which cannot overflow
         if not np.linalg.norm(np.minimum(hi - lo, 1.0)) > 0:
             raise ConfigError(f"f_bbox {box.tolist()} is too small: the length of its diagonal underflows to 0")
         for i, p in enumerate(m.fixed_point() for m in self.ifs.maps):
-            if np.any((p < lo - 1e-9 * (hi - lo)) | (p > hi + 1e-9 * (hi - lo))):
+            if np.any((lo / 2 - p / 2 > 5e-10 * (hi - lo)) | (p / 2 - hi / 2 > 5e-10 * (hi - lo))):
                 raise ConfigError(f"f_bbox {box.tolist()} does not hold map {i}'s fixed point {p.tolist()}")
         delta, ppd = self.delta, self.eps_per_decade
         if not (_is_number(delta) and delta > 0):

@@ -268,11 +268,10 @@ def _stamp_runs(occ: np.ndarray, a, b, lo, hi, layer, source: Grid, target: Grid
     monotone in i (each rounded operation is): non-decreasing for a_k > 0,
     non-increasing under a reflection. So the cells mapping into a run
     [r0, r1) of occupied source cells are one run of target cells, whose ends
-    are where s_k crosses r0 and r1. Each end is found by evaluating s_k on a
-    window around where real arithmetic puts it, wider than the rounding
-    error of both, and the window's bracketing of the end is asserted. The
-    runs, clipped to [lo_k, hi_k), are marked through one difference array
-    per layer over the span of those boxes.
+    are where s_k crosses r0 and r1. Each end is the first i in [lo_k, hi_k)
+    past the crossing, or hi_k, found by bisection on that monotone test. The
+    runs are marked through one difference array per layer over the span of
+    those boxes.
     """
     if not a.size:
         return
@@ -284,18 +283,16 @@ def _stamp_runs(occ: np.ndarray, a, b, lo, hi, layer, source: Grid, target: Grid
     # the source edge e of every run's start, then of every run's stop; the
     # end is the first i with (s_k(i) >= e) == up
     e = np.where((np.arange(k.size) < k.size // 2) == up, r0[j], r1[j])
-    o_s, h_s, o_t, h_t = source.origin[0], source.spacing, target.origin[0], target.spacing
-    mid = np.floor(np.clip(((o_s + e * h_s - bk) / ak - o_t) / h_t - 0.5, lo[k] - 1, hi[k]))
-    # rounding, in mid and in s_k, moves the end off [mid, mid + 1] by at most
-    # ceil(16 eps * size / (|a| h_t)) <= w cells, size bounding the terms
-    size = np.abs(ak) * (abs(o_t) + (np.abs(mid) + 1) * h_t) + np.abs(bk) + abs(o_s) + (e + 1) * h_s
-    w = 1 + int(np.max(16 * np.finfo(float).eps * size / (np.abs(ak) * h_t)))
-    idx = mid.astype(np.int64)[:, None] + np.arange(-w, w + 2)
-    hit = (np.floor((ak[:, None] * target.centers_at(idx, 0) + bk[:, None] - o_s) / h_s) >= e[:, None]) == up[:, None]
-    assert np.all((~hit[:, 0] | (idx[:, 0] <= lo[k])) & (hit[:, -1] | (idx[:, -1] >= hi[k] - 1)))
+    o_s, h_s = source.origin[0], source.spacing
+    # each end lies in (left, right]: the test is taken as false at lo_k - 1
+    # and true at hi_k, and a bracket stops moving once it is one cell
+    left, right = lo[k] - 1, hi[k]
+    while (open_ := right - left > 1).any():
+        i = (left + right) // 2
+        hit = (np.floor((ak * target.centers_at(i, 0) + bk - o_s) / h_s) >= e) == up
+        right, left = np.where(open_ & hit, i, right), np.where(open_ & ~hit, i, left)
     base, n = lo.min(), hi.max() - lo.min()
-    ends = np.clip(idx[:, 0] + np.count_nonzero(~hit, axis=1), lo[k], hi[k]) - base
-    start, stop = ends[: k.size // 2], ends[k.size // 2 :]
+    start, stop = np.split(right - base, 2)
     keep = start < stop
     row = layer[k[: k.size // 2][keep]] * (n + 1)  # each layer's difference array follows the last
     size = occ.shape[0] * (n + 1)

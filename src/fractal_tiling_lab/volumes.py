@@ -8,8 +8,8 @@ must fold into their error estimates. A VolumeSamples is just that: the
 radii, the values, delta and the tolerances (and, for a renewal difference,
 whether it interpolated and its jumps at the gate radii).
 
-The renewal differences (h, phi, the Gatzouras difference, the curvature
-residual) evaluate f(eps / r_i) through the scaling identities; on
+The renewal differences (h, phi, the Gatzouras difference) evaluate
+f(eps / r_i) through the scaling identities; on
 lattice-aligned geometric grids the lookup is an exact index shift,
 otherwise a monotone interpolant is used and the samples are flagged. That interpolant (_pchip) is the
 piecewise cubic Hermite scheme of Fritsch & Butland, written here with the
@@ -232,10 +232,10 @@ def renewal_difference(
     """f(eps) - sum_i 1{eps <= r_i * cutoff} r_i^w f(eps / r_i).
 
     The common shape of the tube-function difference (w = d, cutoff = g),
-    the restricted-volume difference (w = d, cutoff = g_tilde), the
-    Gatzouras difference (w = d, cutoff = the grid's top node a) and the
-    curvature residual (w = k, the same cutoff). A term is exactly 0.0
-    outside its gate.
+    the restricted-volume difference (w = d, cutoff = g_tilde) and the
+    Gatzouras difference (w = d, cutoff = the grid's top node a); only the
+    tests form the curvature residual with it (w = k, the same cutoff). A
+    term is exactly 0.0 outside its gate.
     """
     if samples.eps.shape != grid.eps.shape or not np.allclose(samples.eps, grid.eps):
         raise ConfigError("samples must live on the provided eps grid")

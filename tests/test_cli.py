@@ -8,7 +8,7 @@ import pytest
 
 from fractal_tiling_lab import grids, pipeline, tiling
 from fractal_tiling_lab.cli import build_parser, load_scene, main
-from fractal_tiling_lab.errors import ConfigError
+from fractal_tiling_lab.errors import ConfigError, ResolutionError
 from fractal_tiling_lab.grids import ConvexPolygon
 from fractal_tiling_lab.pipeline import get_bundle
 from fractal_tiling_lab.presets import get_preset
@@ -629,6 +629,44 @@ class TestSceneRuleInPython:
         assert pipeline._BUNDLES == {}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFBboxPastTheFloatRange:
+    """A finite f_bbox whose width, or whose cell count at delta, passes the float
+    range is refused from finite comparisons, before any subtraction or division
+    could overflow."""
+
+    WIDE = ([-1e308], [1e308])  # hi - lo is past the float range: no f_bbox at all
+    LONG = ([0.0], [1.7e308])  # a float width, but (hi - lo) / delta is past the float range
+    EDGE = ([-1.7976931348623157e308], [1.0])  # lo less the fixed points' margin of 1e-9 (hi - lo) is past it
+
+    def test_width_refused_in_python(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        with pytest.raises(ConfigError, match=r"f_bbox \[\[-1e\+308\], \[1e\+308\]\] is too wide"):
+            pipeline.SceneBundle(replace(get_preset("cantor").scene, f_bbox=self.WIDE))
+
+    def test_cells_refused_in_python(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        bundle = pipeline.SceneBundle(replace(get_preset("cantor").scene, f_bbox=self.LONG, delta=2.0**-6))
+        with pytest.raises(ResolutionError, match=f"grid of inf cells exceeds the cap of {grids.MAX_CELLS}"):
+            bundle.F_tight
+
+    @pytest.mark.parametrize("box, code, named", [
+        (WIDE, 3, "configuration error: f_bbox [[-1e+308], [1e+308]] is too wide"),
+        (LONG, 1, f"error: grid of inf cells exceeds the cap of {grids.MAX_CELLS}"),
+        (EDGE, 1, f"error: grid of inf cells exceeds the cap of {grids.MAX_CELLS}"),
+    ], ids=["width", "cells", "corner_at_the_float_max"])
+    def test_refused_by_the_cli(self, capsys, tmp_path, monkeypatch, box, code, named):
+        monkeypatch.setattr(pipeline, "_BUNDLES", {})
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"ifs": {"dim": 1, "maps": CANTOR_MAPS},
+                                    "region": {"type": "intervals", "intervals": [[0.0, 1.0]]},
+                                    "delta": 2.0**-6, "f_bbox": [list(c) for c in box]}))
+        assert main(["content", "--scene", str(path), "--format", "json"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(named) and captured.err.count("\n") == 1
+
+
 class TestTableRows:
     def test_rows_are_json_and_the_cli_prints_them(self, capsys, cantor_bundle):
         for argv, rows in ((["content"], cantor_bundle.content_table()),
@@ -740,6 +778,12 @@ TEXT_FORMATS = {
     "table": "07a8d15b549ee12f62703fa619546d4125a4b4a8c109d18a2d2f8d4c75c4f007",
     "csv": "4ed9d45d7cdcd3d633bc51f81f3e9849fa95ae7a81cbe8bc3366e975f258cf15",
 }
+# the same of curvature -k 1 --preset koch --delta 2^-8, which exits 2 with four
+# refused rows: the REFUSED lines of both formats
+REFUSED_TEXT_FORMATS = {
+    "table": "0ac88e577bcbdb697154dbb93c32bb75f5cee407d5b49e2d51c3410fd3536018",
+    "csv": "b959db1a55f2d5e7d3c272859aa7c302d59ccb6855fb54322507526bb1273655",
+}
 
 
 class TestTextFormats:
@@ -748,6 +792,20 @@ class TestTextFormats:
         code, out = run(capsys, "content", "--preset", "cantor_pair", "--delta", repr(2.0**-10), "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == TEXT_FORMATS[fmt]
+
+    @pytest.mark.parametrize("fmt", list(REFUSED_TEXT_FORMATS))
+    def test_refused_rows_output_bytes(self, capsys, fmt):
+        code, out = run(capsys, "curvature", "-k", "1", "--preset", "koch", "--delta", repr(2.0**-8), "--format", fmt)
+        assert code == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == REFUSED_TEXT_FORMATS[fmt]
+
+    def test_csv_row_that_is_not_a_dict(self, capsys, tmp_path, cantor_bundle):
+        # render's one row is its list of files
+        code, out = run(capsys, "render", "--preset", "cantor", "--format", "csv", "--out", str(tmp_path))
+        assert code == 0
+        names = ["cantor_Feps0.pgm", "cantor_Feps1.pgm", "cantor_Feps2.pgm", "cantor_G.pgm", "cantor_Gamma.pgm",
+                 "cantor_tiles.pgm"]
+        assert out == f"key,value,error,details\nfiles,{names},,\n"
 
 
 class TestTilesOnlyForTheRowsThatReadThem:

@@ -107,17 +107,10 @@ def mutate(doc: dict, draw) -> None:
         doc["region"] = "central"
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(name=st.sampled_from(sorted(PRESETS)), delta=st.sampled_from([2.0**-7, 2.0**-6]),
-       command=st.sampled_from([["dim"], ["check"], ["content"], ["curvature", "-k", "0"],
-                                ["curvature", "-k", "1"]]),
-       data=st.data())
-def test_mutant_scenes_exit_with_a_code(tmp_path_factory, name, delta, command, data):
-    doc = scene_document(name, delta)
-    for _ in range(data.draw(st.integers(1, 2))):
-        mutate(doc, data.draw)
-    path = tmp_path_factory.mktemp("scene") / "scene.json"
+def assert_exits_with_a_code(tmp_path, doc: dict, command: list[str]) -> None:
+    """Run doc as a scene file through cli.main: only a return code may come back,
+    and a nonzero one with a typed message or all-refused rows."""
+    path = tmp_path / "scene.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(pipeline, "_BUNDLES", {}), contextlib.redirect_stdout(out), \
@@ -131,3 +124,47 @@ def test_mutant_scenes_exit_with_a_code(tmp_path_factory, name, delta, command, 
     elif code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and TYPED.match(lines[0]), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(PRESETS)), delta=st.sampled_from([2.0**-7, 2.0**-6]),
+       command=st.sampled_from([["dim"], ["check"], ["content"], ["curvature", "-k", "0"],
+                                ["curvature", "-k", "1"]]),
+       data=st.data())
+def test_mutant_scenes_exit_with_a_code(tmp_path_factory, name, delta, command, data):
+    doc = scene_document(name, delta)
+    for _ in range(data.draw(st.integers(1, 2))):
+        mutate(doc, data.draw)
+    assert_exits_with_a_code(tmp_path_factory.mktemp("scene"), doc, command)
+
+
+def swapped(name: str, path: tuple, value) -> dict:
+    doc = scene_document(name, 2.0**-6)
+    parent(doc, path)[path[-1]] = value
+    return doc
+
+
+def numeric_paths(name: str) -> list[tuple]:
+    doc = scene_document(name, 2.0**-6)
+    return [p for p in paths(doc) if p and isinstance(parent(doc, p)[p[-1]], float)]
+
+
+# every numeric leaf of every preset's document (ratios, matrix and translation
+# entries, interval ends or vertices, delta, f_bbox corners) holding each of the
+# two odd integers once, then two f_bbox corners inside the float range whose
+# width (the first) or cell count at delta (the second) is past it
+SWEEP = [
+    pytest.param(swapped(name, path, value), id=f"{name}-{'.'.join(map(str, path))}-{tag}")
+    for name in sorted(PRESETS) for path in numeric_paths(name)
+    for value, tag in ((10**400, "10^400"), (10**20, "10^20"))
+] + [
+    pytest.param(swapped("cantor", ("f_bbox",), box), id=tag)
+    for box, tag in (([[-1e308], [1e308]], "f_bbox_width_past_the_float_range"),
+                     ([[0.0], [1.7e308]], "f_bbox_cells_past_the_float_range"))
+]
+
+
+@pytest.mark.parametrize("doc", SWEEP)
+def test_odd_values_at_every_numeric_key_exit_with_a_code(tmp_path, doc):
+    assert_exits_with_a_code(tmp_path, doc, ["content"])
